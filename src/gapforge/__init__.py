@@ -42,6 +42,7 @@ from .ordinals import (
     cmp_ordinal,
     fin,
     index_sort_key,
+    two_sided,
 )
 from .pcc import (
     CompatMatrix,

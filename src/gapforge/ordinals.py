@@ -9,7 +9,8 @@ canonical cofinal sequences, which is all the ladder machinery needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cmp_to_key
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import TableTooShort, UnknownDelta
 
@@ -112,22 +113,27 @@ class Index:
         return f"<{self.ord},{self.side}>"
 
 
+def two_sided(ordinals: Iterable[Ordinal]) -> Iterator[tuple[Ordinal, int]]:
+    """The points (o, side) over distinct ordinals, ascending in the two-sided
+    order: side 0 with the ordinals ascending, then side 1 descending."""
+    up = sorted(ordinals)
+    for o in up:
+        yield o, 0
+    for o in reversed(up):
+        yield o, 1
+
+
 def cmp_index(x: Index, y: Index) -> int:
     """Three-way comparison in the two-sided order; total, never incomparable."""
     if x == y:
         return EQ
-    if x.side != y.side:
-        return LT if x.side == 0 else GT
-    if x.side == 0:
-        return LT if x.ord < y.ord else GT
-    return LT if y.ord < x.ord else GT
+    points = list(two_sided({x.ord, y.ord}))
+    return LT if points.index((x.ord, x.side)) < points.index((y.ord, y.side)) else GT
 
 
-def index_sort_key(i: Index) -> tuple:
+def index_sort_key(i: Index):
     """Sort key realizing the two-sided order."""
-    if i.side == 0:
-        return (0, i.ord.q, i.ord.r)
-    return (1, -i.ord.q, -i.ord.r)
+    return cmp_to_key(cmp_index)(i)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ from .errors import (
     HeightMismatch,
     HypothesisFailure,
     InvalidBit,
+    InvariantViolation,
     SearchTooLarge,
     UnknownIndex,
 )
-from .ordinals import Index, Ordinal
+from .ordinals import Index, Ordinal, two_sided
 
 
 def bits(word: str) -> frozenset[int]:
@@ -39,13 +40,15 @@ def word_from_bits(members: Iterable[int], length: int) -> str:
     return "".join("1" if k in members else "0" for k in range(length))
 
 
-def _ilt(i: tuple[Ordinal, int], j: tuple[Ordinal, int]) -> bool:
-    """Strict two-sided order on (ordinal, side) pairs."""
-    a, s = i
-    b, t = j
-    if s == 0:
-        return True if t == 1 else a < b
-    return b < a if t == 1 else False
+def _mask(word: str) -> int:
+    """The word as a bitmask: bit k is character k."""
+    return int(word[::-1] or "0", 2)
+
+
+def _word(mask: int, length: int) -> str:
+    """The word of the given length whose character k is bit k of mask."""
+    # the sentinel bit at `length` keeps leading zeros; [:0:-1] drops it
+    return format(mask | 1 << length, "b")[:0:-1]
 
 
 @dataclass(eq=True)
@@ -67,9 +70,9 @@ class PCondition:
         for o, (w0, w1) in self.entries.items():
             if len(w0) != self.height or len(w1) != self.height:
                 raise ValueError(f"words at {o} must have length {self.height}")
-            if set(w0) - {"0", "1"} or set(w1) - {"0", "1"}:
+            if w0.strip("01") or w1.strip("01"):
                 raise ValueError(f"words at {o} must be over the alphabet 01")
-            if not bits(w0) <= bits(w1):
+            if _mask(w0) & ~_mask(w1):
                 raise ValueError(f"low word at {o} must be bitwise contained in the high word")
 
     @classmethod
@@ -112,9 +115,12 @@ def p_leq(p: PCondition, q: PCondition) -> bool:
     """Extension order: q extends p.
 
     Requires dom(p) within dom(q), every p-word a prefix of the matching
-    q-word, height monotone, and for every pair of p-domain indices i below
-    j in the two-sided order, the bits q grants at i beyond p all to appear
-    at j.  Only q restricted to dom(p) is ever consulted.
+    q-word, height monotone, and the bits q grants at each p-domain index
+    beyond p's height to reappear at every p-domain index above it in the
+    two-sided order.  That order is total, so one prefix-union sweep up it
+    checks the last clause: at each index, the union of the grants below
+    must lie inside q's word, read as a bitmask whose bit k is character k.
+    Only q restricted to dom(p) is ever consulted.
     """
     if p.height > q.height:
         return False
@@ -124,15 +130,13 @@ def p_leq(p: PCondition, q: PCondition) -> bool:
         q0, q1 = q.entries[o]
         if not q0.startswith(w0) or not q1.startswith(w1):
             return False
-    idx = [(o, s) for o in p.entries for s in (0, 1)]
-    qset = {i: bits(q.entries[i[0]][i[1]]) for i in idx}
-    grow = {i: qset[i] - bits(p.entries[i[0]][i[1]]) for i in idx}
-    for i in idx:
-        if not grow[i]:
-            continue
-        for j in idx:
-            if _ilt(i, j) and not grow[i] <= qset[j]:
-                return False
+    m = p.height
+    seen = 0
+    for o, s in two_sided(p.entries):
+        q_mask = _mask(q.entries[o][s])
+        if seen & ~q_mask:
+            return False
+        seen |= q_mask >> m << m
     return True
 
 
@@ -162,28 +166,26 @@ def p_join(p: PCondition, q: PCondition) -> PCondition:
     Needs p restricted to A below q, and q at least as tall.  On A the join
     copies q.  Off A each word keeps p's bits and additionally receives, for
     every A-index k of p's domain below it, all bits q granted at k at or
-    above p's height.  That bulk transfer is exactly what makes r extend p:
-    a bit new at i came from some k below i, and k sits below every j above
-    i as well.  Guarantees r >= p, r >= q and r restricted to A equal to q.
+    above p's height, accumulated by one sweep up the two-sided order.  That
+    bulk transfer is exactly what makes r extend p: a bit new at i came from
+    some k below i, and k sits below every j above i as well.  Guarantees
+    r >= p, r >= q and r restricted to A equal to q.
     """
     a_dom = set(q.entries)
     if q.height < p.height or not p_leq(p_restrict(p, a_dom), q):
         raise HypothesisFailure("join needs p restricted to dom(q) below q, and q at least as tall")
     m = p.height
-    shared = [(o, s) for o in p.entries if o in a_dom for s in (0, 1)]
-    payload = {i: frozenset(k for k in bits(q.entries[i[0]][i[1]]) if k >= m) for i in shared}
-    entries = dict(q.entries)
-    for o in sorted(p.entries.keys() - a_dom):
-        words = []
-        for s in (0, 1):
-            got = set(bits(p.entries[o][s]))
-            for k_idx, extra in payload.items():
-                if _ilt(k_idx, (o, s)):
-                    got |= extra
-            words.append(word_from_bits(got, q.height))
-        entries[o] = (words[0], words[1])
-    r = PCondition(q.height, entries)
-    assert p_leq(p, r) and p_leq(q, r) and p_restrict(r, a_dom) == q
+    payload = 0
+    words = {}
+    for o, s in two_sided(p.entries):
+        if o in a_dom:
+            payload |= _mask(q.entries[o][s])
+        else:
+            words[o, s] = p.entries[o][s] + _word(payload >> m, q.height - m)
+    off_a = {o: (words[o, 0], words[o, 1]) for o in sorted(p.entries.keys() - a_dom)}
+    r = PCondition(q.height, {**q.entries, **off_a})
+    if not (p_leq(p, r) and p_leq(q, r) and p_restrict(r, a_dom) == q):
+        raise InvariantViolation("join-upper-bound", f"join of heights {p.height} and {q.height} is no upper bound")
     return r
 
 
@@ -248,34 +250,29 @@ def p_extend(
     k in [height(p), target_height) is set at i and propagated to every
     domain index above i in the two-sided order, which keeps both the
     pairing containment and the extension clauses intact (bits are only
-    ever added, so no conflict can arise).
+    ever added, so no conflict can arise).  One sweep up the order does it.
     """
     if target_height < p.height:
         raise ValueError("target height may not shrink the condition")
     dom = set(p.entries) | set(new_ordinals)
-    forced = sorted(forced_bits, key=lambda f: (f[0].ord, f[0].side, f[1]))
-    for idx, k in forced:
+    grants: dict[tuple[Ordinal, int], int] = {}
+    for idx, k in forced_bits:
         if not p.height <= k < target_height:
             raise InvalidBit(f"forced bit {k} must lie in [{p.height}, {target_height})")
         if idx.ord not in dom:
             raise UnknownIndex(f"forced index {idx} is outside the extension domain")
-    grid = {
-        (o, s): set(bits(p.entries[o][s])) if o in p.entries else set()
-        for o in dom
-        for s in (0, 1)
-    }
-    for idx, k in forced:
-        src = (idx.ord, idx.side)
-        grid[src].add(k)
-        for tgt in grid:
-            if _ilt(src, tgt):
-                grid[tgt].add(k)
-    entries = {
-        o: (word_from_bits(grid[(o, 0)], target_height), word_from_bits(grid[(o, 1)], target_height))
-        for o in sorted(dom)
-    }
-    out = PCondition(target_height, entries)
-    assert p_leq(p, out)
+        grants[idx.ord, idx.side] = grants.get((idx.ord, idx.side), 0) | 1 << k
+    m = p.height
+    zeros = ("0" * m, "0" * m)
+    order = sorted(dom)
+    seen = 0
+    words = {}
+    for o, s in two_sided(order):
+        seen |= grants.get((o, s), 0)
+        words[o, s] = p.entries.get(o, zeros)[s] + _word(seen >> m, target_height - m)
+    out = PCondition(target_height, {o: (words[o, 0], words[o, 1]) for o in order})
+    if not p_leq(p, out):
+        raise InvariantViolation("extend-order", f"extension to height {target_height} does not extend p")
     return out
 
 

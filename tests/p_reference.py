@@ -1,0 +1,108 @@
+"""Reference implementations of the bit-word order, extension and join.
+
+These are the pairwise, set-based versions the package's prefix-union
+sweeps replaced.  They compare every pair of domain indices in the
+two-sided order and work on frozensets of bit positions, so they share no
+logic with the bitmask code; the differential tests require both to agree
+exactly.
+"""
+
+from __future__ import annotations
+
+from gapforge import InvalidBit, PCondition, UnknownIndex, bits, p_restrict, word_from_bits
+
+
+def _ilt(i, j) -> bool:
+    """Strict two-sided order on (ordinal, side) pairs."""
+    a, s = i
+    b, t = j
+    if s == 0:
+        return True if t == 1 else a < b
+    return b < a if t == 1 else False
+
+
+def ref_p_leq(p: PCondition, q: PCondition) -> bool:
+    """q extends p: for every pair of p-domain indices i below j, the bits q
+    grants at i beyond p all appear at j."""
+    if p.height > q.height:
+        return False
+    for o, (w0, w1) in p.entries.items():
+        if o not in q.entries:
+            return False
+        q0, q1 = q.entries[o]
+        if not q0.startswith(w0) or not q1.startswith(w1):
+            return False
+    idx = [(o, s) for o in p.entries for s in (0, 1)]
+    qset = {i: bits(q.entries[i[0]][i[1]]) for i in idx}
+    grow = {i: qset[i] - bits(p.entries[i[0]][i[1]]) for i in idx}
+    for i in idx:
+        if not grow[i]:
+            continue
+        for j in idx:
+            if _ilt(i, j) and not grow[i] <= qset[j]:
+                return False
+    return True
+
+
+def ref_p_extend(p: PCondition, target_height: int, new_ordinals=(), forced_bits=()) -> PCondition:
+    """Zero-fill new columns, then set each forced bit at its index and at
+    every domain index above it."""
+    if target_height < p.height:
+        raise ValueError("target height may not shrink the condition")
+    dom = set(p.entries) | set(new_ordinals)
+    forced = list(forced_bits)
+    for idx, k in forced:
+        if not p.height <= k < target_height:
+            raise InvalidBit(f"forced bit {k} must lie in [{p.height}, {target_height})")
+        if idx.ord not in dom:
+            raise UnknownIndex(f"forced index {idx} is outside the extension domain")
+    grid = {
+        (o, s): set(bits(p.entries[o][s])) if o in p.entries else set()
+        for o in dom
+        for s in (0, 1)
+    }
+    for idx, k in forced:
+        src = (idx.ord, idx.side)
+        grid[src].add(k)
+        for tgt in grid:
+            if _ilt(src, tgt):
+                grid[tgt].add(k)
+    return PCondition(
+        target_height,
+        {
+            o: (word_from_bits(grid[(o, 0)], target_height), word_from_bits(grid[(o, 1)], target_height))
+            for o in sorted(dom)
+        },
+    )
+
+
+def ref_p_join(p: PCondition, q: PCondition) -> PCondition | None:
+    """Canonical join with q dominating on A = dom(q): each word off A gets
+    the bits q granted, at or above p's height, at every A-index below it.
+    None when the join's hypothesis fails."""
+    a_dom = set(q.entries)
+    if q.height < p.height or not ref_p_leq(p_restrict(p, a_dom), q):
+        return None
+    m = p.height
+    shared = [(o, s) for o in p.entries if o in a_dom for s in (0, 1)]
+    payload = {i: frozenset(k for k in bits(q.entries[i[0]][i[1]]) if k >= m) for i in shared}
+    entries = dict(q.entries)
+    for o in sorted(p.entries.keys() - a_dom):
+        words = []
+        for s in (0, 1):
+            got = set(bits(p.entries[o][s]))
+            for k_idx, extra in payload.items():
+                if _ilt(k_idx, (o, s)):
+                    got |= extra
+            words.append(word_from_bits(got, q.height))
+        entries[o] = (words[0], words[1])
+    return PCondition(q.height, entries)
+
+
+def ref_p_join_from_core(p1: PCondition, p2: PCondition) -> PCondition | None:
+    """The join of p2 under p1 when p2 lies below p1 on the shared core and
+    p1 is at least as tall; None otherwise."""
+    core = p1.entries.keys() & p2.entries.keys()
+    if p1.height < p2.height or not ref_p_leq(p_restrict(p2, core), p_restrict(p1, core)):
+        return None
+    return ref_p_join(p2, p1)

@@ -17,6 +17,7 @@ from gapforge import (
     cmp_ordinal,
     fin,
     index_sort_key,
+    two_sided,
 )
 
 
@@ -71,6 +72,7 @@ def test_four_point_chain():
         for x, y in zip(chain, chain[1:]):
             assert cmp_index(x, y) == LT
         assert sorted(reversed(chain), key=index_sort_key) == chain
+        assert [Index(*i) for i in two_sided([b, a])] == chain
 
 
 def test_canonical_ladder_examples():

@@ -9,6 +9,7 @@ from gapforge import (
     HypothesisFailure,
     Index,
     InvalidBit,
+    InvariantViolation,
     PCondition,
     SearchTooLarge,
     UnknownIndex,
@@ -22,6 +23,7 @@ from gapforge import (
     p_leq,
     p_restrict,
     p_union_agreeing,
+    poset_p,
     word_from_bits,
 )
 from helpers import enumerate_conditions, random_extension, random_pcondition
@@ -37,6 +39,13 @@ def test_condition_validation():
         PCondition(2, {AL: ("1", "11")})  # wrong length
     with pytest.raises(ValueError):
         PCondition(1, {AL: ("x", "1")})
+    # strings int(w, 2) would read as binary numbers
+    for bad in ("1_0", " 1", "+1", "\uff11"):
+        n = len(bad)
+        with pytest.raises(ValueError):
+            PCondition(n, {AL: ("0" * n, bad)})
+        with pytest.raises(ValueError):
+            PCondition(n, {AL: (bad, "1" * n)})
     assert PCondition.empty().height == 0
 
 
@@ -182,6 +191,29 @@ def test_p_extend_errors():
         p_extend(p, 3, (), [(Index(BE, 0), 2)])
     with pytest.raises(ValueError):
         p_extend(p, 0)
+
+
+def test_p_extend_postcondition_raises(monkeypatch):
+    monkeypatch.setattr(poset_p, "p_leq", lambda p, q: False)
+    with pytest.raises(InvariantViolation) as err:
+        p_extend(PCondition(1, {AL: ("1", "1")}), 2)
+    assert err.value.invariant == "extend-order"
+    assert "height 2" in err.value.detail
+
+
+def test_p_join_postcondition_raises(monkeypatch):
+    real, calls = p_leq, []
+
+    def leq_failing_after_hypothesis(p, q):
+        calls.append((p, q))
+        return real(p, q) if len(calls) == 1 else False
+
+    monkeypatch.setattr(poset_p, "p_leq", leq_failing_after_hypothesis)
+    with pytest.raises(InvariantViolation) as err:
+        p_join(PCondition(1, {AL: ("1", "1"), BE: ("0", "1")}), PCondition(2, {AL: ("11", "11")}))
+    assert err.value.invariant == "join-upper-bound"
+    assert "heights 1 and 2" in err.value.detail
+    assert len(calls) == 2
 
 
 def test_p_extend_random_invariants():

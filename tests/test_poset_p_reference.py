@@ -1,0 +1,167 @@
+"""Differential tests: the prefix-union sweeps of poset_p against the
+pairwise, set-based references in p_reference, requiring exact equality."""
+
+import itertools
+import random
+
+import pytest
+
+from gapforge import (
+    HypothesisFailure,
+    Index,
+    InvalidBit,
+    Ordinal,
+    PCondition,
+    UnknownIndex,
+    fin,
+    p_extend,
+    p_join,
+    p_join_from_core,
+    p_leq,
+    p_restrict,
+)
+from helpers import enumerate_conditions, random_extension, random_pcondition
+from p_reference import ref_p_extend, ref_p_join, ref_p_join_from_core, ref_p_leq
+
+# two w-blocks, so side-1 sweeps cross a limit as well as finite steps
+POOL = [fin(0), fin(1), fin(2), fin(5), Ordinal(1, 0), Ordinal(1, 3), Ordinal(2, 1)]
+
+
+def _words_agree(p: PCondition, q: PCondition) -> bool:
+    """The part of p_leq before the growth clause: heights, domains, prefixes."""
+    return p.height <= q.height and all(
+        o in q.entries and q.entries[o][0].startswith(w0) and q.entries[o][1].startswith(w1)
+        for o, (w0, w1) in p.entries.items()
+    )
+
+
+def _flip_one_bit(rng: random.Random, q: PCondition, low: int) -> PCondition | None:
+    """q with one character at or above `low` flipped, or None when the flip
+    breaks the pairing containment or there is no such character."""
+    if not q.entries or low >= q.height:
+        return None
+    o = rng.choice(sorted(q.entries))
+    side = rng.randint(0, 1)
+    k = rng.randrange(low, q.height)
+    words = list(q.entries[o])
+    word = words[side]
+    words[side] = word[:k] + ("0" if word[k] == "1" else "1") + word[k + 1:]
+    try:
+        return PCondition(q.height, {**q.entries, o: tuple(words)})
+    except ValueError:
+        return None
+
+
+def test_p_leq_matches_reference_on_random_pairs():
+    rng = random.Random(31)
+    counts = {"true": 0, "growth_false": 0, "words_false": 0}
+    pairs = 0
+    while pairs < 20_000:
+        p = random_pcondition(rng, POOL, rng.randint(0, 4), max_dom=5)
+        kind = pairs % 3
+        if kind == 0:
+            q = random_extension(rng, p, POOL, extra_height=4)
+        elif kind == 1:
+            q = _flip_one_bit(rng, random_extension(rng, p, POOL, extra_height=4), p.height)
+            if q is None:
+                continue
+        else:
+            q = random_pcondition(rng, POOL, rng.randint(0, 6), max_dom=5)
+        expected = ref_p_leq(p, q)
+        assert p_leq(p, q) is expected, (p, q)
+        if expected:
+            counts["true"] += 1
+        elif _words_agree(p, q):
+            counts["growth_false"] += 1
+        else:
+            counts["words_false"] += 1
+        pairs += 1
+    # every branch of the order is exercised in bulk, the growth clause too
+    assert min(counts.values()) >= 2_000, counts
+
+
+def test_p_leq_matches_reference_on_grid():
+    grid = enumerate_conditions([fin(0), fin(1), Ordinal(1, 0)], [0, 1])
+    related = 0
+    for p, q in itertools.product(grid, repeat=2):
+        expected = ref_p_leq(p, q)
+        assert p_leq(p, q) is expected, (p, q)
+        related += expected
+    assert 0 < related < len(grid) ** 2
+
+
+def test_p_extend_matches_reference():
+    rng = random.Random(32)
+    sides = set()
+    for _ in range(3_000):
+        p = random_pcondition(rng, POOL, rng.randint(0, 4), max_dom=5)
+        target = p.height + rng.randint(0, 4)
+        fresh = [o for o in POOL if o not in p.entries]
+        new = rng.sample(fresh, rng.randint(0, min(3, len(fresh))))
+        dom = sorted(set(p.entries) | set(new))
+        forced = []
+        if dom and target > p.height:
+            for _ in range(rng.randint(0, 6)):
+                side = rng.randint(0, 1)
+                sides.add(side)
+                forced.append((Index(rng.choice(dom), side), rng.randrange(p.height, target)))
+        assert p_extend(p, target, new, forced) == ref_p_extend(p, target, new, forced)
+    assert sides == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "forced, error",
+    [
+        ([(Index(fin(0), 1), 0)], InvalidBit),
+        ([(Index(fin(0), 0), 3)], InvalidBit),
+        ([(Index(fin(1), 1), 2)], UnknownIndex),
+    ],
+)
+def test_p_extend_rejects_like_reference(forced, error):
+    p = PCondition(1, {fin(0): ("0", "1")})
+    with pytest.raises(error):
+        ref_p_extend(p, 3, (), forced)
+    with pytest.raises(error):
+        p_extend(p, 3, (), forced)
+
+
+def _check_joins(p: PCondition, q: PCondition) -> tuple[int, int]:
+    """Compare both joins of (p, q) with the references; count valid inputs."""
+    valid = []
+    for fast, ref, args in ((p_join, ref_p_join, (p, q)), (p_join_from_core, ref_p_join_from_core, (q, p))):
+        expected = ref(*args)
+        if expected is None:
+            with pytest.raises(HypothesisFailure):
+                fast(*args)
+        else:
+            assert fast(*args) == expected, args
+        valid.append(expected is not None)
+    return valid[0], valid[1]
+
+
+def test_joins_match_reference_on_generated_inputs():
+    rng = random.Random(33)
+    joined = from_core = 0
+    for _ in range(2_000):
+        p = random_pcondition(rng, POOL, rng.randint(0, 4), max_dom=5)
+        keep = rng.sample(sorted(p.entries), rng.randint(0, len(p.entries)))
+        outside = [o for o in POOL if o not in p.entries]
+        q = random_extension(rng, p_restrict(p, keep), keep + outside, extra_height=4)
+        a, b = _check_joins(p, q)
+        joined += a
+        from_core += b
+    assert joined == 2_000 and from_core > 0
+
+
+@pytest.mark.parametrize(
+    "ordinals, heights",
+    [([fin(0), fin(1), Ordinal(1, 0)], [0, 1]), ([fin(0), fin(1)], [0, 1, 2])],
+)
+def test_joins_match_reference_on_grid(ordinals, heights):
+    grid = enumerate_conditions(ordinals, heights)
+    joined = from_core = 0
+    for p, q in itertools.product(grid, repeat=2):
+        a, b = _check_joins(p, q)
+        joined += a
+        from_core += b
+    assert 0 < joined < len(grid) ** 2 and 0 < from_core < len(grid) ** 2
