@@ -71,6 +71,7 @@ from .poset_q import (
     QCondition,
     QContext,
     extract_w,
+    ladder_blocked,
     q_compatible,
     q_leq,
     q_restrict,

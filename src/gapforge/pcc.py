@@ -15,9 +15,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import InvariantViolation
 from .gaps import GapFragment
 from .ordinals import Ladder, Ordinal, SPartition
-from .poset_q import QCondition, QContext, q_compatible, q_restrict
+from .poset_q import QCondition, QContext, ladder_blocked, q_compatible, q_restrict
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,31 @@ def build_compat_matrix(
     fam1: Sequence[tuple[Ordinal, QCondition]],
     fam2: Sequence[tuple[Ordinal, QCondition]],
 ) -> CompatMatrix:
-    """Evaluate compatibility on all pairs of the two indexed families."""
+    """Evaluate compatibility on all pairs of the two indexed families.
+
+    p and q are compatible exactly when their union extends both, that is
+    when neither one's ladder clause blocks a w member the other brings
+    in.  Each condition is validated once and each family's w-union sorted
+    once; a row's blocked set is taken over the column union and a
+    column's over the row union (bit k = k-th member), so a cell is
+    `not (w_q & blocked_p or w_p & blocked_q)`.
+    """
+    sides = []
     for fam in (fam1, fam2):
         idx = [o for o, _ in fam]
         if any(not a < b for a, b in zip(idx, idx[1:])):
             raise ValueError("family indices must strictly increase")
+        for _, p in fam:
+            ctx.check_condition(p)
+        cand = sorted(set().union(*(p.w for _, p in fam)))
+        pos = {o: k for k, o in enumerate(cand)}
+        sides.append((cand, [sum(1 << pos[o] for o in p.w) for _, p in fam]))
+    (cand1, w1), (cand2, w2) = sides
+    blocked1 = [ladder_blocked(ctx, p, cand2) for _, p in fam1]
+    blocked2 = [ladder_blocked(ctx, q, cand1) for _, q in fam2]
     cells = tuple(
-        tuple(q_compatible(ctx, p, q) is not None for _, q in fam2) for _, p in fam1
+        tuple(not (wq & bp or wp & bq) for wq, bq in zip(w2, blocked2))
+        for wp, bp in zip(w1, blocked1)
     )
     return CompatMatrix(
         tuple(o for o, _ in fam1),
@@ -171,8 +190,8 @@ def find_compatible_pair(inst: PccInstance) -> tuple[Ordinal, Ordinal, int] | No
 
     Scans index pairs delta1 < delta2 in increasing order; a witness is the
     least n >= k in the meet profile of delta1 minus the join profile of
-    delta2.  On success the pair is asserted compatible, which the split
-    shape of the instance guarantees.
+    delta2.  On success the pair is checked compatible, which the split
+    shape of the instance guarantees; InvariantViolation says it was not.
     """
     meets, joins = pcc_ab_profiles(inst)
     for d1 in inst.t1:
@@ -181,7 +200,9 @@ def find_compatible_pair(inst: PccInstance) -> tuple[Ordinal, Ordinal, int] | No
                 continue
             witnesses = sorted(n for n in meets[d1] - joins[d2] if n >= inst.k)
             if witnesses:
-                assert q_compatible(inst.ctx, inst.fam1[d1], inst.fam2[d2]) is not None
+                if q_compatible(inst.ctx, inst.fam1[d1], inst.fam2[d2]) is None:
+                    detail = f"witness {witnesses[0]} for {d1} < {d2}, yet the pair is incompatible"
+                    raise InvariantViolation("compatible-pair", detail)
                 return d1, d2, witnesses[0]
     return None
 
@@ -261,13 +282,15 @@ def max_order_rectangle(
     Exhaustive over row subsets while 2^rows fits the budget (optimal for a
     fixed row set: every admissible column joins for free), greedy deletion
     plus one augmentation pass beyond that.  The result is verified cell by
-    cell before being returned; positions index into the matrix.
+    cell before being returned (InvariantViolation otherwise); positions
+    index into the matrix.
     """
     if 1 << len(m.row_index) <= budget:
         rows, cols = _exact_rectangle(m)
     else:
         rows, cols = _greedy_rectangle(m, budget)
-    assert verify_rectangle(m, rows, cols)
+    if not verify_rectangle(m, rows, cols):
+        raise InvariantViolation("rectangle-verification", "the searched rectangle fails a cell check")
     return rows, cols
 
 

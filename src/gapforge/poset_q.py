@@ -3,16 +3,21 @@
 Conditions are pairs (w, s) of finite ordinal sets: w collects tower indices
 being selected, s collects designated limits that anchor the ladder clause.
 Extending a condition may only add below-delta indices j whose excess over
-each committed b_i beats the rung count of c_delta below j.
+each committed b_i beats the rung count of c_delta below j.  The context
+reads each tower set once as an int bitmask (bit k = member k), so an
+excess is `(a_j & ~b_i).bit_length()`, and `ladder_blocked` collects the
+indices a condition's clause keeps out as a bitmask over a candidate list:
+both the order and the pcc compatibility matrix stand on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NotAChain, UnknownIndex
-from .gaps import GapFragment, excess
+from .errors import InvariantViolation, NotAChain, UnknownIndex
+from .gaps import GapFragment
 from .ordinals import Ladder, Ordinal, SPartition
 
 
@@ -44,11 +49,15 @@ class QCondition:
 @dataclass(frozen=True)
 class QContext:
     """The bound context: a diagram with one shared index set, a ladder
-    covering the designated limits, and the designated-set partition."""
+    covering the designated limits, and the designated-set partition.
+    a_mask and b_mask hold the tower sets as int bitmasks, read once here;
+    equality, hashing and repr ignore them."""
 
     g: GapFragment
     ladder: Ladder
     part: SPartition
+    a_mask: dict[Ordinal, int] = field(init=False, repr=False, compare=False)
+    b_mask: dict[Ordinal, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.g.a) != set(self.g.b):
@@ -56,6 +65,9 @@ class QContext:
         for delta in self.part.S:
             if not self.ladder.has(delta):
                 raise ValueError(f"designated limit {delta} has no ladder")
+        for name, side in (("a_mask", self.g.a), ("b_mask", self.g.b)):
+            masks = {o: sum(1 << x for x in members) for o, members in side.items()}
+            object.__setattr__(self, name, masks)
 
     def check_condition(self, p: QCondition) -> None:
         for o in p.w:
@@ -63,6 +75,33 @@ class QContext:
                 raise UnknownIndex(f"index {o} has no tower set in the diagram")
         if not p.s <= self.part.S:
             raise ValueError("the s component must stay inside the designated set S")
+
+
+def ladder_blocked(ctx: QContext, p: QCondition, cand: Sequence[Ordinal]) -> int:
+    """The members of cand that p's ladder clause keeps out, as a bitmask.
+
+    Bit k is set when j = cand[k] is outside w^p and lies below some delta
+    in s^p with an anchor i in w^p (delta <= i) such that excess(a_j, b_i)
+    is at most the rung count |c_delta below j|.  cand must ascend; it is
+    cut below each delta by bisection.  Every rung the clause needs is
+    counted, so a short explicit ladder table raises TableTooShort whatever
+    the outcome.
+    """
+    blocked = 0
+    for delta in p.s:
+        anchors = [ctx.b_mask[i] for i in p.w if delta <= i]
+        if not anchors:
+            continue
+        for k, j in enumerate(cand[:bisect_left(cand, delta)]):
+            if j in p.w:
+                continue
+            rungs = ctx.ladder.count_below(delta, j)
+            a = ctx.a_mask[j]
+            for b in anchors:
+                if (a & ~b).bit_length() <= rungs:
+                    blocked |= 1 << k
+                    break
+    return blocked
 
 
 def q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
@@ -75,19 +114,7 @@ def q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
     ctx.check_condition(q)
     if not (p.w <= q.w and p.s <= q.s):
         return False
-    fresh = q.w - p.w
-    for delta in p.s:
-        anchors = [i for i in p.w if delta <= i]
-        if not anchors:
-            continue
-        for j in fresh:
-            if not j < delta:
-                continue
-            rungs = ctx.ladder.count_below(delta, j)
-            for i in anchors:
-                if excess(ctx.g.a[j], ctx.g.b[i]) <= rungs:
-                    return False
-    return True
+    return not ladder_blocked(ctx, p, sorted(q.w - p.w))
 
 
 def q_restrict(p: QCondition, alpha: Ordinal) -> QCondition:
@@ -134,7 +161,9 @@ def separated_pair_check(
     if any(not d < gamma for d in p2.s if d <= alpha):
         return False
     low2 = q_restrict(p2, gamma)
-    assert q_restrict(p2, alpha) == low2  # forced by the two clauses above
+    if q_restrict(p2, alpha) != low2:  # forced by the two clauses above
+        detail = f"p2 restricted to {alpha} differs from its part below {gamma}"
+        raise InvariantViolation("separated-restriction", detail)
     if q_compatible(ctx, q_restrict(p1, gamma), p2) is None:
         return False
     if q_compatible(ctx, low2, p1) is None:

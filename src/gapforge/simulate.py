@@ -65,6 +65,8 @@ def build_filter(poset: Poset, start, reqs: Sequence[DenseRequirement], seed: in
         current = trace[-1]
         try:
             nxt = req.meet(current, rng)
+        except InvariantViolation:
+            raise  # a broken postcondition, not a failed requirement: keep its fields
         except (GapforgeError, ValueError) as e:
             raise RequirementFailure(f"requirement {req.name!r} failed: {e}") from e
         if not poset.leq(current, nxt):

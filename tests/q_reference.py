@@ -1,0 +1,65 @@
+"""Reference implementations of the pair-poset order and the pcc matrix.
+
+These are the nested-loop ladder clause and the cell-by-cell matrix the
+blocked-set kernel of poset_q replaced.  They walk the clause literally,
+delta by delta, fresh index by fresh index, anchor by anchor, over
+frozensets and the diagram's tower sets, so they share no logic with the
+bitmask code; the differential tests require both to agree exactly.
+
+The loops stop at the first failing anchor, so with an explicit ladder
+table too short for some needed rung the reference raises TableTooShort
+or returns False depending on which fresh index the set yields first.
+"""
+
+from __future__ import annotations
+
+from gapforge import CompatMatrix, QCondition, QContext, excess
+
+
+def ref_q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
+    """Componentwise inclusion, plus for every delta in s^p and i in w^p
+    with delta <= i: each fresh j below delta has excess(a_j, b_i) above
+    the rung count |c_delta below j|."""
+    ctx.check_condition(p)
+    ctx.check_condition(q)
+    if not (p.w <= q.w and p.s <= q.s):
+        return False
+    fresh = q.w - p.w
+    for delta in p.s:
+        anchors = [i for i in p.w if delta <= i]
+        if not anchors:
+            continue
+        for j in fresh:
+            if not j < delta:
+                continue
+            rungs = ctx.ladder.count_below(delta, j)
+            for i in anchors:
+                if excess(ctx.g.a[j], ctx.g.b[i]) <= rungs:
+                    return False
+    return True
+
+
+def ref_q_compatible(ctx: QContext, p: QCondition, q: QCondition) -> QCondition | None:
+    """The componentwise union when it lies above both, else None."""
+    u = QCondition(p.w | q.w, p.s | q.s)
+    if ref_q_leq(ctx, p, u) and ref_q_leq(ctx, q, u):
+        return u
+    return None
+
+
+def ref_build_compat_matrix(ctx: QContext, fam1, fam2) -> CompatMatrix:
+    """Compatibility decided cell by cell, each cell validating again."""
+    for fam in (fam1, fam2):
+        idx = [o for o, _ in fam]
+        if any(not a < b for a, b in zip(idx, idx[1:])):
+            raise ValueError("family indices must strictly increase")
+    cells = tuple(
+        tuple(ref_q_compatible(ctx, p, q) is not None for _, q in fam2) for _, p in fam1
+    )
+    return CompatMatrix(
+        tuple(o for o, _ in fam1),
+        tuple(o for o, _ in fam2),
+        cells,
+        tuple(p for _, p in fam1),
+        tuple(q for _, q in fam2),
+    )

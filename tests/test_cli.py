@@ -190,6 +190,14 @@ def test_pipeline_failure_exit_code(tmp_path):
     assert main(["pipeline", "--indices", "4", "--height", "8", "--wsize", "9"]) == 3
 
 
+def test_pipeline_invariant_violation_keeps_its_fields(monkeypatch, capsys):
+    from gapforge import poset_p
+
+    monkeypatch.setattr(poset_p, "p_leq", lambda p, q: False)
+    assert main(["pipeline", "--indices", "4", "--height", "4", "--wsize", "2"]) == 3
+    assert capsys.readouterr().err.startswith("gapforge: InvariantViolation: extend-order: ")
+
+
 def test_pcc_generated_and_matrix_modes(tmp_path):
     out = tmp_path / "report.json"
     assert main(["pcc", "--t1", "8", "--t2", "8", "--seed", "1", "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import pytest
 from gapforge import (
     CompatMatrix,
     GapFragment,
+    InvariantViolation,
     Ladder,
     Ordinal,
     PccInstance,
@@ -22,6 +23,7 @@ from gapforge import (
     uniform_interpolation,
     verify_rectangle,
 )
+from gapforge import pcc
 from gapforge.pcc import _exact_rectangle, _greedy_rectangle
 
 
@@ -98,6 +100,13 @@ def test_generated_instance_pair_validates():
         u = q_compatible(inst.ctx, inst.fam1[d1], inst.fam2[d2])
         assert u is not None
         assert q_leq(inst.ctx, inst.fam1[d1], u) and q_leq(inst.ctx, inst.fam2[d2], u)
+
+
+def test_find_compatible_pair_raises_on_an_incompatible_witness_pair(monkeypatch):
+    monkeypatch.setattr(pcc, "q_compatible", lambda ctx, p, q: None)
+    with pytest.raises(InvariantViolation) as err:
+        find_compatible_pair(_flat_instance())
+    assert err.value.invariant == "compatible-pair"
 
 
 def test_instance_validation_rejects_bad_shapes():
@@ -184,6 +193,14 @@ def test_rectangle_budget_dispatch():
     big = _random_matrix(rng, 16, 5, 0.5)
     rows, cols = max_order_rectangle(big, budget=1024)  # 2^16 exceeds it: greedy path
     assert verify_rectangle(big, rows, cols)
+
+
+def test_rectangle_raises_when_verification_fails(monkeypatch):
+    m = _random_matrix(random.Random(56), 3, 3, 0.5)
+    monkeypatch.setattr(pcc, "verify_rectangle", lambda m, rows, cols: False)
+    with pytest.raises(InvariantViolation) as err:
+        max_order_rectangle(m)
+    assert err.value.invariant == "rectangle-verification"
 
 
 def test_matrix_csv_roundtrip():

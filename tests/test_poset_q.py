@@ -5,6 +5,7 @@ import pytest
 
 from gapforge import (
     GapFragment,
+    InvariantViolation,
     Ladder,
     NotAChain,
     Ordinal,
@@ -20,6 +21,7 @@ from gapforge import (
     q_restrict,
     separated_pair_check,
 )
+from gapforge import poset_q
 from helpers import conditions_in, small_context
 
 DELTA = Ordinal(1, 0)
@@ -195,6 +197,15 @@ def test_separated_pair_check_shape_clauses():
     # w1 escaping alpha breaks the shape
     tall = QCondition(p1.w | {Ordinal(3, 4)}, p1.s)
     assert separated_pair_check(ctx, tall, p2, gamma, alpha) is False
+
+
+def test_separated_pair_check_raises_on_a_split_restriction(monkeypatch):
+    ctx, p1, p2, gamma, alpha = _separated_instance()
+    real = poset_q.q_restrict
+    monkeypatch.setattr(poset_q, "q_restrict", lambda p, at: QCondition.empty() if at == alpha else real(p, at))
+    with pytest.raises(InvariantViolation) as err:
+        separated_pair_check(ctx, p1, p2, gamma, alpha)
+    assert err.value.invariant == "separated-restriction"
 
 
 def test_extract_w():

@@ -6,6 +6,7 @@ import pytest
 from gapforge import (
     DenseRequirement,
     GapFragment,
+    InvariantViolation,
     Ladder,
     Ordinal,
     PCondition,
@@ -58,6 +59,15 @@ def test_build_filter_rejects_non_extension():
     start = PCondition(1, {fin(0): ("1", "1")})
     with pytest.raises(RequirementFailure):
         build_filter(p_poset(), start, [shrink], 0)
+
+
+def test_build_filter_passes_invariant_violations_through():
+    def broken(p, rng):
+        raise InvariantViolation("extend-order", "planted")
+
+    with pytest.raises(InvariantViolation) as err:
+        build_filter(p_poset(), PCondition.empty(), [DenseRequirement("broken", broken)], 0)
+    assert (err.value.invariant, err.value.detail) == ("extend-order", "planted")
 
 
 def test_p_standard_schedule_shapes():
