@@ -34,7 +34,7 @@ class HypothesisFailure(GapforgeError):
 
 
 class SearchTooLarge(GapforgeError):
-    """An exhaustive search would exceed its configured bit budget."""
+    """An exhaustive search would exceed its configured free-bit cap."""
 
 
 class InvalidBit(GapforgeError):

@@ -11,7 +11,6 @@ finite index lists, nothing more.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -217,78 +216,71 @@ def verify_rectangle(m: CompatMatrix, rows: Sequence[int], cols: Sequence[int]) 
     )
 
 
-def _violations(m: CompatMatrix, rows: set[int], cols: set[int]) -> list[tuple[int, int]]:
-    return [
-        (x, y)
-        for x in sorted(rows)
-        for y in sorted(cols)
-        if m.row_index[x] < m.col_index[y] and not m.cells[x][y]
-    ]
+def _koenig_rows(adj: list[list[int]], nc: int) -> list[int]:
+    """Rows reached by alternating paths from the free rows of a maximum
+    matching of the bipartite graph adj (adj[x]: the columns of row x).
 
-
-def _exact_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    nr, nc = len(m.row_index), len(m.col_index)
-    bad = [
-        {x for x in range(nr) if m.row_index[x] < m.col_index[y] and not m.cells[x][y]}
-        for y in range(nc)
-    ]
-    best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-    best_score = -1
-    for mask in range(1 << nr):
-        rows = {x for x in range(nr) if mask >> x & 1}
-        cols = [y for y in range(nc) if not rows & bad[y]]
-        score = len(rows) + len(cols)
-        if score > best_score:
-            best = (tuple(sorted(rows)), tuple(cols))
-            best_score = score
-    return best
-
-
-def _greedy_rectangle(m: CompatMatrix, budget: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    rows = set(range(len(m.row_index)))
-    cols = set(range(len(m.col_index)))
-    for _ in range(budget):
-        viol = _violations(m, rows, cols)
-        if not viol:
-            break
-        count: Counter = Counter()
-        for x, y in viol:
-            count[("row", x)] += 1
-            count[("col", y)] += 1
-        kind, pos = max(sorted(count), key=lambda key: count[key])
-        (rows if kind == "row" else cols).discard(pos)
-    # if the budget ran out first, clear the leftovers by dropping rows
-    for x, _ in _violations(m, rows, cols):
-        rows.discard(x)
-    # one augmentation pass: re-admit whatever fits now
-    for x in range(len(m.row_index)):
-        if x not in rows and all(
-            m.cells[x][y] for y in cols if m.row_index[x] < m.col_index[y]
-        ):
-            rows.add(x)
-    for y in range(len(m.col_index)):
-        if y not in cols and all(
-            m.cells[x][y] for x in rows if m.row_index[x] < m.col_index[y]
-        ):
-            cols.add(y)
-    return tuple(sorted(rows)), tuple(sorted(cols))
-
-
-def max_order_rectangle(
-    m: CompatMatrix, budget: int = 4096
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Large row/column subsets whose order-respecting cells are all true.
-
-    Exhaustive over row subsets while 2^rows fits the budget (optimal for a
-    fixed row set: every admissible column joins for free), greedy deletion
-    plus one augmentation pass beyond that.  The result is verified cell by
-    cell before being returned (InvariantViolation otherwise); positions
-    index into the matrix.
+    Hopcroft-Karp: each phase layers the rows by breadth-first search from
+    the free rows, then augments along layered paths found by depth-first
+    search on an explicit stack, since a path may be as long as the graph.
+    Once the search reaches no free column the matching is maximum.
     """
-    if 1 << len(m.row_index) <= budget:
-        rows, cols = _exact_rectangle(m)
-    else:
-        rows, cols = _greedy_rectangle(m, budget)
+    mate = [-1] * nc  # the row matched to each column
+    while True:
+        matched = set(mate)
+        dist = [-1 if x in matched else 0 for x in range(len(adj))]
+        roots = layer = [x for x, d in enumerate(dist) if d == 0]
+        free = False
+        while layer and not free:
+            nxt = []
+            for x in layer:
+                for y in adj[x]:
+                    if mate[y] < 0:
+                        free = True
+                    elif dist[mate[y]] < 0:
+                        dist[mate[y]] = dist[x] + 1
+                        nxt.append(mate[y])
+            layer = nxt
+        if not free:
+            return [x for x, d in enumerate(dist) if d >= 0]
+        nexts = [iter(a) for a in adj]
+        for root in roots:
+            path = [root]  # row, column, row, ...
+            while path:
+                x = path[-1]
+                y = next((y for y in nexts[x] if mate[y] < 0 or dist[mate[y]] == dist[x] + 1), None)
+                if y is None:
+                    dist[x] = -1  # a dead end for the rest of this phase
+                    del path[-2:]
+                elif mate[y] < 0:
+                    for x, y in zip(path[::2], path[1::2] + [y]):
+                        mate[y] = x
+                    break
+                else:
+                    path += [y, mate[y]]
+
+
+def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A largest row/column subset whose order-respecting cells are all true.
+
+    Each false cell with its row below its column is an edge of a bipartite
+    conflict graph, and a rectangle is an independent set of it, so by
+    Koenig's theorem the most rows plus columns is their number minus a
+    maximum matching.  The rectangle is the complement of the Koenig cover:
+    the rows reached from the free rows by alternating paths and the columns
+    none of them conflicts with.  Its rows lie in every largest rectangle and
+    its columns hold those of each, so ties break the same way whatever the
+    matching: fewest rows.  The result is verified cell by cell before being
+    returned (InvariantViolation otherwise); positions index into the
+    matrix, ascending.
+    """
+    adj = [
+        [y for y, ok in enumerate(m.cells[x]) if not ok and rx < m.col_index[y]]
+        for x, rx in enumerate(m.row_index)
+    ]
+    rows = tuple(_koenig_rows(adj, len(m.col_index)))
+    covered = {y for x in rows for y in adj[x]}
+    cols = tuple(y for y in range(len(m.col_index)) if y not in covered)
     if not verify_rectangle(m, rows, cols):
         raise InvariantViolation("rectangle-verification", "the searched rectangle fails a cell check")
     return rows, cols
@@ -308,6 +300,8 @@ def generate_pcc_instance(
     """
     if universe < 16:
         raise ValueError("the generator needs a universe of at least 16")
+    if t1_size < 1 or t2_size < 1:
+        raise ValueError("each family needs at least one index")
     rng = random.Random(seed)
     gamma = Ordinal(2, 0)
     core_w = frozenset(Ordinal(0, r) for r in sorted(rng.sample(range(8), 3)))

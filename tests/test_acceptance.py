@@ -42,7 +42,7 @@ from gapforge import (
     uniform_interpolation,
     verify_rectangle,
 )
-from gapforge.pcc import CompatMatrix, _exact_rectangle, _greedy_rectangle
+from gapforge.pcc import CompatMatrix
 from helpers import (
     conditions_in,
     enumerate_conditions,
@@ -51,6 +51,7 @@ from helpers import (
     random_pcondition,
     small_context,
 )
+from pcc_reference import exact_rectangle
 
 POOL = [fin(k) for k in range(8)]
 
@@ -394,10 +395,10 @@ def test_10_chain_condition_lab():
             tuple(Ordinal(0, 2 * i + 1) for i in range(nc)),
             cells,
         )
-        er, ec = _exact_rectangle(m)
-        gr, gc = _greedy_rectangle(m, 4096)
-        assert verify_rectangle(m, er, ec) and verify_rectangle(m, gr, gc)
-        assert len(gr) + len(gc) <= len(er) + len(ec)
+        er, ec = exact_rectangle(m)
+        mr, mc = max_order_rectangle(m)
+        assert verify_rectangle(m, mr, mc)
+        assert len(mr) + len(mc) == len(er) + len(ec)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report(10, "chain-condition lab", f"pair {n} at ({d1}, {d2}), rectangle {len(rows)}x{len(cols)}, {elapsed:.2f}s")

@@ -209,8 +209,39 @@ def test_pcc_generated_and_matrix_modes(tmp_path):
     csv_path.write_text(",1.1,3.1\n0.1,1,1\n2.1,1,1\n", encoding="utf-8")
     out2 = tmp_path / "rect.json"
     assert main(["pcc", "--matrix", str(csv_path), "--out", str(out2)]) == 0
-    rect = json.loads(out2.read_text())["rectangle"]
+    report2 = json.loads(out2.read_text())
+    assert report2["verified"] is True
+    rect = report2["rectangle"]
     assert len(rect["rows"]) == 2 and len(rect["cols"]) == 2  # all-true: full rectangle
+
+
+def test_pcc_rejects_empty_families_and_the_budget_flag(capsys):
+    assert main(["pcc", "--t1", "-3", "--t2", "5"]) == 2
+    assert main(["pcc", "--t1", "0", "--t2", "5"]) == 2
+    assert "ValueError" in capsys.readouterr().err
+    # once a 2^40-subset search, now an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["pcc", "--budget", "1099511627776"])
+    assert exc.value.code == 2
+
+
+def test_pcc_matrix_with_an_augmenting_path_deeper_than_the_recursion_limit(tmp_path):
+    """Row i conflicts with columns i and i + 1, and the last row only with
+    column 0: matching the rows in order leaves the last row to an augmenting
+    path through every row.  The matching is perfect, so the largest
+    rectangle has n + 1 members."""
+    n = max(1200, sys.getrecursionlimit() + 1)
+    header = ",".join([""] + [Ordinal(1, y).key() for y in range(n + 1)])
+    lines = [header]
+    for x in range(n + 1):
+        bad = {0} if x == n else {x, x + 1}
+        lines.append(",".join([Ordinal(0, x).key()] + ["0" if y in bad else "1" for y in range(n + 1)]))
+    csv_path = tmp_path / "chain.csv"
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "rect.json"
+    assert main(["pcc", "--matrix", str(csv_path), "--out", str(out)]) == 0
+    rect = json.loads(out.read_text())["rectangle"]
+    assert len(rect["rows"]) + len(rect["cols"]) == n + 1
 
 
 def test_module_entry_point(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from gapforge import (
     verify_rectangle,
 )
 from gapforge import pcc
-from gapforge.pcc import _exact_rectangle, _greedy_rectangle
+from pcc_reference import exact_rectangle, matching_size
 
 
 def _flat_instance(universe=8, with_upper=False):
@@ -88,6 +89,12 @@ def test_find_compatible_pair_trivial_cases():
     fam2 = {t2[0]: QCondition(core_w | {Ordinal(6, 2)}, core_s)}
     inst2 = PccInstance(ctx, gamma, t1, t2, fam1, fam2, 0)
     assert find_compatible_pair(inst2) is None
+
+
+def test_generate_rejects_empty_families():
+    for sizes in ((0, 5), (5, 0), (-3, 5), (5, -1)):
+        with pytest.raises(ValueError):
+            generate_pcc_instance(0, *sizes)
 
 
 def test_generated_instance_pair_validates():
@@ -177,22 +184,61 @@ def test_rectangle_all_true_and_all_false():
     assert not rows or not cols
 
 
-def test_rectangle_greedy_vs_exact():
+def _interleaved_matrix(kinds, cells):
+    """Rows at the positions where kinds is 0, columns where it is 1."""
+    rows = tuple(Ordinal(0, i) for i, kind in enumerate(kinds) if kind == 0)
+    cols = tuple(Ordinal(0, i) for i, kind in enumerate(kinds) if kind == 1)
+    return CompatMatrix(rows, cols, cells)
+
+
+def _assert_optimal(m):
+    rows, cols = max_order_rectangle(m)
+    assert verify_rectangle(m, rows, cols)
+    er, ec = exact_rectangle(m)
+    assert len(rows) + len(cols) == len(er) + len(ec)
+    assert max_order_rectangle(m) == (rows, cols)
+    return rows, cols
+
+
+def test_rectangle_matches_the_exhaustive_reference():
     rng = random.Random(52)
-    for _ in range(25):
-        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
-        m = _random_matrix(rng, nr, nc, rng.uniform(0.3, 0.9))
-        er, ec = _exact_rectangle(m)
-        gr, gc = _greedy_rectangle(m, 4096)
-        assert verify_rectangle(m, er, ec) and verify_rectangle(m, gr, gc)
-        assert len(gr) + len(gc) <= len(er) + len(ec)
+    for _ in range(300):
+        nr, nc = rng.randint(0, 10), rng.randint(0, 10)
+        kinds = [0] * nr + [1] * nc
+        rng.shuffle(kinds)
+        prob = rng.uniform(0.2, 0.9)
+        cells = tuple(tuple(rng.random() < prob for _ in range(nc)) for _ in range(nr))
+        _assert_optimal(_interleaved_matrix(kinds, cells))
 
 
-def test_rectangle_budget_dispatch():
-    rng = random.Random(53)
-    big = _random_matrix(rng, 16, 5, 0.5)
-    rows, cols = max_order_rectangle(big, budget=1024)  # 2^16 exceeds it: greedy path
-    assert verify_rectangle(big, rows, cols)
+def test_rectangle_on_every_small_pattern():
+    """Every cell pattern and every interleaving up to 3 x 3; the rows found
+    lie in every largest rectangle (the fewest-rows tie-break)."""
+    for nr, nc in itertools.product(range(4), repeat=2):
+        for row_pos in itertools.combinations(range(nr + nc), nr):
+            kinds = [0 if i in row_pos else 1 for i in range(nr + nc)]
+            for bits in itertools.product((False, True), repeat=nr * nc):
+                cells = tuple(tuple(bits[x * nc:(x + 1) * nc]) for x in range(nr))
+                m = _interleaved_matrix(kinds, cells)
+                rows, cols = _assert_optimal(m)
+                for size in range(nr + 1):
+                    for other in itertools.combinations(range(nr), size):
+                        fits = [y for y in range(nc) if verify_rectangle(m, other, [y])]
+                        if size + len(fits) == len(rows) + len(cols):
+                            assert set(rows) <= set(other)
+
+
+def test_rectangle_is_optimal_at_full_size():
+    """|V| - nu from a separately found matching certifies the optimum."""
+    for seed in range(16):
+        inst = generate_pcc_instance(seed, 120, 120)
+        m = build_compat_matrix(
+            inst.ctx,
+            [(d, inst.fam1[d]) for d in inst.t1],
+            [(d, inst.fam2[d]) for d in inst.t2],
+        )
+        rows, cols = max_order_rectangle(m)
+        assert len(rows) + len(cols) == 240 - matching_size(m)
 
 
 def test_rectangle_raises_when_verification_fails(monkeypatch):
