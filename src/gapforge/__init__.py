@@ -25,6 +25,7 @@ from .gaps import (
     excess,
     excess_matrix_csv,
     full_inclusion_union,
+    members,
     s_hausdorff_profile,
     special_gap_check,
     uniform_interpolation,
@@ -34,14 +35,11 @@ from .ordinals import (
     GT,
     LT,
     OMEGA,
-    Index,
     Ladder,
     Ordinal,
     SPartition,
-    cmp_index,
     cmp_ordinal,
     fin,
-    index_sort_key,
     two_sided,
 )
 from .pcc import (
@@ -65,7 +63,6 @@ from .poset_p import (
     p_leq,
     p_restrict,
     p_union_agreeing,
-    word_from_bits,
 )
 from .poset_q import (
     QCondition,

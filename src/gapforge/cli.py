@@ -23,7 +23,7 @@ from .errors import (
     RequirementFailure,
     SearchTooLarge,
 )
-from .gaps import GapFragment, c_hausdorff_check, special_gap_check, uniform_interpolation
+from .gaps import GapFragment, c_hausdorff_check, members, special_gap_check, uniform_interpolation
 from .ordinals import Ladder, SPartition
 from .pcc import (
     CompatMatrix,
@@ -115,7 +115,7 @@ def _cmd_check(args) -> int:
     if args.predicate == "interpolate":
         x = uniform_interpolation(g, args.n0)
         _emit(
-            {"predicate": "interpolate", "n0": args.n0, "witness": sorted(x) if x is not None else None},
+            {"predicate": "interpolate", "n0": args.n0, "witness": members(x) if x is not None else None},
             args.out,
         )
         return 0 if x is not None else 1

@@ -1,28 +1,33 @@
 """Excess numbers, finite pre-gap diagrams, and the decidable gap predicates.
 
-Sets are plain frozensets of naturals inside a bounded universe [0, M).
-Between finite sets almost-inclusion is vacuous, so a diagram carries no
-tower laws; everything of interest is measured through the excess number.
+A set of naturals inside a bounded universe [0, M) is an int bitmask whose
+bit k is member k, the convention of the bit words in poset_p.  Between
+finite sets almost-inclusion is vacuous, so a diagram carries no tower
+laws; everything of interest is measured through the excess number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import IndexMismatch, UnknownIndex
 from .ordinals import Ladder, Ordinal, SPartition
 
 
-def excess(a: AbstractSet[int], b: AbstractSet[int]) -> int:
+def members(mask: int) -> list[int]:
+    """The members of a set, ascending."""
+    return [k for k, ch in enumerate(reversed(format(mask, "b"))) if ch == "1"]
+
+
+def excess(a: int, b: int) -> int:
     """Least k with a - b contained in [0, k); 0 exactly when a is a subset of b."""
-    d = a - b
-    return max(d) + 1 if d else 0
+    return (a & ~b).bit_length()
 
 
-def almost_subset(a: AbstractSet[int], b: AbstractSet[int], n: int) -> bool:
+def almost_subset(a: int, b: int, n: int) -> bool:
     """True when a with its first n naturals removed is contained in b."""
-    return all(x in b for x in a if x >= n)
+    return not (a & ~b) >> n
 
 
 @dataclass(frozen=True)
@@ -34,15 +39,15 @@ class GapFragment:
     """
 
     universe: int
-    a: Mapping[Ordinal, frozenset[int]]
-    b: Mapping[Ordinal, frozenset[int]]
+    a: Mapping[Ordinal, int]
+    b: Mapping[Ordinal, int]
 
     def __post_init__(self):
         if self.universe < 0:
             raise ValueError("universe bound must be a natural")
         for name, side in (("a", self.a), ("b", self.b)):
-            for o, members in side.items():
-                if any(not 0 <= x < self.universe for x in members):
+            for o, mask in side.items():
+                if mask < 0 or mask >> self.universe:
                     raise ValueError(f"{name}[{o}] leaves the universe [0, {self.universe})")
 
     @property
@@ -68,21 +73,32 @@ class GapFragment:
             "universe": self.universe,
             "I": [o.to_json() for o in self.I],
             "J": [o.to_json() for o in self.J],
-            "a": {o.key(): sorted(self.a[o]) for o in self.I},
-            "b": {o.key(): sorted(self.b[o]) for o in self.J},
+            "a": {o.key(): members(self.a[o]) for o in self.I},
+            "b": {o.key(): members(self.b[o]) for o in self.J},
         }
 
     @classmethod
     def from_json(cls, data) -> GapFragment:
         if not isinstance(data, dict) or not {"universe", "I", "J", "a", "b"} <= set(data):
             raise ValueError(f"bad fragment encoding: {type(data).__name__}")
+        universe = data["universe"]
+
+        def mask(key: str, listed) -> int:
+            out = 0
+            for x in listed:
+                # checked before shifting, so a huge member allocates nothing
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < universe:
+                    raise ValueError(f"member {x!r} at {key} is no natural below {universe}")
+                out |= 1 << x
+            return out
+
         iset = [Ordinal.from_json(o) for o in data["I"]]
         jset = [Ordinal.from_json(o) for o in data["J"]]
-        a = {Ordinal.from_key(k): frozenset(v) for k, v in data["a"].items()}
-        b = {Ordinal.from_key(k): frozenset(v) for k, v in data["b"].items()}
+        a = {Ordinal.from_key(k): mask(k, v) for k, v in data["a"].items()}
+        b = {Ordinal.from_key(k): mask(k, v) for k, v in data["b"].items()}
         if set(a) != set(iset) or set(b) != set(jset):
             raise ValueError("index lists do not match the tower maps")
-        return cls(data["universe"], a, b)
+        return cls(universe, a, b)
 
 
 def special_gap_check(g: GapFragment, n0: int) -> bool:
@@ -98,13 +114,12 @@ def special_gap_check(g: GapFragment, n0: int) -> bool:
         return False
     for pos, x in enumerate(idx):
         for y in idx[pos + 1:]:
-            joint = {v for v in (g.a[x] | g.a[y]) if v >= n0}
-            if joint <= (g.b[x] & g.b[y]):
+            if almost_subset(g.a[x] | g.a[y], g.b[x] & g.b[y], n0):
                 return False
     return True
 
 
-def uniform_interpolation(g: GapFragment, n0: int) -> frozenset[int] | None:
+def uniform_interpolation(g: GapFragment, n0: int) -> int | None:
     """A set x with a_i - n0 within x - n0 within b_j for all i, j, or None.
 
     One exists exactly when every excess(a_i, b_j) is at most n0; the
@@ -112,10 +127,10 @@ def uniform_interpolation(g: GapFragment, n0: int) -> frozenset[int] | None:
     """
     if any(excess(g.a[i], g.b[j]) > n0 for i in g.a for j in g.b):
         return None
-    out: set[int] = set()
-    for i in g.a:
-        out.update(x for x in g.a[i] if x >= n0)
-    return frozenset(out)
+    out = 0
+    for a in g.a.values():
+        out |= a
+    return out >> n0 << n0
 
 
 @dataclass(frozen=True)
@@ -192,17 +207,16 @@ def s_hausdorff_profile(
     return [excess(g.a[i], g.b[j]) for i in seq]
 
 
-def full_inclusion_union(g: GapFragment) -> frozenset[int] | None:
+def full_inclusion_union(g: GapFragment) -> int | None:
     """Union of the a-sets when it interpolates outright, else None.
 
     Returns x = union of all a_i exactly when x is a subset of every b_j.
     """
-    x: set[int] = set()
-    for i in g.a:
-        x |= g.a[i]
-    xf = frozenset(x)
-    if all(xf <= g.b[j] for j in g.b):
-        return xf
+    x = 0
+    for a in g.a.values():
+        x |= a
+    if all(not x & ~b for b in g.b.values()):
+        return x
     return None
 
 

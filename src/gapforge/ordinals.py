@@ -9,7 +9,6 @@ canonical cofinal sequences, which is all the ladder machinery needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import TableTooShort, UnknownDelta
@@ -85,55 +84,15 @@ def cmp_ordinal(x: Ordinal, y: Ordinal) -> int:
     return LT if x < y else GT
 
 
-@dataclass(frozen=True)
-class Index:
-    """A point of the two-sided order: an ordinal tagged with side 0 or 1.
-
-    Side 0 is the ascending copy, side 1 the descending copy sitting above
-    all of side 0, so that (a,0) < (b,0) < (b,1) < (a,1) whenever a < b.
-    """
-
-    ord: Ordinal
-    side: int
-
-    def __post_init__(self):
-        if self.side not in (0, 1):
-            raise ValueError(f"side must be 0 or 1, got {self.side}")
-
-    def to_json(self) -> dict:
-        return {"ord": self.ord.to_json(), "side": self.side}
-
-    @classmethod
-    def from_json(cls, data) -> Index:
-        if not isinstance(data, dict) or set(data) != {"ord", "side"}:
-            raise ValueError(f"bad index encoding: {data!r}")
-        return cls(Ordinal.from_json(data["ord"]), data["side"])
-
-    def __str__(self):
-        return f"<{self.ord},{self.side}>"
-
-
 def two_sided(ordinals: Iterable[Ordinal]) -> Iterator[tuple[Ordinal, int]]:
     """The points (o, side) over distinct ordinals, ascending in the two-sided
-    order: side 0 with the ordinals ascending, then side 1 descending."""
+    order: side 0 with the ordinals ascending, then side 1 descending, so
+    that (a,0) < (b,0) < (b,1) < (a,1) whenever a < b; the order is total."""
     up = sorted(ordinals)
     for o in up:
         yield o, 0
     for o in reversed(up):
         yield o, 1
-
-
-def cmp_index(x: Index, y: Index) -> int:
-    """Three-way comparison in the two-sided order; total, never incomparable."""
-    if x == y:
-        return EQ
-    points = list(two_sided({x.ord, y.ord}))
-    return LT if points.index((x.ord, x.side)) < points.index((y.ord, y.side)) else GT
-
-
-def index_sort_key(i: Index):
-    """Sort key realizing the two-sided order."""
-    return cmp_to_key(cmp_index)(i)
 
 
 @dataclass(frozen=True)

@@ -159,27 +159,24 @@ class PccInstance:
                         raise ValueError(f"k={self.k} does not bound the rung count of {alpha} below {delta}")
 
 
-def pcc_ab_profiles(
-    inst: PccInstance,
-) -> tuple[dict[Ordinal, frozenset[int]], dict[Ordinal, frozenset[int]]]:
+def pcc_ab_profiles(inst: PccInstance) -> tuple[dict[Ordinal, int], dict[Ordinal, int]]:
     """Per index: meet of family-1 upper a-sets, join of family-2 upper b-sets.
 
     The empty meet is the full universe, the empty join is empty.
     """
-    universe = frozenset(range(inst.ctx.g.universe))
-    meets: dict[Ordinal, frozenset[int]] = {}
+    meets: dict[Ordinal, int] = {}
     for delta in inst.t1:
-        acc = universe
+        acc = (1 << inst.ctx.g.universe) - 1
         for i in inst.fam1[delta].w:
             if not i < inst.gamma:
-                acc = acc & inst.ctx.g.a[i]
+                acc &= inst.ctx.g.a[i]
         meets[delta] = acc
-    joins: dict[Ordinal, frozenset[int]] = {}
+    joins: dict[Ordinal, int] = {}
     for delta in inst.t2:
-        acc: frozenset[int] = frozenset()
+        acc = 0
         for j in inst.fam2[delta].w:
             if not j < inst.gamma:
-                acc = acc | inst.ctx.g.b[j]
+                acc |= inst.ctx.g.b[j]
         joins[delta] = acc
     return meets, joins
 
@@ -189,30 +186,31 @@ def find_compatible_pair(inst: PccInstance) -> tuple[Ordinal, Ordinal, int] | No
 
     Scans index pairs delta1 < delta2 in increasing order; a witness is the
     least n >= k in the meet profile of delta1 minus the join profile of
-    delta2.  On success the pair is checked compatible, which the split
-    shape of the instance guarantees; InvariantViolation says it was not.
+    delta2, the lowest set bit of that difference cut below k.  On success
+    the pair is checked compatible, which the split shape of the instance
+    guarantees; InvariantViolation says it was not.
     """
     meets, joins = pcc_ab_profiles(inst)
     for d1 in inst.t1:
         for d2 in inst.t2:
             if not d1 < d2:
                 continue
-            witnesses = sorted(n for n in meets[d1] - joins[d2] if n >= inst.k)
+            witnesses = (meets[d1] & ~joins[d2]) >> inst.k << inst.k
             if witnesses:
+                n = (witnesses & -witnesses).bit_length() - 1
                 if q_compatible(inst.ctx, inst.fam1[d1], inst.fam2[d2]) is None:
-                    detail = f"witness {witnesses[0]} for {d1} < {d2}, yet the pair is incompatible"
+                    detail = f"witness {n} for {d1} < {d2}, yet the pair is incompatible"
                     raise InvariantViolation("compatible-pair", detail)
-                return d1, d2, witnesses[0]
+                return d1, d2, n
     return None
 
 
 def verify_rectangle(m: CompatMatrix, rows: Sequence[int], cols: Sequence[int]) -> bool:
     """Cell-by-cell check: every row-below-column pair must be compatible."""
     return all(
-        m.cells[x][y]
+        m.cells[x][y] or not m.row_index[x] < m.col_index[y]
         for x in rows
         for y in cols
-        if m.row_index[x] < m.col_index[y]
     )
 
 
@@ -307,6 +305,7 @@ def generate_pcc_instance(
     core_w = frozenset(Ordinal(0, r) for r in sorted(rng.sample(range(8), 3)))
     core_s = frozenset({Ordinal(1, 0)})
     pool = range(universe - 8, universe)
+    pool_mask = (1 << universe) - (1 << universe - 8)
     low = range(universe - 8)
 
     kinds: list[int] = []
@@ -324,12 +323,12 @@ def generate_pcc_instance(
     fam1: dict[Ordinal, QCondition] = {}
     fam2: dict[Ordinal, QCondition] = {}
     limits = set(core_s)
-    a_map: dict[Ordinal, frozenset[int]] = {}
-    b_map: dict[Ordinal, frozenset[int]] = {}
+    a_map: dict[Ordinal, int] = {}
+    b_map: dict[Ordinal, int] = {}
     counts: list[int] = []
 
-    def random_set(space, prob) -> frozenset[int]:
-        return frozenset(v for v in space if rng.random() < prob)
+    def random_set(space, prob) -> int:
+        return sum(1 << v for v in space if rng.random() < prob)
 
     for o in core_w:
         a_map[o] = random_set(range(universe), 0.4)
@@ -351,12 +350,13 @@ def generate_pcc_instance(
             if kind == 1:
                 got = random_set(low, 0.4)
                 if not lean:
-                    got |= frozenset(pool) - frozenset(rng.sample(pool, rng.randint(0, 1)))
+                    dropped = sum(1 << v for v in rng.sample(pool, rng.randint(0, 1)))
+                    got |= pool_mask & ~dropped
                 a_map[o] = got
-                b_map[o] = frozenset(got | random_set(range(universe), 0.3))
+                b_map[o] = got | random_set(range(universe), 0.3)
             else:
                 a_map[o] = random_set(range(universe), 0.3)
-                b_map[o] = random_set(low, 0.5) | {rng.choice(list(low))}
+                b_map[o] = random_set(low, 0.5) | 1 << rng.choice(low)
         cond = QCondition(frozenset(core_w | w_extra), frozenset(core_s | s_extra))
         if kind == 1:
             t1.append(delta)

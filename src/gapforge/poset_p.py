@@ -25,22 +25,10 @@ from .errors import (
     SearchTooLarge,
     UnknownIndex,
 )
-from .ordinals import Index, Ordinal, two_sided
+from .ordinals import Ordinal, two_sided
 
 
-def bits(word: str) -> frozenset[int]:
-    """The subset of positions carrying '1'."""
-    return frozenset(k for k, ch in enumerate(word) if ch == "1")
-
-
-def word_from_bits(members: Iterable[int], length: int) -> str:
-    members = set(members)
-    if members and (min(members) < 0 or max(members) >= length):
-        raise ValueError(f"bits {sorted(members)} do not fit a word of length {length}")
-    return "".join("1" if k in members else "0" for k in range(length))
-
-
-def _mask(word: str) -> int:
+def bits(word: str) -> int:
     """The word as a bitmask: bit k is character k."""
     return int(word[::-1] or "0", 2)
 
@@ -72,7 +60,7 @@ class PCondition:
                 raise ValueError(f"words at {o} must have length {self.height}")
             if w0.strip("01") or w1.strip("01"):
                 raise ValueError(f"words at {o} must be over the alphabet 01")
-            if _mask(w0) & ~_mask(w1):
+            if bits(w0) & ~bits(w1):
                 raise ValueError(f"low word at {o} must be bitwise contained in the high word")
 
     @classmethod
@@ -133,7 +121,7 @@ def p_leq(p: PCondition, q: PCondition) -> bool:
     m = p.height
     seen = 0
     for o, s in two_sided(p.entries):
-        q_mask = _mask(q.entries[o][s])
+        q_mask = bits(q.entries[o][s])
         if seen & ~q_mask:
             return False
         seen |= q_mask >> m << m
@@ -179,7 +167,7 @@ def p_join(p: PCondition, q: PCondition) -> PCondition:
     words = {}
     for o, s in two_sided(p.entries):
         if o in a_dom:
-            payload |= _mask(q.entries[o][s])
+            payload |= bits(q.entries[o][s])
         else:
             words[o, s] = p.entries[o][s] + _word(payload >> m, q.height - m)
     off_a = {o: (words[o, 0], words[o, 1]) for o in sorted(p.entries.keys() - a_dom)}
@@ -242,26 +230,29 @@ def p_extend(
     p: PCondition,
     target_height: int,
     new_ordinals: Iterable[Ordinal] = (),
-    forced_bits: Iterable[tuple[Index, int]] = (),
+    forced_bits: Iterable[tuple[tuple[Ordinal, int], int]] = (),
 ) -> PCondition:
     """Minimal-style extension: zero-fill new columns, then force bits.
 
-    New ordinals receive all-zero word pairs.  Each forced bit (i, k) with
-    k in [height(p), target_height) is set at i and propagated to every
-    domain index above i in the two-sided order, which keeps both the
-    pairing containment and the extension clauses intact (bits are only
-    ever added, so no conflict can arise).  One sweep up the order does it.
+    New ordinals receive all-zero word pairs.  Each forced bit ((o, side), k)
+    with side 0 or 1 and k in [height(p), target_height) is set at that
+    index and propagated to every domain index above it in the two-sided
+    order, which keeps both the pairing containment and the extension
+    clauses intact (bits are only ever added, so no conflict can arise).
+    One sweep up the order does it.
     """
     if target_height < p.height:
         raise ValueError("target height may not shrink the condition")
     dom = set(p.entries) | set(new_ordinals)
     grants: dict[tuple[Ordinal, int], int] = {}
-    for idx, k in forced_bits:
+    for (o, side), k in forced_bits:
+        if side not in (0, 1):
+            raise ValueError(f"side must be 0 or 1, got {side}")
         if not p.height <= k < target_height:
             raise InvalidBit(f"forced bit {k} must lie in [{p.height}, {target_height})")
-        if idx.ord not in dom:
-            raise UnknownIndex(f"forced index {idx} is outside the extension domain")
-        grants[idx.ord, idx.side] = grants.get((idx.ord, idx.side), 0) | 1 << k
+        if o not in dom:
+            raise UnknownIndex(f"forced index ({o}, {side}) is outside the extension domain")
+        grants[o, side] = grants.get((o, side), 0) | 1 << k
     m = p.height
     zeros = ("0" * m, "0" * m)
     order = sorted(dom)

@@ -3,9 +3,8 @@
 Conditions are pairs (w, s) of finite ordinal sets: w collects tower indices
 being selected, s collects designated limits that anchor the ladder clause.
 Extending a condition may only add below-delta indices j whose excess over
-each committed b_i beats the rung count of c_delta below j.  The context
-reads each tower set once as an int bitmask (bit k = member k), so an
-excess is `(a_j & ~b_i).bit_length()`, and `ladder_blocked` collects the
+each committed b_i beats the rung count of c_delta below j.  Tower sets
+are int bitmasks (bit k = member k), and `ladder_blocked` collects the
 indices a condition's clause keeps out as a bitmask over a candidate list:
 both the order and the pcc compatibility matrix stand on it.
 """
@@ -13,7 +12,7 @@ both the order and the pcc compatibility matrix stand on it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvariantViolation, NotAChain, UnknownIndex
@@ -49,15 +48,11 @@ class QCondition:
 @dataclass(frozen=True)
 class QContext:
     """The bound context: a diagram with one shared index set, a ladder
-    covering the designated limits, and the designated-set partition.
-    a_mask and b_mask hold the tower sets as int bitmasks, read once here;
-    equality, hashing and repr ignore them."""
+    covering the designated limits, and the designated-set partition."""
 
     g: GapFragment
     ladder: Ladder
     part: SPartition
-    a_mask: dict[Ordinal, int] = field(init=False, repr=False, compare=False)
-    b_mask: dict[Ordinal, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.g.a) != set(self.g.b):
@@ -65,9 +60,6 @@ class QContext:
         for delta in self.part.S:
             if not self.ladder.has(delta):
                 raise ValueError(f"designated limit {delta} has no ladder")
-        for name, side in (("a_mask", self.g.a), ("b_mask", self.g.b)):
-            masks = {o: sum(1 << x for x in members) for o, members in side.items()}
-            object.__setattr__(self, name, masks)
 
     def check_condition(self, p: QCondition) -> None:
         for o in p.w:
@@ -89,14 +81,14 @@ def ladder_blocked(ctx: QContext, p: QCondition, cand: Sequence[Ordinal]) -> int
     """
     blocked = 0
     for delta in p.s:
-        anchors = [ctx.b_mask[i] for i in p.w if delta <= i]
+        anchors = [ctx.g.b[i] for i in p.w if delta <= i]
         if not anchors:
             continue
         for k, j in enumerate(cand[:bisect_left(cand, delta)]):
             if j in p.w:
                 continue
             rungs = ctx.ladder.count_below(delta, j)
-            a = ctx.a_mask[j]
+            a = ctx.g.a[j]
             for b in anchors:
                 if (a & ~b).bit_length() <= rungs:
                     blocked |= 1 << k
@@ -168,20 +160,19 @@ def separated_pair_check(
         return False
     if q_compatible(ctx, low2, p1) is None:
         return False
-    universe = ctx.g.universe
-    upper1 = [i for i in p1.w if not i < gamma]
-    upper2 = [j for j in p2.w if not j < gamma]
-    meet = set(range(universe))
-    for i in upper1:
-        meet &= ctx.g.a[i]
-    join: set[int] = set()
-    for j in upper2:
-        join |= ctx.g.b[j]
+    meet = (1 << ctx.g.universe) - 1
+    for i in p1.w:
+        if not i < gamma:
+            meet &= ctx.g.a[i]
+    join = 0
+    for j in p2.w:
+        if not j < gamma:
+            join |= ctx.g.b[j]
     floor = max(
         (ctx.ladder.count_below(d, alpha) for d in p2.s if not d < alpha),
         default=-1,
     )
-    return any(n > floor for n in meet - join)
+    return bool((meet & ~join) >> (floor + 1))
 
 
 def extract_w(ctx: QContext, chain: Sequence[QCondition]) -> frozenset[Ordinal]:

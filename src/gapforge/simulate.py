@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 from .errors import GapforgeError, InvariantViolation, RequirementFailure
 from .gaps import GapFragment, c_hausdorff_check, excess, excess_matrix_csv
-from .ordinals import Index, Ladder, Ordinal, SPartition
+from .ordinals import Ladder, Ordinal, SPartition
 from .poset_p import PCondition, bits, p_extend, p_leq
 from .poset_q import QCondition, QContext, extract_w, q_leq
 
@@ -88,7 +88,7 @@ def _bit_requirement(level: int, plan: frozenset[Ordinal]) -> DenseRequirement:
     def meet(p: PCondition, _rng) -> PCondition:
         if p.height > level:
             return p
-        forced = tuple((Index(o, 0), level) for o in sorted(plan) if o in p.entries)
+        forced = tuple(((o, 0), level) for o in sorted(plan) if o in p.entries)
         return p_extend(p, level + 1, (), forced)
 
     return DenseRequirement(f"bits@{level}", meet)
@@ -112,6 +112,8 @@ def p_standard_schedule(
     a fresh bit; the choices are pre-drawn from the seed so the meet rules
     stay pure.  With no ordinals only the height requirement remains.
     """
+    if target_height < 0:
+        raise ValueError(f"target height must be a natural, got {target_height}")
     todo = sorted(set(ordinals))
     if not todo:
         return [_height_requirement(target_height)]
@@ -177,11 +179,11 @@ def q_standard_schedule(
     below it can be incompatible); the pick order is a seed-shuffled
     priority over the tower indices.  Target 0 yields an empty schedule.
     """
+    if target_w_size < 0:
+        raise ValueError(f"target size of w must be a natural, got {target_w_size}")
     s_list = sorted(set(s_ordinals))
     if any(o not in ctx.part.S for o in s_list):
         raise ValueError("scheduled limits must lie inside the designated set S")
-    if target_w_size <= 0:
-        return []
     rng = random.Random(seed)
     priority = sorted(ctx.g.a)
     rng.shuffle(priority)
@@ -232,6 +234,8 @@ class QParams:
 
 def default_index_blocks(count: int, block: int = 8) -> tuple[Ordinal, ...]:
     """Spread `count` indices across w-blocks of the given width."""
+    if count < 0:
+        raise ValueError(f"index count must be a natural, got {count}")
     return tuple(Ordinal(k // block, k % block) for k in range(count))
 
 
@@ -267,7 +271,7 @@ def pipeline(
     check_tower_coherence(p_run)
     frag = extract_gap_fragment(p_run.result)
     for o in frag.a:
-        if not frag.a[o] <= frag.b[o]:
+        if frag.a[o] & ~frag.b[o]:
             raise InvariantViolation("pairing-containment", f"a[{o}] escapes b[{o}]")
     ctx = QContext(frag, ladder, part)
     s_list = tuple(sorted(part.S)) if q_params.s_ordinals is None else q_params.s_ordinals

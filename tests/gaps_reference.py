@@ -1,0 +1,111 @@
+"""Reference versions of the excess number, the gap predicates and the pcc
+meet/join profiles, over frozensets.
+
+These are the set-based versions the package's bitmask code replaced.  A
+fragment's tower sets are read into frozensets one member test at a time
+(`set_of`), and from there on everything is set algebra, so they share no
+logic with the bitmask code; the differential tests require both to agree
+exactly.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import AbstractSet, Mapping
+
+from gapforge import GapFragment, IndexMismatch, Ordinal, PccInstance
+
+
+@lru_cache(maxsize=1 << 16)
+def set_of(m: int, universe: int) -> frozenset[int]:
+    """A tower set as the frozenset of its members, one member test each."""
+    return frozenset(k for k in range(universe) if m >> k & 1)
+
+
+def as_sets(side: Mapping[Ordinal, int], universe: int) -> dict[Ordinal, frozenset[int]]:
+    """Each tower set of a fragment side as a frozenset."""
+    return {o: set_of(m, universe) for o, m in side.items()}
+
+
+def ref_excess(a: AbstractSet[int], b: AbstractSet[int]) -> int:
+    """Least k with a - b contained in [0, k); 0 exactly when a is a subset of b."""
+    d = a - b
+    return max(d) + 1 if d else 0
+
+
+def ref_almost_subset(a: AbstractSet[int], b: AbstractSet[int], n: int) -> bool:
+    """True when a with its first n naturals removed is contained in b."""
+    return all(x in b for x in a if x >= n)
+
+
+def ref_special_gap_check(g: GapFragment, n0: int) -> bool:
+    if set(g.a) != set(g.b):
+        raise IndexMismatch("the predicate needs one shared index set")
+    a, b = as_sets(g.a, g.universe), as_sets(g.b, g.universe)
+    idx = sorted(a)
+    if any(not ref_almost_subset(a[o], b[o], n0) for o in idx):
+        return False
+    for pos, x in enumerate(idx):
+        for y in idx[pos + 1:]:
+            joint = {v for v in (a[x] | a[y]) if v >= n0}
+            if joint <= (b[x] & b[y]):
+                return False
+    return True
+
+
+def ref_uniform_interpolation(g: GapFragment, n0: int) -> frozenset[int] | None:
+    a, b = as_sets(g.a, g.universe), as_sets(g.b, g.universe)
+    if any(ref_excess(a[i], b[j]) > n0 for i in a for j in b):
+        return None
+    out: set[int] = set()
+    for i in a:
+        out.update(x for x in a[i] if x >= n0)
+    return frozenset(out)
+
+
+def ref_full_inclusion_union(g: GapFragment) -> frozenset[int] | None:
+    a, b = as_sets(g.a, g.universe), as_sets(g.b, g.universe)
+    x: set[int] = set()
+    for i in a:
+        x |= a[i]
+    xf = frozenset(x)
+    if all(xf <= b[j] for j in b):
+        return xf
+    return None
+
+
+def ref_pcc_ab_profiles(
+    inst: PccInstance,
+) -> tuple[dict[Ordinal, frozenset[int]], dict[Ordinal, frozenset[int]]]:
+    g = inst.ctx.g
+    a, b = as_sets(g.a, g.universe), as_sets(g.b, g.universe)
+    universe = frozenset(range(g.universe))
+    meets: dict[Ordinal, frozenset[int]] = {}
+    for delta in inst.t1:
+        acc = universe
+        for i in inst.fam1[delta].w:
+            if not i < inst.gamma:
+                acc = acc & a[i]
+        meets[delta] = acc
+    joins: dict[Ordinal, frozenset[int]] = {}
+    for delta in inst.t2:
+        acc: frozenset[int] = frozenset()
+        for j in inst.fam2[delta].w:
+            if not j < inst.gamma:
+                acc = acc | b[j]
+        joins[delta] = acc
+    return meets, joins
+
+
+def ref_first_witness(inst: PccInstance) -> tuple[Ordinal, Ordinal, int] | None:
+    """The pair hunt of find_compatible_pair over the reference profiles,
+    without its compatibility check."""
+    meets, joins = ref_pcc_ab_profiles(inst)
+    for d1 in inst.t1:
+        for d2 in inst.t2:
+            if not d1 < d2:
+                continue
+            witnesses = sorted(n for n in meets[d1] - joins[d2] if n >= inst.k)
+            if witnesses:
+                return d1, d2, witnesses[0]
+    return None

@@ -7,7 +7,6 @@ import random
 
 from gapforge import (
     GapFragment,
-    Index,
     Ladder,
     Ordinal,
     PCondition,
@@ -16,8 +15,24 @@ from gapforge import (
     SPartition,
     fin,
     p_extend,
-    word_from_bits,
 )
+
+
+def mask(members) -> int:
+    """The tower-set bitmask of a collection of naturals: bit k = member k."""
+    out = 0
+    for k in members:
+        out |= 1 << k
+    return out
+
+
+def word_from_bits(members, length: int) -> str:
+    """The bit word of the given length whose character k is '1' exactly for
+    the members k."""
+    members = set(members)
+    if members and (min(members) < 0 or max(members) >= length):
+        raise ValueError(f"bits {sorted(members)} do not fit a word of length {length}")
+    return "".join("1" if k in members else "0" for k in range(length))
 
 
 def word_pairs(height: int) -> list[tuple[str, str]]:
@@ -68,14 +83,14 @@ def random_extension(rng: random.Random, p: PCondition, pool, extra_height: int 
         if target == p.height or not dom:
             break
         o = rng.choice(dom)
-        forced.append((Index(o, rng.randint(0, 1)), rng.randint(p.height, target - 1)))
+        forced.append(((o, rng.randint(0, 1)), rng.randint(p.height, target - 1)))
     return p_extend(p, target, new, forced)
 
 
 def random_fragment(rng: random.Random, universe: int, pool, n_idx: int) -> GapFragment:
     idx = sorted(rng.sample(sorted(pool), n_idx))
-    a = {o: frozenset(v for v in range(universe) if rng.random() < 0.45) for o in idx}
-    b = {o: frozenset(v for v in range(universe) if rng.random() < 0.55) for o in idx}
+    a = {o: mask(v for v in range(universe) if rng.random() < 0.45) for o in idx}
+    b = {o: mask(v for v in range(universe) if rng.random() < 0.55) for o in idx}
     return GapFragment(universe, a, b)
 
 

@@ -9,7 +9,13 @@ exactly.
 
 from __future__ import annotations
 
-from gapforge import InvalidBit, PCondition, UnknownIndex, bits, p_restrict, word_from_bits
+from gapforge import InvalidBit, PCondition, UnknownIndex, p_restrict
+from helpers import word_from_bits
+
+
+def bits(word: str) -> frozenset[int]:
+    """The positions of a word carrying '1'."""
+    return frozenset(k for k, ch in enumerate(word) if ch == "1")
 
 
 def _ilt(i, j) -> bool:
@@ -51,18 +57,19 @@ def ref_p_extend(p: PCondition, target_height: int, new_ordinals=(), forced_bits
         raise ValueError("target height may not shrink the condition")
     dom = set(p.entries) | set(new_ordinals)
     forced = list(forced_bits)
-    for idx, k in forced:
+    for (o, side), k in forced:
+        if side not in (0, 1):
+            raise ValueError(f"side must be 0 or 1, got {side}")
         if not p.height <= k < target_height:
             raise InvalidBit(f"forced bit {k} must lie in [{p.height}, {target_height})")
-        if idx.ord not in dom:
-            raise UnknownIndex(f"forced index {idx} is outside the extension domain")
+        if o not in dom:
+            raise UnknownIndex(f"forced index ({o}, {side}) is outside the extension domain")
     grid = {
         (o, s): set(bits(p.entries[o][s])) if o in p.entries else set()
         for o in dom
         for s in (0, 1)
     }
-    for idx, k in forced:
-        src = (idx.ord, idx.side)
+    for src, k in forced:
         grid[src].add(k)
         for tgt in grid:
             if _ilt(src, tgt):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,9 +12,9 @@ from gapforge import (
     PCondition,
     SPartition,
     fin,
-    word_from_bits,
 )
 from gapforge.cli import main
+from helpers import mask, word_from_bits
 
 
 def _write(path, obj):
@@ -60,8 +61,8 @@ def test_seed_env_var(tmp_path, monkeypatch):
 def _tiny_special_fragment():
     return GapFragment(
         4,
-        {fin(0): frozenset({0}), fin(1): frozenset({1})},
-        {fin(0): frozenset({0}), fin(1): frozenset({1})},
+        {fin(0): mask({0}), fin(1): mask({1})},
+        {fin(0): mask({0}), fin(1): mask({1})},
     )
 
 
@@ -70,8 +71,8 @@ def test_check_special(tmp_path):
     assert main(["check", "special", "--gap", gap, "--n0", "0"]) == 0
     bad = GapFragment(
         4,
-        {fin(0): frozenset({0}), fin(1): frozenset({1})},
-        {fin(0): frozenset({0, 1}), fin(1): frozenset({0, 1})},
+        {fin(0): mask({0}), fin(1): mask({1})},
+        {fin(0): mask({0, 1}), fin(1): mask({0, 1})},
     )
     gap2 = _write(tmp_path / "gap2.json", bad.to_json())
     assert main(["check", "special", "--gap", gap2, "--n0", "0"]) == 1
@@ -88,9 +89,9 @@ def test_check_interpolate(tmp_path):
 
 
 def test_check_c_hausdorff_with_manifest(tmp_path):
-    a = {fin(i): frozenset(range(i + 1)) for i in range(1, 5)}
-    a[Ordinal(1, 1)] = frozenset()
-    b = {o: frozenset() for o in a}
+    a = {fin(i): mask(range(i + 1)) for i in range(1, 5)}
+    a[Ordinal(1, 1)] = 0
+    b = {o: 0 for o in a}
     gap = _write(tmp_path / "gap.json", GapFragment(8, a, b).to_json())
     ladder = _write(tmp_path / "ladder.json", Ladder.canonical().to_json())
     limits = frozenset({Ordinal(1, 0)})
@@ -105,15 +106,15 @@ def test_check_c_hausdorff_with_manifest(tmp_path):
     assert report["holds"] is True and report["witnesses"]
 
     # full b-sets leave only the vacuous threshold: the check reports failures
-    full = GapFragment(8, a, {o: frozenset(range(8)) for o in a})
+    full = GapFragment(8, a, {o: mask(range(8)) for o in a})
     gap2 = _write(tmp_path / "gap.json", full.to_json())
     assert main(["check", "c-hausdorff", "--manifest", manifest]) == 1
 
 
 def test_check_c_hausdorff_table_too_short(tmp_path, capsys):
-    a = {fin(i): frozenset(range(i + 1)) for i in range(1, 5)}
-    a[Ordinal(1, 1)] = frozenset()
-    b = {o: frozenset() for o in a}
+    a = {fin(i): mask(range(i + 1)) for i in range(1, 5)}
+    a[Ordinal(1, 1)] = 0
+    b = {o: 0 for o in a}
     gap = _write(tmp_path / "gap.json", GapFragment(8, a, b).to_json())
     short = _write(
         tmp_path / "ladder.json", Ladder.explicit({Ordinal(1, 0): [fin(0), fin(1)]}).to_json()
@@ -123,6 +124,21 @@ def test_check_c_hausdorff_table_too_short(tmp_path, capsys):
     code = main(["check", "c-hausdorff", "--gap", gap, "--ladder", short, "--partition", part])
     assert code == 2
     assert "TableTooShort" in capsys.readouterr().err
+
+
+def test_check_rejects_a_huge_member_without_building_it(tmp_path, capsys):
+    frag = _tiny_special_fragment().to_json()
+    frag["a"]["0.1"] = [1, 10**9]
+    gap = _write(tmp_path / "gap.json", frag)
+    tracemalloc.start()
+    try:
+        code = main(["check", "special", "--gap", gap])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "1000000000" in capsys.readouterr().err
+    assert peak < 16 * 2**20  # the set itself would take 119 MiB
 
 
 def test_check_malformed_gap(tmp_path):
@@ -153,8 +169,8 @@ def test_oracle_p_search_too_large(tmp_path):
 
 
 def test_oracle_q(tmp_path):
-    a = {fin(5): frozenset(range(8)), Ordinal(1, 0): frozenset()}
-    b = {fin(5): frozenset(), Ordinal(1, 0): frozenset(range(2, 8))}
+    a = {fin(5): mask(range(8)), Ordinal(1, 0): 0}
+    b = {fin(5): 0, Ordinal(1, 0): mask(range(2, 8))}
     gap = _write(tmp_path / "gap.json", GapFragment(8, a, b).to_json())
     ladder = _write(tmp_path / "ladder.json", Ladder.canonical().to_json())
     limits = frozenset({Ordinal(1, 0)})
@@ -183,6 +199,24 @@ def test_pipeline_zero_and_default(tmp_path):
     out3 = tmp_path / "report3.json"
     assert main(argv + ["--out", str(out3)]) == 0
     assert out2.read_bytes() == out3.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "--indices", "3", "--height", "-2", "--wsize", "1"],
+        ["pipeline", "--indices", "-4", "--height", "8", "--wsize", "1"],
+        ["pipeline", "--indices", "3", "--height", "8", "--wsize", "-1"],
+        ["simulate-p", "--indices", "3", "--height", "-2", "--out", "never-written.json"],
+        ["simulate-p", "--indices", "-4", "--height", "8", "--out", "never-written.json"],
+    ],
+    ids=["pipeline-height", "pipeline-indices", "pipeline-wsize", "simulate-p-height", "simulate-p-indices"],
+)
+def test_negative_counts_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "ValueError" in capsys.readouterr().err
+    assert not (tmp_path / "never-written.json").exists()
 
 
 def test_pipeline_failure_exit_code(tmp_path):

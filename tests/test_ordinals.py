@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -7,18 +6,16 @@ from gapforge import (
     EQ,
     GT,
     LT,
-    Index,
     Ladder,
     Ordinal,
     SPartition,
     TableTooShort,
     UnknownDelta,
-    cmp_index,
     cmp_ordinal,
     fin,
-    index_sort_key,
     two_sided,
 )
+from p_reference import _ilt
 
 
 def test_cmp_ordinal_examples():
@@ -47,18 +44,30 @@ def test_ordinal_json_and_key_roundtrip():
         Ordinal.from_key("1.2.3")
 
 
-def test_cmp_index_examples():
-    assert cmp_index(Index(Ordinal(2, 0), 0), Index(Ordinal(5, 1), 0)) == LT
-    assert cmp_index(Index(Ordinal(5, 1), 1), Index(Ordinal(2, 0), 1)) == LT
-    assert cmp_index(Index(Ordinal(9, 9), 0), Index(Ordinal(0, 0), 1)) == LT
-    assert cmp_index(Index(Ordinal(1, 1), 1), Index(Ordinal(1, 1), 1)) == EQ
+def test_two_sided_examples():
+    a, b, c, z = Ordinal(2, 0), Ordinal(5, 1), Ordinal(9, 9), Ordinal(0, 0)
+    pos = {pt: k for k, pt in enumerate(two_sided([b, c, a, z]))}
+    assert pos[a, 0] < pos[b, 0]
+    assert pos[b, 1] < pos[a, 1]
+    assert pos[c, 0] < pos[z, 1]
+    assert list(two_sided([])) == []
+    assert list(two_sided({Ordinal(1, 1)})) == [(Ordinal(1, 1), 0), (Ordinal(1, 1), 1)]
 
 
-def test_cmp_index_agrees_with_cmp_ordinal_per_side():
+def test_two_sided_agrees_with_the_pairwise_order():
+    rng = random.Random(8)
     grid = [Ordinal(q, r) for q in range(4) for r in range(4)]
-    for x, y in itertools.product(grid, repeat=2):
-        assert cmp_index(Index(x, 0), Index(y, 0)) == cmp_ordinal(x, y)
-        assert cmp_index(Index(x, 1), Index(y, 1)) == cmp_ordinal(y, x)
+    for _ in range(500):
+        ords = rng.sample(grid, rng.randint(0, 8))
+        points = list(two_sided(ords))
+        assert sorted(points) == sorted((o, s) for o in ords for s in (0, 1))
+        for k, x in enumerate(points):
+            for y in points[k + 1:]:
+                assert _ilt(x, y) and not _ilt(y, x)
+        ups = [o for o, s in points if s == 0]
+        downs = [o for o, s in points if s == 1]
+        assert all(cmp_ordinal(x, y) == LT for x, y in zip(ups, ups[1:]))
+        assert all(cmp_ordinal(x, y) == GT for x, y in zip(downs, downs[1:]))
 
 
 def test_four_point_chain():
@@ -68,11 +77,10 @@ def test_four_point_chain():
         b = Ordinal(rng.randint(0, 5), rng.randint(0, 5))
         if not a < b:
             continue
-        chain = [Index(a, 0), Index(b, 0), Index(b, 1), Index(a, 1)]
+        chain = [(a, 0), (b, 0), (b, 1), (a, 1)]
         for x, y in zip(chain, chain[1:]):
-            assert cmp_index(x, y) == LT
-        assert sorted(reversed(chain), key=index_sort_key) == chain
-        assert [Index(*i) for i in two_sided([b, a])] == chain
+            assert _ilt(x, y)
+        assert list(two_sided([b, a])) == chain
 
 
 def test_canonical_ladder_examples():
@@ -159,9 +167,3 @@ def test_partition_validation_and_json():
     with pytest.raises(ValueError):
         SPartition(S=frozenset({Ordinal(1, 0)}), T=frozenset({Ordinal(1, 0)}), D=frozenset())
 
-
-def test_index_json_roundtrip():
-    i = Index(Ordinal(3, 2), 1)
-    assert Index.from_json(i.to_json()) == i
-    with pytest.raises(ValueError):
-        Index(Ordinal(0, 0), 2)

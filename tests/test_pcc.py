@@ -25,6 +25,7 @@ from gapforge import (
     verify_rectangle,
 )
 from gapforge import pcc
+from helpers import mask
 from pcc_reference import exact_rectangle, matching_size
 
 
@@ -38,8 +39,8 @@ def _flat_instance(universe=8, with_upper=False):
     idx = set(core_w)
     if with_upper:
         idx |= {Ordinal(3, 2), Ordinal(6, 2), Ordinal(9, 2), Ordinal(12, 2)}
-    a = {o: frozenset({universe - 1}) for o in idx}
-    b = {o: frozenset() for o in idx}
+    a = {o: mask({universe - 1}) for o in idx}
+    b = {o: 0 for o in idx}
     limits = frozenset({Ordinal(1, 0)})
     part = SPartition(S=limits, T=frozenset(), D=limits)
     ctx = QContext(GapFragment(universe, a, b), Ladder.canonical(), part)
@@ -55,8 +56,8 @@ def _flat_instance(universe=8, with_upper=False):
 def test_profiles_degenerate():
     inst = _flat_instance()
     meets, joins = pcc_ab_profiles(inst)
-    assert all(meets[d] == frozenset(range(8)) for d in inst.t1)
-    assert all(joins[d] == frozenset() for d in inst.t2)
+    assert all(meets[d] == mask(range(8)) for d in inst.t1)
+    assert all(joins[d] == 0 for d in inst.t2)
 
 
 def test_profiles_singleton():
@@ -80,8 +81,8 @@ def test_find_compatible_pair_trivial_cases():
     t1 = (Ordinal(3, 1),)
     t2 = (Ordinal(6, 1),)
     idx = {fin(1), Ordinal(6, 2)}
-    a = {o: frozenset() for o in idx}
-    b = {o: frozenset(range(8)) for o in idx}
+    a = {o: 0 for o in idx}
+    b = {o: mask(range(8)) for o in idx}
     limits = frozenset({Ordinal(1, 0)})
     part = SPartition(S=limits, T=frozenset(), D=limits)
     ctx = QContext(GapFragment(8, a, b), Ladder.canonical(), part)
@@ -122,8 +123,8 @@ def test_instance_validation_rejects_bad_shapes():
     t1 = (Ordinal(3, 1),)
     t2 = (Ordinal(6, 1),)
     idx = {fin(1), Ordinal(2, 1), Ordinal(3, 2), Ordinal(6, 2)}
-    a = {o: frozenset() for o in idx}
-    b = {o: frozenset() for o in idx}
+    a = {o: 0 for o in idx}
+    b = {o: 0 for o in idx}
     limits = frozenset({Ordinal(1, 0), Ordinal(4, 0)})
     part = SPartition(S=limits, T=frozenset(), D=limits)
     ctx = QContext(GapFragment(8, a, b), Ladder.canonical(), part)

@@ -7,7 +7,6 @@ from gapforge import (
     AgreementFailure,
     HeightMismatch,
     HypothesisFailure,
-    Index,
     InvalidBit,
     InvariantViolation,
     PCondition,
@@ -24,9 +23,8 @@ from gapforge import (
     p_restrict,
     p_union_agreeing,
     poset_p,
-    word_from_bits,
 )
-from helpers import enumerate_conditions, random_extension, random_pcondition
+from helpers import enumerate_conditions, random_extension, random_pcondition, word_from_bits
 
 AL, BE = fin(0), fin(1)
 POOL = [fin(k) for k in range(6)]
@@ -171,10 +169,10 @@ def test_oracle_cap():
 def test_p_extend_examples():
     p = PCondition(1, {AL: ("1", "1"), BE: ("0", "1")})
     assert p_extend(p, 1) == p
-    forced = p_extend(p, 3, (), [(Index(AL, 0), 2)])
-    assert 2 in bits(forced.entries[AL][0])
-    assert 2 in bits(forced.entries[AL][1])  # pairing via propagation
-    assert 2 in bits(forced.entries[BE][0])  # AL low side sits below BE low side
+    forced = p_extend(p, 3, (), [((AL, 0), 2)])
+    assert bits(forced.entries[AL][0]) >> 2 & 1
+    assert bits(forced.entries[AL][1]) >> 2 & 1  # pairing via propagation
+    assert bits(forced.entries[BE][0]) >> 2 & 1  # AL low side sits below BE low side
     assert p_leq(p, forced) is True
     fresh = p_extend(p, 2, [fin(5)], ())
     assert fresh.entries[fin(5)] == ("00", "00")
@@ -184,11 +182,13 @@ def test_p_extend_examples():
 def test_p_extend_errors():
     p = PCondition(1, {AL: ("1", "1")})
     with pytest.raises(InvalidBit):
-        p_extend(p, 3, (), [(Index(AL, 0), 0)])  # below the current height
+        p_extend(p, 3, (), [((AL, 0), 0)])  # below the current height
     with pytest.raises(InvalidBit):
-        p_extend(p, 3, (), [(Index(AL, 0), 3)])  # beyond the target
+        p_extend(p, 3, (), [((AL, 0), 3)])  # beyond the target
     with pytest.raises(UnknownIndex):
-        p_extend(p, 3, (), [(Index(BE, 0), 2)])
+        p_extend(p, 3, (), [((BE, 0), 2)])
+    with pytest.raises(ValueError):
+        p_extend(p, 3, (), [((AL, 2), 2)])  # no such side
     with pytest.raises(ValueError):
         p_extend(p, 0)
 
@@ -222,7 +222,7 @@ def test_p_extend_random_invariants():
         p = random_pcondition(rng, POOL, rng.randint(0, 3))
         q = random_extension(rng, p, POOL)
         for o, (w0, w1) in q.entries.items():
-            assert bits(w0) <= bits(w1)
+            assert not bits(w0) & ~bits(w1)
             assert len(w0) == q.height == len(w1)
 
 

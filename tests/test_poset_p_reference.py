@@ -8,7 +8,6 @@ import pytest
 
 from gapforge import (
     HypothesisFailure,
-    Index,
     InvalidBit,
     Ordinal,
     PCondition,
@@ -104,7 +103,7 @@ def test_p_extend_matches_reference():
             for _ in range(rng.randint(0, 6)):
                 side = rng.randint(0, 1)
                 sides.add(side)
-                forced.append((Index(rng.choice(dom), side), rng.randrange(p.height, target)))
+                forced.append(((rng.choice(dom), side), rng.randrange(p.height, target)))
         assert p_extend(p, target, new, forced) == ref_p_extend(p, target, new, forced)
     assert sides == {0, 1}
 
@@ -112,9 +111,10 @@ def test_p_extend_matches_reference():
 @pytest.mark.parametrize(
     "forced, error",
     [
-        ([(Index(fin(0), 1), 0)], InvalidBit),
-        ([(Index(fin(0), 0), 3)], InvalidBit),
-        ([(Index(fin(1), 1), 2)], UnknownIndex),
+        ([((fin(0), 1), 0)], InvalidBit),
+        ([((fin(0), 0), 3)], InvalidBit),
+        ([((fin(1), 1), 2)], UnknownIndex),
+        ([((fin(0), 2), 2)], ValueError),
     ],
 )
 def test_p_extend_rejects_like_reference(forced, error):

@@ -22,15 +22,15 @@ from gapforge import (
     separated_pair_check,
 )
 from gapforge import poset_q
-from helpers import conditions_in, small_context
+from helpers import conditions_in, mask, small_context
 
 DELTA = Ordinal(1, 0)
 J5 = fin(5)
 
 
 def _clause_context(b_for_delta):
-    a = {J5: frozenset(range(8)), DELTA: frozenset()}
-    b = {J5: frozenset(), DELTA: frozenset(b_for_delta)}
+    a = {J5: mask(range(8)), DELTA: 0}
+    b = {J5: 0, DELTA: mask(b_for_delta)}
     part = SPartition(S=frozenset({DELTA}), T=frozenset(), D=frozenset({DELTA}))
     return QContext(GapFragment(8, a, b), Ladder.canonical(), part)
 
@@ -154,8 +154,8 @@ def _separated_instance(universe=12, witness=9, plant=True):
     w2_extra = frozenset({Ordinal(3, 4)})
     s2_extra = frozenset({Ordinal(4, 0)})  # rungs below alpha: 3
     idx = sorted(core_w | w1_extra | w2_extra)
-    a = {o: frozenset({witness}) if (plant and o in w1_extra) else frozenset({0}) for o in idx}
-    b = {o: frozenset({1}) for o in idx}
+    a = {o: mask({witness}) if (plant and o in w1_extra) else mask({0}) for o in idx}
+    b = {o: mask({1}) for o in idx}
     limits = core_s | s2_extra
     part = SPartition(S=frozenset(limits), T=frozenset(), D=frozenset(limits))
     ctx = QContext(GapFragment(universe, a, b), Ladder.canonical(), part)
@@ -169,7 +169,7 @@ def test_separated_pair_check_examples():
     gamma, alpha = Ordinal(2, 0), Ordinal(3, 0)
     core = QCondition(frozenset({fin(0)}), frozenset())
     part = SPartition(S=frozenset({Ordinal(1, 0)}), T=frozenset(), D=frozenset())
-    ctx = QContext(GapFragment(4, {fin(0): frozenset()}, {fin(0): frozenset()}), Ladder.canonical(), part)
+    ctx = QContext(GapFragment(4, {fin(0): 0}, {fin(0): 0}), Ladder.canonical(), part)
     assert separated_pair_check(ctx, core, core, gamma, alpha) is True
 
     ctx, p1, p2, gamma, alpha = _separated_instance()
@@ -229,9 +229,9 @@ def test_qcondition_json_roundtrip():
 
 
 def test_qcontext_validation():
-    frag = GapFragment(4, {fin(0): frozenset()}, {fin(1): frozenset()})
+    frag = GapFragment(4, {fin(0): 0}, {fin(1): 0})
     with pytest.raises(ValueError):
         QContext(frag, Ladder.canonical(), SPartition(S=frozenset(), T=frozenset(), D=frozenset()))
-    good = GapFragment(4, {fin(0): frozenset()}, {fin(0): frozenset()})
+    good = GapFragment(4, {fin(0): 0}, {fin(0): 0})
     with pytest.raises(ValueError):
         QContext(good, Ladder.explicit({}), SPartition(S=frozenset({Ordinal(1, 0)}), T=frozenset(), D=frozenset()))
