@@ -26,19 +26,13 @@ from .gaps import (
     excess_matrix_csv,
     full_inclusion_union,
     members,
-    s_hausdorff_profile,
     special_gap_check,
     uniform_interpolation,
 )
 from .ordinals import (
-    EQ,
-    GT,
-    LT,
-    OMEGA,
     Ladder,
     Ordinal,
     SPartition,
-    cmp_ordinal,
     fin,
     two_sided,
 )
@@ -82,7 +76,6 @@ from .simulate import (
     SimRun,
     build_filter,
     check_tower_coherence,
-    convergent_inclusion_scan,
     default_index_blocks,
     default_partition,
     extract_gap_fragment,

@@ -23,7 +23,7 @@ from .errors import (
     RequirementFailure,
     SearchTooLarge,
 )
-from .gaps import GapFragment, c_hausdorff_check, members, special_gap_check, uniform_interpolation
+from .gaps import MAX_UNIVERSE, GapFragment, c_hausdorff_check, members, special_gap_check, uniform_interpolation
 from .ordinals import Ladder, SPartition
 from .pcc import (
     CompatMatrix,
@@ -80,7 +80,14 @@ def _load_context(manifest_path: str) -> QContext:
     return QContext(frag, ladder, part)
 
 
+def _check_height(height: int) -> None:
+    # the height is the universe of the forged diagram, which must load again
+    if height > MAX_UNIVERSE:
+        raise ValueError(f"--height {height} exceeds the diagram universe limit {MAX_UNIVERSE}")
+
+
 def _cmd_simulate_p(args) -> int:
+    _check_height(args.height)
     seed = _resolve_seed(args.seed)
     ordinals = default_index_blocks(args.indices)
     run = build_filter(p_poset(), PCondition.empty(), p_standard_schedule(ordinals, args.height, seed), seed)
@@ -158,6 +165,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    _check_height(args.height)
     seed = _resolve_seed(args.seed)
     ordinals = default_index_blocks(args.indices)
     ladder = Ladder.from_json(_load_json(args.ladder)) if args.ladder else Ladder.canonical()

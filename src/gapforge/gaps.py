@@ -11,8 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import IndexMismatch, UnknownIndex
+from .errors import IndexMismatch
 from .ordinals import Ladder, Ordinal, SPartition
+
+# Largest universe a diagram file may declare.  A tower set costs universe/8
+# bytes however few members it has, so a loaded set stays within 8 KiB.
+MAX_UNIVERSE = 1 << 16
 
 
 def members(mask: int) -> list[int]:
@@ -82,6 +86,8 @@ class GapFragment:
         if not isinstance(data, dict) or not {"universe", "I", "J", "a", "b"} <= set(data):
             raise ValueError(f"bad fragment encoding: {type(data).__name__}")
         universe = data["universe"]
+        if not isinstance(universe, int) or isinstance(universe, bool) or universe > MAX_UNIVERSE:
+            raise ValueError(f"universe must be a natural of at most {MAX_UNIVERSE}, got {universe!r}")
 
         def mask(key: str, listed) -> int:
             out = 0
@@ -187,24 +193,6 @@ def c_hausdorff_check(
             else:
                 out[(delta, j)] = CHWitness(delta, j, k, n_star)
     return out
-
-
-def s_hausdorff_profile(
-    g: GapFragment, delta: Ordinal, seq: Iterable[Ordinal], j: Ordinal
-) -> list[int]:
-    """The excess profile (X(a_i, b_j)) along an increasing sequence below delta.
-
-    Divergence is not decidable on finite data, so only the raw profile is
-    returned; callers apply their own threshold policies.
-    """
-    seq = list(seq)
-    if any(i not in g.a for i in seq) or j not in g.b:
-        raise UnknownIndex("profile indices must carry tower sets in the diagram")
-    if any(not x < y for x, y in zip(seq, seq[1:])):
-        raise ValueError("profile sequence must be strictly increasing")
-    if any(not i < delta for i in seq) or j < delta:
-        raise ValueError("profile needs the sequence below delta and j at or above it")
-    return [excess(g.a[i], g.b[j]) for i in seq]
 
 
 def full_inclusion_union(g: GapFragment) -> int | None:

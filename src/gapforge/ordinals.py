@@ -8,28 +8,38 @@ canonical cofinal sequences, which is all the ladder machinery needs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import TableTooShort, UnknownDelta
 
-LT, EQ, GT = -1, 0, 1
 
+class Ordinal(tuple):
+    """The ordinal w*q + r, for naturals q and r: the tuple (q, r).
 
-@dataclass(frozen=True, order=True)
-class Ordinal:
-    """The ordinal w*q + r, for naturals q and r."""
+    Hashing and the lexicographic order are tuple's own, so they run in C
+    and an ordinal equals, and hashes like, the plain pair (q, r).
+    """
 
-    q: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 0 or self.r < 0:
-            raise ValueError(f"ordinal parts must be naturals, got ({self.q}, {self.r})")
+    def __new__(cls, q: int, r: int) -> Ordinal:
+        if q < 0 or r < 0:
+            raise ValueError(f"ordinal parts must be naturals, got ({q}, {r})")
+        return tuple.__new__(cls, (q, r))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.q == 0 and self.r == 0
+    q = property(operator.itemgetter(0))
+    r = property(operator.itemgetter(1))
+    # tuple's own slots, named here so that instrumentation can wrap them
+    __lt__ = tuple.__lt__
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Ordinal(q={self[0]}, r={self[1]})"
 
     @property
     def is_limit(self) -> bool:
@@ -72,16 +82,6 @@ class Ordinal:
 def fin(n: int) -> Ordinal:
     """The finite ordinal n."""
     return Ordinal(0, n)
-
-
-OMEGA = Ordinal(1, 0)
-
-
-def cmp_ordinal(x: Ordinal, y: Ordinal) -> int:
-    """Three-way lexicographic comparison: LT, EQ, or GT."""
-    if x == y:
-        return EQ
-    return LT if x < y else GT
 
 
 def two_sided(ordinals: Iterable[Ordinal]) -> Iterator[tuple[Ordinal, int]]:

@@ -300,42 +300,3 @@ def pipeline(
         "excess_csv": excess_matrix_csv(sub),
     }
 
-
-def convergent_inclusion_scan(
-    frag: GapFragment,
-    jset: Sequence[Ordinal],
-    kset: Sequence[Ordinal],
-    delta_candidates: Sequence[Ordinal],
-) -> list[dict]:
-    """Exploratory scan for long threshold-bounded runs approaching a limit.
-
-    For each candidate delta and each k in kset at or above delta, take the
-    topmost j in jset below delta, record m = excess(a_j, b_k) and how many
-    members of jset below delta fit under that same threshold.  A statistic,
-    not a verdict.
-    """
-    from .errors import UnknownIndex
-
-    if any(j not in frag.a for j in jset) or any(k not in frag.b for k in kset):
-        raise UnknownIndex("scan index sets must carry tower sets in the diagram")
-    rows: list[dict] = []
-    for delta in sorted(set(delta_candidates)):
-        below = [j for j in sorted(set(jset)) if j < delta]
-        for k in sorted(set(kset)):
-            if k < delta:
-                continue
-            if not below:
-                rows.append({"delta": delta.to_json(), "k": k.to_json(), "found": False})
-                continue
-            m = excess(frag.a[max(below)], frag.b[k])
-            run = [j for j in below if excess(frag.a[j], frag.b[k]) <= m]
-            rows.append(
-                {
-                    "delta": delta.to_json(),
-                    "k": k.to_json(),
-                    "found": True,
-                    "m": m,
-                    "length": len(run),
-                }
-            )
-    return rows

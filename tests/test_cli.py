@@ -14,6 +14,7 @@ from gapforge import (
     fin,
 )
 from gapforge.cli import main
+from gapforge.gaps import MAX_UNIVERSE
 from helpers import mask, word_from_bits
 
 
@@ -139,6 +140,51 @@ def test_check_rejects_a_huge_member_without_building_it(tmp_path, capsys):
     assert code == 2
     assert "1000000000" in capsys.readouterr().err
     assert peak < 16 * 2**20  # the set itself would take 119 MiB
+
+
+def test_check_rejects_a_huge_universe_without_building_it(tmp_path, capsys):
+    top = [10**9 - 1]
+    frag = {"universe": 10**9, "I": [[0, 0]], "J": [[0, 0]], "a": {"0.0": top}, "b": {"0.0": top}}
+    gap = _write(tmp_path / "gap.json", frag)
+    tracemalloc.start()
+    try:
+        code = main(["check", "special", "--gap", gap])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "1000000000" in capsys.readouterr().err
+    assert peak < 16 * 2**20  # either tower set would take 119 MiB
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-p", "--indices", "4", "--out", "never-written.json"],
+        ["pipeline", "--indices", "4", "--wsize", "2", "--out", "never-written.json"],
+    ],
+    ids=["simulate-p", "pipeline"],
+)
+@pytest.mark.parametrize("height", [MAX_UNIVERSE + 1, 10**9])
+def test_height_above_the_universe_limit_exits_2(argv, height, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--height", str(height)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert str(MAX_UNIVERSE) in capsys.readouterr().err
+    assert not (tmp_path / "never-written.json").exists()
+    assert peak < 2**20  # the level plans of a 65,537-level schedule alone take 48 MiB
+
+
+def test_simulate_p_at_the_universe_limit_reads_back(tmp_path):
+    out = tmp_path / "frag.json"
+    assert main(["simulate-p", "--indices", "0", "--height", str(MAX_UNIVERSE), "--out", str(out)]) == 0
+    assert GapFragment.from_json(json.loads(out.read_text())).universe == MAX_UNIVERSE
+    assert main(["check", "special", "--gap", str(out)]) == 0
 
 
 def test_check_malformed_gap(tmp_path):

@@ -10,7 +10,6 @@ from gapforge import (
     Ladder,
     Ordinal,
     SPartition,
-    UnknownIndex,
     almost_subset,
     c_hausdorff_check,
     excess,
@@ -18,10 +17,10 @@ from gapforge import (
     fin,
     full_inclusion_union,
     members,
-    s_hausdorff_profile,
     special_gap_check,
     uniform_interpolation,
 )
+from gapforge.gaps import MAX_UNIVERSE
 from helpers import mask, random_fragment
 
 
@@ -180,27 +179,6 @@ def test_c_hausdorff_monotone_under_shrinking_b():
             assert after[(delta, j)].k <= before[(delta, j)].k
 
 
-def test_s_hausdorff_profile_examples():
-    delta = Ordinal(1, 0)
-    j = Ordinal(1, 2)
-    a = {fin(n): mask(range(n + 1)) for n in range(4)}
-    a[j] = 0
-    b = {o: 0 for o in a}
-    g = GapFragment(8, a, b)
-    assert s_hausdorff_profile(g, delta, [], j) == []
-    seq = [fin(n) for n in range(4)]
-    assert s_hausdorff_profile(g, delta, seq, j) == [1, 2, 3, 4]
-    full_b = {o: mask(range(8)) for o in a}
-    g2 = GapFragment(8, a, full_b)
-    assert s_hausdorff_profile(g2, delta, seq, j) == [0, 0, 0, 0]
-    with pytest.raises(UnknownIndex):
-        s_hausdorff_profile(g, delta, [fin(9)], j)
-    with pytest.raises(ValueError):
-        s_hausdorff_profile(g, delta, [fin(1), fin(0)], j)
-    with pytest.raises(ValueError):
-        s_hausdorff_profile(g, Ordinal(2, 0), seq, j)  # j below delta
-
-
 def test_full_inclusion_union_examples():
     allempty = GapFragment(4, {fin(0): 0, fin(1): 0}, {fin(0): 0, fin(1): 0})
     assert full_inclusion_union(allempty) == 0
@@ -235,6 +213,11 @@ def test_fragment_from_json_checks_members():
             load(bad)
     with pytest.raises(ValueError):
         load([10**9], universe=-1)
+    assert load([3], universe=MAX_UNIVERSE).universe == MAX_UNIVERSE == 1 << 16
+    empty = {"I": [], "J": [], "a": {}, "b": {}}
+    for universe in (MAX_UNIVERSE + 1, 10**9, True, False, 4.0, "4", None, [4]):
+        with pytest.raises(ValueError):
+            GapFragment.from_json({"universe": universe, **empty})
 
 
 def test_fragment_restrict():

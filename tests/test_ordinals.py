@@ -1,34 +1,27 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from gapforge import (
-    EQ,
-    GT,
-    LT,
     Ladder,
     Ordinal,
     SPartition,
     TableTooShort,
     UnknownDelta,
-    cmp_ordinal,
     fin,
     two_sided,
 )
 from p_reference import _ilt
 
 
-def test_cmp_ordinal_examples():
-    assert cmp_ordinal(Ordinal(0, 0), Ordinal(0, 0)) == EQ
-    assert cmp_ordinal(Ordinal(2, 0), Ordinal(5, 1)) == LT
-    assert cmp_ordinal(Ordinal(1, 7), Ordinal(1, 3)) == GT
-
-
 def test_ordinal_predicates_and_validation():
-    assert Ordinal(0, 0).is_zero and not Ordinal(0, 0).is_limit
+    assert not Ordinal(0, 0).is_limit
     assert Ordinal(3, 0).is_limit and not Ordinal(3, 1).is_limit
-    with pytest.raises(ValueError):
-        Ordinal(-1, 0)
+    for bad in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            Ordinal(*bad)
     assert Ordinal(1, 2).succ() == Ordinal(1, 3)
 
 
@@ -36,12 +29,53 @@ def test_ordinal_json_and_key_roundtrip():
     o = Ordinal(4, 17)
     assert Ordinal.from_json(o.to_json()) == o
     assert Ordinal.from_key(o.key()) == o
-    with pytest.raises(ValueError):
-        Ordinal.from_json([1])
-    with pytest.raises(ValueError):
-        Ordinal.from_json([1, True])
-    with pytest.raises(ValueError):
-        Ordinal.from_key("1.2.3")
+    for data in ([1], [1, True], [1, 2, 3], (1, -2), [1.0, 2], "1.2", None):
+        with pytest.raises(ValueError):
+            Ordinal.from_json(data)
+    for key in ("1.2.3", "1", "-1.2", "a.b", "1.", ""):
+        with pytest.raises(ValueError):
+            Ordinal.from_key(key)
+
+
+GRID = [(q, r) for q in (0, 1, 2, 7, 12) for r in (0, 1, 3, 10, 255)]
+
+
+def test_ordinal_text_and_json_forms_on_a_grid():
+    for q, r in GRID:
+        o = Ordinal(q, r)
+        assert (o.q, o.r) == (q, r)
+        assert repr(o) == f"Ordinal(q={q}, r={r})"
+        assert o.key() == f"{q}.{r}"
+        assert o.to_json() == [q, r] and type(o.to_json()) is list
+        assert Ordinal.from_json([q, r]) == o == Ordinal.from_key(f"{q}.{r}")
+    texts = {(0, 0): "0", (0, 5): "5", (1, 0): "w", (1, 2): "w+2", (3, 0): "w*3", (12, 255): "w*12+255"}
+    assert {qr: str(Ordinal(*qr)) for qr in texts} == texts
+    assert f"{Ordinal(2, 1)}" == "w*2+1"
+
+
+def test_ordinal_is_its_pair():
+    for q, r in GRID:
+        o = Ordinal(q, r)
+        assert o == (q, r) and (q, r) == o
+        assert hash(o) == hash((q, r))
+        assert {o: 1}[(q, r)] == 1
+    assert sorted(Ordinal(q, r) for q, r in reversed(GRID)) == sorted(GRID)
+
+
+def test_ordinal_copies_and_pickles():
+    for q, r in GRID:
+        o = Ordinal(q, r)
+        clones = [copy.copy(o), copy.deepcopy(o)]
+        clones += [pickle.loads(pickle.dumps(o, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in clones:
+            assert type(c) is Ordinal and c == o and (c.q, c.r) == (q, r)
+
+
+def test_ordinal_order_and_hash_are_the_tuple_slots():
+    assert Ordinal.__dict__["__lt__"] is tuple.__lt__
+    assert Ordinal.__dict__["__hash__"] is tuple.__hash__
+    assert Ordinal(1, 0) < Ordinal(1, 1) < Ordinal(2, 0)
+    assert not hasattr(Ordinal(0, 0), "__dict__")
 
 
 def test_two_sided_examples():
@@ -66,8 +100,8 @@ def test_two_sided_agrees_with_the_pairwise_order():
                 assert _ilt(x, y) and not _ilt(y, x)
         ups = [o for o, s in points if s == 0]
         downs = [o for o, s in points if s == 1]
-        assert all(cmp_ordinal(x, y) == LT for x, y in zip(ups, ups[1:]))
-        assert all(cmp_ordinal(x, y) == GT for x, y in zip(downs, downs[1:]))
+        assert all(x < y for x, y in zip(ups, ups[1:]))
+        assert all(y < x for x, y in zip(downs, downs[1:]))
 
 
 def test_four_point_chain():

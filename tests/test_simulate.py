@@ -17,7 +17,6 @@ from gapforge import (
     QContext,
     build_filter,
     check_tower_coherence,
-    convergent_inclusion_scan,
     default_index_blocks,
     default_partition,
     excess,
@@ -172,23 +171,6 @@ def test_pipeline_report_shape():
         assert set(wit) == {"delta", "j", "k", "n_star"}
         assert 0 <= wit["k"] <= wit["n_star"]
     assert report["excess_csv"].endswith("\n")
-
-
-def test_convergent_inclusion_scan():
-    g = GapFragment(
-        4,
-        {fin(0): mask({1}), fin(1): mask({1, 2}), Ordinal(1, 1): 0},
-        {fin(0): mask({1}), fin(1): mask({1, 2}), Ordinal(1, 1): mask({1, 2, 3})},
-    )
-    idx = sorted(g.a)
-    assert convergent_inclusion_scan(g, idx, [], [Ordinal(1, 0)]) == []
-    rows = convergent_inclusion_scan(g, idx, [Ordinal(1, 1)], [Ordinal(1, 0)])
-    assert len(rows) == 1
-    assert rows[0]["found"] is True
-    assert rows[0]["m"] == 0  # every a below the limit is inside b at the probe
-    assert rows[0]["length"] == 2
-    empty_below = convergent_inclusion_scan(g, [Ordinal(1, 1)], [Ordinal(1, 1)], [Ordinal(1, 0)])
-    assert empty_below[0]["found"] is False
 
 
 def test_default_partition():
