@@ -10,7 +10,6 @@ from .errors import (
     IndexMismatch,
     InvalidBit,
     InvariantViolation,
-    NotAChain,
     RequirementFailure,
     SearchTooLarge,
     TableTooShort,
@@ -61,7 +60,6 @@ from .poset_p import (
 from .poset_q import (
     QCondition,
     QContext,
-    extract_w,
     ladder_blocked,
     q_compatible,
     q_leq,
@@ -70,19 +68,14 @@ from .poset_q import (
 )
 from .simulate import (
     DenseRequirement,
-    PParams,
-    Poset,
-    QParams,
     SimRun,
     build_filter,
     check_tower_coherence,
     default_index_blocks,
     default_partition,
     extract_gap_fragment,
-    p_poset,
     p_standard_schedule,
     pipeline,
-    q_poset,
     q_standard_schedule,
 )
 

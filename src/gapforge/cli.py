@@ -35,13 +35,10 @@ from .pcc import (
 from .poset_p import PCondition, p_compatible_oracle
 from .poset_q import QCondition, QContext, q_compatible
 from .simulate import (
-    PParams,
-    QParams,
     build_filter,
     default_index_blocks,
     default_partition,
     extract_gap_fragment,
-    p_poset,
     p_standard_schedule,
     pipeline,
 )
@@ -90,7 +87,7 @@ def _cmd_simulate_p(args) -> int:
     _check_height(args.height)
     seed = _resolve_seed(args.seed)
     ordinals = default_index_blocks(args.indices)
-    run = build_filter(p_poset(), PCondition.empty(), p_standard_schedule(ordinals, args.height, seed), seed)
+    run = build_filter(PCondition.empty(), p_standard_schedule(ordinals, args.height, seed))
     frag = extract_gap_fragment(run.result)
     _emit(frag.to_json(), args.out)
     return 0
@@ -174,7 +171,7 @@ def _cmd_pipeline(args) -> int:
         if args.partition
         else default_partition(ordinals)
     )
-    report = pipeline(PParams(ordinals, args.height), ladder, part, QParams(args.wsize), seed)
+    report = pipeline(ordinals, args.height, args.wsize, ladder, part, seed)
     _emit(report, args.out)
     return 0
 

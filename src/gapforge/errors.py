@@ -41,10 +41,6 @@ class InvalidBit(GapforgeError):
     """A forced bit position falls outside the extension range."""
 
 
-class NotAChain(GapforgeError):
-    """A sequence of conditions expected to be increasing is not."""
-
-
 class RequirementFailure(GapforgeError):
     """A dense requirement could not extend the current condition."""
 

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvariantViolation, NotAChain, UnknownIndex
+from .errors import InvariantViolation, UnknownIndex
 from .gaps import GapFragment
 from .ordinals import Ladder, Ordinal, SPartition
 
@@ -174,13 +174,3 @@ def separated_pair_check(
     )
     return bool((meet & ~join) >> (floor + 1))
 
-
-def extract_w(ctx: QContext, chain: Sequence[QCondition]) -> frozenset[Ordinal]:
-    """Union of the w components of an increasing chain."""
-    for a, b in zip(chain, chain[1:]):
-        if not q_leq(ctx, a, b):
-            raise NotAChain("the given conditions are not increasing")
-    out: set[Ordinal] = set()
-    for p in chain:
-        out |= p.w
-    return frozenset(out)

@@ -1,9 +1,10 @@
 """Dense-requirement scheduling, filter construction, and the two-phase
 pipeline that first forges a diagram and then specializes a selection of it.
 
-Genericity is emulated: meet rules draw their choices from a seeded
-generator, and what a generic filter would guarantee is downgraded to
-invariants asserted on the produced run.
+Genericity is emulated: the schedules pre-draw every choice from the seed,
+so each meet rule is a pure function of the condition, and each rule
+verifies the step it takes.  What a generic filter would guarantee is
+downgraded to invariants checked on the produced run.
 """
 
 from __future__ import annotations
@@ -15,40 +16,25 @@ from typing import Any, Callable, Sequence
 from .errors import GapforgeError, InvariantViolation, RequirementFailure
 from .gaps import GapFragment, c_hausdorff_check, excess, excess_matrix_csv
 from .ordinals import Ladder, Ordinal, SPartition
-from .poset_p import PCondition, bits, p_extend, p_leq
-from .poset_q import QCondition, QContext, extract_w, q_leq
+from .poset_p import PCondition, bits, p_extend
+from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
+from .poset_q import QCondition, QContext, q_leq
 
 
 @dataclass(frozen=True)
 class DenseRequirement:
     """A named total rule mapping any condition to an extension meeting the
-    requirement; idempotent once the requirement holds."""
+    requirement.  It returns the condition itself once the requirement
+    holds, and verifies every step it does take."""
 
     name: str
-    meet: Callable[[Any, random.Random], Any]
-
-
-@dataclass(frozen=True)
-class Poset:
-    """Just enough of a poset for the filter builder: a name and its order."""
-
-    name: str
-    leq: Callable[[Any, Any], bool]
-
-
-def p_poset() -> Poset:
-    return Poset("P", p_leq)
-
-
-def q_poset(ctx: QContext) -> Poset:
-    return Poset("Q", lambda a, b: q_leq(ctx, a, b))
+    meet: Callable[[Any], Any]
 
 
 @dataclass
 class SimRun:
     """One deterministic run: the schedule met, and the increasing trace."""
 
-    seed: int
     schedule: list[str]
     trace: list
 
@@ -57,26 +43,21 @@ class SimRun:
         return self.trace[-1]
 
 
-def build_filter(poset: Poset, start, reqs: Sequence[DenseRequirement], seed: int) -> SimRun:
-    """Fold the meet rules over the schedule, verifying growth per step."""
-    rng = random.Random(seed)
+def build_filter(start, reqs: Sequence[DenseRequirement]) -> SimRun:
+    """Fold the meet rules over the schedule; each rule verifies its own step."""
     trace = [start]
     for req in reqs:
-        current = trace[-1]
         try:
-            nxt = req.meet(current, rng)
+            trace.append(req.meet(trace[-1]))
         except InvariantViolation:
             raise  # a broken postcondition, not a failed requirement: keep its fields
         except (GapforgeError, ValueError) as e:
             raise RequirementFailure(f"requirement {req.name!r} failed: {e}") from e
-        if not poset.leq(current, nxt):
-            raise RequirementFailure(f"requirement {req.name!r} did not extend the condition")
-        trace.append(nxt)
-    return SimRun(seed, [r.name for r in reqs], trace)
+    return SimRun([r.name for r in reqs], trace)
 
 
 def _domain_requirement(o: Ordinal) -> DenseRequirement:
-    def meet(p: PCondition, _rng) -> PCondition:
+    def meet(p: PCondition) -> PCondition:
         if o in p.entries:
             return p
         return p_extend(p, p.height, (o,), ())
@@ -85,7 +66,7 @@ def _domain_requirement(o: Ordinal) -> DenseRequirement:
 
 
 def _bit_requirement(level: int, plan: frozenset[Ordinal]) -> DenseRequirement:
-    def meet(p: PCondition, _rng) -> PCondition:
+    def meet(p: PCondition) -> PCondition:
         if p.height > level:
             return p
         forced = tuple(((o, 0), level) for o in sorted(plan) if o in p.entries)
@@ -95,7 +76,7 @@ def _bit_requirement(level: int, plan: frozenset[Ordinal]) -> DenseRequirement:
 
 
 def _height_requirement(target: int) -> DenseRequirement:
-    def meet(p: PCondition, _rng) -> PCondition:
+    def meet(p: PCondition) -> PCondition:
         if p.height >= target:
             return p
         return p_extend(p, target, (), ())
@@ -146,17 +127,23 @@ def extract_gap_fragment(final: PCondition) -> GapFragment:
     )
 
 
-def _s_requirement(sigma: Ordinal) -> DenseRequirement:
-    def meet(p: QCondition, _rng) -> QCondition:
+def _q_step(ctx: QContext, p: QCondition, nxt: QCondition) -> QCondition:
+    if not q_leq(ctx, p, nxt):
+        raise InvariantViolation("selection-order", f"{nxt.to_json()} does not extend {p.to_json()}")
+    return nxt
+
+
+def _s_requirement(ctx: QContext, sigma: Ordinal) -> DenseRequirement:
+    def meet(p: QCondition) -> QCondition:
         if sigma in p.s:
             return p
-        return QCondition(p.w, p.s | {sigma})
+        return _q_step(ctx, p, QCondition(p.w, p.s | {sigma}))
 
     return DenseRequirement(f"s:{sigma}", meet)
 
 
-def _w_requirement(size: int, priority: tuple[Ordinal, ...], target: int) -> DenseRequirement:
-    def meet(p: QCondition, _rng) -> QCondition:
+def _w_requirement(ctx: QContext, size: int, priority: tuple[Ordinal, ...], target: int) -> DenseRequirement:
+    def meet(p: QCondition) -> QCondition:
         if len(p.w) >= size:
             return p
         remaining = target - len(p.w)
@@ -165,25 +152,25 @@ def _w_requirement(size: int, priority: tuple[Ordinal, ...], target: int) -> Den
         safe = [j for j in eligible if sum(1 for x in priority if x > j) >= remaining - 1]
         if not safe:
             raise RequirementFailure(f"no admissible fresh index for |w| >= {size}")
-        return QCondition(p.w | {safe[0]}, p.s)
+        return _q_step(ctx, p, QCondition(p.w | {safe[0]}, p.s))
 
     return DenseRequirement(f"wsize>={size}", meet)
 
 
-def q_standard_schedule(
-    ctx: QContext, target_w_size: int, s_ordinals: Sequence[Ordinal], seed: int
-) -> list[DenseRequirement]:
-    """Alternate growing s by the given limits and w by fresh indices.
+def q_standard_schedule(ctx: QContext, target_w_size: int, seed: int) -> list[DenseRequirement]:
+    """Alternate growing s by the designated limits and w by fresh indices.
 
     New w members are always taken above the current maximum (additions
     below it can be incompatible); the pick order is a seed-shuffled
-    priority over the tower indices.  Target 0 yields an empty schedule.
+    priority over the tower indices.  Target 0 yields an empty schedule; a
+    target above the number of tower indices fails before any requirement
+    is built, and every smaller one is met.
     """
     if target_w_size < 0:
         raise ValueError(f"target size of w must be a natural, got {target_w_size}")
-    s_list = sorted(set(s_ordinals))
-    if any(o not in ctx.part.S for o in s_list):
-        raise ValueError("scheduled limits must lie inside the designated set S")
+    if target_w_size > len(ctx.g.a):
+        raise RequirementFailure(f"|w| >= {target_w_size} asks for more than the {len(ctx.g.a)} tower indices")
+    s_list = sorted(ctx.part.S)
     rng = random.Random(seed)
     priority = sorted(ctx.g.a)
     rng.shuffle(priority)
@@ -191,8 +178,8 @@ def q_standard_schedule(
     reqs: list[DenseRequirement] = []
     for k in range(target_w_size):
         if k < len(s_list):
-            reqs.append(_s_requirement(s_list[k]))
-        reqs.append(_w_requirement(k + 1, priority, target_w_size))
+            reqs.append(_s_requirement(ctx, s_list[k]))
+        reqs.append(_w_requirement(ctx, k + 1, priority, target_w_size))
     return reqs
 
 
@@ -220,18 +207,6 @@ def check_tower_coherence(run: SimRun) -> None:
                 raise InvariantViolation("tower-coherence", f"b-excess at ({y}, {x}) exceeds entry height {h}")
 
 
-@dataclass(frozen=True)
-class PParams:
-    ordinals: tuple[Ordinal, ...]
-    target_height: int
-
-
-@dataclass(frozen=True)
-class QParams:
-    target_w_size: int
-    s_ordinals: tuple[Ordinal, ...] | None = None
-
-
 def default_index_blocks(count: int, block: int = 8) -> tuple[Ordinal, ...]:
     """Spread `count` indices across w-blocks of the given width."""
     if count < 0:
@@ -248,40 +223,31 @@ def default_partition(ordinals: Sequence[Ordinal]) -> SPartition:
 
 
 def pipeline(
-    p_params: PParams,
+    ordinals: Sequence[Ordinal],
+    height: int,
+    wsize: int,
     ladder: Ladder,
     part: SPartition,
-    q_params: QParams,
     seed: int,
 ) -> dict:
     """Forge a diagram, bind the context, specialize a selection, check it.
 
     Runs the diagram-forging simulation, asserts tower coherence and the
-    pairing containment, builds the context, runs the selection simulation,
-    and evaluates the ladder-threshold clause on the selected sub-diagram.
-    Any missing witness raises InvariantViolation.  The report is fully
-    determined by the parameters and the seed.
+    pairing containment, builds the context, runs the selection simulation
+    (s grows by every designated limit), and evaluates the ladder-threshold
+    clause on the selected sub-diagram.  Any missing witness raises
+    InvariantViolation.  The report is fully determined by the parameters
+    and the seed.
     """
-    p_run = build_filter(
-        p_poset(),
-        PCondition.empty(),
-        p_standard_schedule(p_params.ordinals, p_params.target_height, seed),
-        seed,
-    )
+    p_run = build_filter(PCondition.empty(), p_standard_schedule(ordinals, height, seed))
     check_tower_coherence(p_run)
     frag = extract_gap_fragment(p_run.result)
     for o in frag.a:
         if frag.a[o] & ~frag.b[o]:
             raise InvariantViolation("pairing-containment", f"a[{o}] escapes b[{o}]")
     ctx = QContext(frag, ladder, part)
-    s_list = tuple(sorted(part.S)) if q_params.s_ordinals is None else q_params.s_ordinals
-    q_run = build_filter(
-        q_poset(ctx),
-        QCondition.empty(),
-        q_standard_schedule(ctx, q_params.target_w_size, s_list, seed + 1),
-        seed + 1,
-    )
-    selected = extract_w(ctx, q_run.trace)
+    q_run = build_filter(QCondition.empty(), q_standard_schedule(ctx, wsize, seed + 1))
+    selected = q_run.result.w  # every step was verified, so w only grew
     sub = frag.restrict(selected)
     witnesses = c_hausdorff_check(sub, ladder, part)
     for (delta, j), wit in sorted(witnesses.items()):
@@ -290,13 +256,12 @@ def pipeline(
     return {
         "seed": seed,
         "params": {
-            "indices": [o.to_json() for o in sorted(p_params.ordinals)],
-            "height": p_params.target_height,
-            "w_target": q_params.target_w_size,
+            "indices": [o.to_json() for o in sorted(ordinals)],
+            "height": height,
+            "w_target": wsize,
         },
         "fragment": frag.to_json(),
         "W": [o.to_json() for o in sorted(selected)],
         "witnesses": [wit.to_json() for _, wit in sorted(witnesses.items())],
         "excess_csv": excess_matrix_csv(sub),
     }
-

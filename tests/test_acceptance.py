@@ -13,10 +13,8 @@ from gapforge import (
     Ladder,
     Ordinal,
     PCondition,
-    PParams,
     QCondition,
     QContext,
-    QParams,
     SPartition,
     build_compat_matrix,
     default_index_blocks,
@@ -350,7 +348,7 @@ def test_08_duality_and_brute_force():
 def test_09_pipeline_end_to_end():
     t0 = time.perf_counter()
     ordinals = default_index_blocks(20)
-    args = (PParams(ordinals, 64), Ladder.canonical(), default_partition(ordinals), QParams(10), 7)
+    args = (ordinals, 64, 10, Ladder.canonical(), default_partition(ordinals), 7)
     report = pipeline(*args)
     again = pipeline(*args)
     one, two = json.dumps(report, sort_keys=True), json.dumps(again, sort_keys=True)

@@ -12,6 +12,8 @@ from gapforge import (
     PCondition,
     SPartition,
     fin,
+    poset_p,
+    simulate,
 )
 from gapforge.cli import main
 from gapforge.gaps import MAX_UNIVERSE
@@ -270,12 +272,27 @@ def test_pipeline_failure_exit_code(tmp_path):
     assert main(["pipeline", "--indices", "4", "--height", "8", "--wsize", "9"]) == 3
 
 
-def test_pipeline_invariant_violation_keeps_its_fields(monkeypatch, capsys):
-    from gapforge import poset_p
+def test_pipeline_impossible_wsize_fails_before_building_its_schedule(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["pipeline", "--indices", "4", "--height", "8", "--wsize", "1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "RequirementFailure" in capsys.readouterr().err
+    assert peak < 2**20  # the schedule alone would hold 10**9 requirements
 
-    monkeypatch.setattr(poset_p, "p_leq", lambda p, q: False)
+
+@pytest.mark.parametrize(
+    "module, name, invariant",
+    [(poset_p, "p_leq", "extend-order"), (simulate, "q_leq", "selection-order")],
+    ids=["extend-order", "selection-order"],
+)
+def test_pipeline_invariant_violation_keeps_its_fields(module, name, invariant, monkeypatch, capsys):
+    monkeypatch.setattr(module, name, lambda *args: False)
     assert main(["pipeline", "--indices", "4", "--height", "4", "--wsize", "2"]) == 3
-    assert capsys.readouterr().err.startswith("gapforge: InvariantViolation: extend-order: ")
+    assert capsys.readouterr().err.startswith(f"gapforge: InvariantViolation: {invariant}: ")
 
 
 def test_pcc_generated_and_matrix_modes(tmp_path):

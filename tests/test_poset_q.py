@@ -7,14 +7,12 @@ from gapforge import (
     GapFragment,
     InvariantViolation,
     Ladder,
-    NotAChain,
     Ordinal,
     QCondition,
     QContext,
     SPartition,
     UnknownIndex,
     excess,
-    extract_w,
     fin,
     q_compatible,
     q_leq,
@@ -206,19 +204,6 @@ def test_separated_pair_check_raises_on_a_split_restriction(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         separated_pair_check(ctx, p1, p2, gamma, alpha)
     assert err.value.invariant == "separated-restriction"
-
-
-def test_extract_w():
-    rng = random.Random(34)
-    ctx = small_context(rng)
-    assert extract_w(ctx, []) == frozenset()
-    idx = sorted(ctx.g.a)
-    single = QCondition(frozenset(idx[:1]), frozenset())
-    assert extract_w(ctx, [single]) == frozenset(idx[:1])
-    grown = QCondition(frozenset(idx[:2]), frozenset())
-    assert extract_w(ctx, [single, grown]) == frozenset(idx[:2])
-    with pytest.raises(NotAChain):
-        extract_w(ctx, [grown, single])
 
 
 def test_qcondition_json_roundtrip():

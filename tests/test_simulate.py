@@ -10,9 +10,7 @@ from gapforge import (
     Ladder,
     Ordinal,
     PCondition,
-    PParams,
     QCondition,
-    QParams,
     RequirementFailure,
     QContext,
     build_filter,
@@ -22,59 +20,87 @@ from gapforge import (
     excess,
     extract_gap_fragment,
     fin,
-    p_poset,
+    p_leq,
     p_standard_schedule,
     pipeline,
-    q_poset,
+    poset_p,
+    q_leq,
     q_standard_schedule,
+    simulate,
 )
 from helpers import mask
 
 
 def test_build_filter_empty_schedule():
-    run = build_filter(p_poset(), PCondition.empty(), [], 0)
+    run = build_filter(PCondition.empty(), [])
     assert run.trace == [PCondition.empty()]
     assert run.result == PCondition.empty()
 
 
 def test_build_filter_height_requirement():
     reqs = p_standard_schedule([fin(0), fin(1)], 5, seed=3)
-    run = build_filter(p_poset(), PCondition.empty(), reqs, 3)
+    run = build_filter(PCondition.empty(), reqs)
     assert run.result.height >= 5
     assert set(run.result.entries) == {fin(0), fin(1)}
     for a, b in zip(run.trace, run.trace[1:]):
-        from gapforge import p_leq
-
         assert p_leq(a, b)
 
 
 def test_build_filter_idempotent_requirement_stabilizes():
     req = p_standard_schedule([], 4, seed=0)[0]
-    run = build_filter(p_poset(), PCondition.empty(), [req, req, req], 0)
-    assert run.trace[1] == run.trace[2] == run.trace[3]
+    run = build_filter(PCondition.empty(), [req, req, req])
+    assert run.trace[1] is run.trace[2] is run.trace[3]  # a met requirement is a no-op
 
 
-def test_build_filter_rejects_non_extension():
-    shrink = DenseRequirement("shrink", lambda p, rng: PCondition.empty())
-    start = PCondition(1, {fin(0): ("1", "1")})
-    with pytest.raises(RequirementFailure):
-        build_filter(p_poset(), start, [shrink], 0)
+def test_every_standard_meet_rule_verifies_its_step(monkeypatch):
+    p_reqs = p_standard_schedule(default_index_blocks(4), 4, seed=0)
+    ctx = _tiny_ctx()
+    q_reqs = q_standard_schedule(ctx, 3, seed=0)
+    with monkeypatch.context() as m:
+        m.setattr(poset_p, "p_leq", lambda p, q: False)
+        for req in p_reqs:
+            with pytest.raises(InvariantViolation) as err:
+                req.meet(PCondition.empty())
+            assert err.value.invariant == "extend-order"
+        with pytest.raises(InvariantViolation) as err:
+            build_filter(PCondition.empty(), p_reqs)
+        assert err.value.invariant == "extend-order"
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "q_leq", lambda ctx, p, q: False)
+        for req in q_reqs:
+            with pytest.raises(InvariantViolation) as err:
+                req.meet(QCondition.empty())
+            assert err.value.invariant == "selection-order"
+        with pytest.raises(InvariantViolation) as err:
+            build_filter(QCondition.empty(), q_reqs)
+        assert err.value.invariant == "selection-order"
 
 
 def test_build_filter_passes_invariant_violations_through():
-    def broken(p, rng):
+    def broken(p):
         raise InvariantViolation("extend-order", "planted")
 
     with pytest.raises(InvariantViolation) as err:
-        build_filter(p_poset(), PCondition.empty(), [DenseRequirement("broken", broken)], 0)
+        build_filter(PCondition.empty(), [DenseRequirement("broken", broken)])
     assert (err.value.invariant, err.value.detail) == ("extend-order", "planted")
+
+
+@pytest.mark.parametrize("exc", [ValueError("planted"), RequirementFailure("planted")])
+def test_build_filter_wraps_failed_requirements(exc):
+    def failing(p):
+        raise exc
+
+    with pytest.raises(RequirementFailure) as err:
+        build_filter(PCondition.empty(), [DenseRequirement("failing", failing)])
+    assert "'failing' failed: planted" in str(err.value)
+    assert err.value.__cause__ is exc
 
 
 def test_p_standard_schedule_shapes():
     assert [r.name for r in p_standard_schedule([], 7, seed=0)] == ["height>=7"]
     reqs = p_standard_schedule(default_index_blocks(20), 64, seed=1)
     assert len(reqs) >= 21
-    run = build_filter(p_poset(), PCondition.empty(), reqs, 1)
+    run = build_filter(PCondition.empty(), reqs)
     assert set(run.result.entries) == set(default_index_blocks(20))
     assert run.result.height == 64
 
@@ -82,7 +108,7 @@ def test_p_standard_schedule_shapes():
 def test_p_schedule_seed_variation():
     ordinals = default_index_blocks(8)
     runs = [
-        build_filter(p_poset(), PCondition.empty(), p_standard_schedule(ordinals, 24, seed=s), s)
+        build_filter(PCondition.empty(), p_standard_schedule(ordinals, 24, seed=s))
         for s in (5, 6)
     ]
     frags = [extract_gap_fragment(r.result) for r in runs]
@@ -101,7 +127,7 @@ def test_extract_gap_fragment_examples():
     rng = random.Random(41)
     for seed in range(5):
         reqs = p_standard_schedule(default_index_blocks(6), 16, seed=seed)
-        run = build_filter(p_poset(), PCondition.empty(), reqs, seed)
+        run = build_filter(PCondition.empty(), reqs)
         out = extract_gap_fragment(run.result)
         assert all(not out.a[o] & ~out.b[o] for o in out.a)
 
@@ -109,14 +135,14 @@ def test_extract_gap_fragment_examples():
 def test_tower_coherence_on_runs():
     for seed in range(4):
         reqs = p_standard_schedule(default_index_blocks(10), 24, seed=seed)
-        run = build_filter(p_poset(), PCondition.empty(), reqs, seed)
+        run = build_filter(PCondition.empty(), reqs)
         check_tower_coherence(run)  # must not raise
 
 
 def _tiny_ctx():
     ordinals = default_index_blocks(12)
     reqs = p_standard_schedule(ordinals, 24, seed=9)
-    run = build_filter(p_poset(), PCondition.empty(), reqs, 9)
+    run = build_filter(PCondition.empty(), reqs)
     frag = extract_gap_fragment(run.result)
     part = default_partition(ordinals)
     return QContext(frag, Ladder.canonical(), part)
@@ -124,29 +150,33 @@ def _tiny_ctx():
 
 def test_q_standard_schedule():
     ctx = _tiny_ctx()
-    assert q_standard_schedule(ctx, 0, sorted(ctx.part.S), seed=0) == []
-    reqs = q_standard_schedule(ctx, 6, sorted(ctx.part.S), seed=0)
-    run = build_filter(q_poset(ctx), QCondition.empty(), reqs, 0)
-    final = run.result
-    assert len(final.w) >= 6
-    assert final.s == ctx.part.S
-    ws = [sorted(c.w) for c in run.trace]
-    for earlier, later in zip(ws, ws[1:]):
-        added = set(later) - set(earlier)
-        assert all(j > max(earlier) for j in added) if earlier else True
-    with pytest.raises(ValueError):
-        q_standard_schedule(ctx, 2, [Ordinal(9, 0)], seed=0)
+    assert q_standard_schedule(ctx, 0, seed=0) == []
+    for size in (6, 12):  # 12 is every tower index
+        reqs = q_standard_schedule(ctx, size, seed=0)
+        run = build_filter(QCondition.empty(), reqs)
+        final = run.result
+        assert len(final.w) >= size
+        assert final.s == ctx.part.S
+        ws = [sorted(c.w) for c in run.trace]
+        for earlier, later in zip(ws, ws[1:]):
+            added = set(later) - set(earlier)
+            assert all(j > max(earlier) for j in added) if earlier else True
+        # the trace is a chain, so its last w is the union of all of them
+        assert all(q_leq(ctx, a, b) for a, b in zip(run.trace, run.trace[1:]))
+        assert final.w == frozenset().union(*(c.w for c in run.trace))
+    report = pipeline(ctx.g.I, 24, 6, Ladder.canonical(), ctx.part, 9)
+    q_run = build_filter(QCondition.empty(), q_standard_schedule(ctx, 6, seed=10))
+    assert report["W"] == [o.to_json() for o in sorted(q_run.result.w)]
 
 
 def test_q_schedule_runs_out_of_room():
     ctx = _tiny_ctx()
-    reqs = q_standard_schedule(ctx, 13, sorted(ctx.part.S), seed=0)  # only 12 indices exist
-    with pytest.raises(RequirementFailure):
-        build_filter(q_poset(ctx), QCondition.empty(), reqs, 0)
+    with pytest.raises(RequirementFailure):  # only 12 indices exist
+        build_filter(QCondition.empty(), q_standard_schedule(ctx, 13, seed=0))
 
 
 def test_pipeline_trivial():
-    report = pipeline(PParams((), 0), Ladder.canonical(), default_partition(()), QParams(0), 0)
+    report = pipeline((), 0, 0, Ladder.canonical(), default_partition(()), 0)
     assert report["W"] == []
     assert report["witnesses"] == []
     assert report["fragment"]["universe"] == 0
@@ -154,17 +184,17 @@ def test_pipeline_trivial():
 
 def test_pipeline_deterministic():
     ordinals = default_index_blocks(12)
-    args = (PParams(ordinals, 32), Ladder.canonical(), default_partition(ordinals), QParams(6), 7)
+    args = (ordinals, 32, 6, Ladder.canonical(), default_partition(ordinals), 7)
     one = pipeline(*args)
     two = pipeline(*args)
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
-    other = pipeline(PParams(ordinals, 32), Ladder.canonical(), default_partition(ordinals), QParams(6), 8)
+    other = pipeline(ordinals, 32, 6, Ladder.canonical(), default_partition(ordinals), 8)
     assert json.dumps(one, sort_keys=True) != json.dumps(other, sort_keys=True)
 
 
 def test_pipeline_report_shape():
     ordinals = default_index_blocks(12)
-    report = pipeline(PParams(ordinals, 32), Ladder.canonical(), default_partition(ordinals), QParams(6), 7)
+    report = pipeline(ordinals, 32, 6, Ladder.canonical(), default_partition(ordinals), 7)
     assert set(report) == {"seed", "params", "fragment", "W", "witnesses", "excess_csv"}
     assert len(report["W"]) >= 6
     for wit in report["witnesses"]:
