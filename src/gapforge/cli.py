@@ -35,6 +35,7 @@ from .pcc import (
 from .poset_p import PCondition, p_compatible_oracle
 from .poset_q import QCondition, QContext, q_compatible
 from .simulate import (
+    MAX_INDICES,
     build_filter,
     default_index_blocks,
     default_partition,
@@ -77,14 +78,16 @@ def _load_context(manifest_path: str) -> QContext:
     return QContext(frag, ladder, part)
 
 
-def _check_height(height: int) -> None:
+def _check_size(indices: int, height: int) -> None:
+    if indices > MAX_INDICES:
+        raise ValueError(f"--indices {indices} exceeds the forge limit {MAX_INDICES}")
     # the height is the universe of the forged diagram, which must load again
     if height > MAX_UNIVERSE:
         raise ValueError(f"--height {height} exceeds the diagram universe limit {MAX_UNIVERSE}")
 
 
 def _cmd_simulate_p(args) -> int:
-    _check_height(args.height)
+    _check_size(args.indices, args.height)
     seed = _resolve_seed(args.seed)
     ordinals = default_index_blocks(args.indices)
     run = build_filter(PCondition.empty(), p_standard_schedule(ordinals, args.height, seed))
@@ -162,7 +165,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    _check_height(args.height)
+    _check_size(args.indices, args.height)
     seed = _resolve_seed(args.seed)
     ordinals = default_index_blocks(args.indices)
     ladder = Ladder.from_json(_load_json(args.ladder)) if args.ladder else Ladder.canonical()

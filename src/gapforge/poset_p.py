@@ -7,6 +7,10 @@ membership bit of k, so extending a word as a function means appending
 characters.  The extension order additionally demands that every bit newly
 granted at an index reappear at every index above it in the two-sided order,
 which is what forges the tower structure out of raw bits.
+
+A condition stores each word as the integer bitmask whose bit k is character
+k, and every kernel here works on those masks; the `01` strings exist only
+where a reader asks for them (`entries`, `word`, `to_json`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AgreementFailure,
@@ -39,46 +44,82 @@ def _word(mask: int, length: int) -> str:
     return format(mask | 1 << length, "b")[:0:-1]
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True, init=False)
 class PCondition:
-    """height plus a finite map ordinal -> (low word, high word).
+    """height plus a finite map ordinal -> (low mask, high mask).
 
-    Invariants enforced on construction: every word has length == height,
-    and bitwise the low word is contained in the high word.  Both sides of
-    an ordinal are always present together because the map is keyed by the
-    ordinal itself.  Treat instances as immutable once built.
+    Mask bit k is character k of the word it stands for.  Invariants
+    enforced on construction: every mask lies in [0, 2^height), and the low
+    mask is contained in the high mask.  Both sides of an ordinal are always
+    present together because the map is keyed by the ordinal itself.
+    Instances are frozen and hashable, and the map is read-only.
     """
 
     height: int
-    entries: dict[Ordinal, tuple[str, str]]
+    masks: Mapping[Ordinal, tuple[int, int]]
+
+    def __init__(self, height: int, entries: Mapping[Ordinal, tuple[str, str]]):
+        """Build from words: each is checked for length and alphabet, then
+        converted to its mask once."""
+        masks = {}
+        for o, (w0, w1) in entries.items():
+            if len(w0) != height or len(w1) != height:
+                raise ValueError(f"words at {o} must have length {height}")
+            if w0.strip("01") or w1.strip("01"):
+                raise ValueError(f"words at {o} must be over the alphabet 01")
+            masks[o] = (bits(w0), bits(w1))
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "masks", MappingProxyType(masks))
+        self.__post_init__()
+
+    @classmethod
+    def from_masks(cls, height: int, masks: Mapping[Ordinal, tuple[int, int]]) -> PCondition:
+        """Build from (low, high) masks; the map is copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "masks", MappingProxyType(dict(masks)))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.height < 0:
             raise ValueError("height must be a natural")
-        for o, (w0, w1) in self.entries.items():
-            if len(w0) != self.height or len(w1) != self.height:
-                raise ValueError(f"words at {o} must have length {self.height}")
-            if w0.strip("01") or w1.strip("01"):
-                raise ValueError(f"words at {o} must be over the alphabet 01")
-            if bits(w0) & ~bits(w1):
-                raise ValueError(f"low word at {o} must be bitwise contained in the high word")
+        limit = 1 << self.height
+        for o, (lo, hi) in self.masks.items():
+            if not (0 <= lo < limit and 0 <= hi < limit):
+                raise ValueError(f"masks at {o} must lie in [0, 2^{self.height})")
+            if lo & ~hi:
+                raise ValueError(f"low mask at {o} must be bitwise contained in the high mask")
+
+    def __hash__(self):
+        return hash((self.height, frozenset(self.masks.items())))
+
+    def __reduce__(self):
+        # a read-only map does not pickle; rebuild from a plain copy of it
+        return PCondition.from_masks, (self.height, dict(self.masks))
 
     @classmethod
     def empty(cls) -> PCondition:
-        return cls(0, {})
+        return cls.from_masks(0, {})
+
+    @property
+    def entries(self) -> Mapping[Ordinal, tuple[str, str]]:
+        """The words, built from the masks on every read."""
+        h = self.height
+        return MappingProxyType({o: (_word(lo, h), _word(hi, h)) for o, (lo, hi) in self.masks.items()})
 
     def domain(self) -> tuple[Ordinal, ...]:
-        return tuple(sorted(self.entries))
+        return tuple(sorted(self.masks))
 
     def word(self, o: Ordinal, side: int) -> str:
-        return self.entries[o][side]
+        return _word(self.masks[o][side], self.height)
 
     def to_json(self) -> dict:
         return {
             "height": self.height,
             "entries": [
-                {"ord": o.to_json(), "a_bits": self.entries[o][0], "b_bits": self.entries[o][1]}
-                for o in sorted(self.entries)
+                {"ord": o.to_json(), "a_bits": self.word(o, 0), "b_bits": self.word(o, 1)}
+                for o in sorted(self.masks)
             ],
         }
 
@@ -107,21 +148,22 @@ def p_leq(p: PCondition, q: PCondition) -> bool:
     beyond p's height to reappear at every p-domain index above it in the
     two-sided order.  That order is total, so one prefix-union sweep up it
     checks the last clause: at each index, the union of the grants below
-    must lie inside q's word, read as a bitmask whose bit k is character k.
-    Only q restricted to dom(p) is ever consulted.
+    must lie inside q's mask.  Only q restricted to dom(p) is ever consulted.
     """
     if p.height > q.height:
         return False
-    for o, (w0, w1) in p.entries.items():
-        if o not in q.entries:
-            return False
-        q0, q1 = q.entries[o]
-        if not q0.startswith(w0) or not q1.startswith(w1):
-            return False
     m = p.height
+    below = (1 << m) - 1
+    qm = q.masks
+    for o, (p0, p1) in p.masks.items():
+        if o not in qm:
+            return False
+        q0, q1 = qm[o]
+        if (q0 ^ p0) & below or (q1 ^ p1) & below:
+            return False
     seen = 0
-    for o, s in two_sided(p.entries):
-        q_mask = bits(q.entries[o][s])
+    for o, s in two_sided(p.masks):
+        q_mask = qm[o][s]
         if seen & ~q_mask:
             return False
         seen |= q_mask >> m << m
@@ -131,7 +173,7 @@ def p_leq(p: PCondition, q: PCondition) -> bool:
 def p_restrict(p: PCondition, keep: Iterable[Ordinal]) -> PCondition:
     """Drop the entries outside `keep`; the height is preserved."""
     keep = set(keep)
-    return PCondition(p.height, {o: w for o, w in p.entries.items() if o in keep})
+    return PCondition.from_masks(p.height, {o: pair for o, pair in p.masks.items() if o in keep})
 
 
 def p_union_agreeing(p: PCondition, q: PCondition) -> PCondition:
@@ -142,10 +184,10 @@ def p_union_agreeing(p: PCondition, q: PCondition) -> PCondition:
     """
     if p.height != q.height:
         raise HeightMismatch(f"heights {p.height} and {q.height} differ")
-    for o in p.entries.keys() & q.entries.keys():
-        if p.entries[o] != q.entries[o]:
+    for o in p.masks.keys() & q.masks.keys():
+        if p.masks[o] != q.masks[o]:
             raise AgreementFailure(f"conditions disagree at {o}")
-    return PCondition(p.height, {**p.entries, **q.entries})
+    return PCondition.from_masks(p.height, {**p.masks, **q.masks})
 
 
 def p_join(p: PCondition, q: PCondition) -> PCondition:
@@ -159,19 +201,19 @@ def p_join(p: PCondition, q: PCondition) -> PCondition:
     some k below i, and k sits below every j above i as well.  Guarantees
     r >= p, r >= q and r restricted to A equal to q.
     """
-    a_dom = set(q.entries)
+    a_dom = q.masks.keys()
     if q.height < p.height or not p_leq(p_restrict(p, a_dom), q):
         raise HypothesisFailure("join needs p restricted to dom(q) below q, and q at least as tall")
     m = p.height
     payload = 0
-    words = {}
-    for o, s in two_sided(p.entries):
+    grown = {}
+    for o, s in two_sided(p.masks):
         if o in a_dom:
-            payload |= bits(q.entries[o][s])
+            payload |= q.masks[o][s]
         else:
-            words[o, s] = p.entries[o][s] + _word(payload >> m, q.height - m)
-    off_a = {o: (words[o, 0], words[o, 1]) for o in sorted(p.entries.keys() - a_dom)}
-    r = PCondition(q.height, {**q.entries, **off_a})
+            grown[o, s] = p.masks[o][s] | payload >> m << m
+    off_a = {o: (grown[o, 0], grown[o, 1]) for o in sorted(p.masks.keys() - a_dom)}
+    r = PCondition.from_masks(q.height, {**q.masks, **off_a})
     if not (p_leq(p, r) and p_leq(q, r) and p_restrict(r, a_dom) == q):
         raise InvariantViolation("join-upper-bound", f"join of heights {p.height} and {q.height} is no upper bound")
     return r
@@ -184,7 +226,7 @@ def p_join_from_core(p1: PCondition, p2: PCondition) -> PCondition:
     to C and p1 at least as tall; then the join with A = dom(p1) extends
     both.
     """
-    core = p1.entries.keys() & p2.entries.keys()
+    core = p1.masks.keys() & p2.masks.keys()
     if p1.height < p2.height or not p_leq(p_restrict(p2, core), p_restrict(p1, core)):
         raise HypothesisFailure("core-ordered join needs p2 below p1 on the shared core and p1 at least as tall")
     return p_join(p2, p1)
@@ -200,25 +242,27 @@ def p_compatible_oracle(p: PCondition, q: PCondition, max_free_bits: int = 24) -
     Raises SearchTooLarge past the free-bit cap.
     """
     height = max(p.height, q.height)
-    dom = sorted(set(p.entries) | set(q.entries))
-    fixed: dict[tuple[Ordinal, int], str] = {}
+    dom = sorted(p.masks.keys() | q.masks.keys())
+    fixed: list[int] = []  # per (o, side), dom-major: the longer word, as a mask
+    free: list[tuple[int, int]] = []  # per free slot: (0, its bit), ascending within a word
+    spans: list[tuple[int, int]] = []  # per (o, side): its slice of `free`
     for o in dom:
         for s in (0, 1):
-            wp = p.entries[o][s] if o in p.entries else ""
-            wq = q.entries[o][s] if o in q.entries else ""
-            lo, hi = (wp, wq) if len(wp) <= len(wq) else (wq, wp)
-            if not hi.startswith(lo):
+            known = [(c.height, c.masks[o][s]) for c in (p, q) if o in c.masks]
+            (short, lo), (length, hi) = min(known), max(known)
+            if (lo ^ hi) & ((1 << short) - 1):
                 return None  # the words themselves admit no common refinement
-            fixed[(o, s)] = hi
-    slots = [(o, s, k) for o in dom for s in (0, 1) for k in range(len(fixed[(o, s)]), height)]
-    if len(slots) > max_free_bits:
-        raise SearchTooLarge(f"{len(slots)} free bits exceed the {max_free_bits}-bit cap")
-    for choice in itertools.product("01", repeat=len(slots)):
-        words = {key: list(val) + ["0"] * (height - len(val)) for key, val in fixed.items()}
-        for (o, s, k), ch in zip(slots, choice):
-            words[(o, s)][k] = ch
+            fixed.append(hi)
+            spans.append((len(free), len(free) + height - length))
+            free.extend((0, 1 << k) for k in range(length, height))
+    if len(free) > max_free_bits:
+        raise SearchTooLarge(f"{len(free)} free bits exceed the {max_free_bits}-bit cap")
+    # the first slot varies slowest, so candidates come in lexicographic order
+    for choice in itertools.product(*free):
+        # the free bits of a word are distinct and above its fixed ones: sum is union
+        words = [base + sum(choice[a:b]) for base, (a, b) in zip(fixed, spans)]
         try:
-            cand = PCondition(height, {o: ("".join(words[(o, 0)]), "".join(words[(o, 1)])) for o in dom})
+            cand = PCondition.from_masks(height, {o: (words[2 * x], words[2 * x + 1]) for x, o in enumerate(dom)})
         except ValueError:
             continue
         if p_leq(p, cand) and p_leq(q, cand):
@@ -243,7 +287,7 @@ def p_extend(
     """
     if target_height < p.height:
         raise ValueError("target height may not shrink the condition")
-    dom = set(p.entries) | set(new_ordinals)
+    dom = set(p.masks).union(new_ordinals)
     grants: dict[tuple[Ordinal, int], int] = {}
     for (o, side), k in forced_bits:
         if side not in (0, 1):
@@ -253,15 +297,15 @@ def p_extend(
         if o not in dom:
             raise UnknownIndex(f"forced index ({o}, {side}) is outside the extension domain")
         grants[o, side] = grants.get((o, side), 0) | 1 << k
-    m = p.height
-    zeros = ("0" * m, "0" * m)
+    old = p.masks
+    zeros = (0, 0)
     order = sorted(dom)
     seen = 0
-    words = {}
+    masks = {}
     for o, s in two_sided(order):
         seen |= grants.get((o, s), 0)
-        words[o, s] = p.entries.get(o, zeros)[s] + _word(seen >> m, target_height - m)
-    out = PCondition(target_height, {o: (words[o, 0], words[o, 1]) for o in order})
+        masks[o, s] = old.get(o, zeros)[s] | seen
+    out = PCondition.from_masks(target_height, {o: (masks[o, 0], masks[o, 1]) for o in order})
     if not p_leq(p, out):
         raise InvariantViolation("extend-order", f"extension to height {target_height} does not extend p")
     return out
@@ -285,7 +329,7 @@ def delta_system_refine(family: Sequence[PCondition]) -> tuple[list[PCondition],
     group = [p for p in family if p.height == height]
     if len(group) == 1:
         return group, frozenset()
-    doms = [frozenset(p.entries) for p in group]
+    doms = [frozenset(p.masks) for p in group]
     inter = Counter()
     for x in range(len(group)):
         for y in range(x + 1, len(group)):
@@ -299,7 +343,7 @@ def delta_system_refine(family: Sequence[PCondition]) -> tuple[list[PCondition],
         groups: dict[tuple, list[tuple[PCondition, frozenset[Ordinal]]]] = {}
         for p, d in zip(group, doms):
             if core <= d:
-                sig = tuple((o, p.entries[o]) for o in sorted(core))
+                sig = tuple((o, p.masks[o]) for o in sorted(core))
                 groups.setdefault(sig, []).append((p, d))
         for members in groups.values():
             chosen: list[PCondition] = []

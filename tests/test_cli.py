@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from gapforge import (
 )
 from gapforge.cli import main
 from gapforge.gaps import MAX_UNIVERSE
+from gapforge.simulate import MAX_INDICES
 from helpers import mask, word_from_bits
 
 
@@ -180,6 +182,47 @@ def test_height_above_the_universe_limit_exits_2(argv, height, tmp_path, monkeyp
     assert str(MAX_UNIVERSE) in capsys.readouterr().err
     assert not (tmp_path / "never-written.json").exists()
     assert peak < 2**20  # the level plans of a 65,537-level schedule alone take 48 MiB
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-p", "--height", "1", "--out", "never-written.json"],
+        ["pipeline", "--height", "1", "--wsize", "1", "--out", "never-written.json"],
+    ],
+    ids=["simulate-p", "pipeline"],
+)
+def test_indices_above_the_forge_limit_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--indices", str(MAX_INDICES + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert str(MAX_INDICES) in capsys.readouterr().err
+    assert not (tmp_path / "never-written.json").exists()
+    assert peak < 2**20  # nothing is forged, not even the index list
+
+
+# SHA-256 of reports written before conditions stored masks; sizes outside
+# the benchmark's 40 x 64 table
+GOLDEN = [
+    (["pipeline", "--indices", "80", "--height", "128", "--wsize", "10", "--seed", "3"],
+     "3f0da0f30903d2766fc7b27fa35a399abe76ad891f3001fe981bca004605c783"),
+    (["pipeline", "--indices", "160", "--height", "256", "--wsize", "10", "--seed", "0"],
+     "4f0b6910c55553f4312937fc0e19c2ea9fb5010991668e46e8e02ff880148f2c"),
+    (["simulate-p", "--indices", "64", "--height", "64", "--seed", "7"],
+     "1383225a867d7aff4c22644674d60aa8dc943e7027efb25768c2e73896852797"),
+]
+
+
+@pytest.mark.parametrize("argv, sha", GOLDEN, ids=["pipeline-80x128", "pipeline-160x256", "simulate-p-64x64"])
+def test_reports_match_their_golden_digests(argv, sha, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 def test_simulate_p_at_the_universe_limit_reads_back(tmp_path):

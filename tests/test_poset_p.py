@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -279,3 +282,60 @@ def test_pcondition_json_roundtrip():
     assert PCondition.from_json(p.to_json()) == p
     with pytest.raises(ValueError):
         PCondition.from_json({"height": 1, "entries": [{"ord": [0, 0], "a_bits": "1", "b_bits": "0"}]})
+
+
+def test_pcondition_is_frozen_and_hashable():
+    p = PCondition(2, {AL: ("10", "11"), BE: ("00", "01")})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.height = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.masks = {}
+    with pytest.raises(TypeError):
+        p.masks[AL] = (0, 0)  # the map is read-only too
+    twin = PCondition.from_masks(2, {BE: (0, 2), AL: (1, 3)})
+    assert twin == p and hash(twin) == hash(p)
+    assert len({p, twin, PCondition.from_json(p.to_json())}) == 1
+    assert len({p, p_extend(p, 3)}) == 2
+
+
+def test_pcondition_copies_and_pickles():
+    p = PCondition(2, {AL: ("10", "11"), BE: ("00", "01")})
+    clones = [copy.copy(p), copy.deepcopy(p)]
+    clones += [pickle.loads(pickle.dumps(p, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert clone == p and hash(clone) == hash(p)
+        with pytest.raises(TypeError):
+            clone.masks[AL] = (0, 0)
+
+
+def test_pcondition_word_views_round_trip():
+    words = {AL: ("10", "11"), BE: ("00", "01")}
+    p = PCondition(2, words)
+    assert p.masks == {AL: (1, 3), BE: (0, 2)}  # bit k is character k
+    assert p.entries == words
+    assert [p.word(o, s) for o in (AL, BE) for s in (0, 1)] == ["10", "11", "00", "01"]
+    assert p.to_json() == {
+        "height": 2,
+        "entries": [
+            {"ord": [0, 0], "a_bits": "10", "b_bits": "11"},
+            {"ord": [0, 1], "a_bits": "00", "b_bits": "01"},
+        ],
+    }
+    assert PCondition(p.height, p.entries) == p
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [{AL: (0, 4)}, {AL: (4, 4)}, {AL: (-1, 3)}, {AL: (0, -1)}, {AL: (1, 2)}],
+    ids=["high-too-tall", "low-too-tall", "negative-low", "negative-high", "low-escapes-high"],
+)
+def test_from_masks_rejects_invalid_masks(masks):
+    with pytest.raises(ValueError):
+        PCondition.from_masks(2, masks)
+
+
+def test_from_masks_copies_its_map():
+    masks = {AL: (1, 3)}
+    p = PCondition.from_masks(2, masks)
+    masks[AL] = (3, 3)
+    assert p.masks == {AL: (1, 3)}

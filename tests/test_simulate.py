@@ -139,13 +139,40 @@ def test_tower_coherence_on_runs():
         check_tower_coherence(run)  # must not raise
 
 
-def _tiny_ctx():
-    ordinals = default_index_blocks(12)
-    reqs = p_standard_schedule(ordinals, 24, seed=9)
+def _forged_ctx(count, height, seed):
+    ordinals = default_index_blocks(count)
+    reqs = p_standard_schedule(ordinals, height, seed=seed)
     run = build_filter(PCondition.empty(), reqs)
     frag = extract_gap_fragment(run.result)
     part = default_partition(ordinals)
     return QContext(frag, Ladder.canonical(), part)
+
+
+def _tiny_ctx():
+    return _forged_ctx(12, 24, 9)
+
+
+def _quadratic_picks(ctx, target, seed):
+    """The w picks of the selection schedule, by its first formula: each
+    step recounts the indices above every candidate."""
+    priority = sorted(ctx.g.a)
+    random.Random(seed).shuffle(priority)
+    w = set()
+    for _ in range(target):
+        remaining = target - len(w)
+        eligible = [j for j in priority if j not in w and (not w or j > max(w))]
+        safe = [j for j in eligible if sum(1 for x in priority if x > j) >= remaining - 1]
+        w.add(safe[0])
+        yield safe[0]
+
+
+@pytest.mark.parametrize("count, height, seed", [(12, 24, 9), (20, 32, 1), (20, 32, 2), (33, 40, 5)])
+def test_w_picks_match_the_quadratic_formula(count, height, seed):
+    ctx = _forged_ctx(count, height, seed)
+    for target in range(count + 1):  # up to every tower index
+        run = build_filter(QCondition.empty(), q_standard_schedule(ctx, target, seed))
+        picks = [next(iter(b.w - a.w)) for a, b in zip(run.trace, run.trace[1:]) if b.w != a.w]
+        assert picks == list(_quadratic_picks(ctx, target, seed))
 
 
 def test_q_standard_schedule():
@@ -190,6 +217,17 @@ def test_pipeline_deterministic():
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
     other = pipeline(ordinals, 32, 6, Ladder.canonical(), default_partition(ordinals), 8)
     assert json.dumps(one, sort_keys=True) != json.dumps(other, sort_keys=True)
+
+
+def test_forging_builds_and_parses_no_words(monkeypatch):
+    def no_words(*args):
+        raise AssertionError("a bit word was built or parsed")
+
+    monkeypatch.setattr(poset_p, "_word", no_words)
+    monkeypatch.setattr(poset_p, "bits", no_words)
+    ordinals = default_index_blocks(40)
+    report = pipeline(ordinals, 64, 10, Ladder.canonical(), default_partition(ordinals), 0)
+    assert len(report["W"]) >= 10
 
 
 def test_pipeline_report_shape():
