@@ -9,6 +9,7 @@ canonical cofinal sequences, which is all the ladder machinery needs.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -146,20 +147,29 @@ class Ladder:
 
     def count_below(self, delta: Ordinal, j: Ordinal) -> int:
         """The number of rungs of c_delta lying strictly below j (j < delta)."""
+        return self.counts_below(delta, (j,))[0]
+
+    def counts_below(self, delta: Ordinal, js: Sequence[Ordinal]) -> list[int]:
+        """The number of rungs of c_delta lying strictly below each j of js,
+        in the order of js (every j < delta).
+
+        delta and the bound are checked once for the whole batch.  An
+        explicit table counts by bisection and raises TableTooShort when it
+        ends before some j, naming the greatest one.
+        """
         if not self.has(delta):
             raise UnknownDelta(f"no ladder at {delta}")
-        if not j < delta:
-            raise ValueError(f"count_below needs j < delta, got j={j}, delta={delta}")
+        if js and not max(js) < delta:
+            raise ValueError(f"count_below needs j < delta, got j={max(js)}, delta={delta}")
         if self.mode == "canonical":
             # rungs are (delta.q - 1, n); j < delta forces j.q <= delta.q - 1
-            return j.r if j.q == delta.q - 1 else 0
-        count = 0
-        for v in self.entries[delta]:
-            if v < j:
-                count += 1
-            else:
-                return count  # strictly increasing: the scan may stop here
-        raise TableTooShort(f"ladder at {delta} never reaches {j} within its table")
+            q = delta[0] - 1
+            return [j[1] if j[0] == q else 0 for j in js]
+        table = self.entries[delta]
+        counts = [bisect_left(table, j) for j in js]
+        if len(table) in counts:
+            raise TableTooShort(f"ladder at {delta} never reaches {max(js)} within its table")
+        return counts
 
     def first_index_above(self, delta: Ordinal, bound: Ordinal) -> int:
         """The least n with c_delta(n) strictly above bound (bound < delta)."""

@@ -74,23 +74,26 @@ def ladder_blocked(ctx: QContext, p: QCondition, cand: Sequence[Ordinal]) -> int
 
     Bit k is set when j = cand[k] is outside w^p and lies below some delta
     in s^p with an anchor i in w^p (delta <= i) such that excess(a_j, b_i)
-    is at most the rung count |c_delta below j|.  cand must ascend; it is
-    cut below each delta by bisection.  Every rung the clause needs is
-    counted, so a short explicit ladder table raises TableTooShort whatever
-    the outcome.
+    is at most the rung count |c_delta below j|, that is `(a_j & ~b_i) >>
+    rungs` is 0.  cand must ascend; it is cut below each delta by
+    bisection, and the rungs below its fresh members are counted in one
+    call per delta.  Every rung the clause needs is counted, so a short
+    explicit ladder table raises TableTooShort whatever the outcome.
     """
+    a = ctx.g.a
     blocked = 0
     for delta in p.s:
-        anchors = [ctx.g.b[i] for i in p.w if delta <= i]
-        if not anchors:
+        outside = [~ctx.g.b[i] for i in p.w if delta <= i]
+        if not outside:
             continue
-        for k, j in enumerate(cand[:bisect_left(cand, delta)]):
-            if j in p.w:
-                continue
-            rungs = ctx.ladder.count_below(delta, j)
-            a = ctx.g.a[j]
-            for b in anchors:
-                if (a & ~b).bit_length() <= rungs:
+        ks = [k for k, j in enumerate(cand[:bisect_left(cand, delta)]) if j not in p.w]
+        if not ks:
+            continue
+        rungs = ctx.ladder.counts_below(delta, [cand[k] for k in ks])
+        for k, r in zip(ks, rungs):
+            a_j = a[cand[k]]
+            for nb in outside:
+                if not (a_j & nb) >> r:
                     blocked |= 1 << k
                     break
     return blocked

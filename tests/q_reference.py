@@ -4,8 +4,9 @@ These are the nested-loop ladder clause and the cell-by-cell matrix the
 blocked-set kernel of poset_q replaced.  They walk the clause literally,
 delta by delta, fresh index by fresh index, anchor by anchor, over
 frozensets, with the tower sets read as frozensets and the excess taken
-by gaps_reference, so they share no logic with the bitmask code; the
-differential tests require both to agree exactly.
+by gaps_reference and the rungs counted by ordinals_reference, so they
+share no logic with the bitmask code; the differential tests require both
+to agree exactly.
 
 The loops stop at the first failing anchor, so with an explicit ladder
 table too short for some needed rung the reference raises TableTooShort
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from gapforge import CompatMatrix, QCondition, QContext
 from gaps_reference import ref_excess, set_of
+from ordinals_reference import ref_count_below
 
 
 def ref_q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
@@ -34,7 +36,7 @@ def ref_q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
         for j in fresh:
             if not j < delta:
                 continue
-            rungs = ctx.ladder.count_below(delta, j)
+            rungs = ref_count_below(ctx.ladder, delta, j)
             for i in anchors:
                 if ref_excess(set_of(ctx.g.a[j], ctx.g.universe), set_of(ctx.g.b[i], ctx.g.universe)) <= rungs:
                     return False

@@ -18,6 +18,7 @@ from gapforge import (
 )
 from gapforge.cli import main
 from gapforge.gaps import MAX_UNIVERSE
+from gapforge.pcc import MAX_FAMILY
 from gapforge.simulate import MAX_INDICES
 from helpers import mask, word_from_bits
 
@@ -206,8 +207,9 @@ def test_indices_above_the_forge_limit_exit_2(argv, tmp_path, monkeypatch, capsy
     assert peak < 2**20  # nothing is forged, not even the index list
 
 
-# SHA-256 of reports written before conditions stored masks; sizes outside
-# the benchmark's 40 x 64 table
+# SHA-256 of reports written before conditions stored masks (pipeline,
+# simulate-p) and before the rungs were counted once per delta (pcc); sizes
+# and seeds outside the benchmark's tables
 GOLDEN = [
     (["pipeline", "--indices", "80", "--height", "128", "--wsize", "10", "--seed", "3"],
      "3f0da0f30903d2766fc7b27fa35a399abe76ad891f3001fe981bca004605c783"),
@@ -215,10 +217,16 @@ GOLDEN = [
      "4f0b6910c55553f4312937fc0e19c2ea9fb5010991668e46e8e02ff880148f2c"),
     (["simulate-p", "--indices", "64", "--height", "64", "--seed", "7"],
      "1383225a867d7aff4c22644674d60aa8dc943e7027efb25768c2e73896852797"),
+    (["pcc", "--t1", "120", "--t2", "120", "--seed", "21"],
+     "6561890b4ce833a180f443a0b86b48f07815e505846667248fbf47bc97442fa6"),
+    (["pcc", "--t1", "30", "--t2", "8", "--seed", "1"],
+     "ef2da7262da1f190b0059b48a470a9755f94e06211d442ad366eac74c598edf5"),
 ]
 
 
-@pytest.mark.parametrize("argv, sha", GOLDEN, ids=["pipeline-80x128", "pipeline-160x256", "simulate-p-64x64"])
+@pytest.mark.parametrize(
+    "argv, sha", GOLDEN, ids=["pipeline-80x128", "pipeline-160x256", "simulate-p-64x64", "pcc-120x120", "pcc-30x8"]
+)
 def test_reports_match_their_golden_digests(argv, sha, tmp_path):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0
@@ -363,6 +371,21 @@ def test_pcc_rejects_empty_families_and_the_budget_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pcc", "--budget", "1099511627776"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("t1, t2", [(MAX_FAMILY + 1, 1), (1, 10**9)], ids=["t1", "t2"])
+def test_pcc_families_above_the_limit_exit_2(t1, t2, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(["pcc", "--t1", str(t1), "--t2", str(t2), "--seed", "0", "--out", "never-written.json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert str(MAX_FAMILY) in capsys.readouterr().err
+    assert not (tmp_path / "never-written.json").exists()
+    assert peak < 2**20  # no index, condition or cell is built
 
 
 def test_pcc_matrix_with_an_augmenting_path_deeper_than_the_recursion_limit(tmp_path):

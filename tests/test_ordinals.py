@@ -13,6 +13,7 @@ from gapforge import (
     fin,
     two_sided,
 )
+from ordinals_reference import ref_count_below
 from p_reference import _ilt
 
 
@@ -160,6 +161,92 @@ def test_explicit_ladder_errors():
     assert ladder.count_below(Ordinal(1, 0), fin(2)) == 1
     with pytest.raises(ValueError):
         ladder.count_below(Ordinal(1, 0), Ordinal(1, 1))  # j must sit below delta
+
+
+ERRORS = (UnknownDelta, TableTooShort, ValueError)
+
+
+def _outcome(call):
+    """What a rung count returns, or the type of what it raises."""
+    try:
+        return call()
+    except ERRORS as e:
+        return type(e)
+
+
+def _random_ladder(rng):
+    """A canonical ladder, or an explicit one over limits w*1..w*4 whose
+    tables (some empty) hold increasing values below their limit."""
+    if rng.random() < 0.25:
+        return Ladder.canonical()
+    entries = {}
+    for q in rng.sample(range(1, 5), rng.randint(1, 4)):
+        below = [Ordinal(rng.randint(0, q - 1), rng.randint(0, 12)) for _ in range(rng.randint(0, 8))]
+        entries[Ordinal(q, 0)] = sorted(set(below))
+    return Ladder.explicit(entries)
+
+
+def _random_js(rng, ladder, delta):
+    """Unsorted probes: mostly below delta, some equal to a rung, now and
+    then one at or past delta."""
+    rungs = list(ladder.entries.get(delta, ()))
+    js = []
+    for _ in range(rng.randint(0, 7)):
+        roll = rng.random()
+        if roll < 0.2 and rungs:
+            js.append(rng.choice(rungs))
+        elif roll < 0.25:
+            js.append(Ordinal(delta.q, rng.randint(0, 2)))
+        else:
+            js.append(Ordinal(rng.randint(0, max(delta.q - 1, 0)), rng.randint(0, 14)))
+    return js
+
+
+def test_counts_below_agrees_with_the_linear_scan_reference():
+    """Each batch returns the reference's counts, or raises exactly when
+    some one-j reference call raises, with one of the types it raised;
+    count_below raises the reference's own type."""
+    rng = random.Random(2026)
+    seen = {"counts": 0, UnknownDelta: 0, TableTooShort: 0, ValueError: 0}
+    for _ in range(600):
+        ladder = _random_ladder(rng)
+        delta = Ordinal(rng.randint(1, 5), 0 if rng.random() < 0.9 else 1)
+        js = _random_js(rng, ladder, delta)
+        expected = [_outcome(lambda j=j: ref_count_below(ladder, delta, j)) for j in js]
+        for j, want in zip(js, expected):
+            assert _outcome(lambda: ladder.count_below(delta, j)) == want, (ladder, delta, j)
+        got = _outcome(lambda: ladder.counts_below(delta, js))
+        failures = [e for e in expected if isinstance(e, type)]
+        if not ladder.has(delta):
+            assert got is UnknownDelta  # even for an empty batch
+        elif failures:
+            assert got in failures, (ladder, delta, js, got)
+        else:
+            assert got == expected, (ladder, delta, js)
+        seen["counts" if isinstance(got, list) else got] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_counts_below_edge_cases():
+    delta = Ordinal(1, 0)
+    ladder = Ladder.explicit({delta: [fin(0), fin(3), fin(7)]})
+    # a j equal to a rung counts only the rungs strictly below it
+    assert ladder.counts_below(delta, [fin(3), fin(0), fin(7), fin(5)]) == [1, 0, 2, 2]
+    assert ladder.counts_below(delta, []) == []
+    cases = [
+        (ladder, delta, [fin(1), fin(8)], TableTooShort),  # past the table
+        (ladder, Ordinal(2, 0), [fin(1)], UnknownDelta),
+        (ladder, delta, [fin(1), Ordinal(1, 0)], ValueError),  # j >= delta
+        (Ladder.canonical(), Ordinal(2, 1), [fin(1)], UnknownDelta),  # not a limit
+        (Ladder.canonical(), delta, [Ordinal(1, 2), fin(1)], ValueError),  # j >= delta first
+        (Ladder.explicit({delta: []}), delta, [fin(0)], TableTooShort),
+    ]
+    for lad, d, js, error in cases:
+        bad = [j for j in js if _outcome(lambda j=j: ref_count_below(lad, d, j)) is error]
+        assert bad
+        assert _outcome(lambda: lad.counts_below(d, js)) is error
+        assert all(_outcome(lambda j=j: lad.count_below(d, j)) is error for j in bad)
+    assert Ladder.canonical().counts_below(Ordinal(3, 0), [Ordinal(2, 4), fin(9), Ordinal(2, 0)]) == [4, 0, 0]
 
 
 def test_explicit_ladder_validation():

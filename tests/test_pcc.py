@@ -98,6 +98,12 @@ def test_generate_rejects_empty_families():
             generate_pcc_instance(0, *sizes)
 
 
+def test_generate_rejects_families_above_the_limit():
+    for sizes in ((pcc.MAX_FAMILY + 1, 1), (1, 10**9)):
+        with pytest.raises(ValueError, match=str(pcc.MAX_FAMILY)):
+            generate_pcc_instance(0, *sizes)
+
+
 def test_generated_instance_pair_validates():
     for seed in range(6):
         inst = generate_pcc_instance(seed, 12, 12)
@@ -159,6 +165,22 @@ def test_build_compat_matrix_examples():
     assert single.cells == ((True,),)
     with pytest.raises(ValueError):
         build_compat_matrix(inst.ctx, [(Ordinal(3, 1), p), (Ordinal(3, 1), p)], [])
+
+
+def test_the_matrix_counts_rungs_once_per_delta(monkeypatch):
+    """ladder_blocked asks for the rungs of each delta in one counts_below
+    call, so the matrix never takes the one-j count_below."""
+    for seed in (0, 9):
+        inst = generate_pcc_instance(seed, 120, 120)
+        fam1 = [(d, inst.fam1[d]) for d in inst.t1]
+        fam2 = [(d, inst.fam2[d]) for d in inst.t2]
+        expected = build_compat_matrix(inst.ctx, fam1, fam2)
+        with monkeypatch.context() as patched:
+            def refuse(self, delta, j):
+                raise RuntimeError(f"count_below({delta}, {j}) in the matrix build")
+
+            patched.setattr(Ladder, "count_below", refuse)
+            assert build_compat_matrix(inst.ctx, fam1, fam2) == expected
 
 
 def _random_matrix(rng, nr, nc, prob):
