@@ -12,6 +12,7 @@ Exit codes: 0 success / predicate holds; 1 predicate false or incompatible;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -218,7 +219,10 @@ def _cmd_pcc(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it is most of a small command's fixed cost."""
     parser = argparse.ArgumentParser(prog="gapforge", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -270,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SearchTooLarge as e:

@@ -129,14 +129,19 @@ def uniform_interpolation(g: GapFragment, n0: int) -> int | None:
     """A set x with a_i - n0 within x - n0 within b_j for all i, j, or None.
 
     One exists exactly when every excess(a_i, b_j) is at most n0; the
-    canonical witness returned is the union of the truncated a-sets.
+    canonical witness returned is the union of the truncated a-sets.  The
+    greatest excess(a_i, b_j) is that of the union of the a-sets against
+    the meet of the b-sets, so one pass over each side decides it.
     """
-    if any(excess(g.a[i], g.b[j]) > n0 for i in g.a for j in g.b):
-        return None
-    out = 0
+    union, meet = 0, -1
     for a in g.a.values():
-        out |= a
-    return out >> n0 << n0
+        union |= a
+    for b in g.b.values():
+        meet &= b
+    # without a pair (i, j) there is no excess to bound, even by a negative n0
+    if g.a and g.b and excess(union, meet) > n0:
+        return None
+    return union >> n0 << n0
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,12 @@ def c_hausdorff_check(
     find the least k such that for all n in [k, n_star) every i in I lying
     in [c_delta(n), delta) has excess(a_i, b_j) > n.  A pair maps to its
     witness, or to None when only the vacuous k = n_star survives.
+
+    With t_i the number of rungs at or below i, i lies in [c_delta(n),
+    delta) exactly when n < t_i, so the clause fails at n through i exactly
+    when excess(a_i, b_j) <= n < t_i: k is the greatest t_i >= 1 with
+    excess(a_i, b_j) < t_i, or 0.  Per delta every t_i comes from one rung
+    count, and per j a scan of the t_i, descending, stops at the first hit.
     """
     out: dict[tuple[Ordinal, Ordinal], CHWitness | None] = {}
     for delta in sorted(part.S & part.D):
@@ -182,12 +193,13 @@ def c_hausdorff_check(
                 out[(delta, j)] = CHWitness(delta, j, 0, 0)
             continue
         n_star = ladder.first_index_above(delta, max(below))
-        tails = [[i for i in below if i >= ladder.value(delta, n)] for n in range(n_star)]
+        # succ(i) < delta as delta is a limit, and every count is at most
+        # n_star, whose rung the table has just been seen to hold
+        counts = ladder.counts_below(delta, [i.succ() for i in below])
+        rungs = sorted(((t, g.a[i]) for t, i in zip(counts, below) if t), reverse=True)
         for j in js:
-            k = 0
-            for n in range(n_star):
-                if any(excess(g.a[i], g.b[j]) <= n for i in tails[n]):
-                    k = n + 1
+            outside = ~g.b[j]
+            k = next((t for t, a in rungs if not (a & outside) >> (t - 1)), 0)
             if n_star > 0 and k == n_star:
                 out[(delta, j)] = None
             else:

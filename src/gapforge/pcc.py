@@ -88,7 +88,7 @@ def build_compat_matrix(
     blocked1 = [ladder_blocked(ctx, p, cand2) for _, p in fam1]
     blocked2 = [ladder_blocked(ctx, q, cand1) for _, q in fam2]
     cells = tuple(
-        tuple(not (wq & bp or wp & bq) for wq, bq in zip(w2, blocked2))
+        tuple([not (wq & bp or wp & bq) for wq, bq in zip(w2, blocked2)])
         for wp, bp in zip(w1, blocked1)
     )
     return CompatMatrix(

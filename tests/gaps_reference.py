@@ -1,5 +1,6 @@
-"""Reference versions of the excess number, the gap predicates and the pcc
-meet/join profiles, over frozensets.
+"""Reference versions of the excess number, the gap predicates (the
+ladder-threshold check among them) and the pcc meet/join profiles, over
+frozensets.
 
 These are the set-based versions the package's bitmask code replaced.  A
 fragment's tower sets are read into frozensets one member test at a time
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import AbstractSet, Mapping
 
-from gapforge import GapFragment, IndexMismatch, Ordinal, PccInstance
+from gapforge import CHWitness, GapFragment, IndexMismatch, Ladder, Ordinal, PccInstance, SPartition
 
 
 @lru_cache(maxsize=1 << 16)
@@ -61,6 +62,34 @@ def ref_uniform_interpolation(g: GapFragment, n0: int) -> frozenset[int] | None:
     for i in a:
         out.update(x for x in a[i] if x >= n0)
     return frozenset(out)
+
+
+def ref_c_hausdorff_check(
+    g: GapFragment, ladder: Ladder, part: SPartition
+) -> dict[tuple[Ordinal, Ordinal], CHWitness | None]:
+    """The ladder clause scanned rung by rung: for each n below n_star, the
+    tail of I in [c_delta(n), delta), and k = n + 1 whenever some i of the
+    tail has excess(a_i, b_j) <= n."""
+    a, b = as_sets(g.a, g.universe), as_sets(g.b, g.universe)
+    out: dict[tuple[Ordinal, Ordinal], CHWitness | None] = {}
+    for delta in sorted(part.S & part.D):
+        js = [j for j in sorted(b) if j >= delta]
+        if not js:
+            continue
+        below = [i for i in sorted(a) if i < delta]
+        if not below:
+            for j in js:
+                out[(delta, j)] = CHWitness(delta, j, 0, 0)
+            continue
+        n_star = ladder.first_index_above(delta, max(below))
+        tails = [[i for i in below if i >= ladder.value(delta, n)] for n in range(n_star)]
+        for j in js:
+            k = 0
+            for n in range(n_star):
+                if any(ref_excess(a[i], b[j]) <= n for i in tails[n]):
+                    k = n + 1
+            out[(delta, j)] = None if n_star > 0 and k == n_star else CHWitness(delta, j, k, n_star)
+    return out
 
 
 def ref_full_inclusion_union(g: GapFragment) -> frozenset[int] | None:

@@ -16,7 +16,7 @@ from gapforge import (
     poset_p,
     simulate,
 )
-from gapforge.cli import main
+from gapforge.cli import build_parser, main
 from gapforge.gaps import MAX_UNIVERSE
 from gapforge.pcc import MAX_FAMILY
 from gapforge.simulate import MAX_INDICES
@@ -132,6 +132,28 @@ def test_check_c_hausdorff_table_too_short(tmp_path, capsys):
     assert "TableTooShort" in capsys.readouterr().err
 
 
+def test_check_c_hausdorff_cost_does_not_grow_with_an_index(tmp_path):
+    # the canonical ladder at w needs 10**9 + 1 rungs to clear the index
+    # 10**9; the check counts them, it does not list them
+    far, j = fin(10**9), Ordinal(1, 1)
+    frag = GapFragment(4, {far: mask({1}), j: mask({3})}, {far: mask({0}), j: mask({2})})
+    limits = frozenset({Ordinal(1, 0)})
+    argv = [
+        "check", "c-hausdorff",
+        "--gap", _write(tmp_path / "gap.json", frag.to_json()),
+        "--ladder", _write(tmp_path / "ladder.json", Ladder.canonical().to_json()),
+        "--partition", _write(tmp_path / "part.json", SPartition(S=limits, D=limits).to_json()),
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    assert peak < 2**20
+
+
 def test_check_rejects_a_huge_member_without_building_it(tmp_path, capsys):
     frag = _tiny_special_fragment().to_json()
     frag["a"]["0.1"] = [1, 10**9]
@@ -210,6 +232,36 @@ def test_indices_above_the_forge_limit_exit_2(argv, tmp_path, monkeypatch, capsy
 # SHA-256 of reports written before conditions stored masks (pipeline,
 # simulate-p) and before the rungs were counted once per delta (pcc); sizes
 # and seeds outside the benchmark's tables
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _run(argv, capsys) -> tuple:
+    """main(argv) in-process: (exit code, stdout, stderr)."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return (code, *capsys.readouterr())
+
+
+def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    gap = _write(tmp_path / "gap.json", _tiny_special_fragment().to_json())
+    argvs = [
+        ["pipeline", "--indices", "8", "--height", "8", "--wsize", "2", "--seed", "1"],
+        ["check", "special", "--gap", gap, "--n0", "0"],
+        ["pcc", "--t1", "4", "--t2", "4", "--seed", "2"],
+        ["pcc", "--t1", "four"],
+    ]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(_run(argv, capsys))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2]
+    # back to back, twice over, on the one parser built by the last call
+    assert [_run(argv, capsys) for argv in argvs * 2] == fresh * 2
+
+
 GOLDEN = [
     (["pipeline", "--indices", "80", "--height", "128", "--wsize", "10", "--seed", "3"],
      "3f0da0f30903d2766fc7b27fa35a399abe76ad891f3001fe981bca004605c783"),

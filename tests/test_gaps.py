@@ -95,6 +95,15 @@ def test_uniform_interpolation_examples():
     assert uniform_interpolation(empty_i, 0) == 0
 
 
+def test_uniform_interpolation_below_zero():
+    # every excess exceeds a negative threshold; with no pair to compare,
+    # truncating the witness at it is a negative shift
+    assert uniform_interpolation(_pair_fragment({0}, {0, 1}, {1}, {0, 1}), -1) is None
+    for empty_side in (GapFragment(4, {}, {fin(0): 1}), GapFragment(4, {fin(0): 1}, {})):
+        with pytest.raises(ValueError):
+            uniform_interpolation(empty_side, -1)
+
+
 def _brute_uniform(g, n0):
     space = range(g.universe)
     for size in range(g.universe + 1):

@@ -1,6 +1,6 @@
-"""Differential tests: the bitmask excess, gap predicates and pcc profiles
-against the frozenset versions in gaps_reference, requiring exact
-equality."""
+"""Differential tests: the bitmask excess, gap predicates, ladder-threshold
+check and pcc profiles against the frozenset versions in gaps_reference,
+requiring exact equality (or the same exception type)."""
 
 import itertools
 import random
@@ -10,8 +10,13 @@ import pytest
 from gapforge import (
     GapFragment,
     IndexMismatch,
+    Ladder,
     Ordinal,
+    SPartition,
+    TableTooShort,
+    UnknownDelta,
     almost_subset,
+    c_hausdorff_check,
     excess,
     fin,
     find_compatible_pair,
@@ -25,6 +30,7 @@ from gapforge import (
 from gaps_reference import (
     as_sets,
     ref_almost_subset,
+    ref_c_hausdorff_check,
     ref_excess,
     ref_first_witness,
     ref_full_inclusion_union,
@@ -117,6 +123,89 @@ def test_predicates_match_reference_on_random_fragments():
         elif rng.random() < 0.5:  # b-sets holding most of the a-sets: predicates hold more often
             g = GapFragment(universe, g.a, {o: g.b[o] | g.a[o] >> rng.randint(0, 3) for o in g.b})
         _check_predicates(g, {0, rng.randint(0, universe + 1), universe})
+
+
+def test_predicates_match_reference_with_an_empty_side():
+    """Empty I, empty J, or both: nothing to compare, at every threshold."""
+    rng = random.Random(75)
+    pool = [fin(k) for k in range(6)] + [Ordinal(1, 0), Ordinal(1, 4)]
+    for _ in range(200):
+        universe = rng.randint(0, 20)
+        g = random_fragment(rng, universe, pool, rng.randint(1, 4))
+        for a, b in (({}, g.b), (g.a, {}), ({}, {})):
+            _check_predicates(GapFragment(universe, a, b), range(universe + 2))
+
+
+def _check_c_hausdorff(g: GapFragment, ladder: Ladder, part: SPartition):
+    """c_hausdorff_check equals its reference on g, or raises an exception
+    of the very same type; returns the reference result or that type."""
+    try:
+        expected = ref_c_hausdorff_check(g, ladder, part)
+    except Exception as e:  # any type: the kernel must raise the very same one
+        with pytest.raises(Exception) as info:
+            c_hausdorff_check(g, ladder, part)
+        assert type(info.value) is type(e)
+        return type(e)
+    assert c_hausdorff_check(g, ladder, part) == expected
+    return expected
+
+
+def _verdicts(result) -> set:
+    """None for a failing pair, else (k > 0, k == n_star) of its witness."""
+    return {None if w is None else (w.k > 0, w.k == w.n_star) for w in result.values()}
+
+
+LIMITS = [Ordinal(1, 0), Ordinal(2, 0), Ordinal(3, 0)]
+RUNG_POOL = [fin(k) for k in range(9)] + [Ordinal(1, r) for r in range(7)] + [Ordinal(2, r) for r in range(5)]
+INDEX_POOL = [fin(k) for k in range(7)] + [Ordinal(1, r) for r in range(6)] + [Ordinal(2, r) for r in (0, 1, 3)]
+
+
+def _random_ladder(rng: random.Random) -> Ladder:
+    """Canonical, or an explicit table per limit: some limits left out, some
+    tables too short for the indices below their limit."""
+    if rng.random() < 0.4:
+        return Ladder.canonical()
+    entries = {}
+    for d in LIMITS:
+        if rng.random() < 0.2:
+            continue
+        below = [o for o in RUNG_POOL if o < d]
+        entries[d] = sorted(rng.sample(below, rng.randint(0, len(below))))
+    return Ladder.explicit(entries)
+
+
+def test_c_hausdorff_matches_reference_on_random_fragments():
+    rng = random.Random(76)
+    seen = set()
+    for _ in range(3000):
+        universe = rng.randint(0, 12)
+        iset = rng.sample(INDEX_POOL, rng.randint(0, 6))
+        jset = iset if rng.random() < 0.3 else rng.sample(INDEX_POOL, rng.randint(0, 6))
+        dense = rng.choice((0.5, 0.8, 0.95))
+        a = {o: mask(v for v in range(universe) if rng.random() < 0.4) for o in iset}
+        b = {o: mask(v for v in range(universe) if rng.random() < dense) for o in jset}
+        s = frozenset(d for d in LIMITS if rng.random() < 0.6)
+        d = frozenset(o for o in LIMITS + INDEX_POOL if rng.random() < 0.3) | s
+        result = _check_c_hausdorff(GapFragment(universe, a, b), _random_ladder(rng), SPartition(S=s, D=d))
+        seen |= {result} if isinstance(result, type) else _verdicts(result)
+    # every outcome turns up: both errors, failing pairs and each kind of witness
+    assert {TableTooShort, UnknownDelta, None} <= seen
+    assert {(False, True), (False, False), (True, False)} <= seen
+
+
+def test_c_hausdorff_matches_reference_on_every_small_diagram():
+    """Every choice of subsets of [0, 3) for a_0, a_1, a_2 below w and for
+    b_j at j = w+1, under the canonical ladder at w."""
+    delta, j = Ordinal(1, 0), Ordinal(1, 1)
+    below = [fin(0), fin(1), fin(2)]
+    part = SPartition(S=frozenset({delta}), D=frozenset({delta}))
+    seen = set()
+    for masks in itertools.product(range(8), repeat=4):
+        a = dict(zip(below, masks)) | {j: 0}
+        b = {i: 0 for i in below} | {j: masks[3]}
+        result = _check_c_hausdorff(GapFragment(3, a, b), Ladder.canonical(), part)
+        seen.add(None if result[(delta, j)] is None else result[(delta, j)].k)
+    assert seen == {None, 0, 1, 2}
 
 
 @pytest.mark.parametrize("t", [8, 30, 60])
