@@ -58,6 +58,7 @@ from .poset_p import (
     p_union_agreeing,
 )
 from .poset_q import (
+    CandidateSlices,
     QCondition,
     QContext,
     ladder_blocked,

@@ -9,7 +9,7 @@ canonical cofinal sequences, which is all the ladder machinery needs.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -170,6 +170,42 @@ class Ladder:
         if len(table) in counts:
             raise TableTooShort(f"ladder at {delta} never reaches {max(js)} within its table")
         return counts
+
+    def count_runs(
+        self, delta: Ordinal, cand: Sequence[Ordinal], n: int
+    ) -> tuple[list[tuple[int, int, int]], int]:
+        """Split cand[:n] (ascending, every member below delta) into runs of
+        equal rung count: triples (lo, hi, count) for cand[lo:hi], ascending
+        and non-empty, covering cand[:end].  From end on, cand[end:n] lie
+        past an explicit table; end is n when the table reaches them all.
+
+        A canonical ladder takes one bisection to the rung (delta.q - 1, 1):
+        everything below it counts 0 rungs, and every later candidate is a
+        run of its own with count j.r.  An explicit table bisects back and
+        forth, the first candidate of a run into the table for its count,
+        then the next rung into cand for the run's end, and stops once the
+        prefix is used up: two bisections per run, however long the table.
+        """
+        if not self.has(delta):
+            raise UnknownDelta(f"no ladder at {delta}")
+        if n and not cand[n - 1] < delta:
+            raise ValueError(f"count_runs needs j < delta, got j={cand[n - 1]}, delta={delta}")
+        if self.mode == "canonical":
+            q = delta[0] - 1
+            lo = bisect_left(cand, Ordinal(q, 1), 0, n)
+            runs = [(0, lo, 0)] if lo else []
+            return runs + [(k, k + 1, cand[k][1]) for k in range(lo, n)], n
+        table = self.entries[delta]
+        runs = []
+        lo = 0
+        while lo < n:
+            count = bisect_left(table, cand[lo])
+            if count == len(table):
+                break
+            hi = bisect_right(cand, table[count], lo, n)
+            runs.append((lo, hi, count))
+            lo = hi
+        return runs, lo
 
     def first_index_above(self, delta: Ordinal, bound: Ordinal) -> int:
         """The least n with c_delta(n) strictly above bound (bound < delta)."""

@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import InvariantViolation
 from .gaps import GapFragment
 from .ordinals import Ladder, Ordinal, SPartition
-from .poset_q import QCondition, QContext, ladder_blocked, q_compatible, q_restrict
+from .poset_q import CandidateSlices, QCondition, QContext, ladder_blocked, q_compatible, q_restrict
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,9 @@ def build_compat_matrix(
     p and q are compatible exactly when their union extends both, that is
     when neither one's ladder clause blocks a w member the other brings
     in.  Each condition is validated once and each family's w-union sorted
-    once; a row's blocked set is taken over the column union and a
-    column's over the row union (bit k = k-th member), so a cell is
+    and bit-sliced once (`CandidateSlices`); a row's blocked set is taken
+    over the column union and a column's over the row union (bit k = k-th
+    member) by the one `ladder_blocked` kernel, so a cell is
     `not (w_q & blocked_p or w_p & blocked_q)`.
     """
     sides = []
@@ -81,12 +82,11 @@ def build_compat_matrix(
             raise ValueError("family indices must strictly increase")
         for _, p in fam:
             ctx.check_condition(p)
-        cand = sorted(set().union(*(p.w for _, p in fam)))
-        pos = {o: k for k, o in enumerate(cand)}
-        sides.append((cand, [sum(1 << pos[o] for o in p.w) for _, p in fam]))
-    (cand1, w1), (cand2, w2) = sides
-    blocked1 = [ladder_blocked(ctx, p, cand2) for _, p in fam1]
-    blocked2 = [ladder_blocked(ctx, q, cand1) for _, q in fam2]
+        cs = CandidateSlices(ctx.g, sorted(set().union(*(p.w for _, p in fam))))
+        sides.append((cs, [sum(1 << cs.pos[o] for o in p.w) for _, p in fam]))
+    (cs1, w1), (cs2, w2) = sides
+    blocked1 = [ladder_blocked(ctx, p, cs2) for _, p in fam1]
+    blocked2 = [ladder_blocked(ctx, q, cs1) for _, q in fam2]
     cells = tuple(
         tuple([not (wq & bp or wp & bq) for wq, bq in zip(w2, blocked2)])
         for wp, bp in zip(w1, blocked1)
@@ -286,9 +286,12 @@ def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ..
 
 MAX_FAMILY = 2048
 """Most conditions per generated family.  The matrix and the rectangle
-search grow with t1 * t2: `pcc` at 480 x 480 takes 0.7 s and 21 MB, and at
-2048 x 2048 10 s and 91 MB (wall and peak RSS with interpreter start,
-2-vCPU Xeon, Python 3.11)."""
+search grow with t1 * t2: `pcc` at 480 x 480 takes 0.4 s and 21 MB, at
+1024 x 1024 0.7-0.9 s and 36 MB, and at 2048 x 2048 2.4-3.0 s and 97 MB
+(wall and peak RSS with interpreter start, 2-vCPU Xeon, Python 3.11).
+Memory, not time, holds the limit here: the cells alone, t1 tuples of t2
+bools, take 32 MB at 2048 x 2048, so raising it waits on rows stored as
+bitmasks."""
 
 
 def generate_pcc_instance(

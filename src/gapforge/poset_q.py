@@ -5,17 +5,20 @@ being selected, s collects designated limits that anchor the ladder clause.
 Extending a condition may only add below-delta indices j whose excess over
 each committed b_i beats the rung count of c_delta below j.  Tower sets
 are int bitmasks (bit k = member k), and `ladder_blocked` collects the
-indices a condition's clause keeps out as a bitmask over a candidate list:
-both the order and the pcc compatibility matrix stand on it.
+indices a condition's clause keeps out as a bitmask over a bit-sliced
+candidate list: both the order and the pcc compatibility matrix stand on
+it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
-from .errors import InvariantViolation, UnknownIndex
+from .errors import InvariantViolation, TableTooShort, UnknownIndex
 from .gaps import GapFragment
 from .ordinals import Ladder, Ordinal, SPartition
 
@@ -69,33 +72,73 @@ class QContext:
             raise ValueError("the s component must stay inside the designated set S")
 
 
-def ladder_blocked(ctx: QContext, p: QCondition, cand: Sequence[Ordinal]) -> int:
-    """The members of cand that p's ladder clause keeps out, as a bitmask.
+class CandidateSlices:
+    """An ascending candidate list, bit-sliced by its a-sets.
 
-    Bit k is set when j = cand[k] is outside w^p and lies below some delta
-    in s^p with an anchor i in w^p (delta <= i) such that excess(a_j, b_i)
-    is at most the rung count |c_delta below j|, that is `(a_j & ~b_i) >>
-    rungs` is 0.  cand must ascend; it is cut below each delta by
-    bisection, and the rungs below its fresh members are counted in one
-    call per delta.  Every rung the clause needs is counted, so a short
-    explicit ladder table raises TableTooShort whatever the outcome.
+    Bit k of a mask over the list stands for cand[k]; pos maps each
+    candidate to its k, used is the union of the candidates' a-sets, and
+    sl[u] is the mask of the candidates whose a-set holds u (for u below
+    the length of used), the bit-sliced index of O'Neil and Quass.
     """
-    a = ctx.g.a
+
+    __slots__ = ("cand", "pos", "used", "sl")
+
+    def __init__(self, g: GapFragment, cand: Sequence[Ordinal]):
+        self.cand = cand
+        self.pos = {o: k for k, o in enumerate(cand)}
+        sets = [g.a[o] for o in reversed(cand)]
+        self.used = reduce(or_, sets, 0)
+        # transpose: the a-sets as binary rows, last candidate first, so
+        # that column u read top-down is the slice of u, bit k = cand[k]
+        width = self.used.bit_length()
+        rows = "".join([format(s, f"0{width}b") for s in sets])
+        self.sl = [int(rows[width - 1 - u :: width], 2) for u in range(width)]
+
+
+def ladder_blocked(ctx: QContext, p: QCondition, cs: CandidateSlices) -> int:
+    """The candidates of cs that p's ladder clause keeps out, as a bitmask.
+
+    Bit k is set when j = cs.cand[k] is outside w^p and lies below some
+    delta in s^p with an anchor i in w^p (delta <= i) such that excess(a_j,
+    b_i) is at most the rung count r = |c_delta below j|: no u >= r outside
+    b_i lies in a_j.  Per delta, `Ladder.count_runs` splits the candidates
+    below delta into runs of equal r, and per run and anchor the
+    candidates that do hold such a u are the OR of the slices sl[u] over
+    the bits u >= r of `used & ~b_i`; the rest of the run is blocked, and
+    only the hit part goes on to the next anchor.  Whenever delta has
+    anchors and fresh candidates below it, a fresh one past an explicit
+    ladder table raises TableTooShort, whatever the outcome.
+    """
+    cand, pos, sl = cs.cand, cs.pos, cs.sl
+    fresh = ~sum(1 << pos[o] for o in p.w if o in pos)
     blocked = 0
     for delta in p.s:
-        outside = [~ctx.g.b[i] for i in p.w if delta <= i]
+        # within used, so never negative: the bit loop below ends
+        outside = [cs.used & ~ctx.g.b[i] for i in p.w if delta <= i]
         if not outside:
             continue
-        ks = [k for k, j in enumerate(cand[:bisect_left(cand, delta)]) if j not in p.w]
-        if not ks:
+        n = bisect_left(cand, delta)
+        below = fresh & (1 << n) - 1
+        if not below:
             continue
-        rungs = ctx.ladder.counts_below(delta, [cand[k] for k in ks])
-        for k, r in zip(ks, rungs):
-            a_j = a[cand[k]]
+        runs, end = ctx.ladder.count_runs(delta, cand, n)
+        if below >> end:
+            j = cand[below.bit_length() - 1]
+            raise TableTooShort(f"ladder at {delta} never reaches {j} within its table")
+        below &= ~blocked
+        for lo, hi, r in runs:
+            run = below & (1 << hi) - (1 << lo)
             for nb in outside:
-                if not (a_j & nb) >> r:
-                    blocked |= 1 << k
+                if not run:
                     break
+                nb = nb >> r << r
+                hit = 0
+                while nb:
+                    low = nb & -nb
+                    hit |= sl[low.bit_length() - 1]
+                    nb ^= low
+                blocked |= run & ~hit
+                run &= hit
     return blocked
 
 
@@ -109,7 +152,7 @@ def q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
     ctx.check_condition(q)
     if not (p.w <= q.w and p.s <= q.s):
         return False
-    return not ladder_blocked(ctx, p, sorted(q.w - p.w))
+    return not ladder_blocked(ctx, p, CandidateSlices(ctx.g, sorted(q.w - p.w)))
 
 
 def q_restrict(p: QCondition, alpha: Ordinal) -> QCondition:

@@ -1,21 +1,29 @@
 """Reference implementations of the pair-poset order and the pcc matrix.
 
-These are the nested-loop ladder clause and the cell-by-cell matrix the
-blocked-set kernel of poset_q replaced.  They walk the clause literally,
-delta by delta, fresh index by fresh index, anchor by anchor, over
-frozensets, with the tower sets read as frozensets and the excess taken
-by gaps_reference and the rungs counted by ordinals_reference, so they
-share no logic with the bitmask code; the differential tests require both
-to agree exactly.
+`ref_q_leq` and `ref_build_compat_matrix` are the nested-loop ladder
+clause and the cell-by-cell matrix the blocked-set kernel of poset_q
+replaced.  They walk the clause literally, delta by delta, fresh index by
+fresh index, anchor by anchor, over frozensets, with the tower sets read
+as frozensets and the excess taken by gaps_reference and the rungs
+counted by ordinals_reference, so they share no logic with the bitmask
+code; the differential tests require both to agree exactly.
 
 The loops stop at the first failing anchor, so with an explicit ladder
 table too short for some needed rung the reference raises TableTooShort
 or returns False depending on which fresh index the set yields first.
+
+`ref_ladder_blocked` is the per-candidate blocked-set loop that the
+bit-sliced kernel replaced: one `counts_below` per delta, then every fresh
+candidate tested against every anchor.  It keeps the kernel's error
+contract, so the two must agree on the mask and on whether they raise.
 """
 
 from __future__ import annotations
 
-from gapforge import CompatMatrix, QCondition, QContext
+from bisect import bisect_left
+from typing import Sequence
+
+from gapforge import CompatMatrix, Ordinal, QCondition, QContext
 from gaps_reference import ref_excess, set_of
 from ordinals_reference import ref_count_below
 
@@ -67,3 +75,26 @@ def ref_build_compat_matrix(ctx: QContext, fam1, fam2) -> CompatMatrix:
         tuple(p for _, p in fam1),
         tuple(q for _, q in fam2),
     )
+
+
+def ref_ladder_blocked(ctx: QContext, p: QCondition, cand: Sequence[Ordinal]) -> int:
+    """The members of cand that p's ladder clause keeps out, as a bitmask:
+    bit k is set when cand[k] is outside w^p, below some delta in s^p, and
+    `(a_j & ~b_i) >> rungs` is 0 for some anchor i >= delta in w^p."""
+    a = ctx.g.a
+    blocked = 0
+    for delta in p.s:
+        outside = [~ctx.g.b[i] for i in p.w if delta <= i]
+        if not outside:
+            continue
+        ks = [k for k, j in enumerate(cand[:bisect_left(cand, delta)]) if j not in p.w]
+        if not ks:
+            continue
+        rungs = ctx.ladder.counts_below(delta, [cand[k] for k in ks])
+        for k, r in zip(ks, rungs):
+            a_j = a[cand[k]]
+            for nb in outside:
+                if not (a_j & nb) >> r:
+                    blocked |= 1 << k
+                    break
+    return blocked

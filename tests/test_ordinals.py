@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -247,6 +248,97 @@ def test_counts_below_edge_cases():
         assert _outcome(lambda: lad.counts_below(d, js)) is error
         assert all(_outcome(lambda j=j: lad.count_below(d, j)) is error for j in bad)
     assert Ladder.canonical().counts_below(Ordinal(3, 0), [Ordinal(2, 4), fin(9), Ordinal(2, 0)]) == [4, 0, 0]
+
+
+def _check_runs(ladder, delta, cand):
+    """count_runs over the part of cand (ascending) below delta agrees with
+    counts_below: ascending maximal runs covering cand[:end], and cand[end]
+    the first candidate past the table.  Returns end."""
+    n = bisect_left(cand, delta)
+    runs, end = ladder.count_runs(delta, cand, n)
+    bounds = [0] + [hi for _, hi, _ in runs]
+    assert [lo for lo, _, _ in runs] == bounds[:-1] and bounds[-1] == end  # contiguous from 0
+    assert all(lo < hi for lo, hi, _ in runs)
+    assert all(x[2] < y[2] for x, y in zip(runs, runs[1:]))  # equal counts share one run
+    assert [c for lo, hi, c in runs for _ in range(lo, hi)] == ladder.counts_below(delta, cand[:end])
+    if end < n:
+        with pytest.raises(TableTooShort):
+            ladder.count_below(delta, cand[end])
+    return end
+
+
+def test_count_runs_agrees_with_counts_below():
+    rng = random.Random(2027)
+    seen = {"whole": 0, "cut": 0, UnknownDelta: 0}
+    for _ in range(600):
+        ladder = _random_ladder(rng)
+        delta = Ordinal(rng.randint(1, 5), 0 if rng.random() < 0.9 else 1)
+        cand = sorted(set(_random_js(rng, ladder, delta)))
+        if not ladder.has(delta):
+            with pytest.raises(UnknownDelta):
+                ladder.count_runs(delta, cand, bisect_left(cand, delta))
+            seen[UnknownDelta] += 1
+            continue
+        end = _check_runs(ladder, delta, cand)
+        seen["whole" if end == bisect_left(cand, delta) else "cut"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_count_runs_edge_cases():
+    delta = Ordinal(2, 0)
+    canonical = Ladder.canonical()
+    # the count-0 run reaches up to (1, 0); each later candidate is its own run
+    cand = [fin(3), fin(9), Ordinal(1, 0), Ordinal(1, 2), Ordinal(1, 7), Ordinal(2, 0), Ordinal(2, 4)]
+    assert canonical.count_runs(delta, cand, 5) == ([(0, 3, 0), (3, 4, 2), (4, 5, 7)], 5)
+    assert canonical.count_runs(delta, [], 0) == ([], 0)
+    assert canonical.count_runs(delta, cand, 0) == ([], 0)
+    # a table longer than the prefix stops once the prefix is used up
+    table = [fin(r) for r in range(0, 2000, 2)]
+    explicit = Ladder.explicit({delta: table})
+    assert explicit.count_runs(delta, [fin(5), fin(6), fin(7), fin(30)], 4) == (
+        [(0, 2, 3), (2, 3, 4), (3, 4, 15)],
+        4,
+    )
+    for lad in (canonical, explicit, Ladder.explicit({delta: [fin(4), Ordinal(1, 3)]})):
+        for cand in ([fin(5), fin(6), fin(7), fin(30)], [fin(0), fin(4), fin(5), Ordinal(1, 3), Ordinal(1, 4)]):
+            _check_runs(lad, delta, cand)
+    short = Ladder.explicit({delta: [fin(4), Ordinal(1, 3)]})
+    assert short.count_runs(delta, [fin(0), fin(4), fin(5), Ordinal(1, 3), Ordinal(1, 4)], 5) == (
+        [(0, 2, 0), (2, 4, 1)],
+        4,
+    )
+    assert Ladder.explicit({delta: []}).count_runs(delta, [fin(1)], 1) == ([], 0)
+    with pytest.raises(UnknownDelta):
+        explicit.count_runs(Ordinal(1, 0), [fin(1)], 1)
+    with pytest.raises(ValueError):
+        canonical.count_runs(delta, [fin(3), Ordinal(1, 2), delta], 3)  # delta is not below delta
+
+
+class _Counted(list):
+    """A list that counts the items read from it, bisection included."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        _Counted.reads += 1
+        return list.__getitem__(self, k)
+
+
+def test_count_runs_work_is_bounded_by_the_candidates():
+    """A canonical rung count of 10**9 is read off the candidate, not
+    counted up to, and a long explicit table is bisected, not walked."""
+    delta = Ordinal(3, 0)
+    cand = _Counted([fin(1), Ordinal(1, 4), Ordinal(2, 0), Ordinal(2, 5), Ordinal(2, 10**9)])
+    _Counted.reads = 0
+    runs, end = Ladder.canonical().count_runs(delta, cand, len(cand))
+    assert runs == [(0, 3, 0), (3, 4, 5), (4, 5, 10**9)] and end == 5
+    assert _Counted.reads <= 2 * len(cand)
+    long_table = Ladder.explicit({delta: [Ordinal(2, r) for r in range(10**5)]})
+    cand = _Counted([fin(1), Ordinal(2, 0), Ordinal(2, 1), Ordinal(2, 99_000), Ordinal(2, 10**5)])
+    _Counted.reads = 0
+    runs = long_table.count_runs(delta, cand, len(cand))
+    assert runs == ([(0, 2, 0), (2, 3, 1), (3, 4, 99_000)], 4)  # (2, 10**5) lies past the table
+    assert _Counted.reads <= 4 * len(cand)
 
 
 def test_explicit_ladder_validation():

@@ -1,13 +1,16 @@
 """Differential tests: the blocked-set kernel behind q_leq and
-build_compat_matrix against the nested-loop clause and the cell-by-cell
-matrix in q_reference, requiring exact equality."""
+build_compat_matrix against the per-candidate blocked-set loop, the
+nested-loop clause and the cell-by-cell matrix in q_reference, requiring
+exact equality."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from gapforge import (
+    CandidateSlices,
     GapFragment,
     Ladder,
     Ordinal,
@@ -15,13 +18,15 @@ from gapforge import (
     QContext,
     SPartition,
     TableTooShort,
+    UnknownDelta,
     build_compat_matrix,
     fin,
     generate_pcc_instance,
+    ladder_blocked,
     q_leq,
 )
 from helpers import conditions_in, random_fragment, small_context
-from q_reference import ref_build_compat_matrix, ref_q_leq
+from q_reference import ref_build_compat_matrix, ref_ladder_blocked, ref_q_leq
 
 # finite indices, indices between the limits, and the limits themselves
 POOL = [fin(1), fin(3), fin(4), Ordinal(1, 0), Ordinal(1, 2), Ordinal(1, 5), Ordinal(2, 0), Ordinal(2, 1)]
@@ -30,9 +35,12 @@ LIMITS = frozenset({Ordinal(1, 0), Ordinal(2, 0), Ordinal(3, 0)})
 
 def _ladder(rng: random.Random, kind: str) -> Ladder:
     """Canonical, or an explicit table per limit: "full" tables reach past
-    every index below their limit, "short" ones may stop anywhere."""
+    every index below their limit, "short" ones may stop anywhere, "empty"
+    ones hold no rung."""
     if kind == "canonical":
         return Ladder.canonical()
+    if kind == "empty":
+        return Ladder.explicit({delta: [] for delta in LIMITS})
     entries = {}
     for delta in LIMITS:
         below = [Ordinal(q, r) for q in range(delta.q) for r in range(8)]
@@ -191,3 +199,95 @@ def test_short_ladder_pinned_pair():
     with pytest.raises(TableTooShort):
         q_leq(ctx, p, q)
 
+
+ABOVE = Ordinal(5, 1)  # above every delta a condition carries
+STRAY = Ordinal(4, 0)  # a limit outside S, which no explicit table holds
+
+
+def _outcome(call):
+    """What a blocked-set call returns, or the type of what it raises."""
+    try:
+        return call()
+    except (TableTooShort, UnknownDelta) as e:
+        return type(e)
+
+
+def _blocked(ctx: QContext, p: QCondition, cand):
+    """The kernel's outcome over cand, required equal to the per-candidate
+    reference's."""
+    got = _outcome(lambda: ladder_blocked(ctx, p, CandidateSlices(ctx.g, cand)))
+    assert got == _outcome(lambda: ref_ladder_blocked(ctx, p, cand)), (ctx, p, cand)
+    return got
+
+
+def _tally(seen: Counter, got) -> None:
+    seen[got if isinstance(got, type) else "blocked" if got else "none"] += 1
+
+
+EXPECTED_OUTCOMES = {
+    "canonical": {"blocked", "none"},
+    "full": {"blocked", "none", UnknownDelta},
+    "short": {"blocked", "none", UnknownDelta, TableTooShort},
+    "empty": {"none", UnknownDelta, TableTooShort},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPECTED_OUTCOMES))
+def test_ladder_blocked_matches_reference_on_random_contexts(kind):
+    """Candidate lists mix members of w^p, other indices and ABOVE, or are
+    empty; now and then s^p holds STRAY, which only a canonical ladder
+    has, so a missing delta raises as a short table does."""
+    rng = random.Random({"canonical": 71, "empty": 72, "full": 73, "short": 74}[kind])
+    seen, lists = Counter(), Counter()
+    for _ in range(200):
+        idx = rng.sample(POOL, rng.randint(3, len(POOL))) + [ABOVE]
+        frag = random_fragment(rng, rng.randint(4, 8), idx, len(idx))
+        ctx = QContext(frag, _ladder(rng, kind), SPartition(S=LIMITS, T=frozenset(), D=LIMITS))
+        members = sorted(frag.a)
+        for _ in range(20):
+            p = _random_condition(rng, ctx)
+            if rng.random() < 0.1:
+                p = QCondition(p.w, p.s | {STRAY})
+            cand = []
+            if rng.random() < 0.9:
+                own = rng.sample(sorted(p.w), rng.randint(0, len(p.w)))
+                cand = sorted(set(own) | set(rng.sample(members, rng.randint(1, len(members)))))
+            lists["empty" if not cand else "meets w" if p.w & set(cand) else "fresh"] += 1
+            lists["above"] += ABOVE in cand
+            _tally(seen, _blocked(ctx, p, cand))
+    assert set(seen) == EXPECTED_OUTCOMES[kind], seen
+    assert min(seen.values()) >= 20 and min(lists.values()) >= 200, (seen, lists)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "full", "short"])
+def test_ladder_blocked_matches_reference_on_grid(kind):
+    """Every bounded condition against every candidate sublist of the
+    index set."""
+    rng = random.Random({"canonical": 75, "full": 76, "short": 77}[kind])
+    seen = Counter()
+    for _ in range(6):
+        ctx = small_context(rng)
+        if kind != "canonical":
+            ctx = QContext(ctx.g, _ladder(rng, kind), SPartition(S=LIMITS, T=frozenset(), D=LIMITS))
+        idx = sorted(ctx.g.a)
+        lists = [list(c) for n in range(len(idx) + 1) for c in itertools.combinations(idx, n)]
+        for p in conditions_in(ctx):
+            for cand in lists:
+                _tally(seen, _blocked(ctx, p, cand))
+    assert {"blocked", "none"} <= set(seen), seen
+    assert (TableTooShort in seen) is (kind == "short"), seen
+
+
+@pytest.mark.parametrize("seed, t", [(0, 120), (1, 120), (2, 120), (3, 120), (0, 480)])
+def test_ladder_blocked_matches_reference_on_pcc_instances(seed, t):
+    """Rows over the column union and columns over the row union, the two
+    orientations build_compat_matrix takes."""
+    inst = generate_pcc_instance(seed, t, t)
+    fam1 = [inst.fam1[d] for d in inst.t1]
+    fam2 = [inst.fam2[d] for d in inst.t2]
+    for fam, other in ((fam1, fam2), (fam2, fam1)):
+        cand = sorted(set().union(*(q.w for q in other)))
+        cs = CandidateSlices(inst.ctx.g, cand)
+        got = [ladder_blocked(inst.ctx, p, cs) for p in fam]
+        assert got == [ref_ladder_blocked(inst.ctx, p, cand) for p in fam]
+        assert any(got)
