@@ -23,7 +23,6 @@ from .gaps import (
     c_hausdorff_check,
     excess,
     excess_matrix_csv,
-    full_inclusion_union,
     members,
     special_gap_check,
     uniform_interpolation,

@@ -73,12 +73,13 @@ class GapFragment:
         )
 
     def to_json(self) -> dict:
+        I, J = self.I, self.J
         return {
             "universe": self.universe,
-            "I": [o.to_json() for o in self.I],
-            "J": [o.to_json() for o in self.J],
-            "a": {o.key(): members(self.a[o]) for o in self.I},
-            "b": {o.key(): members(self.b[o]) for o in self.J},
+            "I": [o.to_json() for o in I],
+            "J": [o.to_json() for o in J],
+            "a": {o.key(): members(self.a[o]) for o in I},
+            "b": {o.key(): members(self.b[o]) for o in J},
         }
 
     @classmethod
@@ -179,24 +180,26 @@ def c_hausdorff_check(
     With t_i the number of rungs at or below i, i lies in [c_delta(n),
     delta) exactly when n < t_i, so the clause fails at n through i exactly
     when excess(a_i, b_j) <= n < t_i: k is the greatest t_i >= 1 with
-    excess(a_i, b_j) < t_i, or 0.  Per delta every t_i comes from one rung
-    count, and per j a scan of the t_i, descending, stops at the first hit.
+    excess(a_i, b_j) < t_i, or 0.  Per delta every t_i comes from one
+    `Ladder.count_runs` over the successors of I & delta, whose runs ascend
+    in t, so per j a scan of the runs in reverse stops at the first hit.
     """
+    I, J = g.I, g.J
     out: dict[tuple[Ordinal, Ordinal], CHWitness | None] = {}
     for delta in sorted(part.S & part.D):
-        js = [j for j in g.J if j >= delta]
+        js = [j for j in J if j >= delta]
         if not js:
             continue
-        below = [i for i in g.I if i < delta]
+        below = [i for i in I if i < delta]
         if not below:
             for j in js:
                 out[(delta, j)] = CHWitness(delta, j, 0, 0)
             continue
-        n_star = ladder.first_index_above(delta, max(below))
-        # succ(i) < delta as delta is a limit, and every count is at most
-        # n_star, whose rung the table has just been seen to hold
-        counts = ladder.counts_below(delta, [i.succ() for i in below])
-        rungs = sorted(((t, g.a[i]) for t, i in zip(counts, below) if t), reverse=True)
+        n_star = ladder.first_index_above(delta, below[-1])
+        # succ(i) < delta as delta is a limit, and the table has just been
+        # seen to hold rung n_star, above every count: no run ends early
+        runs, _ = ladder.count_runs(delta, [i.succ() for i in below], len(below))
+        rungs = [(t, g.a[i]) for lo, hi, t in reversed(runs) if t for i in below[lo:hi]]
         for j in js:
             outside = ~g.b[j]
             k = next((t for t, a in rungs if not (a & outside) >> (t - 1)), 0)
@@ -207,22 +210,10 @@ def c_hausdorff_check(
     return out
 
 
-def full_inclusion_union(g: GapFragment) -> int | None:
-    """Union of the a-sets when it interpolates outright, else None.
-
-    Returns x = union of all a_i exactly when x is a subset of every b_j.
-    """
-    x = 0
-    for a in g.a.values():
-        x |= a
-    if all(not x & ~b for b in g.b.values()):
-        return x
-    return None
-
-
 def excess_matrix_csv(g: GapFragment) -> str:
     """CSV of the excess matrix X(a_i, b_j), ordinal row and column headers."""
-    lines = [",".join([""] + [j.key() for j in g.J])]
+    J = g.J
+    lines = [",".join([""] + [j.key() for j in J])]
     for i in g.I:
-        lines.append(",".join([i.key()] + [str(excess(g.a[i], g.b[j])) for j in g.J]))
+        lines.append(",".join([i.key()] + [str(excess(g.a[i], g.b[j])) for j in J]))
     return "\n".join(lines) + "\n"

@@ -147,29 +147,18 @@ class Ladder:
 
     def count_below(self, delta: Ordinal, j: Ordinal) -> int:
         """The number of rungs of c_delta lying strictly below j (j < delta)."""
-        return self.counts_below(delta, (j,))[0]
+        runs, end = self.count_runs(delta, (j,), 1)
+        if not end:
+            raise TableTooShort(f"ladder at {delta} never reaches {j} within its table")
+        return runs[0][2]
 
-    def counts_below(self, delta: Ordinal, js: Sequence[Ordinal]) -> list[int]:
-        """The number of rungs of c_delta lying strictly below each j of js,
-        in the order of js (every j < delta).
-
-        delta and the bound are checked once for the whole batch.  An
-        explicit table counts by bisection and raises TableTooShort when it
-        ends before some j, naming the greatest one.
-        """
-        if not self.has(delta):
-            raise UnknownDelta(f"no ladder at {delta}")
-        if js and not max(js) < delta:
-            raise ValueError(f"count_below needs j < delta, got j={max(js)}, delta={delta}")
-        if self.mode == "canonical":
-            # rungs are (delta.q - 1, n); j < delta forces j.q <= delta.q - 1
-            q = delta[0] - 1
-            return [j[1] if j[0] == q else 0 for j in js]
-        table = self.entries[delta]
-        counts = [bisect_left(table, j) for j in js]
-        if len(table) in counts:
-            raise TableTooShort(f"ladder at {delta} never reaches {max(js)} within its table")
-        return counts
+    def first_index_above(self, delta: Ordinal, bound: Ordinal) -> int:
+        """The least n with c_delta(n) strictly above bound (bound < delta):
+        the rungs below bound.succ(), which stays below the limit delta."""
+        runs, end = self.count_runs(delta, (bound.succ(),), 1)
+        if not end:
+            raise TableTooShort(f"ladder at {delta} never exceeds {bound} within its table")
+        return runs[0][2]
 
     def count_runs(
         self, delta: Ordinal, cand: Sequence[Ordinal], n: int
@@ -178,6 +167,7 @@ class Ladder:
         equal rung count: triples (lo, hi, count) for cand[lo:hi], ascending
         and non-empty, covering cand[:end].  From end on, cand[end:n] lie
         past an explicit table; end is n when the table reaches them all.
+        This is the one rung count: every other query is a call on one point.
 
         A canonical ladder takes one bisection to the rung (delta.q - 1, 1):
         everything below it counts 0 rungs, and every later candidate is a
@@ -189,7 +179,7 @@ class Ladder:
         if not self.has(delta):
             raise UnknownDelta(f"no ladder at {delta}")
         if n and not cand[n - 1] < delta:
-            raise ValueError(f"count_runs needs j < delta, got j={cand[n - 1]}, delta={delta}")
+            raise ValueError(f"a rung count needs j < delta, got j={cand[n - 1]}, delta={delta}")
         if self.mode == "canonical":
             q = delta[0] - 1
             lo = bisect_left(cand, Ordinal(q, 1), 0, n)
@@ -206,21 +196,6 @@ class Ladder:
             runs.append((lo, hi, count))
             lo = hi
         return runs, lo
-
-    def first_index_above(self, delta: Ordinal, bound: Ordinal) -> int:
-        """The least n with c_delta(n) strictly above bound (bound < delta)."""
-        if not self.has(delta):
-            raise UnknownDelta(f"no ladder at {delta}")
-        if not bound < delta:
-            raise ValueError(f"first_index_above needs bound < delta, got {bound}, {delta}")
-        if self.mode == "canonical":
-            if bound.q < delta.q - 1:
-                return 0
-            return bound.r + 1
-        for n, v in enumerate(self.entries[delta]):
-            if bound < v:
-                return n
-        raise TableTooShort(f"ladder at {delta} never exceeds {bound} within its table")
 
     def to_json(self) -> dict:
         if self.mode == "canonical":

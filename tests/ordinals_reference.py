@@ -1,9 +1,10 @@
-"""Reference rung count of a ladder system.
+"""Reference rung counts of a ladder system.
 
-This is the one-j linear scan that `Ladder.counts_below` replaced: it walks
-the rungs upward and stops at the first one not below j, so it shares no
-logic with the batched bisection; the differential tests require both to
-agree exactly, errors included.
+These are linear scans that `Ladder.count_runs`, the package's one rung
+count, replaced: `ref_count_below` walks the rungs upward and stops at the
+first one not below j, and `ref_first_index_above` at the first one above
+the bound.  They share no logic with the bisecting runs; the differential
+tests require both to agree exactly, errors included.
 """
 
 from __future__ import annotations
@@ -27,3 +28,19 @@ def ref_count_below(ladder: Ladder, delta: Ordinal, j: Ordinal) -> int:
         else:
             return count  # strictly increasing: the scan may stop here
     raise TableTooShort(f"ladder at {delta} never reaches {j} within its table")
+
+
+def ref_first_index_above(ladder: Ladder, delta: Ordinal, bound: Ordinal) -> int:
+    """The least n with c_delta(n) strictly above bound (bound < delta)."""
+    if not ladder.has(delta):
+        raise UnknownDelta(f"no ladder at {delta}")
+    if not bound < delta:
+        raise ValueError(f"first_index_above needs bound < delta, got {bound}, {delta}")
+    if ladder.mode == "canonical":
+        if bound.q < delta.q - 1:
+            return 0
+        return bound.r + 1
+    for n, v in enumerate(ladder.entries[delta]):
+        if bound < v:
+            return n
+    raise TableTooShort(f"ladder at {delta} never exceeds {bound} within its table")

@@ -13,9 +13,10 @@ table too short for some needed rung the reference raises TableTooShort
 or returns False depending on which fresh index the set yields first.
 
 `ref_ladder_blocked` is the per-candidate blocked-set loop that the
-bit-sliced kernel replaced: one `counts_below` per delta, then every fresh
-candidate tested against every anchor.  It keeps the kernel's error
-contract, so the two must agree on the mask and on whether they raise.
+bit-sliced kernel replaced: every fresh candidate below a delta gets its
+rungs from `ref_count_below`, one at a time, and is then tested against
+every anchor.  It keeps the kernel's error contract, so the two must agree
+on the mask and on whether they raise.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def ref_ladder_blocked(ctx: QContext, p: QCondition, cand: Sequence[Ordinal]) ->
         ks = [k for k, j in enumerate(cand[:bisect_left(cand, delta)]) if j not in p.w]
         if not ks:
             continue
-        rungs = ctx.ladder.counts_below(delta, [cand[k] for k in ks])
+        rungs = [ref_count_below(ctx.ladder, delta, cand[k]) for k in ks]
         for k, r in zip(ks, rungs):
             a_j = a[cand[k]]
             for nb in outside:

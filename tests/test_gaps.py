@@ -15,7 +15,6 @@ from gapforge import (
     excess,
     excess_matrix_csv,
     fin,
-    full_inclusion_union,
     members,
     special_gap_check,
     uniform_interpolation,
@@ -188,13 +187,15 @@ def test_c_hausdorff_monotone_under_shrinking_b():
             assert after[(delta, j)].k <= before[(delta, j)].k
 
 
-def test_full_inclusion_union_examples():
+def test_uniform_interpolation_at_zero_is_the_full_inclusion_union():
+    """At n0 = 0 the witness is the union of the a-sets, returned exactly
+    when it lies inside every b-set."""
     allempty = GapFragment(4, {fin(0): 0, fin(1): 0}, {fin(0): 0, fin(1): 0})
-    assert full_inclusion_union(allempty) == 0
+    assert uniform_interpolation(allempty, 0) == 0
     g = _pair_fragment({1}, {1, 2, 3}, {1, 2}, {1, 2, 3})
-    assert full_inclusion_union(g) == mask({1, 2})
+    assert uniform_interpolation(g, 0) == mask({1, 2})
     bad = GapFragment(6, {fin(0): mask({5})}, {fin(1): mask({1})})
-    assert full_inclusion_union(bad) is None
+    assert uniform_interpolation(bad, 0) is None
 
 
 def test_fragment_json_roundtrip_and_validation():

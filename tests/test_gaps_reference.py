@@ -20,7 +20,6 @@ from gapforge import (
     excess,
     fin,
     find_compatible_pair,
-    full_inclusion_union,
     generate_pcc_instance,
     members,
     pcc_ab_profiles,
@@ -48,7 +47,7 @@ def _optional_mask(x):
 def _check_predicates(g: GapFragment, n0s) -> set[tuple]:
     """Every mask predicate equals its reference on g at each threshold;
     returns the verdicts seen (special, interpolates, union interpolates)."""
-    union = full_inclusion_union(g)
+    union = uniform_interpolation(g, 0)
     assert union == _optional_mask(ref_full_inclusion_union(g))
     verdicts = set()
     for n0 in n0s:

@@ -14,7 +14,7 @@ from gapforge import (
     fin,
     two_sided,
 )
-from ordinals_reference import ref_count_below
+from ordinals_reference import ref_count_below, ref_first_index_above
 from p_reference import _ilt
 
 
@@ -203,71 +203,59 @@ def _random_js(rng, ladder, delta):
     return js
 
 
-def test_counts_below_agrees_with_the_linear_scan_reference():
-    """Each batch returns the reference's counts, or raises exactly when
-    some one-j reference call raises, with one of the types it raised;
-    count_below raises the reference's own type."""
+def test_count_below_agrees_with_the_linear_scan_reference():
+    """Each one-j count returns the reference's count, or raises the
+    reference's own type."""
     rng = random.Random(2026)
-    seen = {"counts": 0, UnknownDelta: 0, TableTooShort: 0, ValueError: 0}
+    seen = {"count": 0, UnknownDelta: 0, TableTooShort: 0, ValueError: 0}
     for _ in range(600):
         ladder = _random_ladder(rng)
         delta = Ordinal(rng.randint(1, 5), 0 if rng.random() < 0.9 else 1)
-        js = _random_js(rng, ladder, delta)
-        expected = [_outcome(lambda j=j: ref_count_below(ladder, delta, j)) for j in js]
-        for j, want in zip(js, expected):
+        for j in _random_js(rng, ladder, delta):
+            want = _outcome(lambda: ref_count_below(ladder, delta, j))
             assert _outcome(lambda: ladder.count_below(delta, j)) == want, (ladder, delta, j)
-        got = _outcome(lambda: ladder.counts_below(delta, js))
-        failures = [e for e in expected if isinstance(e, type)]
-        if not ladder.has(delta):
-            assert got is UnknownDelta  # even for an empty batch
-        elif failures:
-            assert got in failures, (ladder, delta, js, got)
-        else:
-            assert got == expected, (ladder, delta, js)
-        seen["counts" if isinstance(got, list) else got] += 1
+            seen["count" if isinstance(want, int) else want] += 1
     assert min(seen.values()) > 20, seen
 
 
-def test_counts_below_edge_cases():
+def test_count_below_edge_cases():
     delta = Ordinal(1, 0)
     ladder = Ladder.explicit({delta: [fin(0), fin(3), fin(7)]})
     # a j equal to a rung counts only the rungs strictly below it
-    assert ladder.counts_below(delta, [fin(3), fin(0), fin(7), fin(5)]) == [1, 0, 2, 2]
-    assert ladder.counts_below(delta, []) == []
+    assert [ladder.count_below(delta, j) for j in (fin(3), fin(0), fin(7), fin(5))] == [1, 0, 2, 2]
     cases = [
-        (ladder, delta, [fin(1), fin(8)], TableTooShort),  # past the table
-        (ladder, Ordinal(2, 0), [fin(1)], UnknownDelta),
-        (ladder, delta, [fin(1), Ordinal(1, 0)], ValueError),  # j >= delta
-        (Ladder.canonical(), Ordinal(2, 1), [fin(1)], UnknownDelta),  # not a limit
-        (Ladder.canonical(), delta, [Ordinal(1, 2), fin(1)], ValueError),  # j >= delta first
-        (Ladder.explicit({delta: []}), delta, [fin(0)], TableTooShort),
+        (ladder, delta, fin(8), TableTooShort),  # past the table
+        (ladder, Ordinal(2, 0), fin(1), UnknownDelta),
+        (ladder, delta, Ordinal(1, 0), ValueError),  # j >= delta
+        (Ladder.canonical(), Ordinal(2, 1), fin(1), UnknownDelta),  # not a limit
+        (Ladder.canonical(), delta, Ordinal(1, 2), ValueError),
+        (Ladder.explicit({delta: []}), delta, fin(0), TableTooShort),
     ]
-    for lad, d, js, error in cases:
-        bad = [j for j in js if _outcome(lambda j=j: ref_count_below(lad, d, j)) is error]
-        assert bad
-        assert _outcome(lambda: lad.counts_below(d, js)) is error
-        assert all(_outcome(lambda j=j: lad.count_below(d, j)) is error for j in bad)
-    assert Ladder.canonical().counts_below(Ordinal(3, 0), [Ordinal(2, 4), fin(9), Ordinal(2, 0)]) == [4, 0, 0]
+    for lad, d, j, error in cases:
+        assert _outcome(lambda: ref_count_below(lad, d, j)) is error
+        assert _outcome(lambda: lad.count_below(d, j)) is error
+    canonical = Ladder.canonical()
+    assert [canonical.count_below(Ordinal(3, 0), j) for j in (Ordinal(2, 4), fin(9), Ordinal(2, 0))] == [4, 0, 0]
 
 
 def _check_runs(ladder, delta, cand):
     """count_runs over the part of cand (ascending) below delta agrees with
-    counts_below: ascending maximal runs covering cand[:end], and cand[end]
-    the first candidate past the table.  Returns end."""
+    the one-j reference: ascending maximal runs covering cand[:end], and
+    cand[end] the first candidate past the table.  Returns end."""
     n = bisect_left(cand, delta)
     runs, end = ladder.count_runs(delta, cand, n)
     bounds = [0] + [hi for _, hi, _ in runs]
     assert [lo for lo, _, _ in runs] == bounds[:-1] and bounds[-1] == end  # contiguous from 0
     assert all(lo < hi for lo, hi, _ in runs)
     assert all(x[2] < y[2] for x, y in zip(runs, runs[1:]))  # equal counts share one run
-    assert [c for lo, hi, c in runs for _ in range(lo, hi)] == ladder.counts_below(delta, cand[:end])
+    assert [c for lo, hi, c in runs for _ in range(lo, hi)] == [ref_count_below(ladder, delta, j) for j in cand[:end]]
     if end < n:
         with pytest.raises(TableTooShort):
-            ladder.count_below(delta, cand[end])
+            ref_count_below(ladder, delta, cand[end])
     return end
 
 
-def test_count_runs_agrees_with_counts_below():
+def test_count_runs_agrees_with_the_linear_scan_reference():
     rng = random.Random(2027)
     seen = {"whole": 0, "cut": 0, UnknownDelta: 0}
     for _ in range(600):
@@ -358,6 +346,42 @@ def test_first_index_above():
     assert explicit.first_index_above(Ordinal(1, 0), fin(1)) == 1
     with pytest.raises(TableTooShort):
         explicit.first_index_above(Ordinal(1, 0), fin(5))
+
+
+def _ladder_of_kind(rng, kind, delta):
+    """A ladder at delta whose table is canonical, full (rungs up to the
+    top block below delta), short (rungs below that block only) or empty."""
+    if kind == "canonical":
+        return Ladder.canonical()
+    if kind == "empty":
+        return Ladder.explicit({delta: []})
+    top = delta.q - 1 if kind == "full" else rng.randint(0, delta.q - 1)
+    rungs = {Ordinal(rng.randint(0, top), rng.randint(0, 12)) for _ in range(rng.randint(1, 8))}
+    if kind == "full":
+        rungs.add(Ordinal(delta.q - 1, 15))  # above every probe of that block
+    return Ladder.explicit({delta: sorted(rungs)})
+
+
+@pytest.mark.parametrize("kind", ["canonical", "full", "short", "empty"])
+def test_first_index_above_agrees_with_the_linear_scan_reference(kind):
+    """Every value and every UnknownDelta, TableTooShort or ValueError
+    outcome of first_index_above is the linear scan's."""
+    rng = random.Random(f"first-index-above-{kind}")
+    seen = {}
+    for _ in range(400):
+        delta = Ordinal(rng.randint(1, 4), 0)
+        ladder = _ladder_of_kind(rng, kind, delta)
+        probe = delta if rng.random() < 0.9 else Ordinal(delta.q + rng.randint(0, 1), rng.randint(0, 1))
+        for bound in _random_js(rng, ladder, delta):
+            want = _outcome(lambda: ref_first_index_above(ladder, probe, bound))
+            assert _outcome(lambda: ladder.first_index_above(probe, bound)) == want, (ladder, probe, bound)
+            key = "value" if isinstance(want, int) else want
+            seen[key] = seen.get(key, 0) + 1
+    assert seen.get(ValueError, 0) > 5 and seen.get(UnknownDelta, 0) > 5, seen
+    if kind != "empty":
+        assert seen.get("value", 0) > 50, seen  # an empty table holds no rung above anything
+    if kind in ("short", "empty"):
+        assert seen.get(TableTooShort, 0) > 20, seen
 
 
 def test_ladder_json_roundtrip():

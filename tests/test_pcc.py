@@ -170,7 +170,7 @@ def test_build_compat_matrix_examples():
 def test_the_matrix_counts_rungs_once_per_delta(monkeypatch):
     """ladder_blocked takes the rungs of each delta as runs of equal count,
     one count_runs call per condition and delta at most, so the matrix
-    never counts per candidate: neither count_below nor counts_below."""
+    never counts one candidate at a time through count_below."""
     for seed in (0, 9):
         inst = generate_pcc_instance(seed, 120, 120)
         fam1 = [(d, inst.fam1[d]) for d in inst.t1]
@@ -179,7 +179,7 @@ def test_the_matrix_counts_rungs_once_per_delta(monkeypatch):
         calls = []
         runs = Ladder.count_runs
         with monkeypatch.context() as patched:
-            def refuse(self, delta, js):
+            def refuse(self, delta, j):
                 raise RuntimeError(f"a per-candidate rung count at {delta} in the matrix build")
 
             def count_runs(self, delta, cand, n):
@@ -187,7 +187,6 @@ def test_the_matrix_counts_rungs_once_per_delta(monkeypatch):
                 return runs(self, delta, cand, n)
 
             patched.setattr(Ladder, "count_below", refuse)
-            patched.setattr(Ladder, "counts_below", refuse)
             patched.setattr(Ladder, "count_runs", count_runs)
             assert build_compat_matrix(inst.ctx, fam1, fam2) == expected
         assert 0 < len(calls) <= sum(len(p.s) for _, p in fam1 + fam2)
