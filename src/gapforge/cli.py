@@ -184,36 +184,24 @@ def _cmd_pcc(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.matrix:
         matrix = CompatMatrix.from_csv(Path(args.matrix).read_text(encoding="utf-8"))
-        rows, cols = max_order_rectangle(matrix)
+        report = {"verified": True}  # max_order_rectangle raises InvariantViolation otherwise
+    else:
+        inst = generate_pcc_instance(seed, args.t1, args.t2)
+        triple = find_compatible_pair(inst)
+        if triple is None:
+            raise InvariantViolation("compatible-pair", "no order-respecting pair carries a witness")
+        d1, d2, n = triple
+        matrix = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
         report = {
-            "rectangle": {
-                "rows": [matrix.row_index[x].to_json() for x in rows],
-                "cols": [matrix.col_index[y].to_json() for y in cols],
-            },
-            "verified": True,  # max_order_rectangle raises InvariantViolation otherwise
+            "seed": seed,
+            "k": inst.k,
+            "pair": {"delta1": d1.to_json(), "delta2": d2.to_json(), "n": n},
+            "matrix_csv": matrix.to_csv(),
         }
-        _emit(report, args.out)
-        return 0
-    inst = generate_pcc_instance(seed, args.t1, args.t2)
-    triple = find_compatible_pair(inst)
-    if triple is None:
-        raise InvariantViolation("compatible-pair", "no order-respecting pair carries a witness")
-    d1, d2, n = triple
-    matrix = build_compat_matrix(
-        inst.ctx,
-        [(d, inst.fam1[d]) for d in inst.t1],
-        [(d, inst.fam2[d]) for d in inst.t2],
-    )
     rows, cols = max_order_rectangle(matrix)
-    report = {
-        "seed": seed,
-        "k": inst.k,
-        "pair": {"delta1": d1.to_json(), "delta2": d2.to_json(), "n": n},
-        "rectangle": {
-            "rows": [matrix.row_index[x].to_json() for x in rows],
-            "cols": [matrix.col_index[y].to_json() for y in cols],
-        },
-        "matrix_csv": matrix.to_csv(),
+    report["rectangle"] = {
+        "rows": [matrix.row_index[x].to_json() for x in rows],
+        "cols": [matrix.col_index[y].to_json() for y in cols],
     }
     _emit(report, args.out)
     return 0

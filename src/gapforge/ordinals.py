@@ -134,17 +134,6 @@ class Ladder:
             return delta.is_limit
         return delta in self.entries
 
-    def value(self, delta: Ordinal, n: int) -> Ordinal:
-        """The n-th rung c_delta(n)."""
-        if not self.has(delta):
-            raise UnknownDelta(f"no ladder at {delta}")
-        if self.mode == "canonical":
-            return Ordinal(delta.q - 1, n)
-        values = self.entries[delta]
-        if n >= len(values):
-            raise TableTooShort(f"ladder at {delta} tabulates {len(values)} values, index {n} requested")
-        return values[n]
-
     def count_below(self, delta: Ordinal, j: Ordinal) -> int:
         """The number of rungs of c_delta lying strictly below j (j < delta)."""
         runs, end = self.count_runs(delta, (j,), 1)

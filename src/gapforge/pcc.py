@@ -12,27 +12,29 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvariantViolation
 from .gaps import GapFragment
 from .ordinals import Ladder, Ordinal, SPartition
-from .poset_q import CandidateSlices, QCondition, QContext, ladder_blocked, q_compatible, q_restrict
+from .poset_q import (
+    CandidateSlices, QCondition, QContext, ladder_blocked, q_compatible, q_restrict, upper_join, upper_meet
+)
 
 
 @dataclass(frozen=True)
 class CompatMatrix:
     """Pairwise compatibility of two indexed condition families.
 
-    cells[x][y] records whether rows[x] and cols[y] admit a common
-    extension.  Matrices loaded from CSV carry empty condition tuples.
+    cells[x][y] records whether the conditions at row_index[x] and
+    col_index[y] admit a common extension.  A built matrix and one loaded
+    from CSV carry the same three fields.
     """
 
     row_index: tuple[Ordinal, ...]
     col_index: tuple[Ordinal, ...]
     cells: tuple[tuple[bool, ...], ...]
-    rows: tuple[QCondition, ...] = ()
-    cols: tuple[QCondition, ...] = ()
 
     def to_csv(self) -> str:
         lines = [",".join([""] + [o.key() for o in self.col_index])]
@@ -91,50 +93,40 @@ def build_compat_matrix(
         tuple([not (wq & bp or wp & bq) for wq, bq in zip(w2, blocked2)])
         for wp, bp in zip(w1, blocked1)
     )
-    return CompatMatrix(
-        tuple(o for o, _ in fam1),
-        tuple(o for o, _ in fam2),
-        cells,
-        tuple(p for _, p in fam1),
-        tuple(q for _, q in fam2),
-    )
+    return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), cells)
 
 
 @dataclass(frozen=True)
 class PccInstance:
     """Two condition families in the split shape the pair-finder exploits.
 
-    Working hypotheses, validated on construction: below gamma every
-    condition restricts to one shared core; each condition's domain (w and
-    s together) avoids [gamma, its own index); along the merged index order
-    the part of each domain at or beyond gamma stays below the next index,
-    so the upper domains are strictly increasing and separated; upper s
-    members sit above their own index with rung counts below them strictly
-    bounded by k.  Under this shape a numeric witness n >= k certifies
-    compatibility of an order-respecting pair.
+    Each family is a tuple of (index, condition) pairs in ascending index
+    order, the shape `build_compat_matrix` takes.  Working hypotheses,
+    validated on construction: below gamma every condition restricts to one
+    shared core; each condition's domain (w and s together) avoids [gamma,
+    its own index); along the merged index order the part of each domain at
+    or beyond gamma stays below the next index, so the upper domains are
+    strictly increasing and separated; upper s members sit above their own
+    index with rung counts below them strictly bounded by k.  Under this
+    shape a numeric witness n >= k certifies compatibility of an
+    order-respecting pair.
     """
 
     ctx: QContext
     gamma: Ordinal
-    t1: tuple[Ordinal, ...]
-    t2: tuple[Ordinal, ...]
-    fam1: dict[Ordinal, QCondition]
-    fam2: dict[Ordinal, QCondition]
+    fam1: tuple[tuple[Ordinal, QCondition], ...]
+    fam2: tuple[tuple[Ordinal, QCondition], ...]
     k: int
 
     def __post_init__(self):
-        for t, fam in ((self.t1, self.fam1), (self.t2, self.fam2)):
-            if any(not a < b for a, b in zip(t, t[1:])):
+        for fam in (self.fam1, self.fam2):
+            if any(not a < b for (a, _), (b, _) in zip(fam, fam[1:])):
                 raise ValueError("index lists must strictly increase")
-            if set(t) != set(fam):
-                raise ValueError("family keys must match the index list")
-            if any(d in self.ctx.part.S for d in t):
+            if any(d in self.ctx.part.S for d, _ in fam):
                 raise ValueError("family indices must avoid the designated set S")
-        if set(self.t1) & set(self.t2):
+        if {d for d, _ in self.fam1} & {d for d, _ in self.fam2}:
             raise ValueError("the two index lists must be disjoint")
-        merged = sorted(
-            [(d, self.fam1[d]) for d in self.t1] + [(d, self.fam2[d]) for d in self.t2]
-        )
+        merged = sorted([*self.fam1, *self.fam2], key=itemgetter(0))
         core = None
         for pos, (delta, p) in enumerate(merged):
             self.ctx.check_condition(p)
@@ -162,22 +154,12 @@ class PccInstance:
 def pcc_ab_profiles(inst: PccInstance) -> tuple[dict[Ordinal, int], dict[Ordinal, int]]:
     """Per index: meet of family-1 upper a-sets, join of family-2 upper b-sets.
 
-    The empty meet is the full universe, the empty join is empty.
+    The profiles are `poset_q.upper_meet` and `upper_join` above gamma, the
+    witness rule `separated_pair_check` reads too: the empty meet is the
+    full universe, the empty join is empty.
     """
-    meets: dict[Ordinal, int] = {}
-    for delta in inst.t1:
-        acc = (1 << inst.ctx.g.universe) - 1
-        for i in inst.fam1[delta].w:
-            if not i < inst.gamma:
-                acc &= inst.ctx.g.a[i]
-        meets[delta] = acc
-    joins: dict[Ordinal, int] = {}
-    for delta in inst.t2:
-        acc = 0
-        for j in inst.fam2[delta].w:
-            if not j < inst.gamma:
-                acc |= inst.ctx.g.b[j]
-        joins[delta] = acc
+    meets = {d: upper_meet(inst.ctx, p, inst.gamma) for d, p in inst.fam1}
+    joins = {d: upper_join(inst.ctx, q, inst.gamma) for d, q in inst.fam2}
     return meets, joins
 
 
@@ -191,14 +173,14 @@ def find_compatible_pair(inst: PccInstance) -> tuple[Ordinal, Ordinal, int] | No
     guarantees; InvariantViolation says it was not.
     """
     meets, joins = pcc_ab_profiles(inst)
-    for d1 in inst.t1:
-        for d2 in inst.t2:
+    for d1, p1 in inst.fam1:
+        for d2, p2 in inst.fam2:
             if not d1 < d2:
                 continue
             witnesses = (meets[d1] & ~joins[d2]) >> inst.k << inst.k
             if witnesses:
                 n = (witnesses & -witnesses).bit_length() - 1
-                if q_compatible(inst.ctx, inst.fam1[d1], inst.fam2[d2]) is None:
+                if q_compatible(inst.ctx, p1, p2) is None:
                     detail = f"witness {n} for {d1} < {d2}, yet the pair is incompatible"
                     raise InvariantViolation("compatible-pair", detail)
                 return d1, d2, n
@@ -320,20 +302,11 @@ def generate_pcc_instance(
     pool_mask = (1 << universe) - (1 << universe - 8)
     low = range(universe - 8)
 
-    kinds: list[int] = []
-    left1, left2 = t1_size, t2_size
-    while left1 or left2:
-        if left1 and (not left2 or len(kinds) % 2 == 0):
-            kinds.append(1)
-            left1 -= 1
-        else:
-            kinds.append(2)
-            left2 -= 1
+    both = min(t1_size, t2_size)
+    kinds = [1, 2] * both + [1] * (t1_size - both) + [2] * (t2_size - both)
 
-    t1: list[Ordinal] = []
-    t2: list[Ordinal] = []
-    fam1: dict[Ordinal, QCondition] = {}
-    fam2: dict[Ordinal, QCondition] = {}
+    fam1: list[tuple[Ordinal, QCondition]] = []
+    fam2: list[tuple[Ordinal, QCondition]] = []
     limits = set(core_s)
     a_map: dict[Ordinal, int] = {}
     b_map: dict[Ordinal, int] = {}
@@ -376,15 +349,10 @@ def generate_pcc_instance(
                 a_map[o] = random_set(range(universe), 0.3)
                 b_map[o] = random_set(low, 0.5) | 1 << rng.choice(low)
         cond = QCondition(frozenset(core_w | w_extra), frozenset(core_s | s_extra))
-        if kind == 1:
-            t1.append(delta)
-            fam1[delta] = cond
-        else:
-            t2.append(delta)
-            fam2[delta] = cond
+        (fam1 if kind == 1 else fam2).append((delta, cond))
 
     k = max(counts, default=-1) + 1
     part = SPartition(S=frozenset(limits), T=frozenset(), D=frozenset(limits))
     frag = GapFragment(universe, a_map, b_map)
     ctx = QContext(frag, Ladder.canonical(), part)
-    return PccInstance(ctx, gamma, tuple(t1), tuple(t2), fam1, fam2, k)
+    return PccInstance(ctx, gamma, tuple(fam1), tuple(fam2), k)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from typing import Sequence
 
 from .errors import InvariantViolation, TableTooShort, UnknownIndex
@@ -163,6 +163,18 @@ def q_restrict(p: QCondition, alpha: Ordinal) -> QCondition:
     )
 
 
+def upper_meet(ctx: QContext, p: QCondition, gamma: Ordinal) -> int:
+    """Meet of the a-sets of p's w members at or beyond gamma; the whole
+    universe when there are none."""
+    return reduce(and_, (ctx.g.a[i] for i in p.w if not i < gamma), (1 << ctx.g.universe) - 1)
+
+
+def upper_join(ctx: QContext, p: QCondition, gamma: Ordinal) -> int:
+    """Join of the b-sets of p's w members at or beyond gamma; 0 when there
+    are none."""
+    return reduce(or_, (ctx.g.b[j] for j in p.w if not j < gamma), 0)
+
+
 def q_compatible(ctx: QContext, p: QCondition, q: QCondition) -> QCondition | None:
     """Exact compatibility: the componentwise union, or None.
 
@@ -184,9 +196,10 @@ def separated_pair_check(
     The shape: p1 lives below alpha, p2 jumps over the interval [gamma,
     alpha] (its w and s meet it only below gamma), both restrictions to
     gamma are compatible with the other condition, and some witness n lies
-    in the intersection of p1's upper a-sets minus the union of p2's upper
-    b-sets, clearing every rung count |c_delta below alpha| for delta in s2
-    beyond alpha.  True means p1 and p2 are compatible outright.
+    in p1's `upper_meet` minus p2's `upper_join` (the a-sets and b-sets of
+    their w members at or beyond gamma), clearing every rung count |c_delta
+    below alpha| for delta in s2 beyond alpha.  True means p1 and p2 are
+    compatible outright.
     """
     if not gamma < alpha:
         raise ValueError("the split points must satisfy gamma < alpha")
@@ -206,17 +219,9 @@ def separated_pair_check(
         return False
     if q_compatible(ctx, low2, p1) is None:
         return False
-    meet = (1 << ctx.g.universe) - 1
-    for i in p1.w:
-        if not i < gamma:
-            meet &= ctx.g.a[i]
-    join = 0
-    for j in p2.w:
-        if not j < gamma:
-            join |= ctx.g.b[j]
     floor = max(
         (ctx.ladder.count_below(d, alpha) for d in p2.s if not d < alpha),
         default=-1,
     )
-    return bool((meet & ~join) >> (floor + 1))
+    return bool((upper_meet(ctx, p1, gamma) & ~upper_join(ctx, p2, gamma)) >> (floor + 1))
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import AbstractSet, Mapping
 
 from gapforge import CHWitness, GapFragment, IndexMismatch, Ladder, Ordinal, PccInstance, SPartition
+from ordinals_reference import ref_first_index_above, ref_value
 
 
 @lru_cache(maxsize=1 << 16)
@@ -81,8 +82,8 @@ def ref_c_hausdorff_check(
             for j in js:
                 out[(delta, j)] = CHWitness(delta, j, 0, 0)
             continue
-        n_star = ladder.first_index_above(delta, max(below))
-        tails = [[i for i in below if i >= ladder.value(delta, n)] for n in range(n_star)]
+        n_star = ref_first_index_above(ladder, delta, max(below))
+        tails = [[i for i in below if i >= ref_value(ladder, delta, n)] for n in range(n_star)]
         for j in js:
             k = 0
             for n in range(n_star):
@@ -110,16 +111,16 @@ def ref_pcc_ab_profiles(
     a, b = as_sets(g.a, g.universe), as_sets(g.b, g.universe)
     universe = frozenset(range(g.universe))
     meets: dict[Ordinal, frozenset[int]] = {}
-    for delta in inst.t1:
+    for delta, p in inst.fam1:
         acc = universe
-        for i in inst.fam1[delta].w:
+        for i in p.w:
             if not i < inst.gamma:
                 acc = acc & a[i]
         meets[delta] = acc
     joins: dict[Ordinal, frozenset[int]] = {}
-    for delta in inst.t2:
+    for delta, q in inst.fam2:
         acc: frozenset[int] = frozenset()
-        for j in inst.fam2[delta].w:
+        for j in q.w:
             if not j < inst.gamma:
                 acc = acc | b[j]
         joins[delta] = acc
@@ -130,8 +131,8 @@ def ref_first_witness(inst: PccInstance) -> tuple[Ordinal, Ordinal, int] | None:
     """The pair hunt of find_compatible_pair over the reference profiles,
     without its compatibility check."""
     meets, joins = ref_pcc_ab_profiles(inst)
-    for d1 in inst.t1:
-        for d2 in inst.t2:
+    for d1, _ in inst.fam1:
+        for d2, _ in inst.fam2:
             if not d1 < d2:
                 continue
             witnesses = sorted(n for n in meets[d1] - joins[d2] if n >= inst.k)

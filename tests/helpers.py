@@ -75,9 +75,10 @@ def random_pcondition(rng: random.Random, pool, height: int, max_dom: int = 4) -
 def random_extension(rng: random.Random, p: PCondition, pool, extra_height: int = 2) -> PCondition:
     """A random proper-or-equal extension of p built through p_extend."""
     target = p.height + rng.randint(0, extra_height)
-    fresh = [o for o in pool if o not in p.entries]
+    entries = p.entries  # each read builds every word
+    fresh = [o for o in pool if o not in entries]
     new = rng.sample(fresh, rng.randint(0, min(2, len(fresh))))
-    dom = sorted(set(p.entries) | set(new))
+    dom = sorted(set(entries) | set(new))
     forced = []
     for _ in range(rng.randint(0, 3)):
         if target == p.height or not dom:

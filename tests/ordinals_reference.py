@@ -4,12 +4,25 @@ These are linear scans that `Ladder.count_runs`, the package's one rung
 count, replaced: `ref_count_below` walks the rungs upward and stops at the
 first one not below j, and `ref_first_index_above` at the first one above
 the bound.  They share no logic with the bisecting runs; the differential
-tests require both to agree exactly, errors included.
+tests require both to agree exactly, errors included.  `ref_value` reads
+one rung, which no package code needs.
 """
 
 from __future__ import annotations
 
 from gapforge import Ladder, Ordinal, TableTooShort, UnknownDelta
+
+
+def ref_value(ladder: Ladder, delta: Ordinal, n: int) -> Ordinal:
+    """The n-th rung c_delta(n)."""
+    if not ladder.has(delta):
+        raise UnknownDelta(f"no ladder at {delta}")
+    if ladder.mode == "canonical":
+        return Ordinal(delta.q - 1, n)
+    values = ladder.entries[delta]
+    if n >= len(values):
+        raise TableTooShort(f"ladder at {delta} tabulates {len(values)} values, index {n} requested")
+    return values[n]
 
 
 def ref_count_below(ladder: Ladder, delta: Ordinal, j: Ordinal) -> int:

@@ -32,15 +32,16 @@ def ref_p_leq(p: PCondition, q: PCondition) -> bool:
     grants at i beyond p all appear at j."""
     if p.height > q.height:
         return False
-    for o, (w0, w1) in p.entries.items():
-        if o not in q.entries:
+    pe, qe = p.entries, q.entries  # each read builds every word
+    for o, (w0, w1) in pe.items():
+        if o not in qe:
             return False
-        q0, q1 = q.entries[o]
+        q0, q1 = qe[o]
         if not q0.startswith(w0) or not q1.startswith(w1):
             return False
-    idx = [(o, s) for o in p.entries for s in (0, 1)]
-    qset = {i: bits(q.entries[i[0]][i[1]]) for i in idx}
-    grow = {i: qset[i] - bits(p.entries[i[0]][i[1]]) for i in idx}
+    idx = [(o, s) for o in pe for s in (0, 1)]
+    qset = {i: bits(qe[i[0]][i[1]]) for i in idx}
+    grow = {i: qset[i] - bits(pe[i[0]][i[1]]) for i in idx}
     for i in idx:
         if not grow[i]:
             continue

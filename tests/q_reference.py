@@ -69,13 +69,7 @@ def ref_build_compat_matrix(ctx: QContext, fam1, fam2) -> CompatMatrix:
     cells = tuple(
         tuple(ref_q_compatible(ctx, p, q) is not None for _, q in fam2) for _, p in fam1
     )
-    return CompatMatrix(
-        tuple(o for o, _ in fam1),
-        tuple(o for o, _ in fam2),
-        cells,
-        tuple(p for _, p in fam1),
-        tuple(q for _, q in fam2),
-    )
+    return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), cells)
 
 
 def ref_ladder_blocked(ctx: QContext, p: QCondition, cand: Sequence[Ordinal]) -> int:

@@ -51,6 +51,7 @@ from helpers import (
     random_pcondition,
     small_context,
 )
+from ordinals_reference import ref_value
 from pcc_reference import exact_rectangle
 
 POOL = [fin(k) for k in range(8)]
@@ -202,7 +203,7 @@ def _independent_q_leq(ctx, p, q):
                     continue
                 rungs, n = 0, 0
                 while True:
-                    v = ctx.ladder.value(delta, n)
+                    v = ref_value(ctx.ladder, delta, n)
                     if v < j:
                         rungs, n = rungs + 1, n + 1
                     else:
@@ -376,14 +377,11 @@ def test_10_chain_condition_lab():
     assert triple is not None
     d1, d2, n = triple
     assert d1 < d2 and n >= inst.k
-    u = q_compatible(inst.ctx, inst.fam1[d1], inst.fam2[d2])
+    p1, p2 = dict(inst.fam1)[d1], dict(inst.fam2)[d2]
+    u = q_compatible(inst.ctx, p1, p2)
     assert u is not None
-    assert q_leq(inst.ctx, inst.fam1[d1], u) and q_leq(inst.ctx, inst.fam2[d2], u)
-    matrix = build_compat_matrix(
-        inst.ctx,
-        [(d, inst.fam1[d]) for d in inst.t1],
-        [(d, inst.fam2[d]) for d in inst.t2],
-    )
+    assert q_leq(inst.ctx, p1, u) and q_leq(inst.ctx, p2, u)
+    matrix = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
     rows, cols = max_order_rectangle(matrix)
     assert verify_rectangle(matrix, rows, cols)
     rng = random.Random(110)

@@ -415,6 +415,20 @@ def test_pcc_generated_and_matrix_modes(tmp_path):
     assert len(rect["rows"]) == 2 and len(rect["cols"]) == 2  # all-true: full rectangle
 
 
+@pytest.mark.parametrize("t1, t2, seed", [(30, 30, 3), (30, 8, 1)], ids=["30x30", "30x8"])
+def test_pcc_matrix_mode_reproduces_the_generated_rectangle(t1, t2, seed, tmp_path):
+    """The matrix_csv of a generated report, fed back through --matrix,
+    gives that report's rectangle."""
+    out = tmp_path / "pcc.json"
+    assert main(["pcc", "--t1", str(t1), "--t2", str(t2), "--seed", str(seed), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    csv_path = tmp_path / "cells.csv"
+    csv_path.write_text(report["matrix_csv"], encoding="utf-8")
+    rect = tmp_path / "rect.json"
+    assert main(["pcc", "--matrix", str(csv_path), "--out", str(rect)]) == 0
+    assert json.loads(rect.read_text()) == {"rectangle": report["rectangle"], "verified": True}
+
+
 def test_pcc_rejects_empty_families_and_the_budget_flag(capsys):
     assert main(["pcc", "--t1", "-3", "--t2", "5"]) == 2
     assert main(["pcc", "--t1", "0", "--t2", "5"]) == 2

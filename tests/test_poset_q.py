@@ -21,6 +21,7 @@ from gapforge import (
 )
 from gapforge import poset_q
 from helpers import conditions_in, mask, small_context
+from ordinals_reference import ref_value
 
 DELTA = Ordinal(1, 0)
 J5 = fin(5)
@@ -106,7 +107,7 @@ def _independent_leq(ctx, p, q):
                 rungs = 0
                 n = 0
                 while True:
-                    v = ctx.ladder.value(delta, n)
+                    v = ref_value(ctx.ladder, delta, n)
                     if v < j:
                         rungs += 1
                         n += 1

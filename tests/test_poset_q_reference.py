@@ -137,9 +137,7 @@ def test_q_leq_and_matrix_match_reference_on_grid(kind):
 def test_compat_matrix_matches_reference_on_pcc_instances(t):
     for seed in range(4):
         inst = generate_pcc_instance(seed, t, t)
-        fam1 = [(d, inst.fam1[d]) for d in inst.t1]
-        fam2 = [(d, inst.fam2[d]) for d in inst.t2]
-        true = _check_matrix(inst.ctx, fam1, fam2)
+        true = _check_matrix(inst.ctx, inst.fam1, inst.fam2)
         assert 0 < true < t * t
 
 
@@ -283,8 +281,8 @@ def test_ladder_blocked_matches_reference_on_pcc_instances(seed, t):
     """Rows over the column union and columns over the row union, the two
     orientations build_compat_matrix takes."""
     inst = generate_pcc_instance(seed, t, t)
-    fam1 = [inst.fam1[d] for d in inst.t1]
-    fam2 = [inst.fam2[d] for d in inst.t2]
+    fam1 = [p for _, p in inst.fam1]
+    fam2 = [q for _, q in inst.fam2]
     for fam, other in ((fam1, fam2), (fam2, fam1)):
         cand = sorted(set().union(*(q.w for q in other)))
         cs = CandidateSlices(inst.ctx.g, cand)
