@@ -2,7 +2,10 @@
 
 JSON in, JSON/CSV out, no interactive mode.  Every command is deterministic
 given its flags and seed; the seed comes from --seed, else the GAPFORGE_SEED
-environment variable, else 0.
+environment variable, else 0.  A gap, ladder or partition input is the file
+its flag names, else the file the --manifest object names (relative to the
+manifest), else the command's default: `check` and `oracle q` have none,
+`pipeline` takes the canonical ladder and the block-limit partition.
 
 Exit codes: 0 success / predicate holds; 1 predicate false or incompatible;
 2 invalid flags or malformed input; 3 simulation or assertion failure;
@@ -68,15 +71,29 @@ def _emit(obj, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load_context(manifest_path: str) -> QContext:
-    data = _load_json(manifest_path)
-    if not isinstance(data, dict) or not {"gap", "ladder", "partition"} <= set(data):
-        raise ValueError("manifest must name gap, ladder, and partition files")
-    root = Path(manifest_path).parent
-    frag = GapFragment.from_json(_load_json(root / data["gap"]))
-    ladder = Ladder.from_json(_load_json(root / data["ladder"]))
-    part = SPartition.from_json(_load_json(root / data["partition"]))
-    return QContext(frag, ladder, part)
+_DECODERS = {"gap": GapFragment.from_json, "ladder": Ladder.from_json, "partition": SPartition.from_json}
+
+
+def _load_input(args, key: str, default=None):
+    """The input `key` (gap, ladder or partition), decoded: from the file
+    --<key> names, else from the file the manifest names for `key`,
+    relative to the manifest, else `default`.  A manifest that is given is
+    read and must be a JSON object; with nothing to load, the command
+    exits 2."""
+    manifest_path = getattr(args, "manifest", None)
+    manifest = _load_json(manifest_path) if manifest_path else {}
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest must be a JSON object")
+    flag = getattr(args, key, None)
+    if flag:
+        path = Path(flag)
+    elif key in manifest:
+        path = Path(manifest_path).parent / manifest[key]
+    elif default is not None:
+        return default
+    else:
+        raise ValueError(f"a {key} file is required, and no flag or manifest names one")
+    return _DECODERS[key](_load_json(path))
 
 
 def _check_size(indices: int, height: int) -> None:
@@ -98,22 +115,9 @@ def _cmd_simulate_p(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    manifest = _load_json(args.manifest) if args.manifest else {}
-    if not isinstance(manifest, dict):
-        raise ValueError("manifest must be a JSON object")
-    root = Path(args.manifest).parent if args.manifest else Path(".")
-
-    def pick(flag, key):
-        if flag:
-            return Path(flag)
-        if key in manifest:
-            return root / manifest[key]
-        return None
-
-    gap_path = pick(args.gap, "gap")
-    if gap_path is None:
-        raise ValueError("a gap file is required (--gap or manifest)")
-    g = GapFragment.from_json(_load_json(gap_path))
+    if args.n0 < 0:
+        raise ValueError(f"--n0 must be a natural, got {args.n0}")
+    g = _load_input(args, "gap")
 
     if args.predicate == "special":
         holds = special_gap_check(g, args.n0)
@@ -128,13 +132,7 @@ def _cmd_check(args) -> int:
         )
         return 0 if x is not None else 1
 
-    ladder_path = pick(args.ladder, "ladder")
-    part_path = pick(args.partition, "partition")
-    if ladder_path is None or part_path is None:
-        raise ValueError("the ladder predicate needs ladder and partition files")
-    ladder = Ladder.from_json(_load_json(ladder_path))
-    part = SPartition.from_json(_load_json(part_path))
-    result = c_hausdorff_check(g, ladder, part)
+    result = c_hausdorff_check(g, _load_input(args, "ladder"), _load_input(args, "partition"))
     witnesses = [wit.to_json() for _, wit in sorted(result.items()) if wit is not None]
     failures = [
         {"delta": d.to_json(), "j": j.to_json()} for (d, j), wit in sorted(result.items()) if wit is None
@@ -147,34 +145,22 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.poset == "p":
-        p = PCondition.from_json(_load_json(args.cond1))
-        q = PCondition.from_json(_load_json(args.cond2))
+    cond = PCondition if args.poset == "p" else QCondition
+    p, q = (cond.from_json(_load_json(path)) for path in (args.cond1, args.cond2))
+    if cond is PCondition:
         witness = p_compatible_oracle(p, q, args.max_free_bits)
     else:
-        if not args.manifest:
-            raise ValueError("the q oracle needs a context manifest")
-        ctx = _load_context(args.manifest)
-        p = QCondition.from_json(_load_json(args.cond1))
-        q = QCondition.from_json(_load_json(args.cond2))
-        witness = q_compatible(ctx, p, q)
-    if witness is None:
-        _emit({"compatible": False, "witness": None}, args.out)
-        return 1
-    _emit({"compatible": True, "witness": witness.to_json()}, args.out)
-    return 0
+        witness = q_compatible(QContext(*(_load_input(args, key) for key in ("gap", "ladder", "partition"))), p, q)
+    _emit({"compatible": witness is not None, "witness": None if witness is None else witness.to_json()}, args.out)
+    return 0 if witness is not None else 1
 
 
 def _cmd_pipeline(args) -> int:
     _check_size(args.indices, args.height)
     seed = _resolve_seed(args.seed)
     ordinals = default_index_blocks(args.indices)
-    ladder = Ladder.from_json(_load_json(args.ladder)) if args.ladder else Ladder.canonical()
-    part = (
-        SPartition.from_json(_load_json(args.partition))
-        if args.partition
-        else default_partition(ordinals)
-    )
+    ladder = _load_input(args, "ladder", Ladder.canonical())
+    part = _load_input(args, "partition", default_partition(ordinals))
     report = pipeline(ordinals, args.height, args.wsize, ladder, part, seed)
     _emit(report, args.out)
     return 0

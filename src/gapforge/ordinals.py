@@ -9,11 +9,15 @@ canonical cofinal sequences, which is all the ladder machinery needs.
 from __future__ import annotations
 
 import operator
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import TableTooShort, UnknownDelta
+
+
+_KEY = re.compile(r"(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)")
 
 
 class Ordinal(tuple):
@@ -68,10 +72,12 @@ class Ordinal(tuple):
 
     @classmethod
     def from_key(cls, key: str) -> Ordinal:
-        parts = key.split(".")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        """The ordinal of a canonical key, the one `key()` writes: ASCII
+        digits with no leading zeros, so that no two keys name one ordinal."""
+        m = _KEY.fullmatch(key)
+        if m is None:
             raise ValueError(f"bad ordinal key: {key!r}")
-        return cls(int(parts[0]), int(parts[1]))
+        return cls(int(m[1]), int(m[2]))
 
     def __str__(self):
         if self.q == 0:

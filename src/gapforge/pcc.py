@@ -59,7 +59,14 @@ class CompatMatrix:
             if any(v not in ("0", "1") for v in parts[1:]):
                 raise ValueError("matrix cells must be 0 or 1")
             cells.append(tuple(v == "1" for v in parts[1:]))
+        _require_increasing(row_index, "matrix row indices")
+        _require_increasing(col_index, "matrix column indices")
         return cls(tuple(row_index), col_index, tuple(cells))
+
+
+def _require_increasing(idx: Sequence[Ordinal], what: str) -> None:
+    if any(not a < b for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"{what} must strictly increase")
 
 
 def build_compat_matrix(
@@ -79,9 +86,7 @@ def build_compat_matrix(
     """
     sides = []
     for fam in (fam1, fam2):
-        idx = [o for o, _ in fam]
-        if any(not a < b for a, b in zip(idx, idx[1:])):
-            raise ValueError("family indices must strictly increase")
+        _require_increasing([o for o, _ in fam], "family indices")
         for _, p in fam:
             ctx.check_condition(p)
         cs = CandidateSlices(ctx.g, sorted(set().union(*(p.w for _, p in fam))))
@@ -120,8 +125,7 @@ class PccInstance:
 
     def __post_init__(self):
         for fam in (self.fam1, self.fam2):
-            if any(not a < b for (a, _), (b, _) in zip(fam, fam[1:])):
-                raise ValueError("index lists must strictly increase")
+            _require_increasing([d for d, _ in fam], "index lists")
             if any(d in self.ctx.part.S for d, _ in fam):
                 raise ValueError("family indices must avoid the designated set S")
         if {d for d, _ in self.fam1} & {d for d, _ in self.fam2}:

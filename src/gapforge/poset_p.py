@@ -240,8 +240,8 @@ def p_compatible_oracle(p: PCondition, q: PCondition, max_free_bits: int = 24) -
     height = max(p.height, q.height)
     dom = sorted(p.masks.keys() | q.masks.keys())
     fixed: list[int] = []  # per (o, side), dom-major: the longer word, as a mask
-    free: list[tuple[int, int]] = []  # per free slot: (0, its bit), ascending within a word
-    spans: list[tuple[int, int]] = []  # per (o, side): its slice of `free`
+    spans: list[tuple[int, int]] = []  # per (o, side): its slice of the free slots
+    n_free = 0
     for o in dom:
         for s in (0, 1):
             known = [(c.height, c.masks[o][s]) for c in (p, q) if o in c.masks]
@@ -249,10 +249,13 @@ def p_compatible_oracle(p: PCondition, q: PCondition, max_free_bits: int = 24) -
             if (lo ^ hi) & ((1 << short) - 1):
                 return None  # the words themselves admit no common refinement
             fixed.append(hi)
-            spans.append((len(free), len(free) + height - length))
-            free.extend((0, 1 << k) for k in range(length, height))
-    if len(free) > max_free_bits:
-        raise SearchTooLarge(f"{len(free)} free bits exceed the {max_free_bits}-bit cap")
+            spans.append((n_free, n_free + height - length))
+            n_free += height - length
+    # counted before any slot is built: the slots of one word take about height^2 / 16 bytes
+    if n_free > max_free_bits:
+        raise SearchTooLarge(f"{n_free} free bits exceed the {max_free_bits}-bit cap")
+    # per free slot: (0, its bit), ascending within a word
+    free = [(0, 1 << k) for a, b in spans for k in range(height - (b - a), height)]
     # the first slot varies slowest, so candidates come in lexicographic order
     for choice in itertools.product(*free):
         # the free bits of a word are distinct and above its fixed ones: sum is union

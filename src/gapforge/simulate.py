@@ -91,7 +91,9 @@ def p_standard_schedule(
 
     Each level gives every low-side column present an independent chance of
     a fresh bit; the choices are pre-drawn from the seed so the meet rules
-    stay pure.  With no ordinals only the height requirement remains.
+    stay pure.  The last bit requirement, at level target_height - 1, ends
+    at the target height.  With no ordinals only a height requirement
+    remains.
     """
     if target_height < 0:
         raise ValueError(f"target height must be a natural, got {target_height}")
@@ -110,7 +112,6 @@ def p_standard_schedule(
             reqs.append(_bit_requirement(pos, plans[pos]))
     for level in range(min(len(todo), target_height), target_height):
         reqs.append(_bit_requirement(level, plans[level]))
-    reqs.append(_height_requirement(target_height))
     return reqs
 
 

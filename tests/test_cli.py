@@ -94,14 +94,23 @@ def test_check_interpolate(tmp_path):
     assert json.loads(out.read_text())["witness"] is not None
 
 
-def test_check_c_hausdorff_with_manifest(tmp_path):
+def _hausdorff_inputs(root, full_b=False):
+    """gap, ladder and partition files for `check c-hausdorff` under root:
+    the ladder clause holds, or with full b-sets only fails."""
+    root.mkdir(parents=True, exist_ok=True)
     a = {fin(i): mask(range(i + 1)) for i in range(1, 5)}
     a[Ordinal(1, 1)] = 0
-    b = {o: 0 for o in a}
-    gap = _write(tmp_path / "gap.json", GapFragment(8, a, b).to_json())
-    ladder = _write(tmp_path / "ladder.json", Ladder.canonical().to_json())
+    b = {o: mask(range(8)) if full_b else 0 for o in a}
     limits = frozenset({Ordinal(1, 0)})
-    part = _write(tmp_path / "part.json", SPartition(S=limits, T=frozenset(), D=limits).to_json())
+    return (
+        _write(root / "gap.json", GapFragment(8, a, b).to_json()),
+        _write(root / "ladder.json", Ladder.canonical().to_json()),
+        _write(root / "part.json", SPartition(S=limits, T=frozenset(), D=limits).to_json()),
+    )
+
+
+def test_check_c_hausdorff_with_manifest(tmp_path):
+    _hausdorff_inputs(tmp_path)
     manifest = _write(
         tmp_path / "manifest.json",
         {"gap": "gap.json", "ladder": "ladder.json", "partition": "part.json"},
@@ -112,21 +121,15 @@ def test_check_c_hausdorff_with_manifest(tmp_path):
     assert report["holds"] is True and report["witnesses"]
 
     # full b-sets leave only the vacuous threshold: the check reports failures
-    full = GapFragment(8, a, {o: mask(range(8)) for o in a})
-    gap2 = _write(tmp_path / "gap.json", full.to_json())
+    _hausdorff_inputs(tmp_path, full_b=True)
     assert main(["check", "c-hausdorff", "--manifest", manifest]) == 1
 
 
 def test_check_c_hausdorff_table_too_short(tmp_path, capsys):
-    a = {fin(i): mask(range(i + 1)) for i in range(1, 5)}
-    a[Ordinal(1, 1)] = 0
-    b = {o: 0 for o in a}
-    gap = _write(tmp_path / "gap.json", GapFragment(8, a, b).to_json())
+    gap, _, part = _hausdorff_inputs(tmp_path)
     short = _write(
         tmp_path / "ladder.json", Ladder.explicit({Ordinal(1, 0): [fin(0), fin(1)]}).to_json()
     )
-    limits = frozenset({Ordinal(1, 0)})
-    part = _write(tmp_path / "part.json", SPartition(S=limits, T=frozenset(), D=limits).to_json())
     code = main(["check", "c-hausdorff", "--gap", gap, "--ladder", short, "--partition", part])
     assert code == 2
     assert "TableTooShort" in capsys.readouterr().err
@@ -319,6 +322,23 @@ def test_oracle_p_search_too_large(tmp_path):
     assert main(["oracle", "p", "--cond1", c1, "--cond2", c2, "--max-free-bits", "30"]) == 0
 
 
+def test_oracle_p_counts_free_bits_before_building_them(tmp_path, capsys):
+    """Two files of about 100 bytes: one entry at height 0 against an empty
+    condition of height 10**6, two million free bits whose slots would take
+    about 125 GB."""
+    c1 = _write(tmp_path / "c1.json", {"height": 0, "entries": [{"ord": [0, 1], "a_bits": "", "b_bits": ""}]})
+    c2 = _write(tmp_path / "c2.json", {"height": 10**6, "entries": []})
+    tracemalloc.start()
+    try:
+        code = main(["oracle", "p", "--cond1", c1, "--cond2", c2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "2000000 free bits" in capsys.readouterr().err
+    assert peak < 2**20
+
+
 def test_oracle_q(tmp_path):
     a = {fin(5): mask(range(8)), Ordinal(1, 0): 0}
     b = {fin(5): 0, Ordinal(1, 0): mask(range(2, 8))}
@@ -334,6 +354,74 @@ def test_oracle_q(tmp_path):
     assert main(["oracle", "q", "--cond1", p, "--cond2", q, "--manifest", manifest]) == 1
     assert main(["oracle", "q", "--cond1", p, "--cond2", p, "--manifest", manifest]) == 0
     assert main(["oracle", "q", "--cond1", p, "--cond2", q]) == 2  # manifest required
+
+
+def test_inputs_come_from_the_flag_else_the_manifest_relative_to_it(tmp_path, monkeypatch):
+    _hausdorff_inputs(tmp_path / "ctx", full_b=True)
+    manifest = _write(tmp_path / "ctx" / "m.json", {"gap": "gap.json", "ladder": "ladder.json", "partition": "part.json"})
+    good_gap, _, _ = _hausdorff_inputs(tmp_path / "other")
+    monkeypatch.chdir(tmp_path / "other")  # the manifest's names resolve next to it, not here
+    assert main(["check", "c-hausdorff", "--manifest", manifest]) == 1
+    assert main(["check", "c-hausdorff", "--manifest", manifest, "--gap", good_gap]) == 0
+    assert main(["check", "special", "--manifest", manifest]) == 1
+    # a manifest that is given is read, even where every flag wins over it
+    not_an_object = _write(tmp_path / "list.json", ["gap.json"])
+    assert main(["check", "special", "--manifest", not_an_object, "--gap", good_gap]) == 2
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [{"gap": "gap.json", "ladder": "ladder.json"}, ["gap.json", "ladder.json", "part.json"]],
+    ids=["no-partition", "not-an-object"],
+)
+def test_oracle_q_reads_its_context_from_a_whole_manifest_only(manifest, tmp_path, capsys):
+    _hausdorff_inputs(tmp_path)
+    p = _write(tmp_path / "p.json", {"w": [[0, 1]], "s": []})
+    m = _write(tmp_path / "m.json", manifest)
+    assert main(["oracle", "q", "--cond1", p, "--cond2", p, "--manifest", m]) == 2
+    assert "ValueError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("predicate", ["special", "interpolate", "c-hausdorff"])
+def test_check_negative_n0_exits_2(predicate, tmp_path, capsys):
+    gap, ladder, part = _hausdorff_inputs(tmp_path)
+    argv = ["check", predicate, "--gap", gap, "--ladder", ladder, "--partition", part, "--n0", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "gapforge: ValueError: --n0 must be a natural, got -1\n")
+
+
+def test_check_rejects_an_aliased_key(tmp_path, capsys):
+    """"00.1" names the ordinal of "0.1": loading both would drop one set."""
+    frag = _tiny_special_fragment().to_json()
+    frag["a"]["00.1"] = [2]
+    assert main(["check", "special", "--gap", _write(tmp_path / "gap.json", frag)]) == 2
+    assert "bad ordinal key: '00.1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [",0.5,0.5\n0.1,1,1\n", ",1.1\n0.2,1\n0.1,1\n"],
+    ids=["repeated-column", "unordered-rows"],
+)
+def test_pcc_matrix_rejects_indices_that_do_not_increase(text, tmp_path, capsys):
+    csv_path = tmp_path / "matrix.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    assert main(["pcc", "--matrix", str(csv_path)]) == 2
+    assert "must strictly increase" in capsys.readouterr().err
+
+
+def test_pipeline_reads_its_ladder_and_partition_flags(tmp_path):
+    argv = ["pipeline", "--indices", "20", "--height", "16", "--wsize", "4", "--seed", "2"]
+    limits = [[1, 0], [2, 0]]  # the block limits of 20 indices, the default partition
+    ladder = _write(tmp_path / "ladder.json", {"mode": "canonical"})
+    part = _write(tmp_path / "part.json", {"S": limits, "T": [], "D": limits})
+    outs = [tmp_path / "default.json", tmp_path / "flags.json"]
+    assert main(argv + ["--out", str(outs[0])]) == 0
+    assert main(argv + ["--ladder", ladder, "--partition", part, "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    bad = _write(tmp_path / "bad.json", {"mode": "spiral"})
+    assert main(argv + ["--ladder", bad]) == 2
+    assert main(argv + ["--partition", bad]) == 2
 
 
 def test_pipeline_zero_and_default(tmp_path):

@@ -34,7 +34,11 @@ def test_ordinal_json_and_key_roundtrip():
     for data in ([1], [1, True], [1, 2, 3], (1, -2), [1.0, 2], "1.2", None):
         with pytest.raises(ValueError):
             Ordinal.from_json(data)
-    for key in ("1.2.3", "1", "-1.2", "a.b", "1.", ""):
+    # only the canonical key: ASCII digits without leading zeros, so that
+    # "00.1" or "0.01" cannot alias the key "0.1" of one map
+    assert Ordinal.from_key("10.0") == Ordinal(10, 0) and Ordinal.from_key("0.10") == fin(10)
+    for key in ("1.2.3", "1", "-1.2", "a.b", "1.", "", "00.1", "0.01", "01.0", "+1.2", " 1.2", "1.2\n",
+                "\u0663.\u0664", "\u00b2.1", "1_0.1"):
         with pytest.raises(ValueError):
             Ordinal.from_key(key)
 

@@ -291,6 +291,10 @@ def test_matrix_csv_roundtrip():
         CompatMatrix.from_csv("")
     with pytest.raises(ValueError):
         CompatMatrix.from_csv(",0.1\n0.0,2\n")
+    # indices strictly increase along both headers, as build_compat_matrix requires
+    for text in (",0.5,0.5\n0.1,1,1\n", ",0.6,0.5\n0.1,1,1\n", ",0.5\n0.1,1\n0.1,1\n", ",0.5\n0.2,1\n0.1,1\n"):
+        with pytest.raises(ValueError, match="must strictly increase"):
+            CompatMatrix.from_csv(text)
 
 
 def test_profile_interpolation_transfer():

@@ -13,6 +13,7 @@ from gapforge import (
     QCondition,
     RequirementFailure,
     QContext,
+    SimRun,
     build_filter,
     check_tower_coherence,
     default_index_blocks,
@@ -137,6 +138,38 @@ def test_tower_coherence_on_runs():
         reqs = p_standard_schedule(default_index_blocks(10), 24, seed=seed)
         run = build_filter(PCondition.empty(), reqs)
         check_tower_coherence(run)  # must not raise
+
+
+@pytest.mark.parametrize(
+    "words, detail",
+    [
+        # bit 0 granted at a_0 but not at a_1 above it
+        ({fin(0): ("1", "1"), fin(1): ("0", "0")}, "a-excess at (0, 1)"),
+        # bit 0 granted at b_1 but not at b_0, above it on the b side
+        ({fin(0): ("0", "0"), fin(1): ("0", "1")}, "b-excess at (1, 0)"),
+    ],
+    ids=["a-side", "b-side"],
+)
+def test_tower_coherence_fires_on_a_grant_that_skips_a_later_index(words, detail):
+    c0 = PCondition(0, {fin(0): ("", ""), fin(1): ("", "")})
+    bad = PCondition(1, words)
+    with pytest.raises(InvariantViolation) as err:
+        check_tower_coherence(SimRun(["dom", "bad"], [c0, bad]))
+    assert err.value.invariant == "tower-coherence"
+    assert detail in err.value.detail
+
+
+def test_the_schedule_ends_at_its_last_bit_requirement():
+    """Only the empty-domain schedule needs a height requirement: otherwise
+    the last bit requirement ends at the target height."""
+    assert [r.name for r in p_standard_schedule([], 5, seed=0)] == ["height>=5"]
+    for count, height in [(3, 0), (3, 5), (8, 5), (5, 5)]:
+        reqs = p_standard_schedule(default_index_blocks(count), height, seed=count)
+        names = [r.name for r in reqs]
+        assert [n for n in names if not n.startswith("dom:")] == [f"bits@{k}" for k in range(height)]
+        run = build_filter(PCondition.empty(), reqs)
+        assert run.result.height == height
+        assert set(run.result.masks) == set(default_index_blocks(count))
 
 
 def _forged_ctx(count, height, seed):
