@@ -145,6 +145,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_free_bits < 0:
+        raise ValueError(f"--max-free-bits must be a natural, got {args.max_free_bits}")
     cond = PCondition if args.poset == "p" else QCondition
     p, q = (cond.from_json(_load_json(path)) for path in (args.cond1, args.cond2))
     if cond is PCondition:

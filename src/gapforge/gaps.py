@@ -99,6 +99,8 @@ class GapFragment:
                 out |= 1 << x
             return out
 
+        if not isinstance(data["a"], dict) or not isinstance(data["b"], dict):
+            raise ValueError("the a and b maps must be JSON objects")
         iset = [Ordinal.from_json(o) for o in data["I"]]
         jset = [Ordinal.from_json(o) for o in data["J"]]
         a = {Ordinal.from_key(k): mask(k, v) for k, v in data["a"].items()}

@@ -11,8 +11,10 @@ finite index lists, nothing more.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -27,19 +29,24 @@ from .poset_q import (
 class CompatMatrix:
     """Pairwise compatibility of two indexed condition families.
 
-    cells[x][y] records whether the conditions at row_index[x] and
-    col_index[y] admit a common extension.  A built matrix and one loaded
-    from CSV carry the same three fields.
+    Bit y of rows[x] records whether the conditions at row_index[x] and
+    col_index[y] admit a common extension.  Both index tuples strictly
+    increase, in a built matrix and in one loaded from CSV alike.
     """
 
     row_index: tuple[Ordinal, ...]
     col_index: tuple[Ordinal, ...]
-    cells: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
+
+    @property
+    def cells(self) -> tuple[tuple[bool, ...], ...]:
+        """The rows as bools: read by perfbench/tracer.py:_after_matrix only, until it counts from rows."""
+        return tuple(tuple(v == "1" for v in f"{r | 1 << len(self.col_index):b}"[:0:-1]) for r in self.rows)
 
     def to_csv(self) -> str:
+        top = 1 << len(self.col_index)  # a sentinel bit keeps a row's leading zeros
         lines = [",".join([""] + [o.key() for o in self.col_index])]
-        for x, o in enumerate(self.row_index):
-            lines.append(",".join([o.key()] + ["1" if v else "0" for v in self.cells[x]]))
+        lines += [",".join([o.key(), *f"{r | top:b}"[:0:-1]]) for o, r in zip(self.row_index, self.rows)]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -50,7 +57,7 @@ class CompatMatrix:
         header = lines[0].split(",")
         col_index = tuple(Ordinal.from_key(k) for k in header[1:])
         row_index = []
-        cells = []
+        rows = []
         for ln in lines[1:]:
             parts = ln.split(",")
             if len(parts) != len(col_index) + 1:
@@ -58,10 +65,10 @@ class CompatMatrix:
             row_index.append(Ordinal.from_key(parts[0]))
             if any(v not in ("0", "1") for v in parts[1:]):
                 raise ValueError("matrix cells must be 0 or 1")
-            cells.append(tuple(v == "1" for v in parts[1:]))
+            rows.append(int("0" + "".join(parts[:0:-1]), 2))  # the cells, last column first
         _require_increasing(row_index, "matrix row indices")
         _require_increasing(col_index, "matrix column indices")
-        return cls(tuple(row_index), col_index, tuple(cells))
+        return cls(tuple(row_index), col_index, tuple(rows))
 
 
 def _require_increasing(idx: Sequence[Ordinal], what: str) -> None:
@@ -94,11 +101,12 @@ def build_compat_matrix(
     (cs1, w1), (cs2, w2) = sides
     blocked1 = [ladder_blocked(ctx, p, cs2) for _, p in fam1]
     blocked2 = [ladder_blocked(ctx, q, cs1) for _, q in fam2]
-    cells = tuple(
-        tuple([not (wq & bp or wp & bq) for wq, bq in zip(w2, blocked2)])
+    cols = list(zip(w2, blocked2))[::-1]  # binary digits put the last column first
+    rows = tuple(
+        int("0" + "".join(["0" if wq & bp or wp & bq else "1" for wq, bq in cols]), 2)
         for wp, bp in zip(w1, blocked1)
     )
-    return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), cells)
+    return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), rows)
 
 
 @dataclass(frozen=True)
@@ -191,24 +199,27 @@ def find_compatible_pair(inst: PccInstance) -> tuple[Ordinal, Ordinal, int] | No
     return None
 
 
+def _conflicts(m: CompatMatrix, x: int) -> int:
+    """The columns above row x's index whose cell in row x is false, as a mask."""
+    return ~m.rows[x] & (1 << len(m.col_index)) - (1 << bisect_right(m.col_index, m.row_index[x]))
+
+
 def verify_rectangle(m: CompatMatrix, rows: Sequence[int], cols: Sequence[int]) -> bool:
-    """Cell-by-cell check: every row-below-column pair must be compatible."""
-    return all(
-        m.cells[x][y] or not m.row_index[x] < m.col_index[y]
-        for x in rows
-        for y in cols
-    )
+    """One mask test per row: no row of the rectangle conflicts with one of its columns."""
+    col_mask = reduce(or_, [1 << y for y in cols], 0)
+    return not any(_conflicts(m, x) & col_mask for x in rows)
 
 
-def _koenig_rows(adj: list[list[int]], nc: int) -> list[int]:
+def _koenig_rows(masks: list[int], nc: int) -> list[int]:
     """Rows reached by alternating paths from the free rows of a maximum
-    matching of the bipartite graph adj (adj[x]: the columns of row x).
+    matching of the bipartite graph masks (bit y of masks[x]: edge x-y).
 
     Hopcroft-Karp: each phase layers the rows by breadth-first search from
     the free rows, then augments along layered paths found by depth-first
     search on an explicit stack, since a path may be as long as the graph.
     Once the search reaches no free column the matching is maximum.
     """
+    adj = [[y for y, v in enumerate(f"{a:b}"[::-1]) if v == "1"] for a in masks]
     mate = [-1] * nc  # the row matched to each column
     while True:
         matched = set(mate)
@@ -254,17 +265,14 @@ def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ..
     the rows reached from the free rows by alternating paths and the columns
     none of them conflicts with.  Its rows lie in every largest rectangle and
     its columns hold those of each, so ties break the same way whatever the
-    matching: fewest rows.  The result is verified cell by cell before being
+    matching: fewest rows.  The result is verified row by row before being
     returned (InvariantViolation otherwise); positions index into the
     matrix, ascending.
     """
-    adj = [
-        [y for y, ok in enumerate(m.cells[x]) if not ok and rx < m.col_index[y]]
-        for x, rx in enumerate(m.row_index)
-    ]
-    rows = tuple(_koenig_rows(adj, len(m.col_index)))
-    covered = {y for x in rows for y in adj[x]}
-    cols = tuple(y for y in range(len(m.col_index)) if y not in covered)
+    conflicts = [_conflicts(m, x) for x in range(len(m.row_index))]
+    rows = tuple(_koenig_rows(conflicts, len(m.col_index)))
+    covered = reduce(or_, [conflicts[x] for x in rows], 0)
+    cols = tuple(y for y in range(len(m.col_index)) if not covered >> y & 1)
     if not verify_rectangle(m, rows, cols):
         raise InvariantViolation("rectangle-verification", "the searched rectangle fails a cell check")
     return rows, cols
@@ -272,12 +280,11 @@ def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ..
 
 MAX_FAMILY = 2048
 """Most conditions per generated family.  The matrix and the rectangle
-search grow with t1 * t2: `pcc` at 480 x 480 takes 0.4 s and 21 MB, at
-1024 x 1024 0.7-0.9 s and 36 MB, and at 2048 x 2048 2.4-3.0 s and 97 MB
+search grow with t1 * t2: `pcc` at 480 x 480 takes 0.2-0.3 s and 20 MB, at
+1024 x 1024 0.7 s and 29 MB, and at 2048 x 2048 2.0-2.2 s and 63 MB
 (wall and peak RSS with interpreter start, 2-vCPU Xeon, Python 3.11).
-Memory, not time, holds the limit here: the cells alone, t1 tuples of t2
-bools, take 32 MB at 2048 x 2048, so raising it waits on rows stored as
-bitmasks."""
+The bitmask rows retain 0.6 MiB at 2048 x 2048; the build's loop over the
+t1 * t2 cells takes most of the time, about 1 s of it there."""
 
 
 def generate_pcc_instance(

@@ -6,6 +6,7 @@ import itertools
 import random
 
 from gapforge import (
+    CompatMatrix,
     GapFragment,
     Ladder,
     Ordinal,
@@ -86,6 +87,13 @@ def random_extension(rng: random.Random, p: PCondition, pool, extra_height: int 
         o = rng.choice(dom)
         forced.append(((o, rng.randint(0, 1)), rng.randint(p.height, target - 1)))
     return p_extend(p, target, new, forced)
+
+
+def matrix_from_grid(row_index, col_index, grid) -> CompatMatrix:
+    """The matrix whose cell (x, y) is grid[x][y], a grid of bools: bit y of
+    row x is set exactly when grid[x][y] holds."""
+    rows = tuple(mask(y for y, ok in enumerate(row) if ok) for row in grid)
+    return CompatMatrix(tuple(row_index), tuple(col_index), rows)
 
 
 def random_fragment(rng: random.Random, universe: int, pool, n_idx: int) -> GapFragment:

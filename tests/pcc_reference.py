@@ -1,11 +1,13 @@
-"""Reference rectangle searches for the pcc compatibility matrix.
+"""Reference rectangle checks and searches for the pcc compatibility matrix.
 
-`exact_rectangle` is the exhaustive search over row subsets that the
-matching-based `max_order_rectangle` replaced; `matching_size` is a plain
-recursive augmenting-path matching of the conflict graph, written apart from
-the package's Hopcroft-Karp code.  A rectangle of size |rows| + |cols| - nu
-next to a matching of size nu certifies both optimal (weak duality: every
-conflict edge of the matching leaves at least one end out of any rectangle).
+`ref_verify_rectangle` is the cell-by-cell check that `verify_rectangle`,
+one mask test per row, replaced.  `exact_rectangle` is the exhaustive search
+over row subsets that the matching-based `max_order_rectangle` replaced;
+`matching_size` is a plain recursive augmenting-path matching of the conflict
+graph, written apart from the package's Hopcroft-Karp code.  A rectangle of
+size |rows| + |cols| - nu next to a matching of size nu certifies both
+optimal (weak duality: every conflict edge of the matching leaves at least
+one end out of any rectangle).  All of them read a cell as bit y of row x.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from gapforge import CompatMatrix
 
 
 def _bad(m: CompatMatrix, x: int, y: int) -> bool:
-    return m.row_index[x] < m.col_index[y] and not m.cells[x][y]
+    """Cell (x, y) is false, bit y of row x, with the row below the column."""
+    return m.row_index[x] < m.col_index[y] and not m.rows[x] >> y & 1
+
+
+def ref_verify_rectangle(m: CompatMatrix, rows, cols) -> bool:
+    """Cell-by-cell check: every row-below-column pair must be compatible."""
+    return not any(_bad(m, x, y) for x in rows for y in cols)
 
 
 def exact_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:

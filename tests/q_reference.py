@@ -61,15 +61,17 @@ def ref_q_compatible(ctx: QContext, p: QCondition, q: QCondition) -> QCondition 
 
 
 def ref_build_compat_matrix(ctx: QContext, fam1, fam2) -> CompatMatrix:
-    """Compatibility decided cell by cell, each cell validating again."""
+    """Compatibility decided cell by cell, each cell validating again, as
+    bit y of row x."""
     for fam in (fam1, fam2):
         idx = [o for o, _ in fam]
         if any(not a < b for a, b in zip(idx, idx[1:])):
             raise ValueError("family indices must strictly increase")
-    cells = tuple(
-        tuple(ref_q_compatible(ctx, p, q) is not None for _, q in fam2) for _, p in fam1
+    rows = tuple(
+        sum(1 << y for y, (_, q) in enumerate(fam2) if ref_q_compatible(ctx, p, q) is not None)
+        for _, p in fam1
     )
-    return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), cells)
+    return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), rows)
 
 
 def ref_ladder_blocked(ctx: QContext, p: QCondition, cand: Sequence[Ordinal]) -> int:

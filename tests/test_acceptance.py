@@ -41,11 +41,11 @@ from gapforge import (
     uniform_interpolation,
     verify_rectangle,
 )
-from gapforge.pcc import CompatMatrix
 from helpers import (
     conditions_in,
     enumerate_conditions,
     mask,
+    matrix_from_grid,
     random_extension,
     random_fragment,
     random_pcondition,
@@ -388,7 +388,7 @@ def test_10_chain_condition_lab():
     for _ in range(20):
         nr, nc = rng.randint(1, 12), rng.randint(1, 12)
         cells = tuple(tuple(rng.random() < rng.uniform(0.3, 0.9) for _ in range(nc)) for _ in range(nr))
-        m = CompatMatrix(
+        m = matrix_from_grid(
             tuple(Ordinal(0, 2 * i) for i in range(nr)),
             tuple(Ordinal(0, 2 * i + 1) for i in range(nc)),
             cells,

@@ -302,6 +302,27 @@ def test_check_malformed_gap(tmp_path):
     assert main(["check", "special"]) == 2  # no gap supplied at all
 
 
+@pytest.mark.parametrize("value", [[], 5, None], ids=["list", "int", "null"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_a_diagram_map_that_is_no_object_exits_2(side, value, tmp_path, capsys):
+    """Exit 1 would read as "predicate false": every command that loads the
+    diagram refuses it as malformed instead."""
+    _, ladder, part = _hausdorff_inputs(tmp_path)
+    frag = _tiny_special_fragment().to_json()
+    frag[side] = value
+    gap = _write(tmp_path / "gap.json", frag)
+    manifest = _write(tmp_path / "m.json", {"gap": "gap.json", "ladder": "ladder.json", "partition": "part.json"})
+    q = _write(tmp_path / "q.json", {"w": [], "s": []})
+    for argv in (
+        ["check", "special", "--gap", gap],
+        ["check", "interpolate", "--gap", gap],
+        ["check", "c-hausdorff", "--gap", gap, "--ladder", ladder, "--partition", part],
+        ["oracle", "q", "--cond1", q, "--cond2", q, "--manifest", manifest],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "gapforge: ValueError: the a and b maps must be JSON objects\n")
+
+
 def test_oracle_p(tmp_path):
     cond = PCondition(1, {fin(0): ("1", "1")})
     c1 = _write(tmp_path / "c1.json", cond.to_json())
@@ -320,6 +341,15 @@ def test_oracle_p_search_too_large(tmp_path):
     c2 = _write(tmp_path / "c2.json", PCondition(5, {fin(1): (w5, w5)}).to_json())
     assert main(["oracle", "p", "--cond1", c1, "--cond2", c2]) == 4
     assert main(["oracle", "p", "--cond1", c1, "--cond2", c2, "--max-free-bits", "30"]) == 0
+
+
+@pytest.mark.parametrize("poset", ["p", "q"])
+def test_oracle_negative_free_bit_cap_exits_2(poset, tmp_path, capsys):
+    """A cap below 0 is a malformed flag (exit 2), not a search over it (exit 4)."""
+    cond = {"height": 0, "entries": []} if poset == "p" else {"w": [], "s": []}
+    c = _write(tmp_path / "c.json", cond)
+    assert main(["oracle", poset, "--cond1", c, "--cond2", c, "--max-free-bits", "-1"]) == 2
+    assert capsys.readouterr() == ("", "gapforge: ValueError: --max-free-bits must be a natural, got -1\n")
 
 
 def test_oracle_p_counts_free_bits_before_building_them(tmp_path, capsys):

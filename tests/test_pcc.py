@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,8 +26,8 @@ from gapforge import (
     verify_rectangle,
 )
 from gapforge import pcc
-from helpers import mask
-from pcc_reference import exact_rectangle, matching_size
+from helpers import mask, matrix_from_grid
+from pcc_reference import exact_rectangle, matching_size, ref_verify_rectangle
 
 
 def _flat_instance(universe=8, with_upper=False):
@@ -163,10 +164,12 @@ def test_instance_validation_rejects_bad_shapes():
 def test_build_compat_matrix_examples():
     inst = _flat_instance()
     empty = build_compat_matrix(inst.ctx, [], [])
-    assert empty.cells == ()
+    assert empty.rows == ()
     p = QCondition(frozenset({fin(1)}), frozenset({Ordinal(1, 0)}))
     single = build_compat_matrix(inst.ctx, [(Ordinal(3, 1), p)], [(Ordinal(6, 1), p)])
-    assert single.cells == ((True,),)
+    assert single.rows == (1,)
+    no_cols = build_compat_matrix(inst.ctx, [(Ordinal(3, 1), p)], [])
+    assert no_cols.rows == (0,)
     with pytest.raises(ValueError):
         build_compat_matrix(inst.ctx, [(Ordinal(3, 1), p), (Ordinal(3, 1), p)], [])
 
@@ -199,7 +202,7 @@ def _random_matrix(rng, nr, nc, prob):
     rows = tuple(Ordinal(0, 2 * i) for i in range(nr))
     cols = tuple(Ordinal(0, 2 * i + 1) for i in range(nc))
     cells = tuple(tuple(rng.random() < prob for _ in range(nc)) for _ in range(nr))
-    return CompatMatrix(rows, cols, cells)
+    return matrix_from_grid(rows, cols, cells)
 
 
 def test_rectangle_all_true_and_all_false():
@@ -212,7 +215,7 @@ def test_rectangle_all_true_and_all_false():
     rows_idx = tuple(fin(i) for i in range(5))
     cols_idx = tuple(fin(10 + i) for i in range(7))
     cells = tuple(tuple(False for _ in cols_idx) for _ in rows_idx)
-    m2 = CompatMatrix(rows_idx, cols_idx, cells)
+    m2 = matrix_from_grid(rows_idx, cols_idx, cells)
     rows, cols = max_order_rectangle(m2)
     assert verify_rectangle(m2, rows, cols)
     assert len(rows) + len(cols) == 7  # the larger side survives alone
@@ -223,7 +226,7 @@ def _interleaved_matrix(kinds, cells):
     """Rows at the positions where kinds is 0, columns where it is 1."""
     rows = tuple(Ordinal(0, i) for i, kind in enumerate(kinds) if kind == 0)
     cols = tuple(Ordinal(0, i) for i, kind in enumerate(kinds) if kind == 1)
-    return CompatMatrix(rows, cols, cells)
+    return matrix_from_grid(rows, cols, cells)
 
 
 def _assert_optimal(m):
@@ -272,6 +275,91 @@ def test_rectangle_is_optimal_at_full_size():
         assert len(rows) + len(cols) == 240 - matching_size(m)
 
 
+def _pick(rng, n):
+    """A random subset of range(n), in ascending order."""
+    return [i for i in range(n) if rng.random() < 0.5]
+
+
+def test_verify_rectangle_matches_the_cell_reference_on_random_matrices():
+    """Indices drawn from one small pool interleave rows and columns and let
+    a row share its index with a column; row and column picks may be empty."""
+    rng = random.Random(57)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1500):
+        nr, nc = rng.randint(0, 8), rng.randint(0, 8)
+        pool = [Ordinal(0, i) for i in range(10)]
+        rows_idx, cols_idx = sorted(rng.sample(pool, nr)), sorted(rng.sample(pool, nc))
+        prob = rng.uniform(0.5, 1.0)
+        m = matrix_from_grid(rows_idx, cols_idx, [[rng.random() < prob for _ in range(nc)] for _ in range(nr)])
+        rows, cols = _pick(rng, nr), _pick(rng, nc)
+        expected = ref_verify_rectangle(m, rows, cols)
+        assert verify_rectangle(m, rows, cols) is expected, (m, rows, cols)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+def test_verify_rectangle_matches_the_cell_reference_on_every_small_matrix():
+    """Every index placement over three values (rows and columns interleaved
+    or sharing an index), every cell pattern and every row and column pick,
+    up to 3 x 3."""
+    values = [Ordinal(0, i) for i in range(3)]
+    checked = 0
+    for nr, nc in itertools.product(range(4), repeat=2):
+        for rows_idx in itertools.combinations(values, nr):
+            for cols_idx in itertools.combinations(values, nc):
+                for bits in itertools.product((False, True), repeat=nr * nc):
+                    grid = [bits[x * nc:(x + 1) * nc] for x in range(nr)]
+                    m = matrix_from_grid(rows_idx, cols_idx, grid)
+                    for rn in range(nr + 1):
+                        for rows in itertools.combinations(range(nr), rn):
+                            for cn in range(nc + 1):
+                                for cols in itertools.combinations(range(nc), cn):
+                                    assert verify_rectangle(m, rows, cols) is ref_verify_rectangle(m, rows, cols)
+                                    checked += 1
+    assert checked > 10_000
+
+
+def test_rectangle_search_reads_no_cell(monkeypatch):
+    """After the build, the rectangle search, its check and the CSV export
+    work on the bitmask rows alone; `cells` is a view for outside readers."""
+    inst = generate_pcc_instance(4, 30, 30)
+    m = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+    expected = max_order_rectangle(m), m.to_csv()
+
+    def refuse(self):
+        raise RuntimeError("a cell read")
+
+    monkeypatch.setattr(CompatMatrix, "cells", property(refuse))
+    assert (max_order_rectangle(m), m.to_csv()) == expected
+    assert CompatMatrix.from_csv(expected[1]).rows == m.rows
+
+
+def test_the_built_matrix_retains_under_a_mebibyte():
+    """One int row per condition: at 1024 x 1024 the matrix and its index
+    tuples retain under 1 MiB (about 8 MiB as rows of bools)."""
+    inst = generate_pcc_instance(0, 1024, 1024)
+    tracemalloc.start()
+    try:
+        m = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(m.rows) == 1024 and max(m.rows).bit_length() <= 1024
+    assert retained < 2**20, retained
+
+
+def test_cells_are_the_bits_of_the_rows():
+    """The contract of the `cells` view: cells[x][y] is bit y of rows[x],
+    on built matrices and on their CSV reloads."""
+    for seed, t1, t2 in ((0, 30, 30), (1, 8, 30), (1, 30, 8), (0, 1, 1)):
+        inst = generate_pcc_instance(seed, t1, t2)
+        built = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+        for m in (built, CompatMatrix.from_csv(built.to_csv())):
+            assert m.cells == tuple(tuple(bool(r >> y & 1) for y in range(t2)) for r in m.rows)
+            assert all(type(v) is bool for row in m.cells for v in row)
+            assert matrix_from_grid(m.row_index, m.col_index, m.cells) == m
+
+
 def test_rectangle_raises_when_verification_fails(monkeypatch):
     m = _random_matrix(random.Random(56), 3, 3, 0.5)
     monkeypatch.setattr(pcc, "verify_rectangle", lambda m, rows, cols: False)
@@ -286,7 +374,12 @@ def test_matrix_csv_roundtrip():
     back = CompatMatrix.from_csv(m.to_csv())
     assert back.row_index == m.row_index
     assert back.col_index == m.col_index
-    assert back.cells == m.cells
+    assert back.rows == m.rows
+    # an all-false row, an all-false last column (the high bits of every
+    # row) and a header with no rows keep their bytes both ways
+    for text, rows in ((",0.1,0.3,0.5\n0.0,1,1,0\n0.2,0,0,0\n0.4,0,1,0\n", (3, 0, 2)), (",0.1,0.3\n", ())):
+        m = CompatMatrix.from_csv(text)
+        assert m.rows == rows and m.to_csv() == text
     with pytest.raises(ValueError):
         CompatMatrix.from_csv("")
     with pytest.raises(ValueError):
