@@ -30,13 +30,23 @@ class CompatMatrix:
     """Pairwise compatibility of two indexed condition families.
 
     Bit y of rows[x] records whether the conditions at row_index[x] and
-    col_index[y] admit a common extension.  Both index tuples strictly
-    increase, in a built matrix and in one loaded from CSV alike.
+    col_index[y] admit a common extension.  On construction both index
+    tuples must strictly increase, and each row index has one row with no
+    bit past the last column.
     """
 
     row_index: tuple[Ordinal, ...]
     col_index: tuple[Ordinal, ...]
     rows: tuple[int, ...]
+
+    def __post_init__(self):
+        _require_increasing(self.row_index, "matrix row indices")
+        _require_increasing(self.col_index, "matrix column indices")
+        if len(self.rows) != len(self.row_index):
+            raise ValueError(f"{len(self.rows)} matrix rows for {len(self.row_index)} row indices")
+        width = len(self.col_index)
+        if any(r >> width for r in self.rows):  # a negative row shifts to -1
+            raise ValueError(f"a matrix row sets a bit past its {width} columns")
 
     @property
     def cells(self) -> tuple[tuple[bool, ...], ...]:
@@ -51,14 +61,13 @@ class CompatMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> CompatMatrix:
-        lines = [ln for ln in text.split("\n") if ln]
-        if not lines:
+        if not text:
             raise ValueError("empty matrix file")
-        header = lines[0].split(",")
-        col_index = tuple(Ordinal.from_key(k) for k in header[1:])
+        header, *lines = text.split("\n")  # the header line is empty when there are no columns
+        col_index = tuple(Ordinal.from_key(k) for k in header.split(",")[1:])
         row_index = []
         rows = []
-        for ln in lines[1:]:
+        for ln in filter(None, lines):
             parts = ln.split(",")
             if len(parts) != len(col_index) + 1:
                 raise ValueError("ragged matrix row")
@@ -66,8 +75,6 @@ class CompatMatrix:
             if any(v not in ("0", "1") for v in parts[1:]):
                 raise ValueError("matrix cells must be 0 or 1")
             rows.append(int("0" + "".join(parts[:0:-1]), 2))  # the cells, last column first
-        _require_increasing(row_index, "matrix row indices")
-        _require_increasing(col_index, "matrix column indices")
         return cls(tuple(row_index), col_index, tuple(rows))
 
 
@@ -93,7 +100,6 @@ def build_compat_matrix(
     """
     sides = []
     for fam in (fam1, fam2):
-        _require_increasing([o for o, _ in fam], "family indices")
         for _, p in fam:
             ctx.check_condition(p)
         cs = CandidateSlices(ctx.g, sorted(set().union(*(p.w for _, p in fam))))

@@ -65,53 +65,42 @@ def _domain_requirement(o: Ordinal) -> DenseRequirement:
     return DenseRequirement(f"dom:{o}", meet)
 
 
-def _bit_requirement(level: int, plan: frozenset[Ordinal]) -> DenseRequirement:
+def _bit_requirement(start: int, stop: int, plans: Sequence[tuple[Ordinal, ...]]) -> DenseRequirement:
+    """Grow to height `stop` in one step, granting each level k not yet
+    reached in [start, stop) to the indices of `plans[k]` present."""
+
     def meet(p: PCondition) -> PCondition:
-        if p.height > level:
+        if p.height >= stop:
             return p
-        forced = tuple(((o, 0), level) for o in sorted(plan) if o in p.masks)
-        return p_extend(p, level + 1, (), forced)
+        forced = [((o, 0), k) for k in range(max(start, p.height), stop) for o in plans[k] if o in p.masks]
+        return p_extend(p, stop, (), forced)
 
-    return DenseRequirement(f"bits@{level}", meet)
-
-
-def _height_requirement(target: int) -> DenseRequirement:
-    def meet(p: PCondition) -> PCondition:
-        if p.height >= target:
-            return p
-        return p_extend(p, target, (), ())
-
-    return DenseRequirement(f"height>={target}", meet)
+    return DenseRequirement(f"bits[{start}:{stop}]", meet)
 
 
 def p_standard_schedule(
     ordinals: Sequence[Ordinal], target_height: int, seed: int
 ) -> list[DenseRequirement]:
-    """Domain growth interleaved with per-level randomized bit grants.
+    """Domain growth interleaved with randomized bit grants, one level per index.
 
-    Each level gives every low-side column present an independent chance of
-    a fresh bit; the choices are pre-drawn from the seed so the meet rules
-    stay pure.  The last bit requirement, at level target_height - 1, ends
-    at the target height.  With no ordinals only a height requirement
-    remains.
+    Index k enters at height k and receives level k, then one step grants
+    every level above the last index up to the target height; each grant is
+    one bit at its own level, so that step leaves the masks level-by-level
+    steps would.  Each level gives every low-side column present an
+    independent chance of a bit, pre-drawn from the seed so the meet rules
+    stay pure.  More indices than levels is refused before any draw.
     """
     if target_height < 0:
         raise ValueError(f"target height must be a natural, got {target_height}")
     todo = sorted(set(ordinals))
-    if not todo:
-        return [_height_requirement(target_height)]
+    if len(todo) > target_height:
+        raise ValueError(f"{len(todo)} indices exceed the target height {target_height}, one level per index")
     rng = random.Random(seed)
-    plans = {
-        level: frozenset(o for o in todo if rng.random() < 0.5)
-        for level in range(target_height)
-    }
+    plans = [tuple(o for o in todo if rng.random() < 0.5) for _ in range(target_height)]
     reqs: list[DenseRequirement] = []
-    for pos, o in enumerate(todo):
-        reqs.append(_domain_requirement(o))
-        if pos < target_height:
-            reqs.append(_bit_requirement(pos, plans[pos]))
-    for level in range(min(len(todo), target_height), target_height):
-        reqs.append(_bit_requirement(level, plans[level]))
+    for k, o in enumerate(todo):
+        reqs += [_domain_requirement(o), _bit_requirement(k, k + 1, plans)]
+    reqs.append(_bit_requirement(len(todo), target_height, plans))
     return reqs
 
 
@@ -214,18 +203,20 @@ def check_tower_coherence(run: SimRun) -> None:
                 raise InvariantViolation("tower-coherence", f"b-excess at ({y}, {x}) exceeds entry height {h}")
 
 
+BLOCK_WIDTH = 8  # indices per w-block of the default index list
 MAX_INDICES = 2048
 """Most tower indices the CLI forges.  Each domain step rebuilds every entry
 and the run keeps every condition, so the forge is quadratic in the index
-count in time and memory: `simulate-p --height 1` at 1024 and 2048 indices
-takes 2.4 and 7.0 s and 70 and 228 MB (2-vCPU Xeon, Python 3.11)."""
+count in time and memory: `simulate-p` at 1024 indices and height 1024
+takes 7.8 s and 491 MB, and at 2048 and 2048 it takes 44 s and 2.7 GB
+(wall and peak RSS with interpreter start; 2-vCPU Xeon, Python 3.11)."""
 
 
-def default_index_blocks(count: int, block: int = 8) -> tuple[Ordinal, ...]:
-    """Spread `count` indices across w-blocks of the given width."""
+def default_index_blocks(count: int) -> tuple[Ordinal, ...]:
+    """Spread `count` indices across w-blocks of `BLOCK_WIDTH` indices."""
     if count < 0:
         raise ValueError(f"index count must be a natural, got {count}")
-    return tuple(Ordinal(k // block, k % block) for k in range(count))
+    return tuple(Ordinal(k // BLOCK_WIDTH, k % BLOCK_WIDTH) for k in range(count))
 
 
 def default_partition(ordinals: Sequence[Ordinal]) -> SPartition:

@@ -232,6 +232,28 @@ def test_indices_above_the_forge_limit_exit_2(argv, tmp_path, monkeypatch, capsy
     assert peak < 2**20  # nothing is forged, not even the index list
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-p", "--out", "never-written.json"],
+        ["pipeline", "--wsize", "20", "--out", "never-written.json"],
+    ],
+    ids=["simulate-p", "pipeline"],
+)
+def test_more_indices_than_the_height_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--indices", "80", "--height", "64"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "80 indices exceed the target height 64" in capsys.readouterr().err
+    assert not (tmp_path / "never-written.json").exists()
+    assert peak < 2**20  # refused before a level plan is drawn
+
+
 # SHA-256 of reports written before conditions stored masks (pipeline,
 # simulate-p) and before the rungs were counted once per delta (pcc); sizes
 # and seeds outside the benchmark's tables
@@ -440,8 +462,20 @@ def test_pcc_matrix_rejects_indices_that_do_not_increase(text, tmp_path, capsys)
     assert "must strictly increase" in capsys.readouterr().err
 
 
+def test_pcc_matrix_with_rows_and_no_columns_keeps_every_row(tmp_path, capsys):
+    """The header line of such a matrix is empty; an empty file is no matrix."""
+    csv_path = tmp_path / "matrix.csv"
+    csv_path.write_text("\n0.1\n0.3\n", encoding="utf-8")
+    out = tmp_path / "rect.json"
+    assert main(["pcc", "--matrix", str(csv_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rectangle"] == {"rows": [[0, 1], [0, 3]], "cols": []}
+    csv_path.write_text("", encoding="utf-8")
+    assert main(["pcc", "--matrix", str(csv_path)]) == 2
+    assert "empty matrix file" in capsys.readouterr().err
+
+
 def test_pipeline_reads_its_ladder_and_partition_flags(tmp_path):
-    argv = ["pipeline", "--indices", "20", "--height", "16", "--wsize", "4", "--seed", "2"]
+    argv = ["pipeline", "--indices", "20", "--height", "20", "--wsize", "4", "--seed", "2"]
     limits = [[1, 0], [2, 0]]  # the block limits of 20 indices, the default partition
     ladder = _write(tmp_path / "ladder.json", {"mode": "canonical"})
     part = _write(tmp_path / "part.json", {"S": limits, "T": [], "D": limits})

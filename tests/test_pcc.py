@@ -376,8 +376,15 @@ def test_matrix_csv_roundtrip():
     assert back.col_index == m.col_index
     assert back.rows == m.rows
     # an all-false row, an all-false last column (the high bits of every
-    # row) and a header with no rows keep their bytes both ways
-    for text, rows in ((",0.1,0.3,0.5\n0.0,1,1,0\n0.2,0,0,0\n0.4,0,1,0\n", (3, 0, 2)), (",0.1,0.3\n", ())):
+    # row), a header with no rows
+    # row and a matrix with rows but no columns (an empty header line) keep
+    # their bytes both ways
+    cases = (
+        (",0.1,0.3,0.5\n0.0,1,1,0\n0.2,0,0,0\n0.4,0,1,0\n", (3, 0, 2)),
+        (",0.1,0.3\n", ()),
+        ("\n0.1\n0.3\n", (0, 0)),
+    )
+    for text, rows in cases:
         m = CompatMatrix.from_csv(text)
         assert m.rows == rows and m.to_csv() == text
     with pytest.raises(ValueError):
@@ -388,6 +395,27 @@ def test_matrix_csv_roundtrip():
     for text in (",0.5,0.5\n0.1,1,1\n", ",0.6,0.5\n0.1,1,1\n", ",0.5\n0.1,1\n0.1,1\n", ",0.5\n0.2,1\n0.1,1\n"):
         with pytest.raises(ValueError, match="must strictly increase"):
             CompatMatrix.from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "row_index, col_index, rows, message",
+    [
+        ((Ordinal(0, 2),), (Ordinal(0, 3), Ordinal(0, 1)), (0,), "column indices must strictly increase"),
+        ((Ordinal(0, 2), Ordinal(0, 1)), (Ordinal(0, 3),), (1, 1), "row indices must strictly increase"),
+        ((Ordinal(0, 1),), (Ordinal(0, 2),), (5,), "past its 1 columns"),
+        ((Ordinal(0, 1),), (Ordinal(0, 2),), (-1,), "past its 1 columns"),
+        ((Ordinal(0, 1), Ordinal(0, 3)), (Ordinal(0, 2),), (1,), "1 matrix rows for 2 row indices"),
+        ((Ordinal(0, 1),), (Ordinal(0, 2),), (1, 0), "2 matrix rows for 1 row indices"),
+    ],
+    ids=["unordered-columns", "unordered-rows", "row-wider-than-columns", "negative-row", "too-few-rows",
+         "too-many-rows"],
+)
+def test_compat_matrix_refuses_shapes_its_readers_misread(row_index, col_index, rows, message):
+    """verify_rectangle and the rectangle search read a cell by the index
+    order, to_csv writes a cell per column bit, and zip pairs rows with
+    row indices: each of these shapes would be read wrong."""
+    with pytest.raises(ValueError, match=message):
+        CompatMatrix(row_index, col_index, rows)
 
 
 def test_profile_interpolation_transfer():

@@ -30,6 +30,7 @@ from gapforge import (
     simulate,
 )
 from helpers import mask
+from simulate_reference import ref_p_standard_schedule
 
 
 def test_build_filter_empty_schedule():
@@ -98,7 +99,7 @@ def test_build_filter_wraps_failed_requirements(exc):
 
 
 def test_p_standard_schedule_shapes():
-    assert [r.name for r in p_standard_schedule([], 7, seed=0)] == ["height>=7"]
+    assert [r.name for r in p_standard_schedule([], 7, seed=0)] == ["bits[0:7]"]
     reqs = p_standard_schedule(default_index_blocks(20), 64, seed=1)
     assert len(reqs) >= 21
     run = build_filter(PCondition.empty(), reqs)
@@ -160,16 +161,62 @@ def test_tower_coherence_fires_on_a_grant_that_skips_a_later_index(words, detail
 
 
 def test_the_schedule_ends_at_its_last_bit_requirement():
-    """Only the empty-domain schedule needs a height requirement: otherwise
-    the last bit requirement ends at the target height."""
-    assert [r.name for r in p_standard_schedule([], 5, seed=0)] == ["height>=5"]
-    for count, height in [(3, 0), (3, 5), (8, 5), (5, 5)]:
+    """Index k enters before level k, and one last bit requirement grants
+    every level above the last index up to the target height."""
+    for count, height in [(0, 5), (3, 5), (5, 5), (0, 0)]:
         reqs = p_standard_schedule(default_index_blocks(count), height, seed=count)
-        names = [r.name for r in reqs]
-        assert [n for n in names if not n.startswith("dom:")] == [f"bits@{k}" for k in range(height)]
+        steps = [(f"dom:{o}", f"bits[{k}:{k + 1}]") for k, o in enumerate(default_index_blocks(count))]
+        assert [r.name for r in reqs] == [n for step in steps for n in step] + [f"bits[{count}:{height}]"]
         run = build_filter(PCondition.empty(), reqs)
         assert run.result.height == height
         assert set(run.result.masks) == set(default_index_blocks(count))
+
+
+@pytest.mark.parametrize("count, height", [(3, 0), (8, 5), (1, 0)])
+def test_more_indices_than_the_height_raise_before_any_draw(count, height, monkeypatch):
+    ordinals = default_index_blocks(count)
+
+    def no_draws(seed):
+        raise AssertionError("a level plan was drawn")
+
+    monkeypatch.setattr(simulate.random, "Random", no_draws)
+    for call in (
+        lambda: p_standard_schedule(ordinals, height, seed=0),
+        lambda: pipeline(ordinals, height, 0, Ladder.canonical(), default_partition(ordinals), 0),
+    ):
+        with pytest.raises(ValueError, match=f"{count} indices exceed the target height {height}"):
+            call()
+
+
+def _entry_heights(run) -> dict:
+    entry = {}
+    for cond in run.trace:
+        for o in cond.masks:
+            entry.setdefault(o, cond.height)
+    return entry
+
+
+def _assert_matches_the_level_by_level_schedule(count, height, seed):
+    ordinals = default_index_blocks(count)
+    run = build_filter(PCondition.empty(), p_standard_schedule(ordinals, height, seed))
+    ref = build_filter(PCondition.empty(), ref_p_standard_schedule(ordinals, height, seed))
+    assert run.result == ref.result
+    assert _entry_heights(run) == _entry_heights(ref) == {o: k for k, o in enumerate(ordinals)}
+    check_tower_coherence(run)
+
+
+def test_the_schedule_matches_the_level_by_level_reference_on_every_small_size():
+    for height in range(20):
+        for count in range(height + 1):
+            for seed in range(3):
+                _assert_matches_the_level_by_level_schedule(count, height, seed)
+
+
+def test_the_schedule_matches_the_level_by_level_reference_on_random_sizes():
+    rng = random.Random(61)
+    for _ in range(12):
+        height = rng.randrange(20, 160)
+        _assert_matches_the_level_by_level_schedule(rng.randrange(height + 1), height, rng.randrange(1000))
 
 
 def _forged_ctx(count, height, seed):
