@@ -64,7 +64,10 @@ class CompatMatrix:
         if not text:
             raise ValueError("empty matrix file")
         header, *lines = text.split("\n")  # the header line is empty when there are no columns
-        col_index = tuple(Ordinal.from_key(k) for k in header.split(",")[1:])
+        corner, *cols = header.split(",")
+        if corner:
+            raise ValueError(f"matrix header must start with an empty field, got {corner!r}")
+        col_index = tuple(Ordinal.from_key(k) for k in cols)
         row_index = []
         rows = []
         for ln in filter(None, lines):

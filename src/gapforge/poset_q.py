@@ -113,13 +113,13 @@ def ladder_blocked(ctx: QContext, p: QCondition, cs: CandidateSlices) -> int:
     fresh = ~sum(1 << pos[o] for o in p.w if o in pos)
     blocked = 0
     for delta in p.s:
-        # within used, so never negative: the bit loop below ends
-        outside = [cs.used & ~ctx.g.b[i] for i in p.w if delta <= i]
-        if not outside:
-            continue
         n = bisect_left(cand, delta)
         below = fresh & (1 << n) - 1
         if not below:
+            continue
+        # within used, so never negative: the bit loop below ends
+        outside = [cs.used & ~ctx.g.b[i] for i in p.w if delta <= i]
+        if not outside:
             continue
         runs, end = ctx.ladder.count_runs(delta, cand, n)
         if below >> end:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .errors import GapforgeError, InvariantViolation, RequirementFailure
-from .gaps import GapFragment, c_hausdorff_check, excess, excess_matrix_csv
-from .ordinals import Ladder, Ordinal, SPartition
+from .gaps import GapFragment, c_hausdorff_check, excess_matrix_csv
+from .ordinals import Ladder, Ordinal, SPartition, two_sided
 from .poset_p import PCondition, p_extend
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
 from .poset_q import QCondition, QContext, q_leq
@@ -182,25 +182,25 @@ def q_standard_schedule(ctx: QContext, target_w_size: int, seed: int) -> list[De
 def check_tower_coherence(run: SimRun) -> None:
     """Assert the trace-height bound on the extracted diagram's excesses.
 
-    For ordinals x < y in the final domain, with h the height at which the
-    later of the two entered the trace: excess(a_x, a_y) <= h and
-    excess(b_y, b_x) <= h.  That is the extension clause of the order,
-    applied between the entry condition and the final one.
+    For x < y in the final domain, with h the height at which the later one
+    entered the trace: excess(a_x, a_y) <= h and excess(b_y, b_x) <= h, the
+    order's extension clause between the entry and the final condition.
+    One sweep up the two-sided order checks it: above its entry height,
+    each mask holds the earlier masks of its side, each cut below its own.
     """
-    final = run.result
     entry: dict[Ordinal, int] = {}
     for cond in run.trace:
-        for o in cond.masks:
-            entry.setdefault(o, cond.height)
-    frag = extract_gap_fragment(final)
-    dom = sorted(final.masks)
-    for xi, x in enumerate(dom):
-        for y in dom[xi + 1:]:
-            h = max(entry[x], entry[y])
-            if excess(frag.a[x], frag.a[y]) > h:
-                raise InvariantViolation("tower-coherence", f"a-excess at ({x}, {y}) exceeds entry height {h}")
-            if excess(frag.b[y], frag.b[x]) > h:
-                raise InvariantViolation("tower-coherence", f"b-excess at ({y}, {x}) exceeds entry height {h}")
+        entry.update(dict.fromkeys(cond.masks.keys() - entry.keys(), cond.height))
+    masks = run.result.masks
+    seen, done = [0, 0], ([], [])
+    for y, s in two_sided(masks):
+        h, m = entry[y], masks[y][s]
+        if (seen[s] & ~m) >> h:
+            x = next(x for x in done[s] if (masks[x][s] >> entry[x] << entry[x] & ~m) >> h)
+            detail = f"{'ab'[s]}-excess at ({x}, {y}) exceeds entry height {max(entry[x], h)}"
+            raise InvariantViolation("tower-coherence", detail)
+        seen[s] |= m >> h << h
+        done[s].append(y)
 
 
 BLOCK_WIDTH = 8  # indices per w-block of the default index list

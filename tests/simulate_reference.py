@@ -1,4 +1,4 @@
-"""Reference forge schedule: one level per requirement.
+"""Reference forge schedule and tower-coherence check.
 
 `ref_p_standard_schedule` is the schedule that `p_standard_schedule`, which
 grants every level above the last index in one step, replaced.  It draws
@@ -6,6 +6,11 @@ the same level plans from the seed, lets each index enter before the level
 of its own position, and then grants the remaining levels one requirement
 at a time.  Index positions at or past the target height get no level, and
 an empty domain gets a height requirement alone.
+
+`ref_check_tower_coherence` is the pairwise check that
+`check_tower_coherence`, one prefix-union sweep per side up the two-sided
+order, replaced: it tests both excesses of every pair of indices against
+the entry height of the later one.
 """
 
 from __future__ import annotations
@@ -13,7 +18,16 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from gapforge import DenseRequirement, Ordinal, PCondition, p_extend
+from gapforge import (
+    DenseRequirement,
+    InvariantViolation,
+    Ordinal,
+    PCondition,
+    SimRun,
+    excess,
+    extract_gap_fragment,
+    p_extend,
+)
 
 
 def _domain_requirement(o: Ordinal) -> DenseRequirement:
@@ -59,3 +73,20 @@ def ref_p_standard_schedule(
     for level in range(min(len(todo), target_height), target_height):
         reqs.append(_level_requirement(level, plans[level]))
     return reqs
+
+
+def ref_check_tower_coherence(run: SimRun) -> None:
+    final = run.result
+    entry: dict[Ordinal, int] = {}
+    for cond in run.trace:
+        for o in cond.masks:
+            entry.setdefault(o, cond.height)
+    frag = extract_gap_fragment(final)
+    dom = sorted(final.masks)
+    for xi, x in enumerate(dom):
+        for y in dom[xi + 1:]:
+            h = max(entry[x], entry[y])
+            if excess(frag.a[x], frag.a[y]) > h:
+                raise InvariantViolation("tower-coherence", f"a-excess at ({x}, {y}) exceeds entry height {h}")
+            if excess(frag.b[y], frag.b[x]) > h:
+                raise InvariantViolation("tower-coherence", f"b-excess at ({y}, {x}) exceeds entry height {h}")

@@ -294,6 +294,8 @@ GOLDEN = [
      "4f0b6910c55553f4312937fc0e19c2ea9fb5010991668e46e8e02ff880148f2c"),
     (["simulate-p", "--indices", "64", "--height", "64", "--seed", "7"],
      "1383225a867d7aff4c22644674d60aa8dc943e7027efb25768c2e73896852797"),
+    (["pipeline", "--indices", "256", "--height", "256", "--wsize", "64", "--seed", "1"],
+     "19956a9537e5a402f513d46c03e7e1f4699ea97c5675333e9008ea150b72c9b0"),
     (["pcc", "--t1", "120", "--t2", "120", "--seed", "21"],
      "6561890b4ce833a180f443a0b86b48f07815e505846667248fbf47bc97442fa6"),
     (["pcc", "--t1", "30", "--t2", "8", "--seed", "1"],
@@ -302,7 +304,9 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize(
-    "argv, sha", GOLDEN, ids=["pipeline-80x128", "pipeline-160x256", "simulate-p-64x64", "pcc-120x120", "pcc-30x8"]
+    "argv, sha",
+    GOLDEN,
+    ids=["pipeline-80x128", "pipeline-160x256", "simulate-p-64x64", "pipeline-256x256", "pcc-120x120", "pcc-30x8"],
 )
 def test_reports_match_their_golden_digests(argv, sha, tmp_path):
     out = tmp_path / "out.json"
@@ -460,6 +464,20 @@ def test_pcc_matrix_rejects_indices_that_do_not_increase(text, tmp_path, capsys)
     csv_path.write_text(text, encoding="utf-8")
     assert main(["pcc", "--matrix", str(csv_path)]) == 2
     assert "must strictly increase" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, corner",
+    [("0.1,0.3\n", "0.1"), ("x,0.3\n0.2,1\n", "x"), ("0.1,0.3\n0.2,1\n", "0.1")],
+    ids=["no-rows", "word-corner", "index-corner"],
+)
+def test_pcc_matrix_rejects_a_header_with_a_non_empty_corner(text, corner, tmp_path, capsys):
+    """The header's first field sits above the row indices and is always
+    empty: read as a column, it would shift every other column by one."""
+    csv_path = tmp_path / "matrix.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    assert main(["pcc", "--matrix", str(csv_path)]) == 2
+    assert f"matrix header must start with an empty field, got {corner!r}" in capsys.readouterr().err
 
 
 def test_pcc_matrix_with_rows_and_no_columns_keeps_every_row(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -30,7 +32,7 @@ from gapforge import (
     simulate,
 )
 from helpers import mask
-from simulate_reference import ref_p_standard_schedule
+from simulate_reference import ref_check_tower_coherence, ref_p_standard_schedule
 
 
 def test_build_filter_empty_schedule():
@@ -158,6 +160,94 @@ def test_tower_coherence_fires_on_a_grant_that_skips_a_later_index(words, detail
         check_tower_coherence(SimRun(["dom", "bad"], [c0, bad]))
     assert err.value.invariant == "tower-coherence"
     assert detail in err.value.detail
+
+
+def _assert_coherence_agrees_with_the_reference(run: SimRun) -> bool:
+    """Both checks pass, or both fail and the pairwise reference, run on the
+    named pair alone with the other side made coherent, raises the sweep's
+    very detail.  True when the run fails."""
+    try:
+        check_tower_coherence(run)
+    except InvariantViolation as err:
+        assert err.invariant == "tower-coherence"
+        detail = err.detail
+    else:
+        ref_check_tower_coherence(run)
+        return False
+    with pytest.raises(InvariantViolation):
+        ref_check_tower_coherence(run)
+    side, x, y = re.fullmatch(r"([ab])-excess at \((.+), (.+)\) exceeds entry height \d+", detail).groups()
+    names = {str(o): o for o in run.result.masks}
+    pair = {names[x], names[y]}
+
+    def one_side(c: PCondition) -> PCondition:
+        full = (1 << c.height) - 1
+        return PCondition.from_masks(
+            c.height, {o: (lo, full) if side == "a" else (0, hi) for o, (lo, hi) in c.masks.items() if o in pair}
+        )
+
+    with pytest.raises(InvariantViolation) as ref_err:
+        ref_check_tower_coherence(SimRun(run.schedule, [one_side(c) for c in run.trace]))
+    assert ref_err.value.detail == detail
+    return True
+
+
+def _random_coherence_run(rng: random.Random) -> SimRun:
+    """Indices enter one condition at a time, in an order shuffled against
+    the domain order, at non-decreasing heights.  At each level the indices
+    already entered mostly get an up-closed a-bit and a down-closed b-bit,
+    as coherence asks, and now and then a random one; later indices get
+    random bits, which coherence leaves free."""
+    count, height = rng.randint(1, 7), rng.randint(0, 9)
+    dom = sorted(rng.sample([Ordinal(q, r) for q in range(3) for r in range(8)], count))
+    order = rng.sample(dom, count)
+    entry = dict(zip(order, sorted(rng.randint(0, height) for _ in order)))
+    lo, hi = dict.fromkeys(dom, 0), dict.fromkeys(dom, 0)
+    for k in range(height):
+        t, u = rng.randint(0, count), rng.randint(0, count)
+        for pos, o in enumerate(dom):
+            free = entry[o] > k
+            a = rng.random() < 0.3 if free or rng.random() < 0.04 else pos >= t
+            b = a or (rng.random() < 0.5 if free or rng.random() < 0.04 else pos < u)
+            lo[o] |= a << k
+            hi[o] |= b << k
+    trace = [PCondition.empty()]
+    for i, o in enumerate(order):
+        cut = (1 << entry[o]) - 1
+        trace.append(PCondition.from_masks(entry[o], {x: (lo[x] & cut, hi[x] & cut) for x in order[: i + 1]}))
+    trace.append(PCondition.from_masks(height, {x: (lo[x], hi[x]) for x in dom}))
+    return SimRun([], trace)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tower_coherence_matches_the_pairwise_reference_on_random_traces(seed):
+    rng = random.Random(seed)
+    failed = sum(_assert_coherence_agrees_with_the_reference(_random_coherence_run(rng)) for _ in range(1000))
+    assert 200 <= failed <= 800
+
+
+# (count, height, entry height of the first index), the last only to keep
+# each item short; 3 indices at height 3, 1,259,712 traces, take about a
+# minute and are left out
+SMALL_TRACES = [(n, h, e) for n in range(4) for h in range(4) if (n, h) != (3, 3) for e in range(h + 1 if n else 1)]
+
+
+@pytest.mark.parametrize("count, height, first_entry", SMALL_TRACES)
+def test_tower_coherence_matches_the_pairwise_reference_on_every_small_trace(count, height, first_entry):
+    """Every entry height up to the final height for each index, and every
+    pair of masks a within b at each.  Only the domains and heights of the
+    earlier conditions enter the checks, so their masks stay 0."""
+    dom = [fin(k) for k in range(count)]
+    pairs = [(lo, hi) for hi in range(1 << height) for lo in range(1 << height) if not lo & ~hi]
+    for entry in itertools.product(range(height + 1), repeat=count):
+        if count and entry[0] != first_entry:
+            continue
+        prefix = [
+            PCondition.from_masks(g, {o: (0, 0) for o, h in zip(dom, entry) if h <= g}) for g in sorted(set(entry))
+        ]
+        for masks in itertools.product(pairs, repeat=count):
+            final = PCondition.from_masks(height, dict(zip(dom, masks)))
+            _assert_coherence_agrees_with_the_reference(SimRun([], prefix + [final]))
 
 
 def test_the_schedule_ends_at_its_last_bit_requirement():
