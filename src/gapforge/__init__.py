@@ -74,6 +74,7 @@ from .simulate import (
     default_index_blocks,
     default_partition,
     extract_gap_fragment,
+    forge,
     p_standard_schedule,
     pipeline,
     q_standard_schedule,

@@ -38,15 +38,7 @@ from .pcc import (
 )
 from .poset_p import PCondition, p_compatible_oracle
 from .poset_q import QCondition, QContext, q_compatible
-from .simulate import (
-    MAX_INDICES,
-    build_filter,
-    default_index_blocks,
-    default_partition,
-    extract_gap_fragment,
-    p_standard_schedule,
-    pipeline,
-)
+from .simulate import MAX_INDICES, default_index_blocks, default_partition, forge, pipeline
 
 
 def _resolve_seed(flag: int | None) -> int:
@@ -102,15 +94,16 @@ def _check_size(indices: int, height: int) -> None:
     # the height is the universe of the forged diagram, which must load again
     if height > MAX_UNIVERSE:
         raise ValueError(f"--height {height} exceeds the diagram universe limit {MAX_UNIVERSE}")
+    # every index needs a level of its own, so this admits every index count at height = indices
+    if indices > 0 and indices * height > MAX_INDICES**2:
+        raise ValueError(f"--indices {indices} by --height {height} exceeds the forge limit {MAX_INDICES}^2")
 
 
 def _cmd_simulate_p(args) -> int:
     _check_size(args.indices, args.height)
     seed = _resolve_seed(args.seed)
     ordinals = default_index_blocks(args.indices)
-    run = build_filter(PCondition.empty(), p_standard_schedule(ordinals, args.height, seed))
-    frag = extract_gap_fragment(run.result)
-    _emit(frag.to_json(), args.out)
+    _emit(forge(ordinals, args.height, seed).to_json(), args.out)
     return 0
 
 

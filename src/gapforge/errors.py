@@ -38,7 +38,7 @@ class SearchTooLarge(GapforgeError):
 
 
 class InvalidBit(GapforgeError):
-    """A forced bit position falls outside the extension range."""
+    """A granted bit falls outside the extension range."""
 
 
 class RequirementFailure(GapforgeError):

@@ -28,7 +28,6 @@ from .errors import (
     InvalidBit,
     InvariantViolation,
     SearchTooLarge,
-    UnknownIndex,
 )
 from .ordinals import Ordinal, two_sided
 
@@ -272,37 +271,31 @@ def p_compatible_oracle(p: PCondition, q: PCondition, max_free_bits: int = 24) -
 def p_extend(
     p: PCondition,
     target_height: int,
-    new_ordinals: Iterable[Ordinal] = (),
-    forced_bits: Iterable[tuple[tuple[Ordinal, int], int]] = (),
+    grants: Mapping[Ordinal, tuple[int, int]] = MappingProxyType({}),
 ) -> PCondition:
-    """Minimal-style extension: zero-fill new columns, then force bits.
+    """Minimal-style extension: zero-fill new columns, then grant bits.
 
-    New ordinals receive all-zero word pairs.  Each forced bit ((o, side), k)
-    with side 0 or 1 and k in [height(p), target_height) is set at that
-    index and propagated to every domain index above it in the two-sided
-    order, which keeps both the pairing containment and the extension
-    clauses intact (bits are only ever added, so no conflict can arise).
-    One sweep up the order does it.
+    `grants` maps an ordinal to a (low, high) pair of masks, the shape of
+    `PCondition.masks`.  Each key joins the domain, all-zero if it is new,
+    and receives its masks, whose bits must lie in [height(p),
+    target_height).  Every granted bit is propagated to every domain index
+    above its own in the two-sided order, which keeps both the pairing
+    containment and the extension clauses intact (bits are only ever added,
+    so no conflict can arise).  One sweep up the order does it.
     """
     if target_height < p.height:
         raise ValueError("target height may not shrink the condition")
-    dom = set(p.masks).union(new_ordinals)
-    grants: dict[tuple[Ordinal, int], int] = {}
-    for (o, side), k in forced_bits:
-        if side not in (0, 1):
-            raise ValueError(f"side must be 0 or 1, got {side}")
-        if not p.height <= k < target_height:
-            raise InvalidBit(f"forced bit {k} must lie in [{p.height}, {target_height})")
-        if o not in dom:
-            raise UnknownIndex(f"forced index ({o}, {side}) is outside the extension domain")
-        grants[o, side] = grants.get((o, side), 0) | 1 << k
+    window = (1 << target_height) - (1 << p.height)
+    for o, (lo, hi) in grants.items():
+        if (lo | hi) & ~window:
+            raise InvalidBit(f"bits granted at {o} must lie in [{p.height}, {target_height})")
     old = p.masks
     zeros = (0, 0)
-    order = sorted(dom)
+    order = sorted(old.keys() | grants.keys())
     seen = 0
     masks = {}
     for o, s in two_sided(order):
-        seen |= grants.get((o, s), 0)
+        seen |= grants.get(o, zeros)[s]
         masks[o, s] = old.get(o, zeros)[s] | seen
     out = PCondition.from_masks(target_height, {o: (masks[o, 0], masks[o, 1]) for o in order})
     if not p_leq(p, out):

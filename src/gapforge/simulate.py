@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import GapforgeError, InvariantViolation, RequirementFailure
 from .gaps import GapFragment, c_hausdorff_check, excess_matrix_csv
 from .ordinals import Ladder, Ordinal, SPartition, two_sided
-from .poset_p import PCondition, p_extend
+from .poset_p import PCondition, bits, p_extend
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
 from .poset_q import QCondition, QContext, q_leq
 
@@ -60,20 +60,21 @@ def _domain_requirement(o: Ordinal) -> DenseRequirement:
     def meet(p: PCondition) -> PCondition:
         if o in p.masks:
             return p
-        return p_extend(p, p.height, (o,), ())
+        return p_extend(p, p.height, {o: (0, 0)})
 
     return DenseRequirement(f"dom:{o}", meet)
 
 
-def _bit_requirement(start: int, stop: int, plans: Sequence[tuple[Ordinal, ...]]) -> DenseRequirement:
-    """Grow to height `stop` in one step, granting each level k not yet
-    reached in [start, stop) to the indices of `plans[k]` present."""
+def _bit_requirement(start: int, stop: int, plans: Mapping[Ordinal, int]) -> DenseRequirement:
+    """Grow to height `stop` in one step, granting each index present the
+    levels of its plan not yet reached in [start, stop); an index off the
+    schedule has no plan."""
 
     def meet(p: PCondition) -> PCondition:
         if p.height >= stop:
             return p
-        forced = [((o, 0), k) for k in range(max(start, p.height), stop) for o in plans[k] if o in p.masks]
-        return p_extend(p, stop, (), forced)
+        window = (1 << stop) - (1 << max(start, p.height))
+        return p_extend(p, stop, {o: (plans.get(o, 0) & window, 0) for o in p.masks})
 
     return DenseRequirement(f"bits[{start}:{stop}]", meet)
 
@@ -84,23 +85,26 @@ def p_standard_schedule(
     """Domain growth interleaved with randomized bit grants, one level per index.
 
     Index k enters at height k and receives level k, then one step grants
-    every level above the last index up to the target height; each grant is
-    one bit at its own level, so that step leaves the masks level-by-level
-    steps would.  Each level gives every low-side column present an
-    independent chance of a bit, pre-drawn from the seed so the meet rules
-    stay pure.  More indices than levels is refused before any draw.
+    every level above the last index up to the target height, leaving the
+    masks level-by-level steps would.  Each level gives every low-side
+    column an independent chance of a bit, pre-drawn from the seed level by
+    level so the meet rules stay pure; the plan of an index is its column
+    of draws, read as a level mask.  More indices than levels is refused
+    before any draw.
     """
     if target_height < 0:
         raise ValueError(f"target height must be a natural, got {target_height}")
     todo = sorted(set(ordinals))
-    if len(todo) > target_height:
-        raise ValueError(f"{len(todo)} indices exceed the target height {target_height}, one level per index")
+    n = len(todo)
+    if n > target_height:
+        raise ValueError(f"{n} indices exceed the target height {target_height}, one level per index")
     rng = random.Random(seed)
-    plans = [tuple(o for o in todo if rng.random() < 0.5) for _ in range(target_height)]
+    draws = "".join(["01"[rng.random() < 0.5] for _ in range(target_height * n)])
+    plans = {o: bits(draws[x::n]) for x, o in enumerate(todo)}
     reqs: list[DenseRequirement] = []
     for k, o in enumerate(todo):
         reqs += [_domain_requirement(o), _bit_requirement(k, k + 1, plans)]
-    reqs.append(_bit_requirement(len(todo), target_height, plans))
+    reqs.append(_bit_requirement(n, target_height, plans))
     return reqs
 
 
@@ -205,11 +209,12 @@ def check_tower_coherence(run: SimRun) -> None:
 
 BLOCK_WIDTH = 8  # indices per w-block of the default index list
 MAX_INDICES = 2048
-"""Most tower indices the CLI forges.  Each domain step rebuilds every entry
-and the run keeps every condition, so the forge is quadratic in the index
-count in time and memory: `simulate-p` at 1024 indices and height 1024
-takes 7.8 s and 491 MB, and at 2048 and 2048 it takes 44 s and 2.7 GB
-(wall and peak RSS with interpreter start; 2-vCPU Xeon, Python 3.11)."""
+"""Most tower indices the CLI forges; indices times height is capped at its
+square.  Each domain step rebuilds every entry and the run keeps every
+condition, so the forge is quadratic in the index count in time and
+memory: `simulate-p` at 1024² takes 6.4-6.9 s and 389 MB, and took 44 s
+and 2.7 GB at 2048² when last measured (wall and peak RSS with interpreter
+start; 2-vCPU Xeon, Python 3.11)."""
 
 
 def default_index_blocks(count: int) -> tuple[Ordinal, ...]:
@@ -227,6 +232,19 @@ def default_partition(ordinals: Sequence[Ordinal]) -> SPartition:
     return SPartition(S=limits, T=frozenset(), D=limits)
 
 
+def forge(ordinals: Sequence[Ordinal], height: int, seed: int) -> GapFragment:
+    """Forge a diagram and check it: run the forge schedule, assert tower
+    coherence on the run and the pairing containment on the diagram read
+    off its final condition.  Either failure raises InvariantViolation."""
+    run = build_filter(PCondition.empty(), p_standard_schedule(ordinals, height, seed))
+    check_tower_coherence(run)
+    frag = extract_gap_fragment(run.result)
+    for o in frag.a:
+        if frag.a[o] & ~frag.b[o]:
+            raise InvariantViolation("pairing-containment", f"a[{o}] escapes b[{o}]")
+    return frag
+
+
 def pipeline(
     ordinals: Sequence[Ordinal],
     height: int,
@@ -237,19 +255,13 @@ def pipeline(
 ) -> dict:
     """Forge a diagram, bind the context, specialize a selection, check it.
 
-    Runs the diagram-forging simulation, asserts tower coherence and the
-    pairing containment, builds the context, runs the selection simulation
+    Forges the diagram, builds the context, runs the selection simulation
     (s grows by every designated limit), and evaluates the ladder-threshold
     clause on the selected sub-diagram.  Any missing witness raises
     InvariantViolation.  The report is fully determined by the parameters
     and the seed.
     """
-    p_run = build_filter(PCondition.empty(), p_standard_schedule(ordinals, height, seed))
-    check_tower_coherence(p_run)
-    frag = extract_gap_fragment(p_run.result)
-    for o in frag.a:
-        if frag.a[o] & ~frag.b[o]:
-            raise InvariantViolation("pairing-containment", f"a[{o}] escapes b[{o}]")
+    frag = forge(ordinals, height, seed)
     ctx = QContext(frag, ladder, part)
     q_run = build_filter(QCondition.empty(), q_standard_schedule(ctx, wsize, seed + 1))
     selected = q_run.result.w  # every step was verified, so w only grew

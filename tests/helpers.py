@@ -73,6 +73,16 @@ def random_pcondition(rng: random.Random, pool, height: int, max_dom: int = 4) -
     return PCondition(height, {o: random_word_pair(rng, height) for o in dom})
 
 
+def grants_from_bits(new_ordinals=(), forced_bits=()) -> dict:
+    """The grants map of p_extend that adds `new_ordinals` and sets each
+    forced bit ((o, side), k): every new ordinal is a key, with no bits
+    unless some are forced at it."""
+    grants = {o: [0, 0] for o in new_ordinals}
+    for (o, side), k in forced_bits:
+        grants.setdefault(o, [0, 0])[side] |= 1 << k
+    return {o: (lo, hi) for o, (lo, hi) in grants.items()}
+
+
 def random_extension(rng: random.Random, p: PCondition, pool, extra_height: int = 2) -> PCondition:
     """A random proper-or-equal extension of p built through p_extend."""
     target = p.height + rng.randint(0, extra_height)
@@ -86,7 +96,7 @@ def random_extension(rng: random.Random, p: PCondition, pool, extra_height: int 
             break
         o = rng.choice(dom)
         forced.append(((o, rng.randint(0, 1)), rng.randint(p.height, target - 1)))
-    return p_extend(p, target, new, forced)
+    return p_extend(p, target, grants_from_bits(new, forced))
 
 
 def matrix_from_grid(row_index, col_index, grid) -> CompatMatrix:

@@ -32,7 +32,7 @@ from gapforge import (
 
 def _domain_requirement(o: Ordinal) -> DenseRequirement:
     def meet(p: PCondition) -> PCondition:
-        return p if o in p.masks else p_extend(p, p.height, (o,), ())
+        return p if o in p.masks else p_extend(p, p.height, {o: (0, 0)})
 
     return DenseRequirement(f"dom:{o}", meet)
 
@@ -41,15 +41,14 @@ def _level_requirement(level: int, plan: frozenset[Ordinal]) -> DenseRequirement
     def meet(p: PCondition) -> PCondition:
         if p.height > level:
             return p
-        forced = tuple(((o, 0), level) for o in sorted(plan) if o in p.masks)
-        return p_extend(p, level + 1, (), forced)
+        return p_extend(p, level + 1, {o: (1 << level, 0) for o in plan if o in p.masks})
 
     return DenseRequirement(f"bits@{level}", meet)
 
 
 def _height_requirement(target: int) -> DenseRequirement:
     def meet(p: PCondition) -> PCondition:
-        return p if p.height >= target else p_extend(p, target, (), ())
+        return p if p.height >= target else p_extend(p, target)
 
     return DenseRequirement(f"height>={target}", meet)
 

@@ -8,10 +8,12 @@ import pytest
 
 from gapforge import (
     GapFragment,
+    InvariantViolation,
     Ladder,
     Ordinal,
     PCondition,
     SPartition,
+    cli,
     fin,
     poset_p,
     simulate,
@@ -207,7 +209,7 @@ def test_height_above_the_universe_limit_exits_2(argv, height, tmp_path, monkeyp
     assert code == 2
     assert str(MAX_UNIVERSE) in capsys.readouterr().err
     assert not (tmp_path / "never-written.json").exists()
-    assert peak < 2**20  # the level plans of a 65,537-level schedule alone take 48 MiB
+    assert peak < 2**20  # refused before a level is drawn
 
 
 @pytest.mark.parametrize(
@@ -230,6 +232,54 @@ def test_indices_above_the_forge_limit_exit_2(argv, tmp_path, monkeypatch, capsy
     assert str(MAX_INDICES) in capsys.readouterr().err
     assert not (tmp_path / "never-written.json").exists()
     assert peak < 2**20  # nothing is forged, not even the index list
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-p", "--out", "never-written.json"],
+        ["pipeline", "--wsize", "1", "--out", "never-written.json"],
+    ],
+    ids=["simulate-p", "pipeline"],
+)
+def test_indices_times_height_above_the_forge_limit_exit_2(argv, tmp_path, monkeypatch, capsys):
+    """Each count passes its own limit; their product, 2^27 levels to draw,
+    does not."""
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--indices", str(MAX_INDICES), "--height", str(MAX_UNIVERSE)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"exceeds the forge limit {MAX_INDICES}^2" in capsys.readouterr().err
+    assert not (tmp_path / "never-written.json").exists()
+    assert peak < 2**20  # refused before a level is drawn
+
+
+def test_the_forge_limit_admits_every_index_count_at_height_equal_to_it():
+    for indices, height in ((MAX_INDICES, MAX_INDICES), (MAX_INDICES**2 // MAX_UNIVERSE, MAX_UNIVERSE)):
+        cli._check_size(indices, height)
+    with pytest.raises(ValueError, match="forge limit"):
+        cli._check_size(MAX_INDICES, MAX_INDICES + 1)
+
+
+def test_two_negative_counts_are_refused_as_naturals_not_by_the_product_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate-p", "--indices", "-3000", "--height", "-3000", "--out", "x.json"]) == 2
+    assert "index count must be a natural" in capsys.readouterr().err
+
+
+def test_simulate_p_writes_no_diagram_that_fails_its_checks(tmp_path, monkeypatch, capsys):
+    def planted(run):
+        raise InvariantViolation("tower-coherence", "planted failure")
+
+    monkeypatch.setattr(simulate, "check_tower_coherence", planted)
+    out = tmp_path / "frag.json"
+    assert main(["simulate-p", "--indices", "4", "--height", "8", "--out", str(out)]) == 3
+    assert "planted failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -294,6 +344,8 @@ GOLDEN = [
      "4f0b6910c55553f4312937fc0e19c2ea9fb5010991668e46e8e02ff880148f2c"),
     (["simulate-p", "--indices", "64", "--height", "64", "--seed", "7"],
      "1383225a867d7aff4c22644674d60aa8dc943e7027efb25768c2e73896852797"),
+    (["simulate-p", "--indices", "24", "--height", "4096", "--seed", "5"],
+     "0c5ee6e652e22c3c58a8153be700498320838c9ccb261a1947f9acddd556fd5e"),
     (["pipeline", "--indices", "256", "--height", "256", "--wsize", "64", "--seed", "1"],
      "19956a9537e5a402f513d46c03e7e1f4699ea97c5675333e9008ea150b72c9b0"),
     (["pcc", "--t1", "120", "--t2", "120", "--seed", "21"],
@@ -306,7 +358,10 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "argv, sha",
     GOLDEN,
-    ids=["pipeline-80x128", "pipeline-160x256", "simulate-p-64x64", "pipeline-256x256", "pcc-120x120", "pcc-30x8"],
+    ids=[
+        "pipeline-80x128", "pipeline-160x256", "simulate-p-64x64", "simulate-p-24x4096",
+        "pipeline-256x256", "pcc-120x120", "pcc-30x8",
+    ],
 )
 def test_reports_match_their_golden_digests(argv, sha, tmp_path):
     out = tmp_path / "out.json"

@@ -14,7 +14,6 @@ from gapforge import (
     InvariantViolation,
     PCondition,
     SearchTooLarge,
-    UnknownIndex,
     bits,
     delta_system_refine,
     fin,
@@ -172,26 +171,32 @@ def test_oracle_cap():
 def test_p_extend_examples():
     p = PCondition(1, {AL: ("1", "1"), BE: ("0", "1")})
     assert p_extend(p, 1) == p
-    forced = p_extend(p, 3, (), [((AL, 0), 2)])
-    assert bits(forced.entries[AL][0]) >> 2 & 1
-    assert bits(forced.entries[AL][1]) >> 2 & 1  # pairing via propagation
-    assert bits(forced.entries[BE][0]) >> 2 & 1  # AL low side sits below BE low side
-    assert p_leq(p, forced) is True
-    fresh = p_extend(p, 2, [fin(5)], ())
+    granted = p_extend(p, 3, {AL: (1 << 2, 0)})
+    assert granted.masks[AL] == (0b101, 0b101)  # pairing via propagation
+    assert granted.masks[BE][0] >> 2 & 1  # AL low side sits below BE low side
+    assert p_leq(p, granted) is True
+    assert p_extend(p, 3, {AL: (1 << 2, 0), BE: (0, 0)}) == granted  # an empty grant adds nothing
+    fresh = p_extend(p, 2, {fin(5): (0, 0)})
     assert fresh.entries[fin(5)] == ("00", "00")
     assert p_leq(p, fresh) is True
+    # a grant at a new key adds that index, then its bits
+    added = p_extend(p, 3, {fin(5): (0, 1 << 2)})
+    assert added.entries[fin(5)] == ("000", "001")
+    assert added.masks.keys() == {AL, BE, fin(5)} and p_leq(p, added)
 
 
 def test_p_extend_errors():
     p = PCondition(1, {AL: ("1", "1")})
     with pytest.raises(InvalidBit):
-        p_extend(p, 3, (), [((AL, 0), 0)])  # below the current height
+        p_extend(p, 3, {AL: (1, 1)})  # below the current height
     with pytest.raises(InvalidBit):
-        p_extend(p, 3, (), [((AL, 0), 3)])  # beyond the target
-    with pytest.raises(UnknownIndex):
-        p_extend(p, 3, (), [((BE, 0), 2)])
+        p_extend(p, 3, {AL: (0, 1 << 3)})  # beyond the target
+    with pytest.raises(InvalidBit):
+        p_extend(p, 3, {BE: (-1 << 1, 0)})  # a negative mask has bits above any target
+    with pytest.raises(InvalidBit):
+        p_extend(p, 1, {AL: (0, 1 << 1)})  # no level to grant
     with pytest.raises(ValueError):
-        p_extend(p, 3, (), [((AL, 2), 2)])  # no such side
+        p_extend(p, 3, {AL: (0, 0, 1 << 2)})  # not a (low, high) pair
     with pytest.raises(ValueError):
         p_extend(p, 0)
 

@@ -11,7 +11,6 @@ from gapforge import (
     InvalidBit,
     Ordinal,
     PCondition,
-    UnknownIndex,
     fin,
     p_extend,
     p_join,
@@ -19,7 +18,7 @@ from gapforge import (
     p_leq,
     p_restrict,
 )
-from helpers import enumerate_conditions, random_extension, random_pcondition
+from helpers import enumerate_conditions, grants_from_bits, random_extension, random_pcondition
 from p_reference import ref_p_extend, ref_p_join, ref_p_join_from_core, ref_p_leq
 
 # two w-blocks, so side-1 sweeps cross a limit as well as finite steps
@@ -89,6 +88,14 @@ def test_p_leq_matches_reference_on_grid():
     assert 0 < related < len(grid) ** 2
 
 
+def _as_bits(grants) -> tuple[list, list]:
+    """The new ordinals and forced bits ((o, side), k) that `ref_p_extend`
+    takes for a grants map: every key, and every bit of every mask in it."""
+    forced = [((o, side), k) for o, pair in grants.items() for side, m in enumerate(pair)
+              for k in range(m.bit_length()) if m >> k & 1]
+    return list(grants), forced
+
+
 def test_p_extend_matches_reference():
     rng = random.Random(32)
     sides = set()
@@ -104,25 +111,60 @@ def test_p_extend_matches_reference():
                 side = rng.randint(0, 1)
                 sides.add(side)
                 forced.append(((rng.choice(dom), side), rng.randrange(p.height, target)))
-        assert p_extend(p, target, new, forced) == ref_p_extend(p, target, new, forced)
+        assert p_extend(p, target, grants_from_bits(new, forced)) == ref_p_extend(p, target, new, forced)
     assert sides == {0, 1}
+
+
+def test_p_extend_matches_reference_on_every_small_grant():
+    """Every condition over two indices up to height 1, extended by one
+    level with every grants map over those indices and one new one.  Each
+    mask is empty, the new level, or the other of levels 0 and 1, which
+    lies outside the extension: grants that must raise are covered too."""
+    keys = [fin(0), fin(1), fin(2)]
+    outcomes = {"extended": 0, "InvalidBit": 0}
+    for p in enumerate_conditions(keys[:2], [0, 1]):
+        level, outside = 1 << p.height, 1 << (1 - p.height)
+        options = [None] + list(itertools.product((0, level, outside), repeat=2))  # None: no key
+        for choice in itertools.product(options, repeat=len(keys)):
+            grants = {o: pair for o, pair in zip(keys, choice) if pair is not None}
+            try:
+                expected = ref_p_extend(p, p.height + 1, *_as_bits(grants))
+            except InvalidBit:
+                with pytest.raises(InvalidBit):
+                    p_extend(p, p.height + 1, grants)
+                outcomes["InvalidBit"] += 1
+            else:
+                assert p_extend(p, p.height + 1, grants) == expected, (p, grants)
+                outcomes["extended"] += 1
+    # 20 conditions, each with 5 choices per key inside the level
+    assert outcomes == {"extended": 20 * 5**3, "InvalidBit": 20 * (10**3 - 5**3)}
 
 
 @pytest.mark.parametrize(
     "forced, error",
     [
-        ([((fin(0), 1), 0)], InvalidBit),
-        ([((fin(0), 0), 3)], InvalidBit),
-        ([((fin(1), 1), 2)], UnknownIndex),
-        ([((fin(0), 2), 2)], ValueError),
+        ({fin(0): (0, 1 << 0)}, InvalidBit),
+        ({fin(0): (1 << 3, 0)}, InvalidBit),
+        ({fin(1): (1 << 0, 0)}, InvalidBit),  # a new key's bits are checked too
+        ({fin(0): (0, 0, 1 << 2)}, ValueError),
     ],
 )
 def test_p_extend_rejects_like_reference(forced, error):
+    """`forced` is a grants map; the reference reads its third mask as a
+    forced bit on a side that does not exist."""
     p = PCondition(1, {fin(0): ("0", "1")})
     with pytest.raises(error):
-        ref_p_extend(p, 3, (), forced)
+        ref_p_extend(p, 3, *_as_bits(forced))
     with pytest.raises(error):
-        p_extend(p, 3, (), forced)
+        p_extend(p, 3, forced)
+
+
+def test_p_extend_grant_at_a_new_key_adds_that_index_like_reference():
+    p = PCondition(1, {fin(0): ("0", "1")})
+    grants = {fin(1): (0, 1 << 2)}
+    extended = p_extend(p, 3, grants)
+    assert extended == ref_p_extend(p, 3, *_as_bits(grants))
+    assert extended.masks == {fin(0): (0, 0b101), fin(1): (0, 0b100)}  # fin(1)'s high side lies below fin(0)'s
 
 
 def _check_joins(p: PCondition, q: PCondition) -> tuple[int, int]:

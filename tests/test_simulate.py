@@ -50,6 +50,17 @@ def test_build_filter_height_requirement():
         assert p_leq(a, b)
 
 
+def test_the_forge_schedule_meets_a_start_holding_an_index_off_the_schedule():
+    """Each meet rule is total: an index the schedule does not list keeps
+    its masks and draws no level of its own, receiving only what the sweep
+    carries up to it."""
+    start = PCondition(3, {fin(7): ("101", "111")})  # taller than the first levels too
+    final = build_filter(start, p_standard_schedule([fin(0), fin(1)], 8, seed=3)).result
+    assert final.masks.keys() == {fin(0), fin(1), fin(7)} and p_leq(start, final)
+    assert final.masks[fin(7)][0] == 0b101 | final.masks[fin(0)][0] | final.masks[fin(1)][0]
+    assert final.masks[fin(0)][0] >> 3 and final.height == 8
+
+
 def test_build_filter_idempotent_requirement_stabilizes():
     req = p_standard_schedule([], 4, seed=0)[0]
     run = build_filter(PCondition.empty(), [req, req, req])
