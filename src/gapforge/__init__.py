@@ -20,6 +20,7 @@ from .gaps import (
     CHWitness,
     GapFragment,
     almost_subset,
+    bits,
     c_hausdorff_check,
     excess,
     excess_matrix_csv,
@@ -46,7 +47,6 @@ from .pcc import (
 )
 from .poset_p import (
     PCondition,
-    bits,
     delta_system_refine,
     p_compatible_oracle,
     p_extend,

@@ -15,6 +15,7 @@ Exit codes: 0 success / predicate holds; 1 predicate false or incompatible;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -56,11 +57,10 @@ def _load_json(path: str):
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    """Stream the report to stdout or to the file `out`, never holding its text."""
+    with open(out, "w", encoding="utf-8") if out is not None else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 _DECODERS = {"gap": GapFragment.from_json, "ladder": Ladder.from_json, "partition": SPartition.from_json}

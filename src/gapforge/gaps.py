@@ -1,7 +1,8 @@
 """Excess numbers, finite pre-gap diagrams, and the decidable gap predicates.
 
 A set of naturals inside a bounded universe [0, M) is an int bitmask whose
-bit k is member k, the convention of the bit words in poset_p.  Between
+bit k is member k, and its text a 01 word whose character k is bit k: every
+module converts through `bits`, `word` and `members` alone.  Between
 finite sets almost-inclusion is vacuous, so a diagram carries no tower
 laws; everything of interest is measured through the excess number.
 """
@@ -19,9 +20,27 @@ from .ordinals import Ladder, Ordinal, SPartition
 MAX_UNIVERSE = 1 << 16
 
 
+def bits(text: str) -> int:
+    """The set of a 01 word: bit k is character k."""
+    return int(text[::-1] or "0", 2)
+
+
+def word(mask: int, length: int) -> str:
+    """The 01 word of the given length whose character k is bit k of mask."""
+    # the sentinel bit at `length` keeps leading zeros; [:0:-1] drops it
+    return format(mask | 1 << length, "b")[:0:-1]
+
+
 def members(mask: int) -> list[int]:
     """The members of a set, ascending."""
     return [k for k, ch in enumerate(reversed(format(mask, "b"))) if ch == "1"]
+
+
+def table_csv(row_index: Iterable[Ordinal], col_index: Iterable[Ordinal], rows: Iterable[Iterable[str]]) -> str:
+    """CSV with an empty corner and the column keys, then per row its key and cells."""
+    lines = [",".join(["", *[o.key() for o in col_index]])]
+    lines += [",".join([o.key(), *cells]) for o, cells in zip(row_index, rows)]
+    return "\n".join(lines) + "\n"
 
 
 def excess(a: int, b: int) -> int:
@@ -214,8 +233,5 @@ def c_hausdorff_check(
 
 def excess_matrix_csv(g: GapFragment) -> str:
     """CSV of the excess matrix X(a_i, b_j), ordinal row and column headers."""
-    J = g.J
-    lines = [",".join([""] + [j.key() for j in J])]
-    for i in g.I:
-        lines.append(",".join([i.key()] + [str(excess(g.a[i], g.b[j])) for j in J]))
-    return "\n".join(lines) + "\n"
+    I, J = g.I, g.J
+    return table_csv(I, J, ([str(excess(g.a[i], g.b[j])) for j in J] for i in I))

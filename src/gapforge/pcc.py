@@ -18,7 +18,7 @@ from operator import itemgetter, or_
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .gaps import GapFragment
+from .gaps import GapFragment, bits, members, table_csv, word
 from .ordinals import Ladder, Ordinal, SPartition
 from .poset_q import (
     CandidateSlices, QCondition, QContext, ladder_blocked, q_compatible, q_restrict, upper_join, upper_meet
@@ -51,13 +51,10 @@ class CompatMatrix:
     @property
     def cells(self) -> tuple[tuple[bool, ...], ...]:
         """The rows as bools: read by perfbench/tracer.py:_after_matrix only, until it counts from rows."""
-        return tuple(tuple(v == "1" for v in f"{r | 1 << len(self.col_index):b}"[:0:-1]) for r in self.rows)
+        return tuple(tuple(v == "1" for v in word(r, len(self.col_index))) for r in self.rows)
 
     def to_csv(self) -> str:
-        top = 1 << len(self.col_index)  # a sentinel bit keeps a row's leading zeros
-        lines = [",".join([""] + [o.key() for o in self.col_index])]
-        lines += [",".join([o.key(), *f"{r | top:b}"[:0:-1]]) for o, r in zip(self.row_index, self.rows)]
-        return "\n".join(lines) + "\n"
+        return table_csv(self.row_index, self.col_index, [word(r, len(self.col_index)) for r in self.rows])
 
     @classmethod
     def from_csv(cls, text: str) -> CompatMatrix:
@@ -77,7 +74,7 @@ class CompatMatrix:
             row_index.append(Ordinal.from_key(parts[0]))
             if any(v not in ("0", "1") for v in parts[1:]):
                 raise ValueError("matrix cells must be 0 or 1")
-            rows.append(int("0" + "".join(parts[:0:-1]), 2))  # the cells, last column first
+            rows.append(bits("".join(parts[1:])))
         return cls(tuple(row_index), col_index, tuple(rows))
 
 
@@ -110,12 +107,9 @@ def build_compat_matrix(
     (cs1, w1), (cs2, w2) = sides
     blocked1 = [ladder_blocked(ctx, p, cs2) for _, p in fam1]
     blocked2 = [ladder_blocked(ctx, q, cs1) for _, q in fam2]
-    cols = list(zip(w2, blocked2))[::-1]  # binary digits put the last column first
-    rows = tuple(
-        int("0" + "".join(["0" if wq & bp or wp & bq else "1" for wq, bq in cols]), 2)
-        for wp, bp in zip(w1, blocked1)
-    )
-    return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), rows)
+    cols = list(zip(w2, blocked2))
+    rows = [bits("".join(["0" if wq & bp or wp & bq else "1" for wq, bq in cols])) for wp, bp in zip(w1, blocked1)]
+    return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -228,7 +222,7 @@ def _koenig_rows(masks: list[int], nc: int) -> list[int]:
     search on an explicit stack, since a path may be as long as the graph.
     Once the search reaches no free column the matching is maximum.
     """
-    adj = [[y for y, v in enumerate(f"{a:b}"[::-1]) if v == "1"] for a in masks]
+    adj = [members(a) for a in masks]
     mate = [-1] * nc  # the row matched to each column
     while True:
         matched = set(mate)
@@ -281,7 +275,7 @@ def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ..
     conflicts = [_conflicts(m, x) for x in range(len(m.row_index))]
     rows = tuple(_koenig_rows(conflicts, len(m.col_index)))
     covered = reduce(or_, [conflicts[x] for x in rows], 0)
-    cols = tuple(y for y in range(len(m.col_index)) if not covered >> y & 1)
+    cols = tuple(members(~covered & (1 << len(m.col_index)) - 1))
     if not verify_rectangle(m, rows, cols):
         raise InvariantViolation("rectangle-verification", "the searched rectangle fails a cell check")
     return rows, cols

@@ -10,7 +10,7 @@ which is what forges the tower structure out of raw bits.
 
 A condition stores each word as the integer bitmask whose bit k is character
 k, and every kernel here works on those masks; the `01` strings exist only
-where a reader asks for them (`entries`, `word`, `to_json`).
+where a reader asks for them (`entries`, `word`, `to_json`, by `gaps.word`).
 """
 
 from __future__ import annotations
@@ -29,18 +29,8 @@ from .errors import (
     InvariantViolation,
     SearchTooLarge,
 )
+from .gaps import MAX_UNIVERSE, bits, word
 from .ordinals import Ordinal, two_sided
-
-
-def bits(word: str) -> int:
-    """The word as a bitmask: bit k is character k."""
-    return int(word[::-1] or "0", 2)
-
-
-def _word(mask: int, length: int) -> str:
-    """The word of the given length whose character k is bit k of mask."""
-    # the sentinel bit at `length` keeps leading zeros; [:0:-1] drops it
-    return format(mask | 1 << length, "b")[:0:-1]
 
 
 @dataclass(frozen=True, init=False)
@@ -83,9 +73,8 @@ class PCondition:
     def __post_init__(self):
         if self.height < 0:
             raise ValueError("height must be a natural")
-        limit = 1 << self.height
         for o, (lo, hi) in self.masks.items():
-            if not (0 <= lo < limit and 0 <= hi < limit):
+            if (lo | hi) >> self.height:  # a negative mask shifts to -1
                 raise ValueError(f"masks at {o} must lie in [0, 2^{self.height})")
             if lo & ~hi:
                 raise ValueError(f"low mask at {o} must be bitwise contained in the high mask")
@@ -105,10 +94,10 @@ class PCondition:
     def entries(self) -> Mapping[Ordinal, tuple[str, str]]:
         """The words, built from the masks on every read."""
         h = self.height
-        return MappingProxyType({o: (_word(lo, h), _word(hi, h)) for o, (lo, hi) in self.masks.items()})
+        return MappingProxyType({o: (word(lo, h), word(hi, h)) for o, (lo, hi) in self.masks.items()})
 
     def word(self, o: Ordinal, side: int) -> str:
-        return _word(self.masks[o][side], self.height)
+        return word(self.masks[o][side], self.height)
 
     def to_json(self) -> dict:
         return {
@@ -123,8 +112,9 @@ class PCondition:
     def from_json(cls, data) -> PCondition:
         if not isinstance(data, dict) or not {"height", "entries"} <= set(data):
             raise ValueError("bad condition encoding")
-        if not isinstance(data["height"], int) or isinstance(data["height"], bool):
-            raise ValueError("height must be an integer")
+        height = data["height"]
+        if not isinstance(height, int) or isinstance(height, bool) or height > MAX_UNIVERSE:
+            raise ValueError(f"height must be an integer of at most {MAX_UNIVERSE}, got {height!r}")
         entries: dict[Ordinal, tuple[str, str]] = {}
         for row in data["entries"]:
             o = Ordinal.from_json(row["ord"])
@@ -133,7 +123,7 @@ class PCondition:
             if not isinstance(row["a_bits"], str) or not isinstance(row["b_bits"], str):
                 raise ValueError(f"bit words at {o} must be strings")
             entries[o] = (row["a_bits"], row["b_bits"])
-        return cls(data["height"], entries)
+        return cls(height, entries)
 
 
 def p_leq(p: PCondition, q: PCondition) -> bool:

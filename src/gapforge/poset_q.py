@@ -19,7 +19,7 @@ from operator import and_, or_
 from typing import Sequence
 
 from .errors import InvariantViolation, TableTooShort, UnknownIndex
-from .gaps import GapFragment
+from .gaps import GapFragment, bits, word
 from .ordinals import Ladder, Ordinal, SPartition
 
 
@@ -86,13 +86,12 @@ class CandidateSlices:
     def __init__(self, g: GapFragment, cand: Sequence[Ordinal]):
         self.cand = cand
         self.pos = {o: k for k, o in enumerate(cand)}
-        sets = [g.a[o] for o in reversed(cand)]
+        sets = [g.a[o] for o in cand]
         self.used = reduce(or_, sets, 0)
-        # transpose: the a-sets as binary rows, last candidate first, so
-        # that column u read top-down is the slice of u, bit k = cand[k]
+        # transpose: character k * width + u of the text is bit u of cand[k]'s a-set
         width = self.used.bit_length()
-        rows = "".join([format(s, f"0{width}b") for s in sets])
-        self.sl = [int(rows[width - 1 - u :: width], 2) for u in range(width)]
+        text = "".join([word(s, width) for s in sets])
+        self.sl = [bits(text[u::width]) for u in range(width)]
 
 
 def ladder_blocked(ctx: QContext, p: QCondition, cs: CandidateSlices) -> int:

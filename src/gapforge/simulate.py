@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import GapforgeError, InvariantViolation, RequirementFailure
-from .gaps import GapFragment, c_hausdorff_check, excess_matrix_csv
+from .gaps import GapFragment, bits, c_hausdorff_check, excess_matrix_csv
 from .ordinals import Ladder, Ordinal, SPartition, two_sided
-from .poset_p import PCondition, bits, p_extend
+from .poset_p import PCondition, p_extend
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
 from .poset_q import QCondition, QContext, q_leq
 
@@ -212,9 +212,9 @@ MAX_INDICES = 2048
 """Most tower indices the CLI forges; indices times height is capped at its
 square.  Each domain step rebuilds every entry and the run keeps every
 condition, so the forge is quadratic in the index count in time and
-memory: `simulate-p` at 1024² takes 6.4-6.9 s and 389 MB, and took 44 s
-and 2.7 GB at 2048² when last measured (wall and peak RSS with interpreter
-start; 2-vCPU Xeon, Python 3.11)."""
+memory: `simulate-p` at 1024² takes 6.4-6.9 s and 389 MB, and at 2048²
+34 s and 2.2 GB in one run (wall and peak RSS with interpreter start;
+2-vCPU Xeon, Python 3.11)."""
 
 
 def default_index_blocks(count: int) -> tuple[Ordinal, ...]:

@@ -376,6 +376,23 @@ def test_simulate_p_at_the_universe_limit_reads_back(tmp_path):
     assert main(["check", "special", "--gap", str(out)]) == 0
 
 
+def test_emit_streams_a_tall_diagram_within_a_mebibyte(tmp_path):
+    """A forged 64 x 1024 diagram, about 1.4 MB of report text, is written
+    with the bytes of json.dumps, but never held as one text: the peak
+    stays below the size of the text."""
+    report = simulate.forge(simulate.default_index_blocks(64), 1024, 3).to_json()
+    out = tmp_path / "frag.json"
+    tracemalloc.start()
+    try:
+        cli._emit(report, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert peak < 2**20 < len(text)
+
+
 def test_check_malformed_gap(tmp_path):
     bad = tmp_path / "gap.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -435,10 +452,10 @@ def test_oracle_negative_free_bit_cap_exits_2(poset, tmp_path, capsys):
 
 def test_oracle_p_counts_free_bits_before_building_them(tmp_path, capsys):
     """Two files of about 100 bytes: one entry at height 0 against an empty
-    condition of height 10**6, two million free bits whose slots would take
-    about 125 GB."""
+    condition of the largest height, 131072 free bits whose slots would take
+    about 0.5 GB."""
     c1 = _write(tmp_path / "c1.json", {"height": 0, "entries": [{"ord": [0, 1], "a_bits": "", "b_bits": ""}]})
-    c2 = _write(tmp_path / "c2.json", {"height": 10**6, "entries": []})
+    c2 = _write(tmp_path / "c2.json", {"height": MAX_UNIVERSE, "entries": []})
     tracemalloc.start()
     try:
         code = main(["oracle", "p", "--cond1", c1, "--cond2", c2])
@@ -446,7 +463,24 @@ def test_oracle_p_counts_free_bits_before_building_them(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 4
-    assert "2000000 free bits" in capsys.readouterr().err
+    assert f"{2 * MAX_UNIVERSE} free bits" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("height", [MAX_UNIVERSE + 1, 10**9, 2**70])
+def test_oracle_p_height_above_the_universe_limit_exits_2(height, tmp_path, capsys):
+    """Two files of about 50 bytes, each an empty condition: a height past
+    the universe limit is refused on load, before any mask is checked
+    against it."""
+    c = _write(tmp_path / "c.json", {"height": height, "entries": []})
+    tracemalloc.start()
+    try:
+        code = main(["oracle", "p", "--cond1", c, "--cond2", c])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert str(MAX_UNIVERSE) in capsys.readouterr().err
     assert peak < 2**20
 
 

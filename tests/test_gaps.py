@@ -11,6 +11,7 @@ from gapforge import (
     Ordinal,
     SPartition,
     almost_subset,
+    bits,
     c_hausdorff_check,
     excess,
     excess_matrix_csv,
@@ -19,8 +20,50 @@ from gapforge import (
     special_gap_check,
     uniform_interpolation,
 )
-from gapforge.gaps import MAX_UNIVERSE
+from gapforge.gaps import MAX_UNIVERSE, table_csv, word
 from helpers import mask, random_fragment
+
+
+def _ref_word(m: int, n: int) -> str:
+    """Character k is bit k, one bit test each."""
+    return "".join("1" if m >> k & 1 else "0" for k in range(n))
+
+
+def test_bits_and_word_invert_each_other_on_every_short_word():
+    for n in range(11):
+        for m in range(1 << n):
+            w = word(m, n)
+            assert w == _ref_word(m, n) and bits(w) == m
+        for chars in itertools.product("01", repeat=n):
+            w = "".join(chars)
+            assert word(bits(w), n) == w
+    assert bits("") == 0 and word(0, 0) == ""
+
+
+def test_bits_and_word_invert_each_other_on_random_long_masks():
+    rng = random.Random(19)
+    for _ in range(100):
+        n = rng.randint(1, 4096)
+        m = rng.getrandbits(n)
+        w = word(m, n)
+        assert w == _ref_word(m, n) and bits(w) == m
+        # a word may be longer than its set: the tail is zeros
+        assert word(m, n + 3) == w + "000" and bits(w + "000") == m
+
+
+def test_members_lists_the_set_bits_ascending():
+    rng = random.Random(23)
+    for m in [*range(1 << 10), *(rng.getrandbits(rng.randint(1, 4096)) for _ in range(100))]:
+        assert members(m) == [k for k in range(m.bit_length()) if m >> k & 1]
+
+
+def test_table_csv_layout():
+    rows, cols = [fin(0), fin(2)], [fin(1)]
+    assert table_csv(rows, cols, [["3"], ["4"]]) == ",0.1\n0.0,3\n0.2,4\n"
+    assert table_csv(rows, cols, ["1", "0"]) == ",0.1\n0.0,1\n0.2,0\n"  # a word's characters are cells
+    assert table_csv(rows, [], [[], []]) == "\n0.0\n0.2\n"
+    assert table_csv([], cols, []) == ",0.1\n"
+    assert table_csv([], [], []) == "\n"
 
 
 def test_excess_examples():

@@ -370,11 +370,14 @@ def test_rectangle_raises_when_verification_fails(monkeypatch):
 
 def test_matrix_csv_roundtrip():
     rng = random.Random(54)
-    m = _random_matrix(rng, 3, 4, 0.5)
-    back = CompatMatrix.from_csv(m.to_csv())
-    assert back.row_index == m.row_index
-    assert back.col_index == m.col_index
-    assert back.rows == m.rows
+    # with rows and columns, no rows, no columns or neither, every matrix
+    # reads back as itself and writes the same bytes again
+    for nr, nc in ((3, 4), (0, 4), (3, 0), (0, 0), (40, 70)):
+        for prob in (0.5, 0.0, 1.0):
+            m = _random_matrix(rng, nr, nc, prob)
+            text = m.to_csv()
+            back = CompatMatrix.from_csv(text)
+            assert back == m and back.to_csv() == text
     # an all-false row, an all-false last column (the high bits of every
     # row), a header with no rows
     # row and a matrix with rows but no columns (an empty header line) keep

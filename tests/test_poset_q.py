@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gapforge import (
+    CandidateSlices,
     GapFragment,
     InvariantViolation,
     Ladder,
@@ -221,3 +222,23 @@ def test_qcontext_validation():
     good = GapFragment(4, {fin(0): 0}, {fin(0): 0})
     with pytest.raises(ValueError):
         QContext(good, Ladder.explicit({}), SPartition(S=frozenset({Ordinal(1, 0)}), T=frozenset(), D=frozenset()))
+
+
+def test_candidate_slices_match_their_definition_on_every_small_list():
+    """Bit k of sl[u] is bit u of the a-set of cand[k], for u below the
+    length of the union: every list of up to 3 a-sets over a universe of at
+    most 4."""
+    seen = 0
+    for universe in range(5):
+        for n in range(4):
+            cand = [fin(k) for k in range(n)]
+            for sets in itertools.product(range(1 << universe), repeat=n):
+                g = GapFragment(universe, dict(zip(cand, sets)), dict.fromkeys(cand, 0))
+                cs = CandidateSlices(g, cand)
+                used = 0
+                for a in sets:
+                    used |= a
+                assert cs.used == used and cs.pos == {o: k for k, o in enumerate(cand)}
+                assert cs.sl == [mask(k for k, a in enumerate(sets) if a >> u & 1) for u in range(used.bit_length())]
+                seen += 1
+    assert seen == sum((1 << u * n) for u in range(5) for n in range(4))

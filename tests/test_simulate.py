@@ -404,7 +404,7 @@ def test_forging_builds_and_parses_no_words(monkeypatch):
     def no_words(*args):
         raise AssertionError("a bit word was built or parsed")
 
-    monkeypatch.setattr(poset_p, "_word", no_words)
+    monkeypatch.setattr(poset_p, "word", no_words)
     monkeypatch.setattr(poset_p, "bits", no_words)
     ordinals = default_index_blocks(40)
     report = pipeline(ordinals, 64, 10, Ladder.canonical(), default_partition(ordinals), 0)
