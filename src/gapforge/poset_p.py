@@ -6,7 +6,8 @@ sharing one length, the condition's height.  Character k of a word is the
 membership bit of k, so extending a word as a function means appending
 characters.  The extension order additionally demands that every bit newly
 granted at an index reappear at every index above it in the two-sided order,
-which is what forges the tower structure out of raw bits.
+which is what forges the tower structure out of raw bits.  One sweep up that
+order, `_carry`, propagates grants for both `p_extend` and the canonical join.
 
 A condition stores each word as the integer bitmask whose bit k is character
 k, and every kernel here works on those masks; the `01` strings exist only
@@ -133,27 +134,37 @@ def p_leq(p: PCondition, q: PCondition) -> bool:
     q-word, height monotone, and the bits q grants at each p-domain index
     beyond p's height to reappear at every p-domain index above it in the
     two-sided order.  That order is total, so one prefix-union sweep up it
-    checks the last clause: at each index, the union of the grants below
-    must lie inside q's mask.  Only q restricted to dom(p) is ever consulted.
+    checks the prefixes and the last clause, stopping at the first failure:
+    at each index, the union of the grants below must lie inside q's mask.
+    Only q restricted to dom(p) is ever consulted.
     """
-    if p.height > q.height:
+    if p.height > q.height or not p.masks.keys() <= q.masks.keys():
         return False
     m = p.height
     below = (1 << m) - 1
-    qm = q.masks
-    for o, (p0, p1) in p.masks.items():
-        if o not in qm:
-            return False
-        q0, q1 = qm[o]
-        if (q0 ^ p0) & below or (q1 ^ p1) & below:
-            return False
+    pm, qm = p.masks, q.masks
     seen = 0
-    for o, s in two_sided(p.masks):
+    for o, s in two_sided(pm):
         q_mask = qm[o][s]
-        if seen & ~q_mask:
+        if (q_mask ^ pm[o][s]) & below or seen & ~q_mask:
             return False
         seen |= q_mask >> m << m
     return True
+
+
+def _carry(masks: Mapping[Ordinal, tuple[int, int]], grants: Mapping[Ordinal, tuple[int, int]]) -> dict:
+    """The propagation clause as one sweep: over the keys of both maps, a
+    missing entry read as all-zero, each mask joined by every grant at or
+    below its point in the two-sided order, as {o: (low, high)} in key
+    order."""
+    zeros = (0, 0)
+    order = sorted(masks.keys() | grants.keys())
+    seen = 0
+    out = {}
+    for o, s in two_sided(order):
+        seen |= grants.get(o, zeros)[s]
+        out[o, s] = masks.get(o, zeros)[s] | seen
+    return {o: (out[o, 0], out[o, 1]) for o in order}
 
 
 def p_restrict(p: PCondition, keep: Iterable[Ordinal]) -> PCondition:
@@ -182,7 +193,7 @@ def p_join(p: PCondition, q: PCondition) -> PCondition:
     Needs p restricted to A below q, and q at least as tall.  On A the join
     copies q.  Off A each word keeps p's bits and additionally receives, for
     every A-index k of p's domain below it, all bits q granted at k at or
-    above p's height, accumulated by one sweep up the two-sided order.  That
+    above p's height, carried up the two-sided order by `_carry`.  That
     bulk transfer is exactly what makes r extend p: a bit new at i came from
     some k below i, and k sits below every j above i as well.  Guarantees
     r >= p, r >= q and r restricted to A equal to q.
@@ -191,15 +202,8 @@ def p_join(p: PCondition, q: PCondition) -> PCondition:
     if q.height < p.height or not p_leq(p_restrict(p, a_dom), q):
         raise HypothesisFailure("join needs p restricted to dom(q) below q, and q at least as tall")
     m = p.height
-    payload = 0
-    grown = {}
-    for o, s in two_sided(p.masks):
-        if o in a_dom:
-            payload |= q.masks[o][s]
-        else:
-            grown[o, s] = p.masks[o][s] | payload >> m << m
-    off_a = {o: (grown[o, 0], grown[o, 1]) for o in sorted(p.masks.keys() - a_dom)}
-    r = PCondition.from_masks(q.height, {**q.masks, **off_a})
+    cuts = {o: (q.masks[o][0] >> m << m, q.masks[o][1] >> m << m) for o in p.masks.keys() & a_dom}
+    r = PCondition.from_masks(q.height, {**_carry(p.masks, cuts), **q.masks})
     if not (p_leq(p, r) and p_leq(q, r) and p_restrict(r, a_dom) == q):
         raise InvariantViolation("join-upper-bound", f"join of heights {p.height} and {q.height} is no upper bound")
     return r
@@ -271,7 +275,7 @@ def p_extend(
     target_height).  Every granted bit is propagated to every domain index
     above its own in the two-sided order, which keeps both the pairing
     containment and the extension clauses intact (bits are only ever added,
-    so no conflict can arise).  One sweep up the order does it.
+    so no conflict can arise).  One sweep up the order, `_carry`, does it.
     """
     if target_height < p.height:
         raise ValueError("target height may not shrink the condition")
@@ -279,15 +283,7 @@ def p_extend(
     for o, (lo, hi) in grants.items():
         if (lo | hi) & ~window:
             raise InvalidBit(f"bits granted at {o} must lie in [{p.height}, {target_height})")
-    old = p.masks
-    zeros = (0, 0)
-    order = sorted(old.keys() | grants.keys())
-    seen = 0
-    masks = {}
-    for o, s in two_sided(order):
-        seen |= grants.get(o, zeros)[s]
-        masks[o, s] = old.get(o, zeros)[s] | seen
-    out = PCondition.from_masks(target_height, {o: (masks[o, 0], masks[o, 1]) for o in order})
+    out = PCondition.from_masks(target_height, _carry(p.masks, grants))
     if not p_leq(p, out):
         raise InvariantViolation("extend-order", f"extension to height {target_height} does not extend p")
     return out

@@ -337,36 +337,71 @@ def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys):
     assert [_run(argv, capsys) for argv in argvs * 2] == fresh * 2
 
 
+# The files the GOLDEN commands read, by name.  p.json leaves [0, 3] open
+# beyond its height 2: against q-open.json (height 6) the witness has 8
+# free bits there and must carry the bits q-open grants at [0, 1] up to it.
+# q-clash.json agrees with p.json on every prefix but fixes a 0 at [0, 3]
+# where that carry needs a 1, so the pair is incompatible.  The ladder and
+# the partition are the context of `check c-hausdorff` on frag.json, the
+# forged 40 x 64 diagram of seed 7.
+GOLDEN_INPUTS = {
+    "p.json": {"height": 2, "entries": [
+        {"ord": [0, 1], "a_bits": "10", "b_bits": "11"},
+        {"ord": [0, 3], "a_bits": "00", "b_bits": "01"},
+    ]},
+    "q-open.json": {"height": 6, "entries": [
+        {"ord": [0, 1], "a_bits": "101011", "b_bits": "111111"},
+        {"ord": [0, 2], "a_bits": "010000", "b_bits": "011001"},
+    ]},
+    "q-clash.json": {"height": 4, "entries": [
+        {"ord": [0, 1], "a_bits": "1010", "b_bits": "1110"},
+        {"ord": [0, 3], "a_bits": "0000", "b_bits": "0110"},
+    ]},
+    "ladder.json": {"mode": "canonical"},
+    "partition.json": {"S": [[1, 0], [2, 0], [4, 0]], "T": [[3, 0]], "D": [[1, 0], [2, 0], [3, 0], [4, 0]]},
+}
+
+# (argv, exit code, SHA-256 of the report)
 GOLDEN = [
-    (["pipeline", "--indices", "80", "--height", "128", "--wsize", "10", "--seed", "3"],
+    (["pipeline", "--indices", "80", "--height", "128", "--wsize", "10", "--seed", "3"], 0,
      "3f0da0f30903d2766fc7b27fa35a399abe76ad891f3001fe981bca004605c783"),
-    (["pipeline", "--indices", "160", "--height", "256", "--wsize", "10", "--seed", "0"],
+    (["pipeline", "--indices", "160", "--height", "256", "--wsize", "10", "--seed", "0"], 0,
      "4f0b6910c55553f4312937fc0e19c2ea9fb5010991668e46e8e02ff880148f2c"),
-    (["simulate-p", "--indices", "64", "--height", "64", "--seed", "7"],
+    (["simulate-p", "--indices", "64", "--height", "64", "--seed", "7"], 0,
      "1383225a867d7aff4c22644674d60aa8dc943e7027efb25768c2e73896852797"),
-    (["simulate-p", "--indices", "24", "--height", "4096", "--seed", "5"],
+    (["simulate-p", "--indices", "24", "--height", "4096", "--seed", "5"], 0,
      "0c5ee6e652e22c3c58a8153be700498320838c9ccb261a1947f9acddd556fd5e"),
-    (["pipeline", "--indices", "256", "--height", "256", "--wsize", "64", "--seed", "1"],
+    (["pipeline", "--indices", "256", "--height", "256", "--wsize", "64", "--seed", "1"], 0,
      "19956a9537e5a402f513d46c03e7e1f4699ea97c5675333e9008ea150b72c9b0"),
-    (["pcc", "--t1", "120", "--t2", "120", "--seed", "21"],
+    (["pcc", "--t1", "120", "--t2", "120", "--seed", "21"], 0,
      "6561890b4ce833a180f443a0b86b48f07815e505846667248fbf47bc97442fa6"),
-    (["pcc", "--t1", "30", "--t2", "8", "--seed", "1"],
+    (["pcc", "--t1", "30", "--t2", "8", "--seed", "1"], 0,
      "ef2da7262da1f190b0059b48a470a9755f94e06211d442ad366eac74c598edf5"),
+    (["oracle", "p", "--cond1", "p.json", "--cond2", "q-open.json"], 0,
+     "39d80854076497c51174e021812ebda947156cfd7f2e12822751ba40c874cee4"),
+    (["oracle", "p", "--cond1", "p.json", "--cond2", "q-clash.json"], 1,
+     "58a25b6d5f9918a2eab22c0260f13638109cafadea6b6897271a6e695ba75267"),
+    (["check", "c-hausdorff", "--gap", "frag.json", "--ladder", "ladder.json", "--partition", "partition.json"], 0,
+     "9229d779903794f4bc4266f09ba109694b38107fca1ac00d85cbe430b65d909e"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, sha",
+    "argv, code, sha",
     GOLDEN,
     ids=[
         "pipeline-80x128", "pipeline-160x256", "simulate-p-64x64", "simulate-p-24x4096",
-        "pipeline-256x256", "pcc-120x120", "pcc-30x8",
+        "pipeline-256x256", "pcc-120x120", "pcc-30x8", "oracle-p-compatible", "oracle-p-incompatible",
+        "check-c-hausdorff-40x64",
     ],
 )
-def test_reports_match_their_golden_digests(argv, sha, tmp_path):
-    out = tmp_path / "out.json"
-    assert main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+def test_reports_match_their_golden_digests(argv, code, sha, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in GOLDEN_INPUTS.items():
+        _write(tmp_path / name, obj)
+    _write(tmp_path / "frag.json", simulate.forge(simulate.default_index_blocks(40), 64, 7).to_json())
+    assert main(argv + ["--out", "out.json"]) == code
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == sha
 
 
 def test_simulate_p_at_the_universe_limit_reads_back(tmp_path):
