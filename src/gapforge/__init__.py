@@ -73,9 +73,7 @@ from .simulate import (
     check_tower_coherence,
     default_index_blocks,
     default_partition,
-    extract_gap_fragment,
     forge,
-    p_standard_schedule,
     pipeline,
     q_standard_schedule,
 )

@@ -1,10 +1,13 @@
-"""Dense-requirement scheduling, filter construction, and the two-phase
-pipeline that first forges a diagram and then specializes a selection of it.
+"""The two-phase pipeline that first forges a diagram and then specializes
+a selection of it.
 
-Genericity is emulated: the schedules pre-draw every choice from the seed,
-so each meet rule is a pure function of the condition, and each rule
-verifies the step it takes.  What a generic filter would guarantee is
-downgraded to invariants checked on the produced run.
+The forge draws one level mask per index from the seed and computes, in
+one sweep, the final condition of the P chain those draws determine; it
+then checks tower coherence and the pairing containment on that diagram.
+The selection emulates genericity in Q: its schedule pre-draws every
+choice from the seed, so each meet rule is a pure function of the
+condition, and each rule verifies the step it takes.  What a generic
+filter would guarantee is downgraded to invariants checked on the result.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Any, Callable, Mapping, Sequence
 from .errors import GapforgeError, InvariantViolation, RequirementFailure
 from .gaps import GapFragment, bits, c_hausdorff_check, excess_matrix_csv
 from .ordinals import Ladder, Ordinal, SPartition, two_sided
-from .poset_p import PCondition, p_extend
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
 from .poset_q import QCondition, QContext, q_leq
 
@@ -54,71 +56,6 @@ def build_filter(start, reqs: Sequence[DenseRequirement]) -> SimRun:
         except (GapforgeError, ValueError) as e:
             raise RequirementFailure(f"requirement {req.name!r} failed: {e}") from e
     return SimRun([r.name for r in reqs], trace)
-
-
-def _domain_requirement(o: Ordinal) -> DenseRequirement:
-    def meet(p: PCondition) -> PCondition:
-        if o in p.masks:
-            return p
-        return p_extend(p, p.height, {o: (0, 0)})
-
-    return DenseRequirement(f"dom:{o}", meet)
-
-
-def _bit_requirement(start: int, stop: int, plans: Mapping[Ordinal, int]) -> DenseRequirement:
-    """Grow to height `stop` in one step, granting each index present the
-    levels of its plan not yet reached in [start, stop); an index off the
-    schedule has no plan."""
-
-    def meet(p: PCondition) -> PCondition:
-        if p.height >= stop:
-            return p
-        window = (1 << stop) - (1 << max(start, p.height))
-        return p_extend(p, stop, {o: (plans.get(o, 0) & window, 0) for o in p.masks})
-
-    return DenseRequirement(f"bits[{start}:{stop}]", meet)
-
-
-def p_standard_schedule(
-    ordinals: Sequence[Ordinal], target_height: int, seed: int
-) -> list[DenseRequirement]:
-    """Domain growth interleaved with randomized bit grants, one level per index.
-
-    Index k enters at height k and receives level k, then one step grants
-    every level above the last index up to the target height, leaving the
-    masks level-by-level steps would.  Each level gives every low-side
-    column an independent chance of a bit, pre-drawn from the seed level by
-    level so the meet rules stay pure; the plan of an index is its column
-    of draws, read as a level mask.  More indices than levels is refused
-    before any draw.
-    """
-    if target_height < 0:
-        raise ValueError(f"target height must be a natural, got {target_height}")
-    todo = sorted(set(ordinals))
-    n = len(todo)
-    if n > target_height:
-        raise ValueError(f"{n} indices exceed the target height {target_height}, one level per index")
-    rng = random.Random(seed)
-    draws = "".join(["01"[rng.random() < 0.5] for _ in range(target_height * n)])
-    plans = {o: bits(draws[x::n]) for x, o in enumerate(todo)}
-    reqs: list[DenseRequirement] = []
-    for k, o in enumerate(todo):
-        reqs += [_domain_requirement(o), _bit_requirement(k, k + 1, plans)]
-    reqs.append(_bit_requirement(n, target_height, plans))
-    return reqs
-
-
-def extract_gap_fragment(final: PCondition) -> GapFragment:
-    """Read the diagram off a condition: low masks give a, high masks give b.
-
-    The pairing containment of conditions makes a_x a subset of b_x for
-    every x; the universe is the condition's height.
-    """
-    return GapFragment(
-        final.height,
-        {o: lo for o, (lo, _) in final.masks.items()},
-        {o: hi for o, (_, hi) in final.masks.items()},
-    )
 
 
 def _q_step(ctx: QContext, p: QCondition, nxt: QCondition) -> QCondition:
@@ -183,19 +120,16 @@ def q_standard_schedule(ctx: QContext, target_w_size: int, seed: int) -> list[De
     return reqs
 
 
-def check_tower_coherence(run: SimRun) -> None:
-    """Assert the trace-height bound on the extracted diagram's excesses.
+def check_tower_coherence(masks: Mapping[Ordinal, tuple[int, int]], entry: Mapping[Ordinal, int]) -> None:
+    """Assert the entry-height bound on a diagram's excesses.
 
-    For x < y in the final domain, with h the height at which the later one
-    entered the trace: excess(a_x, a_y) <= h and excess(b_y, b_x) <= h, the
-    order's extension clause between the entry and the final condition.
-    One sweep up the two-sided order checks it: above its entry height,
-    each mask holds the earlier masks of its side, each cut below its own.
+    `masks` maps each index to its (a, b) pair, and `entry` gives the height
+    at which each index entered.  For x < y, with h the later entry height:
+    excess(a_x, a_y) <= h and excess(b_y, b_x) <= h, the order's extension
+    clause between the entry and the final condition.  One sweep up the
+    two-sided order checks it: above its entry height, each mask holds the
+    earlier masks of its side, each cut below its own.
     """
-    entry: dict[Ordinal, int] = {}
-    for cond in run.trace:
-        entry.update(dict.fromkeys(cond.masks.keys() - entry.keys(), cond.height))
-    masks = run.result.masks
     seen, done = [0, 0], ([], [])
     for y, s in two_sided(masks):
         h, m = entry[y], masks[y][s]
@@ -210,11 +144,10 @@ def check_tower_coherence(run: SimRun) -> None:
 BLOCK_WIDTH = 8  # indices per w-block of the default index list
 MAX_INDICES = 2048
 """Most tower indices the CLI forges; indices times height is capped at its
-square.  Each domain step rebuilds every entry and the run keeps every
-condition, so the forge is quadratic in the index count in time and
-memory: `simulate-p` at 1024² takes 6.4-6.9 s and 389 MB, and at 2048²
-34 s and 2.2 GB in one run (wall and peak RSS with interpreter start;
-2-vCPU Xeon, Python 3.11)."""
+square.  The forge draws one bit per index and level, and the report lists
+every member: `simulate-p` at 1024² takes 1.2-1.3 s and 55 MB, and at
+2048² 4.1-5.0 s and 179 MB for a 49.5 MB report (3 runs each, wall and
+peak RSS with interpreter start; 2-vCPU Xeon, Python 3.11)."""
 
 
 def default_index_blocks(count: int) -> tuple[Ordinal, ...]:
@@ -233,16 +166,41 @@ def default_partition(ordinals: Sequence[Ordinal]) -> SPartition:
 
 
 def forge(ordinals: Sequence[Ordinal], height: int, seed: int) -> GapFragment:
-    """Forge a diagram and check it: run the forge schedule, assert tower
-    coherence on the run and the pairing containment on the diagram read
-    off its final condition.  Either failure raises InvariantViolation."""
-    run = build_filter(PCondition.empty(), p_standard_schedule(ordinals, height, seed))
-    check_tower_coherence(run)
-    frag = extract_gap_fragment(run.result)
-    for o in frag.a:
-        if frag.a[o] & ~frag.b[o]:
+    """Forge a diagram through P in one sweep, then check it.
+
+    Index k of the sorted domain enters at height k.  The seed draws the
+    bits of each level in turn, one per index, so the plan of index k is
+    its column of draws, read as a level mask, and its grant is that plan
+    cut below k.  The P chain that adds index k and grants level k, for
+    every k, and then the levels above, carries each grant up the two-sided
+    order, so its final condition is in closed form: at index k, the low
+    mask is the union of the grants at or below k and the high mask the
+    union of every grant, each cut below k.  Tower coherence and the pairing
+    containment are asserted on that diagram; either failure raises
+    InvariantViolation.  A negative height, or more indices than levels, is
+    refused before any draw.
+    """
+    if height < 0:
+        raise ValueError(f"target height must be a natural, got {height}")
+    todo = sorted(set(ordinals))
+    n = len(todo)
+    if n > height:
+        raise ValueError(f"{n} indices exceed the target height {height}, one level per index")
+    rng = random.Random(seed)
+    draws = "".join(["01"[rng.random() < 0.5] for _ in range(height * n)])
+    grants = [bits(draws[k::n]) >> k << k for k in range(n)]
+    every = 0
+    for grant in grants:
+        every |= grant
+    a, b, seen = {}, {}, 0
+    for k, (o, grant) in enumerate(zip(todo, grants)):
+        seen |= grant
+        a[o], b[o] = seen >> k << k, every >> k << k
+    check_tower_coherence({o: (a[o], b[o]) for o in todo}, {o: k for k, o in enumerate(todo)})
+    for o in todo:
+        if a[o] & ~b[o]:
             raise InvariantViolation("pairing-containment", f"a[{o}] escapes b[{o}]")
-    return frag
+    return GapFragment(height, a, b)
 
 
 def pipeline(

@@ -62,15 +62,16 @@ def enumerate_conditions(ordinals, heights) -> list[PCondition]:
     return out
 
 
-def random_word_pair(rng: random.Random, height: int) -> tuple[str, str]:
+def random_mask_pair(rng: random.Random, height: int) -> tuple[int, int]:
+    """A random (low, high) pair of masks of the given height, low within high."""
     hi = [k for k in range(height) if rng.random() < 0.5]
     lo = [k for k in hi if rng.random() < 0.5]
-    return word_from_bits(lo, height), word_from_bits(hi, height)
+    return mask(lo), mask(hi)
 
 
 def random_pcondition(rng: random.Random, pool, height: int, max_dom: int = 4) -> PCondition:
     dom = rng.sample(sorted(pool), rng.randint(0, min(max_dom, len(pool))))
-    return PCondition(height, {o: random_word_pair(rng, height) for o in dom})
+    return PCondition.from_masks(height, {o: random_mask_pair(rng, height) for o in dom})
 
 
 def grants_from_bits(new_ordinals=(), forced_bits=()) -> dict:
@@ -86,10 +87,9 @@ def grants_from_bits(new_ordinals=(), forced_bits=()) -> dict:
 def random_extension(rng: random.Random, p: PCondition, pool, extra_height: int = 2) -> PCondition:
     """A random proper-or-equal extension of p built through p_extend."""
     target = p.height + rng.randint(0, extra_height)
-    entries = p.entries  # each read builds every word
-    fresh = [o for o in pool if o not in entries]
+    fresh = [o for o in pool if o not in p.masks]
     new = rng.sample(fresh, rng.randint(0, min(2, len(fresh))))
-    dom = sorted(set(entries) | set(new))
+    dom = sorted(set(p.masks) | set(new))
     forced = []
     for _ in range(rng.randint(0, 3)):
         if target == p.height or not dom:

@@ -1,11 +1,14 @@
-"""Reference forge schedule and tower-coherence check.
+"""Reference forge fold, diagram extraction and tower-coherence check.
 
-`ref_p_standard_schedule` is the schedule that `p_standard_schedule`, which
-grants every level above the last index in one step, replaced.  It draws
-the same level plans from the seed, lets each index enter before the level
-of its own position, and then grants the remaining levels one requirement
-at a time.  Index positions at or past the target height get no level, and
-an empty domain gets a height requirement alone.
+`ref_p_standard_schedule` is the fold that `simulate.forge`, which computes
+the final condition in one sweep, replaced.  It draws the same level plans
+from the seed, lets each index enter before the level of its own position,
+and then grants the remaining levels one requirement at a time, each
+through `p_extend`.  Index positions at or past the target height get no
+level, and an empty domain gets a height requirement alone.
+
+`extract_gap_fragment` reads the diagram off a condition of that fold, and
+`entry_heights` the height at which each index entered its trace.
 
 `ref_check_tower_coherence` is the pairwise check that
 `check_tower_coherence`, one prefix-union sweep per side up the two-sided
@@ -20,12 +23,12 @@ from typing import Sequence
 
 from gapforge import (
     DenseRequirement,
+    GapFragment,
     InvariantViolation,
     Ordinal,
     PCondition,
     SimRun,
     excess,
-    extract_gap_fragment,
     p_extend,
 )
 
@@ -74,12 +77,31 @@ def ref_p_standard_schedule(
     return reqs
 
 
-def ref_check_tower_coherence(run: SimRun) -> None:
-    final = run.result
+def extract_gap_fragment(final: PCondition) -> GapFragment:
+    """Read the diagram off a condition: low masks give a, high masks give b.
+
+    The pairing containment of conditions makes a_x a subset of b_x for
+    every x; the universe is the condition's height.
+    """
+    return GapFragment(
+        final.height,
+        {o: lo for o, (lo, _) in final.masks.items()},
+        {o: hi for o, (_, hi) in final.masks.items()},
+    )
+
+
+def entry_heights(trace) -> dict[Ordinal, int]:
+    """The height of the first condition of a trace that holds each index."""
     entry: dict[Ordinal, int] = {}
-    for cond in run.trace:
+    for cond in trace:
         for o in cond.masks:
             entry.setdefault(o, cond.height)
+    return entry
+
+
+def ref_check_tower_coherence(run: SimRun) -> None:
+    final = run.result
+    entry = entry_heights(run.trace)
     frag = extract_gap_fragment(final)
     dom = sorted(final.masks)
     for xi, x in enumerate(dom):

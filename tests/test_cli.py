@@ -15,7 +15,6 @@ from gapforge import (
     SPartition,
     cli,
     fin,
-    poset_p,
     simulate,
 )
 from gapforge.cli import build_parser, main
@@ -272,7 +271,7 @@ def test_two_negative_counts_are_refused_as_naturals_not_by_the_product_cap(tmp_
 
 
 def test_simulate_p_writes_no_diagram_that_fails_its_checks(tmp_path, monkeypatch, capsys):
-    def planted(run):
+    def planted(masks, entry):
         raise InvariantViolation("tower-coherence", "planted failure")
 
     monkeypatch.setattr(simulate, "check_tower_coherence", planted)
@@ -681,13 +680,17 @@ def test_pipeline_impossible_wsize_fails_before_building_its_schedule(capsys):
     assert peak < 2**20  # the schedule alone would hold 10**9 requirements
 
 
+def _incoherent(masks, entry):
+    raise InvariantViolation("tower-coherence", "planted")
+
+
 @pytest.mark.parametrize(
-    "module, name, invariant",
-    [(poset_p, "p_leq", "extend-order"), (simulate, "q_leq", "selection-order")],
-    ids=["extend-order", "selection-order"],
+    "name, stub, invariant",
+    [("check_tower_coherence", _incoherent, "tower-coherence"), ("q_leq", lambda *args: False, "selection-order")],
+    ids=["tower-coherence", "selection-order"],
 )
-def test_pipeline_invariant_violation_keeps_its_fields(module, name, invariant, monkeypatch, capsys):
-    monkeypatch.setattr(module, name, lambda *args: False)
+def test_pipeline_invariant_violation_keeps_its_fields(name, stub, invariant, monkeypatch, capsys):
+    monkeypatch.setattr(simulate, name, stub)
     assert main(["pipeline", "--indices", "4", "--height", "4", "--wsize", "2"]) == 3
     assert capsys.readouterr().err.startswith(f"gapforge: InvariantViolation: {invariant}: ")
 

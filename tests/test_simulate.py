@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -20,11 +21,9 @@ from gapforge import (
     check_tower_coherence,
     default_index_blocks,
     default_partition,
-    excess,
-    extract_gap_fragment,
     fin,
+    forge,
     p_leq,
-    p_standard_schedule,
     pipeline,
     poset_p,
     q_leq,
@@ -32,7 +31,7 @@ from gapforge import (
     simulate,
 )
 from helpers import mask
-from simulate_reference import ref_check_tower_coherence, ref_p_standard_schedule
+from simulate_reference import entry_heights, extract_gap_fragment, ref_check_tower_coherence, ref_p_standard_schedule
 
 
 def test_build_filter_empty_schedule():
@@ -42,7 +41,7 @@ def test_build_filter_empty_schedule():
 
 
 def test_build_filter_height_requirement():
-    reqs = p_standard_schedule([fin(0), fin(1)], 5, seed=3)
+    reqs = ref_p_standard_schedule([fin(0), fin(1)], 5, seed=3)
     run = build_filter(PCondition.empty(), reqs)
     assert run.result.height >= 5
     assert set(run.result.entries) == {fin(0), fin(1)}
@@ -51,35 +50,27 @@ def test_build_filter_height_requirement():
 
 
 def test_the_forge_schedule_meets_a_start_holding_an_index_off_the_schedule():
-    """Each meet rule is total: an index the schedule does not list keeps
-    its masks and draws no level of its own, receiving only what the sweep
-    carries up to it."""
+    """Each meet rule of the reference fold is total: an index the schedule
+    does not list keeps its masks and draws no level of its own, receiving
+    only what `p_extend` carries up to it."""
     start = PCondition(3, {fin(7): ("101", "111")})  # taller than the first levels too
-    final = build_filter(start, p_standard_schedule([fin(0), fin(1)], 8, seed=3)).result
+    final = build_filter(start, ref_p_standard_schedule([fin(0), fin(1)], 8, seed=3)).result
     assert final.masks.keys() == {fin(0), fin(1), fin(7)} and p_leq(start, final)
     assert final.masks[fin(7)][0] == 0b101 | final.masks[fin(0)][0] | final.masks[fin(1)][0]
     assert final.masks[fin(0)][0] >> 3 and final.height == 8
 
 
 def test_build_filter_idempotent_requirement_stabilizes():
-    req = p_standard_schedule([], 4, seed=0)[0]
+    req = ref_p_standard_schedule([], 4, seed=0)[0]  # the height requirement alone
     run = build_filter(PCondition.empty(), [req, req, req])
     assert run.trace[1] is run.trace[2] is run.trace[3]  # a met requirement is a no-op
 
 
 def test_every_standard_meet_rule_verifies_its_step(monkeypatch):
-    p_reqs = p_standard_schedule(default_index_blocks(4), 4, seed=0)
+    """The selection schedule is the one standard schedule; `p_extend`'s
+    own order postcondition is tested with P."""
     ctx = _tiny_ctx()
     q_reqs = q_standard_schedule(ctx, 3, seed=0)
-    with monkeypatch.context() as m:
-        m.setattr(poset_p, "p_leq", lambda p, q: False)
-        for req in p_reqs:
-            with pytest.raises(InvariantViolation) as err:
-                req.meet(PCondition.empty())
-            assert err.value.invariant == "extend-order"
-        with pytest.raises(InvariantViolation) as err:
-            build_filter(PCondition.empty(), p_reqs)
-        assert err.value.invariant == "extend-order"
     with monkeypatch.context() as m:
         m.setattr(simulate, "q_leq", lambda ctx, p, q: False)
         for req in q_reqs:
@@ -112,21 +103,31 @@ def test_build_filter_wraps_failed_requirements(exc):
 
 
 def test_p_standard_schedule_shapes():
-    assert [r.name for r in p_standard_schedule([], 7, seed=0)] == ["bits[0:7]"]
-    reqs = p_standard_schedule(default_index_blocks(20), 64, seed=1)
-    assert len(reqs) >= 21
-    run = build_filter(PCondition.empty(), reqs)
-    assert set(run.result.entries) == set(default_index_blocks(20))
-    assert run.result.height == 64
+    """The forged diagram has the shape the standard P schedule gave: every
+    index on both sides and the height as its universe."""
+    assert forge([], 7, seed=0) == GapFragment(7, {}, {})
+    ordinals = default_index_blocks(20)
+    frag = forge(ordinals[::-1] + ordinals[:1], 64, seed=1)  # order and repeats do not matter
+    assert frag == forge(ordinals, 64, seed=1)
+    assert frag.I == frag.J == ordinals and frag.universe == 64
+
+
+def test_the_schedule_ends_at_its_last_bit_requirement():
+    """The forge ends at the target height, where the reference fold's last
+    requirement leaves it, down to no index or no level; index k holds no
+    member below k."""
+    for count, height in [(0, 5), (3, 5), (5, 5), (0, 0)]:
+        ordinals = default_index_blocks(count)
+        frag = forge(ordinals, height, seed=count)
+        final = build_filter(PCondition.empty(), ref_p_standard_schedule(ordinals, height, seed=count)).result
+        assert frag.universe == final.height == height
+        assert frag.I == frag.J == ordinals == tuple(sorted(final.masks))
+        assert all(frag.b[o] & ((1 << k) - 1) == 0 for k, o in enumerate(ordinals))
 
 
 def test_p_schedule_seed_variation():
     ordinals = default_index_blocks(8)
-    runs = [
-        build_filter(PCondition.empty(), p_standard_schedule(ordinals, 24, seed=s))
-        for s in (5, 6)
-    ]
-    frags = [extract_gap_fragment(r.result) for r in runs]
+    frags = [forge(ordinals, 24, seed=s) for s in (5, 6)]
     assert frags[0].I == frags[1].I
     assert frags[0].universe == frags[1].universe
     assert frags[0] != frags[1]  # different seeds, different bits
@@ -139,9 +140,8 @@ def test_extract_gap_fragment_examples():
     assert frag.a[fin(1)] == mask({1})
     assert frag.b[fin(1)] == mask({0, 1})
     assert frag.a[fin(0)] == mask({0, 1}) == frag.b[fin(0)]
-    rng = random.Random(41)
     for seed in range(5):
-        reqs = p_standard_schedule(default_index_blocks(6), 16, seed=seed)
+        reqs = ref_p_standard_schedule(default_index_blocks(6), 16, seed=seed)
         run = build_filter(PCondition.empty(), reqs)
         out = extract_gap_fragment(run.result)
         assert all(not out.a[o] & ~out.b[o] for o in out.a)
@@ -149,9 +149,9 @@ def test_extract_gap_fragment_examples():
 
 def test_tower_coherence_on_runs():
     for seed in range(4):
-        reqs = p_standard_schedule(default_index_blocks(10), 24, seed=seed)
+        reqs = ref_p_standard_schedule(default_index_blocks(10), 24, seed=seed)
         run = build_filter(PCondition.empty(), reqs)
-        check_tower_coherence(run)  # must not raise
+        check_tower_coherence(run.result.masks, entry_heights(run.trace))  # must not raise
 
 
 @pytest.mark.parametrize(
@@ -168,7 +168,7 @@ def test_tower_coherence_fires_on_a_grant_that_skips_a_later_index(words, detail
     c0 = PCondition(0, {fin(0): ("", ""), fin(1): ("", "")})
     bad = PCondition(1, words)
     with pytest.raises(InvariantViolation) as err:
-        check_tower_coherence(SimRun(["dom", "bad"], [c0, bad]))
+        check_tower_coherence(bad.masks, entry_heights([c0, bad]))
     assert err.value.invariant == "tower-coherence"
     assert detail in err.value.detail
 
@@ -178,7 +178,7 @@ def _assert_coherence_agrees_with_the_reference(run: SimRun) -> bool:
     named pair alone with the other side made coherent, raises the sweep's
     very detail.  True when the run fails."""
     try:
-        check_tower_coherence(run)
+        check_tower_coherence(run.result.masks, entry_heights(run.trace))
     except InvariantViolation as err:
         assert err.invariant == "tower-coherence"
         detail = err.detail
@@ -261,49 +261,38 @@ def test_tower_coherence_matches_the_pairwise_reference_on_every_small_trace(cou
             _assert_coherence_agrees_with_the_reference(SimRun([], prefix + [final]))
 
 
-def test_the_schedule_ends_at_its_last_bit_requirement():
-    """Index k enters before level k, and one last bit requirement grants
-    every level above the last index up to the target height."""
-    for count, height in [(0, 5), (3, 5), (5, 5), (0, 0)]:
-        reqs = p_standard_schedule(default_index_blocks(count), height, seed=count)
-        steps = [(f"dom:{o}", f"bits[{k}:{k + 1}]") for k, o in enumerate(default_index_blocks(count))]
-        assert [r.name for r in reqs] == [n for step in steps for n in step] + [f"bits[{count}:{height}]"]
-        run = build_filter(PCondition.empty(), reqs)
-        assert run.result.height == height
-        assert set(run.result.masks) == set(default_index_blocks(count))
-
-
-@pytest.mark.parametrize("count, height", [(3, 0), (8, 5), (1, 0)])
+@pytest.mark.parametrize("count, height", [(3, 0), (8, 5), (1, 0), (0, -1)])
 def test_more_indices_than_the_height_raise_before_any_draw(count, height, monkeypatch):
+    """So does a negative height."""
     ordinals = default_index_blocks(count)
 
     def no_draws(seed):
         raise AssertionError("a level plan was drawn")
 
     monkeypatch.setattr(simulate.random, "Random", no_draws)
+    message = f"{count} indices exceed the target height {height}" if height >= 0 else "target height must be a natural"
     for call in (
-        lambda: p_standard_schedule(ordinals, height, seed=0),
+        lambda: forge(ordinals, height, seed=0),
         lambda: pipeline(ordinals, height, 0, Ladder.canonical(), default_partition(ordinals), 0),
     ):
-        with pytest.raises(ValueError, match=f"{count} indices exceed the target height {height}"):
+        with pytest.raises(ValueError, match=message):
             call()
 
 
-def _entry_heights(run) -> dict:
-    entry = {}
-    for cond in run.trace:
-        for o in cond.masks:
-            entry.setdefault(o, cond.height)
-    return entry
+def _reference_run(ordinals, height, seed) -> SimRun:
+    return build_filter(PCondition.empty(), ref_p_standard_schedule(ordinals, height, seed))
 
 
 def _assert_matches_the_level_by_level_schedule(count, height, seed):
+    """The sweep gives the diagram of the reference fold's final condition,
+    in which index k entered at height k."""
     ordinals = default_index_blocks(count)
-    run = build_filter(PCondition.empty(), p_standard_schedule(ordinals, height, seed))
-    ref = build_filter(PCondition.empty(), ref_p_standard_schedule(ordinals, height, seed))
-    assert run.result == ref.result
-    assert _entry_heights(run) == _entry_heights(ref) == {o: k for k, o in enumerate(ordinals)}
-    check_tower_coherence(run)
+    ref = _reference_run(ordinals, height, seed)
+    frag = forge(ordinals, height, seed)
+    assert frag == extract_gap_fragment(ref.result)
+    entry = entry_heights(ref.trace)
+    assert entry == {o: k for k, o in enumerate(ordinals)}
+    check_tower_coherence(ref.result.masks, entry)
 
 
 def test_the_schedule_matches_the_level_by_level_reference_on_every_small_size():
@@ -320,13 +309,54 @@ def test_the_schedule_matches_the_level_by_level_reference_on_random_sizes():
         _assert_matches_the_level_by_level_schedule(rng.randrange(height + 1), height, rng.randrange(1000))
 
 
+def _assert_the_forged_condition_tops_the_reference_chain(count, height, seed):
+    """Step k of the chain is the forged condition restricted to the first
+    k+1 indices and cut to height k+1: the reference fold's condition right
+    after it grants level k.  The chain increases in P, and its last step is
+    the whole forged condition, so the forged diagram tops a filter in P."""
+    ordinals = default_index_blocks(count)
+    frag = forge(ordinals, height, seed)
+    final = PCondition.from_masks(height, {o: (frag.a[o], frag.b[o]) for o in ordinals})
+    ref = _reference_run(ordinals, height, seed)
+    after_level = {name: cond for name, cond in zip(ref.schedule, ref.trace[1:])}
+    chain = [PCondition.empty()]
+    for k in range(height):
+        cut = (1 << (k + 1)) - 1
+        kept = ordinals[: k + 1]
+        step = PCondition.from_masks(k + 1, {o: (final.masks[o][0] & cut, final.masks[o][1] & cut) for o in kept})
+        assert step == after_level[f"bits@{k}"]
+        chain.append(step)
+    assert chain[-1] == final
+    assert all(p_leq(p, q) for p, q in zip(chain, chain[1:]))
+
+
+def test_the_forged_condition_tops_the_reference_chain():
+    """On every size up to height 12 and a few random ones; with no index the
+    fold has a height requirement alone and no level steps."""
+    for height in range(13):
+        for count in range(1, height + 1):
+            _assert_the_forged_condition_tops_the_reference_chain(count, height, seed=height)
+    rng = random.Random(67)
+    for _ in range(4):
+        height = rng.randrange(13, 60)
+        _assert_the_forged_condition_tops_the_reference_chain(rng.randrange(1, height + 1), height, rng.randrange(1000))
+
+
+def test_forge_memory_grows_with_the_diagram_not_the_chain():
+    """At 256 indices and height 256 the diagram holds 8 KiB of masks; the
+    fold kept all 513 conditions of its chain, 12.5 MiB at its peak."""
+    tracemalloc.start()
+    try:
+        forge(default_index_blocks(256), 256, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def _forged_ctx(count, height, seed):
     ordinals = default_index_blocks(count)
-    reqs = p_standard_schedule(ordinals, height, seed=seed)
-    run = build_filter(PCondition.empty(), reqs)
-    frag = extract_gap_fragment(run.result)
-    part = default_partition(ordinals)
-    return QContext(frag, Ladder.canonical(), part)
+    return QContext(forge(ordinals, height, seed), Ladder.canonical(), default_partition(ordinals))
 
 
 def _tiny_ctx():
