@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (
@@ -56,10 +57,44 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _write_json(write, obj, pad: str) -> None:
+    """Write `obj` at indentation `pad` with the bytes of json.dump(obj,
+    sort_keys=True, indent=2): a key through json's own str quoting, an
+    exact int (no bool) through str and a list of them in one C-level join,
+    every other scalar through json.dumps.  A key that is no str raises
+    TypeError in the quoting, where json would convert some of them."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        sep = "{\n"
+        for key, value in sorted(obj.items()):
+            write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(write, value, inner)
+            sep = ",\n"
+        write("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+        elif set(map(type, obj)) == {int}:
+            write("[\n" + inner + (",\n" + inner).join(map(str, obj)) + "\n" + pad + "]")
+        else:
+            sep = "[\n"
+            for x in obj:
+                write(sep + inner)
+                _write_json(write, x, inner)
+                sep = ",\n"
+            write("\n" + pad + "]")
+    else:
+        write(str(obj) if type(obj) is int else json.dumps(obj))
+
+
 def _emit(obj, out: str | None) -> None:
-    """Stream the report to stdout or to the file `out`, never holding its text."""
+    """Stream the report to stdout or to the file `out`, holding at most the
+    text of one list of ints at a time."""
     with open(out, "w", encoding="utf-8") if out is not None else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        _write_json(fh.write, obj, "")
         fh.write("\n")
 
 

@@ -10,6 +10,7 @@ laws; everything of interest is measured through the excess number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Mapping
 
 from .errors import IndexMismatch
@@ -31,9 +32,13 @@ def word(mask: int, length: int) -> str:
     return format(mask | 1 << length, "b")[:0:-1]
 
 
+# translation table: the byte "1" to 1, every other byte to 0
+_ONES = bytes(c == ord("1") for c in range(256))
+
+
 def members(mask: int) -> list[int]:
     """The members of a set, ascending."""
-    return [k for k, ch in enumerate(reversed(format(mask, "b"))) if ch == "1"]
+    return list(compress(count(), format(mask, "b")[::-1].encode().translate(_ONES)))
 
 
 def table_csv(row_index: Iterable[Ordinal], col_index: Iterable[Ordinal], rows: Iterable[Iterable[str]]) -> str:

@@ -145,8 +145,8 @@ BLOCK_WIDTH = 8  # indices per w-block of the default index list
 MAX_INDICES = 2048
 """Most tower indices the CLI forges; indices times height is capped at its
 square.  The forge draws one bit per index and level, and the report lists
-every member: `simulate-p` at 1024² takes 1.2-1.3 s and 55 MB, and at
-2048² 4.1-5.0 s and 179 MB for a 49.5 MB report (3 runs each, wall and
+every member: `simulate-p` at 1024² takes 0.69-0.85 s and 55 MB, and at
+2048² 2.3-2.5 s and 179 MB for a 49.5 MB report (3 runs each, wall and
 peak RSS with interpreter start; 2-vCPU Xeon, Python 3.11)."""
 
 

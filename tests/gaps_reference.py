@@ -24,6 +24,12 @@ def set_of(m: int, universe: int) -> frozenset[int]:
     return frozenset(k for k in range(universe) if m >> k & 1)
 
 
+def ref_members(m: int) -> list[int]:
+    """The members of a set, ascending, one character of its binary text at
+    a time: the comprehension `gaps.members` replaced."""
+    return [k for k, ch in enumerate(reversed(format(m, "b"))) if ch == "1"]
+
+
 def as_sets(side: Mapping[Ordinal, int], universe: int) -> dict[Ordinal, frozenset[int]]:
     """Each tower set of a fragment side as a frozenset."""
     return {o: set_of(m, universe) for o, m in side.items()}

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -395,12 +397,86 @@ GOLDEN = [
     ],
 )
 def test_reports_match_their_golden_digests(argv, code, sha, tmp_path, monkeypatch):
+    """Each report has its pinned digest, and is the text json.dumps gives
+    for the object the command emitted."""
     monkeypatch.chdir(tmp_path)
     for name, obj in GOLDEN_INPUTS.items():
         _write(tmp_path / name, obj)
     _write(tmp_path / "frag.json", simulate.forge(simulate.default_index_blocks(40), 64, 7).to_json())
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda obj, out: (emitted.append(obj), emit(obj, out)))
     assert main(argv + ["--out", "out.json"]) == code
-    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == sha
+    text = (tmp_path / "out.json").read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
+    assert [text] == [json.dumps(obj, sort_keys=True, indent=2) + "\n" for obj in emitted]
+
+
+def _written(obj) -> str:
+    buf = io.StringIO()
+    cli._write_json(buf.write, obj, "")
+    return buf.getvalue()
+
+
+# keys json must escape or sort by text: quotes, backslashes, control
+# characters, non-ASCII, and "10.0" before "2.0"
+_KEYS = ["", "a", 'say "hi"', "back\\slash", "\x00\x1f\t\n\x7f", "na\u00efve \u2603 \U0001f600", "10.0", "2.0"]
+_SCALARS = [None, True, False, 0, -1, 10**299, -(10**299) - 7, -0.0, 0.5, 1e300, -1e-300, "", 'q"\\\x01\u00e9\u2603']
+
+
+def _random_value(rng: random.Random, depth: int):
+    """A nested value of dicts, lists and tuples over _KEYS and _SCALARS,
+    empty containers and all-int lists among them."""
+    kind = rng.randrange(7 if depth else 3)
+    if kind == 0:
+        return rng.choice(_SCALARS)
+    if kind == 1:
+        return rng.randint(-(10**6), 10**6)
+    if kind == 2:
+        return [rng.randint(-(10**20), 10**20) for _ in range(rng.randrange(6))]
+    if kind == 3:
+        # an int list but for one bool, float or big int
+        xs = [rng.randrange(100) for _ in range(rng.randrange(1, 5))]
+        xs.insert(rng.randrange(len(xs) + 1), rng.choice([True, False, 1.0, 10**299]))
+        return xs
+    items = [_random_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return dict(zip(rng.sample(_KEYS, len(items)), items))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[1, True, 0], [True], [], {}, (), (3, 4), [[]], [{}], {"": {}, "x": []}, None, -0.0, 1e300, -1e300,
+     10**299, -(10**299), [10**299, -5, 0], {k: k for k in _KEYS}, _SCALARS],
+)
+def test_the_writer_writes_the_bytes_of_json_dumps(obj):
+    assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_the_writer_writes_the_bytes_of_json_dumps_on_random_nested_values():
+    rng = random.Random(22)
+    for _ in range(400):
+        obj = _random_value(rng, rng.randrange(5))
+        assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [{1: "a"}, {True: 0}, {None: 1}, {1.5: 2}, {(1, 2): 3}, {1: 2, "a": 3}, {"ok": [{"deep": {2: 1}}]}],
+    ids=["int", "bool", "null", "float", "tuple", "mixed", "nested"],
+)
+def test_a_key_that_is_no_str_writes_the_bytes_of_json_dumps_or_exits_2(report, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "pipeline", lambda *args: report)
+    out = tmp_path / "out.json"
+    code = main(["pipeline", "--indices", "1", "--height", "1", "--wsize", "1", "--out", str(out)])
+    if code == 0:
+        assert out.read_text(encoding="utf-8") == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    else:
+        assert code == 2
+        assert "TypeError" in capsys.readouterr().err
 
 
 def test_simulate_p_at_the_universe_limit_reads_back(tmp_path):

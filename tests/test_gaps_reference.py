@@ -26,6 +26,7 @@ from gapforge import (
     special_gap_check,
     uniform_interpolation,
 )
+from gapforge.gaps import MAX_UNIVERSE
 from gaps_reference import (
     as_sets,
     ref_almost_subset,
@@ -33,6 +34,7 @@ from gaps_reference import (
     ref_excess,
     ref_first_witness,
     ref_full_inclusion_union,
+    ref_members,
     ref_pcc_ab_profiles,
     ref_special_gap_check,
     ref_uniform_interpolation,
@@ -72,6 +74,19 @@ def test_members_and_mask_are_inverse():
         assert members(mask(s)) == s
         assert as_sets({fin(0): mask(s)}, universe) == {fin(0): frozenset(s)}
     assert members(0) == []
+
+
+def test_members_matches_its_reference_on_every_small_mask_and_on_tall_ones():
+    for m in range(1 << 10):
+        assert members(m) == ref_members(m)
+    rng = random.Random(72)
+    tall = [1 << (MAX_UNIVERSE - 1), (1 << MAX_UNIVERSE) - 1]
+    for _ in range(40):
+        n = rng.randint(0, MAX_UNIVERSE)
+        # dense, then sparse: about 1/2 and 1/16 of the bits set
+        tall += [rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)]
+    for m in tall:
+        assert members(m) == ref_members(m)
 
 
 def test_excess_and_almost_subset_match_reference_on_every_small_pair():
