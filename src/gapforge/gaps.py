@@ -2,7 +2,9 @@
 
 A set of naturals inside a bounded universe [0, M) is an int bitmask whose
 bit k is member k, and its text a 01 word whose character k is bit k: every
-module converts through `bits`, `word` and `members` alone.  Between
+module converts through `bits`, `word` and `members` alone, except that
+`GapFragment.from_json` reads a member list in its own loop, which checks
+each member before it sets a bit.  Between
 finite sets almost-inclusion is vacuous, so a diagram carries no tower
 laws; everything of interest is measured through the excess number.
 """

@@ -213,49 +213,48 @@ def verify_rectangle(m: CompatMatrix, rows: Sequence[int], cols: Sequence[int]) 
     return not any(_conflicts(m, x) & col_mask for x in rows)
 
 
-def _koenig_rows(masks: list[int], nc: int) -> list[int]:
+def _koenig_rows(masks: list[int], nc: int) -> tuple[list[int], int]:
     """Rows reached by alternating paths from the free rows of a maximum
-    matching of the bipartite graph masks (bit y of masks[x]: edge x-y).
+    matching of the bipartite graph masks (bit y of masks[x]: edge x-y),
+    and the union of their masks.
 
-    Hopcroft-Karp: each phase layers the rows by breadth-first search from
-    the free rows, then augments along layered paths found by depth-first
-    search on an explicit stack, since a path may be as long as the graph.
-    Once the search reaches no free column the matching is maximum.
+    One augmenting-path search per row, on an explicit stack as a path may
+    be as long as the graph.  It takes a free column first, else the lowest
+    column no search has reached since the matching last grew (no augmenting
+    path runs through a column a failed search reached).  A row without an
+    augmenting path never gets one later, so one pass gives a maximum
+    matching; one breadth-first pass from its free rows reaches the rest.
     """
-    adj = [members(a) for a in masks]
     mate = [-1] * nc  # the row matched to each column
-    while True:
-        matched = set(mate)
-        dist = [-1 if x in matched else 0 for x in range(len(adj))]
-        roots = layer = [x for x, d in enumerate(dist) if d == 0]
-        free = False
-        while layer and not free:
-            nxt = []
-            for x in layer:
-                for y in adj[x]:
-                    if mate[y] < 0:
-                        free = True
-                    elif dist[mate[y]] < 0:
-                        dist[mate[y]] = dist[x] + 1
-                        nxt.append(mate[y])
-            layer = nxt
-        if not free:
-            return [x for x, d in enumerate(dist) if d >= 0]
-        nexts = [iter(a) for a in adj]
-        for root in roots:
-            path = [root]  # row, column, row, ...
-            while path:
-                x = path[-1]
-                y = next((y for y in nexts[x] if mate[y] < 0 or dist[mate[y]] == dist[x] + 1), None)
-                if y is None:
-                    dist[x] = -1  # a dead end for the rest of this phase
-                    del path[-2:]
-                elif mate[y] < 0:
-                    for x, y in zip(path[::2], path[1::2] + [y]):
-                        mate[y] = x
-                    break
-                else:
-                    path += [y, mate[y]]
+    free = (1 << nc) - 1
+    seen = 0
+    for root in range(len(masks)):
+        path, cols = [root], []  # rows, and the matched columns between them
+        while path:
+            edges = masks[path[-1]]
+            ends, step = edges & free, edges & ~seen
+            if ends:
+                y = (ends & -ends).bit_length() - 1
+                for x, c in zip(path, cols + [y]):
+                    mate[c] = x
+                free ^= 1 << y
+                seen = 0
+                break
+            if step:
+                step &= -step
+                seen |= step
+                cols.append(step.bit_length() - 1)
+                path.append(mate[cols[-1]])
+            else:
+                path.pop()
+                del cols[-1:]
+    rows = sorted(set(range(len(masks))) - set(mate))
+    covered = 0
+    for x in rows:  # grows as the pass reaches matched rows
+        reached = masks[x] & ~covered
+        covered |= reached
+        rows += [mate[y] for y in members(reached)]
+    return sorted(rows), covered
 
 
 def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -264,18 +263,16 @@ def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ..
     Each false cell with its row below its column is an edge of a bipartite
     conflict graph, and a rectangle is an independent set of it, so by
     Koenig's theorem the most rows plus columns is their number minus a
-    maximum matching.  The rectangle is the complement of the Koenig cover:
-    the rows reached from the free rows by alternating paths and the columns
-    none of them conflicts with.  Its rows lie in every largest rectangle and
-    its columns hold those of each, so ties break the same way whatever the
-    matching: fewest rows.  The result is verified row by row before being
-    returned (InvariantViolation otherwise); positions index into the
-    matrix, ascending.
+    maximum matching.  The rectangle is the complement of the Koenig cover
+    that `_koenig_rows` finds: the rows reached from the free rows by
+    alternating paths and the columns none of them conflicts with.  Its rows
+    lie in every largest rectangle and its columns hold those of each, so
+    ties break the same way whatever the matching: fewest rows.  The result
+    is verified row by row before being returned (InvariantViolation
+    otherwise); positions index into the matrix, ascending.
     """
-    conflicts = [_conflicts(m, x) for x in range(len(m.row_index))]
-    rows = tuple(_koenig_rows(conflicts, len(m.col_index)))
-    covered = reduce(or_, [conflicts[x] for x in rows], 0)
-    cols = tuple(members(~covered & (1 << len(m.col_index)) - 1))
+    rows, covered = _koenig_rows([_conflicts(m, x) for x in range(len(m.row_index))], len(m.col_index))
+    rows, cols = tuple(rows), tuple(members(~covered & (1 << len(m.col_index)) - 1))
     if not verify_rectangle(m, rows, cols):
         raise InvariantViolation("rectangle-verification", "the searched rectangle fails a cell check")
     return rows, cols
@@ -283,11 +280,11 @@ def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ..
 
 MAX_FAMILY = 2048
 """Most conditions per generated family.  The matrix and the rectangle
-search grow with t1 * t2: `pcc` at 480 x 480 takes 0.2-0.3 s and 20 MB, at
-1024 x 1024 0.7 s and 29 MB, and at 2048 x 2048 2.0-2.2 s and 63 MB
+search grow with t1 * t2: `pcc` at 480 x 480 takes 0.2 s and 20 MB, at
+1024 x 1024 0.4-0.6 s and 28 MB, and at 2048 x 2048 1.6-2.3 s and 54-59 MB
 (wall and peak RSS with interpreter start, 2-vCPU Xeon, Python 3.11).
-The bitmask rows retain 0.6 MiB at 2048 x 2048; the build's loop over the
-t1 * t2 cells takes most of the time, about 1 s of it there."""
+The bitmask rows retain 0.6 MiB at 2048 x 2048, where the build's loop
+over the t1 * t2 cells takes about 1.4 s and the rectangle search 15 ms."""
 
 
 def generate_pcc_instance(

@@ -4,15 +4,18 @@
 one mask test per row, replaced.  `exact_rectangle` is the exhaustive search
 over row subsets that the matching-based `max_order_rectangle` replaced;
 `matching_size` is a plain recursive augmenting-path matching of the conflict
-graph, written apart from the package's Hopcroft-Karp code.  A rectangle of
-size |rows| + |cols| - nu next to a matching of size nu certifies both
-optimal (weak duality: every conflict edge of the matching leaves at least
-one end out of any rectangle).  All of them read a cell as bit y of row x.
+graph that reads the cells themselves, not the package's conflict masks.  A
+rectangle of size |rows| + |cols| - nu next to a matching of size nu
+certifies both optimal (weak duality: every conflict edge of the matching
+leaves at least one end out of any rectangle).  All of them read a cell as
+bit y of row x.  `ref_koenig_rows` is the Hopcroft-Karp search that
+`_koenig_rows`, one augmenting-path search per row, replaced; the rows it
+returns are the same for every maximum matching.
 """
 
 from __future__ import annotations
 
-from gapforge import CompatMatrix
+from gapforge import CompatMatrix, members
 
 
 def _bad(m: CompatMatrix, x: int, y: int) -> bool:
@@ -47,12 +50,18 @@ def exact_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def matching_size(m: CompatMatrix) -> int:
     """Size of a maximum matching of the conflict graph, one augmenting
-    path search per row (recursive: for matrices of a few hundred rows)."""
+    path search per row (recursive: for matrices of a few hundred rows).
+    A free column ends a path at once, which keeps a dense graph at a
+    quadratic number of steps."""
     nr, nc = len(m.row_index), len(m.col_index)
     adj = [[y for y in range(nc) if _bad(m, x, y)] for x in range(nr)]
     owner = [-1] * nc
 
     def augment(x: int, seen: set[int]) -> bool:
+        for y in adj[x]:
+            if owner[y] < 0:
+                owner[y] = x
+                return True
         for y in adj[x]:
             if y not in seen:
                 seen.add(y)
@@ -62,3 +71,48 @@ def matching_size(m: CompatMatrix) -> int:
         return False
 
     return sum(augment(x, set()) for x in range(nr))
+
+
+def ref_koenig_rows(masks: list[int], nc: int) -> list[int]:
+    """Rows reached by alternating paths from the free rows of a maximum
+    matching of the bipartite graph masks (bit y of masks[x]: edge x-y).
+
+    Hopcroft-Karp: each phase layers the rows by breadth-first search from
+    the free rows, then augments along layered paths found by depth-first
+    search on an explicit stack, since a path may be as long as the graph.
+    Once the search reaches no free column the matching is maximum.
+    """
+    adj = [members(a) for a in masks]
+    mate = [-1] * nc  # the row matched to each column
+    while True:
+        matched = set(mate)
+        dist = [-1 if x in matched else 0 for x in range(len(adj))]
+        roots = layer = [x for x, d in enumerate(dist) if d == 0]
+        free = False
+        while layer and not free:
+            nxt = []
+            for x in layer:
+                for y in adj[x]:
+                    if mate[y] < 0:
+                        free = True
+                    elif dist[mate[y]] < 0:
+                        dist[mate[y]] = dist[x] + 1
+                        nxt.append(mate[y])
+            layer = nxt
+        if not free:
+            return [x for x, d in enumerate(dist) if d >= 0]
+        nexts = [iter(a) for a in adj]
+        for root in roots:
+            path = [root]  # row, column, row, ...
+            while path:
+                x = path[-1]
+                y = next((y for y in nexts[x] if mate[y] < 0 or dist[mate[y]] == dist[x] + 1), None)
+                if y is None:
+                    dist[x] = -1  # a dead end for the rest of this phase
+                    del path[-2:]
+                elif mate[y] < 0:
+                    for x, y in zip(path[::2], path[1::2] + [y]):
+                        mate[y] = x
+                    break
+                else:
+                    path += [y, mate[y]]

@@ -1,6 +1,8 @@
 import itertools
 import random
 import tracemalloc
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -27,7 +29,7 @@ from gapforge import (
 )
 from gapforge import pcc
 from helpers import mask, matrix_from_grid
-from pcc_reference import exact_rectangle, matching_size, ref_verify_rectangle
+from pcc_reference import exact_rectangle, matching_size, ref_koenig_rows, ref_verify_rectangle
 
 
 def _flat_instance(universe=8, with_upper=False):
@@ -273,6 +275,43 @@ def test_rectangle_is_optimal_at_full_size():
         m = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
         rows, cols = max_order_rectangle(m)
         assert len(rows) + len(cols) == 240 - matching_size(m)
+
+
+def _rows_below(n, conflicts):
+    """n rows, all below n columns; row x conflicts with the columns set in
+    conflicts(x)."""
+    full = (1 << n) - 1
+    rows = tuple(full & ~conflicts(x) for x in range(n))
+    return CompatMatrix(tuple(fin(k) for k in range(n)), tuple(Ordinal(1, k) for k in range(n)), rows)
+
+
+def test_rectangle_matches_the_hopcroft_karp_reference_at_scale():
+    """The dense worst cases of a per-row augmenting-path search at 512
+    (complete, staircase, both orders of a chain, random at p 0.5 and 0.01)
+    and generated matrices at 480 x 480: the same rows as Hopcroft-Karp,
+    the union of their conflicts as the covered columns, and |V| - nu."""
+    n = 512
+    rng = random.Random(58)
+    shapes = [
+        _rows_below(n, lambda x: -1),
+        CompatMatrix(tuple(Ordinal(0, 2 * k) for k in range(n)), tuple(Ordinal(0, 2 * k + 1) for k in range(n)), (0,) * n),
+        _rows_below(n, lambda x: 3 << x),
+        _rows_below(n, lambda x: 3 << n - 1 - x),
+        _rows_below(n, lambda x: mask(y for y in range(n) if rng.random() < 0.5)),
+        _rows_below(n, lambda x: mask(y for y in range(n) if rng.random() < 0.01)),
+    ]
+    for seed in range(2):
+        inst = generate_pcc_instance(seed, 480, 480)
+        shapes.append(build_compat_matrix(inst.ctx, inst.fam1, inst.fam2))
+    for m in shapes:
+        nr, nc = len(m.row_index), len(m.col_index)
+        conflicts = [pcc._conflicts(m, x) for x in range(nr)]
+        rows, covered = pcc._koenig_rows(conflicts, nc)
+        assert rows == ref_koenig_rows(conflicts, nc)
+        assert covered == reduce(or_, [conflicts[x] for x in rows], 0)
+        rect = max_order_rectangle(m)
+        assert rect[0] == tuple(rows)
+        assert len(rect[0]) + len(rect[1]) == nr + nc - matching_size(m)
 
 
 def _pick(rng, n):
