@@ -67,7 +67,6 @@ from .poset_q import (
     separated_pair_check,
 )
 from .simulate import (
-    DenseRequirement,
     SimRun,
     build_filter,
     check_tower_coherence,
@@ -75,7 +74,6 @@ from .simulate import (
     default_partition,
     forge,
     pipeline,
-    q_standard_schedule,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,8 @@ class InvalidBit(GapforgeError):
 
 
 class RequirementFailure(GapforgeError):
-    """A dense requirement could not extend the current condition."""
+    """A selection asked for more indices than the diagram has: raised
+    before any step when `wsize` exceeds the tower indices."""
 
 
 class InvariantViolation(GapforgeError):

@@ -4,9 +4,9 @@ a selection of it.
 The forge draws one level mask per index from the seed and computes, in
 one sweep, the final condition of the P chain those draws determine; it
 then checks tower coherence and the pairing containment on that diagram.
-The selection emulates genericity in Q: its schedule pre-draws every
-choice from the seed, so each meet rule is a pure function of the
-condition, and each rule verifies the step it takes.  What a generic
+The selection stands in for a generic filter in Q by a finite chain: one
+loop grows s by the designated limits and w by fresh indices, each pick
+drawn from the seed, and `q_leq` verifies every step.  What a generic
 filter would guarantee is downgraded to invariants checked on the result.
 """
 
@@ -14,28 +14,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import GapforgeError, InvariantViolation, RequirementFailure
+from .errors import InvariantViolation, RequirementFailure
 from .gaps import GapFragment, bits, c_hausdorff_check, excess_matrix_csv
 from .ordinals import Ladder, Ordinal, SPartition, two_sided
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
 from .poset_q import QCondition, QContext, q_leq
 
 
-@dataclass(frozen=True)
-class DenseRequirement:
-    """A named total rule mapping any condition to an extension meeting the
-    requirement.  It returns the condition itself once the requirement
-    holds, and verifies every step it does take."""
-
-    name: str
-    meet: Callable[[Any], Any]
-
-
 @dataclass
 class SimRun:
-    """One deterministic run: the schedule met, and the increasing trace."""
+    """One deterministic run: the names of its steps, and the increasing trace."""
 
     schedule: list[str]
     trace: list
@@ -45,79 +35,42 @@ class SimRun:
         return self.trace[-1]
 
 
-def build_filter(start, reqs: Sequence[DenseRequirement]) -> SimRun:
-    """Fold the meet rules over the schedule; each rule verifies its own step."""
-    trace = [start]
-    for req in reqs:
-        try:
-            trace.append(req.meet(trace[-1]))
-        except InvariantViolation:
-            raise  # a broken postcondition, not a failed requirement: keep its fields
-        except (GapforgeError, ValueError) as e:
-            raise RequirementFailure(f"requirement {req.name!r} failed: {e}") from e
-    return SimRun([r.name for r in reqs], trace)
+def build_filter(ctx: QContext, wsize: int, seed: int) -> SimRun:
+    """Grow a selection (w, s) through Q from the empty condition.
 
-
-def _q_step(ctx: QContext, p: QCondition, nxt: QCondition) -> QCondition:
-    if not q_leq(ctx, p, nxt):
-        raise InvariantViolation("selection-order", f"{nxt.to_json()} does not extend {p.to_json()}")
-    return nxt
-
-
-def _s_requirement(ctx: QContext, sigma: Ordinal) -> DenseRequirement:
-    def meet(p: QCondition) -> QCondition:
-        if sigma in p.s:
-            return p
-        return _q_step(ctx, p, QCondition(p.w, p.s | {sigma}))
-
-    return DenseRequirement(f"s:{sigma}", meet)
-
-
-def _w_requirement(
-    ctx: QContext, size: int, priority: tuple[Ordinal, ...], above: dict[Ordinal, int], target: int
-) -> DenseRequirement:
-    """`above[j]` is the number of tower indices above j."""
-
-    def meet(p: QCondition) -> QCondition:
-        if len(p.w) >= size:
-            return p
-        # fresh picks lie above the current maximum and, for headroom, leave
-        # enough indices above them to finish the schedule
-        need = target - len(p.w) - 1
-        top = max(p.w, default=None)
-        pick = next((j for j in priority if (top is None or j > top) and above[j] >= need), None)
-        if pick is None:
-            raise RequirementFailure(f"no admissible fresh index for |w| >= {size}")
-        return _q_step(ctx, p, QCondition(p.w | {pick}, p.s))
-
-    return DenseRequirement(f"wsize>={size}", meet)
-
-
-def q_standard_schedule(ctx: QContext, target_w_size: int, seed: int) -> list[DenseRequirement]:
-    """Alternate growing s by the designated limits and w by fresh indices.
-
-    New w members are always taken above the current maximum (additions
-    below it can be incompatible); the pick order is a seed-shuffled
-    priority over the tower indices.  Target 0 yields an empty schedule; a
-    target above the number of tower indices fails before any requirement
-    is built, and every smaller one is met.
+    Step k first adds the k-th designated limit to s, while one is left, then
+    picks one tower index into w: of the indices above the last pick that
+    leave enough above them to finish, the one a seed-shuffled order ranks
+    first.  A pick above the current maximum of w is never blocked, and
+    that window is never empty, so every step is taken; each is still
+    checked by `q_leq`.  A `wsize` above the number of tower indices fails
+    before any step.
     """
-    if target_w_size < 0:
-        raise ValueError(f"target size of w must be a natural, got {target_w_size}")
-    if target_w_size > len(ctx.g.a):
-        raise RequirementFailure(f"|w| >= {target_w_size} asks for more than the {len(ctx.g.a)} tower indices")
-    s_list = sorted(ctx.part.S)
-    rng = random.Random(seed)
-    priority = sorted(ctx.g.a)
-    above = {j: len(priority) - 1 - rank for rank, j in enumerate(priority)}
-    rng.shuffle(priority)
-    priority = tuple(priority)
-    reqs: list[DenseRequirement] = []
-    for k in range(target_w_size):
-        if k < len(s_list):
-            reqs.append(_s_requirement(ctx, s_list[k]))
-        reqs.append(_w_requirement(ctx, k + 1, priority, above, target_w_size))
-    return reqs
+    if wsize < 0:
+        raise ValueError(f"target size of w must be a natural, got {wsize}")
+    order = sorted(ctx.g.a)
+    n = len(order)
+    if wsize > n:
+        raise RequirementFailure(f"|w| >= {wsize} asks for more than the {n} tower indices")
+    shuffled = list(range(n))
+    random.Random(seed).shuffle(shuffled)
+    rank = sorted(range(n), key=shuffled.__getitem__)  # the inverse: where each position was shuffled to
+    limits = sorted(ctx.part.S)
+    run, last = SimRun([], [QCondition.empty()]), -1
+
+    def step(name: str, nxt: QCondition) -> None:
+        p = run.result
+        if not q_leq(ctx, p, nxt):
+            raise InvariantViolation("selection-order", f"{nxt.to_json()} does not extend {p.to_json()}")
+        run.schedule.append(name)
+        run.trace.append(nxt)
+
+    for k in range(wsize):
+        if k < len(limits):
+            step(f"s:{limits[k]}", QCondition(run.result.w, run.result.s | {limits[k]}))
+        last = min(range(last + 1, n - wsize + k + 1), key=rank.__getitem__)
+        step(f"wsize>={k + 1}", QCondition(run.result.w | {order[last]}, run.result.s))
+    return run
 
 
 def check_tower_coherence(masks: Mapping[Ordinal, tuple[int, int]], entry: Mapping[Ordinal, int]) -> None:
@@ -213,15 +166,15 @@ def pipeline(
 ) -> dict:
     """Forge a diagram, bind the context, specialize a selection, check it.
 
-    Forges the diagram, builds the context, runs the selection simulation
-    (s grows by every designated limit), and evaluates the ladder-threshold
-    clause on the selected sub-diagram.  Any missing witness raises
+    Forges the diagram, builds the context, runs the selection (w grows to
+    `wsize` indices, and s by the first min(wsize, |S|) designated limits),
+    and evaluates the ladder-threshold clause on the selected sub-diagram.  Any missing witness raises
     InvariantViolation.  The report is fully determined by the parameters
     and the seed.
     """
     frag = forge(ordinals, height, seed)
     ctx = QContext(frag, ladder, part)
-    q_run = build_filter(QCondition.empty(), q_standard_schedule(ctx, wsize, seed + 1))
+    q_run = build_filter(ctx, wsize, seed + 1)
     selected = q_run.result.w  # every step was verified, so w only grew
     sub = frag.restrict(selected)
     witnesses = c_hausdorff_check(sub, ladder, part)

@@ -1,4 +1,9 @@
-"""Reference forge fold, diagram extraction and tower-coherence check.
+"""Reference folds, diagram extraction and tower-coherence check.
+
+`ref_build_filter` is the generic fold both phases once ran through: named
+dense requirements, each a total meet rule that returns the condition
+itself once it holds and verifies every step it takes, folded over a
+schedule from a start condition.
 
 `ref_p_standard_schedule` is the fold that `simulate.forge`, which computes
 the final condition in one sweep, replaced.  It draws the same level plans
@@ -7,7 +12,13 @@ and then grants the remaining levels one requirement at a time, each
 through `p_extend`.  Index positions at or past the target height get no
 level, and an empty domain gets a height requirement alone.
 
-`extract_gap_fragment` reads the diagram off a condition of that fold, and
+`ref_q_standard_schedule` is the selection schedule that
+`simulate.build_filter`, one pick loop, replaced: it alternates an s
+requirement per designated limit with a w requirement that scans a
+seed-shuffled priority for the first index above the current maximum of w
+with enough indices above it to finish.
+
+`extract_gap_fragment` reads the diagram off a condition of the P fold, and
 `entry_heights` the height at which each index entered its trace.
 
 `ref_check_tower_coherence` is the pairwise check that
@@ -19,18 +30,105 @@ the entry height of the later one.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from gapforge import (
-    DenseRequirement,
+    GapforgeError,
     GapFragment,
     InvariantViolation,
     Ordinal,
     PCondition,
+    QCondition,
+    QContext,
+    RequirementFailure,
     SimRun,
     excess,
     p_extend,
+    q_leq,
 )
+
+
+@dataclass(frozen=True)
+class DenseRequirement:
+    """A named total rule mapping any condition to an extension meeting the
+    requirement.  It returns the condition itself once the requirement
+    holds, and verifies every step it does take."""
+
+    name: str
+    meet: Callable[[Any], Any]
+
+
+def ref_build_filter(start, reqs: Sequence[DenseRequirement]) -> SimRun:
+    """Fold the meet rules over the schedule; each rule verifies its own step."""
+    trace = [start]
+    for req in reqs:
+        try:
+            trace.append(req.meet(trace[-1]))
+        except InvariantViolation:
+            raise  # a broken postcondition, not a failed requirement: keep its fields
+        except (GapforgeError, ValueError) as e:
+            raise RequirementFailure(f"requirement {req.name!r} failed: {e}") from e
+    return SimRun([r.name for r in reqs], trace)
+
+
+def _q_step(ctx: QContext, p: QCondition, nxt: QCondition) -> QCondition:
+    if not q_leq(ctx, p, nxt):
+        raise InvariantViolation("selection-order", f"{nxt.to_json()} does not extend {p.to_json()}")
+    return nxt
+
+
+def _s_requirement(ctx: QContext, sigma: Ordinal) -> DenseRequirement:
+    def meet(p: QCondition) -> QCondition:
+        if sigma in p.s:
+            return p
+        return _q_step(ctx, p, QCondition(p.w, p.s | {sigma}))
+
+    return DenseRequirement(f"s:{sigma}", meet)
+
+
+def _w_requirement(
+    ctx: QContext, size: int, priority: tuple[Ordinal, ...], above: dict[Ordinal, int], target: int
+) -> DenseRequirement:
+    """`above[j]` is the number of tower indices above j."""
+
+    def meet(p: QCondition) -> QCondition:
+        if len(p.w) >= size:
+            return p
+        # fresh picks lie above the current maximum and, for headroom, leave
+        # enough indices above them to finish the schedule
+        need = target - len(p.w) - 1
+        top = max(p.w, default=None)
+        pick = next((j for j in priority if (top is None or j > top) and above[j] >= need), None)
+        if pick is None:
+            raise RequirementFailure(f"no admissible fresh index for |w| >= {size}")
+        return _q_step(ctx, p, QCondition(p.w | {pick}, p.s))
+
+    return DenseRequirement(f"wsize>={size}", meet)
+
+
+def ref_q_standard_schedule(ctx: QContext, target_w_size: int, seed: int) -> list[DenseRequirement]:
+    """Alternate growing s by the designated limits and w by fresh indices.
+
+    Target 0 yields an empty schedule; a target above the number of tower
+    indices fails before any requirement is built.
+    """
+    if target_w_size < 0:
+        raise ValueError(f"target size of w must be a natural, got {target_w_size}")
+    if target_w_size > len(ctx.g.a):
+        raise RequirementFailure(f"|w| >= {target_w_size} asks for more than the {len(ctx.g.a)} tower indices")
+    s_list = sorted(ctx.part.S)
+    rng = random.Random(seed)
+    priority = sorted(ctx.g.a)
+    above = {j: len(priority) - 1 - rank for rank, j in enumerate(priority)}
+    rng.shuffle(priority)
+    priority = tuple(priority)
+    reqs: list[DenseRequirement] = []
+    for k in range(target_w_size):
+        if k < len(s_list):
+            reqs.append(_s_requirement(ctx, s_list[k]))
+        reqs.append(_w_requirement(ctx, k + 1, priority, above, target_w_size))
+    return reqs
 
 
 def _domain_requirement(o: Ordinal) -> DenseRequirement:

@@ -744,6 +744,19 @@ def test_pipeline_failure_exit_code(tmp_path):
     assert main(["pipeline", "--indices", "4", "--height", "8", "--wsize", "9"]) == 3
 
 
+@pytest.mark.parametrize("wsize", [2, 6, 12])
+def test_pipeline_with_a_short_ladder_table_exits_2(wsize, tmp_path, capsys):
+    """The selection wraps no error, so a ladder table too short for the
+    threshold check exits 2 as TableTooShort, not 3, and writes nothing."""
+    table = {Ordinal(1, 0): [fin(0), fin(1)], Ordinal(2, 0): [Ordinal(1, 0), Ordinal(1, 1)]}
+    short = _write(tmp_path / "ladder.json", Ladder.explicit(table).to_json())
+    out = tmp_path / "report.json"
+    argv = ["pipeline", "--indices", "20", "--height", "32", "--wsize", str(wsize), "--ladder", short]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "TableTooShort" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_impossible_wsize_fails_before_building_its_schedule(capsys):
     tracemalloc.start()
     try:

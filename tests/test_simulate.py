@@ -5,9 +5,9 @@ import re
 import tracemalloc
 
 import pytest
+import simulate_reference
 
 from gapforge import (
-    DenseRequirement,
     GapFragment,
     InvariantViolation,
     Ladder,
@@ -16,6 +16,7 @@ from gapforge import (
     QCondition,
     RequirementFailure,
     QContext,
+    SPartition,
     SimRun,
     build_filter,
     check_tower_coherence,
@@ -27,22 +28,33 @@ from gapforge import (
     pipeline,
     poset_p,
     q_leq,
-    q_standard_schedule,
     simulate,
 )
 from helpers import mask
-from simulate_reference import entry_heights, extract_gap_fragment, ref_check_tower_coherence, ref_p_standard_schedule
+from simulate_reference import (
+    DenseRequirement,
+    entry_heights,
+    extract_gap_fragment,
+    ref_build_filter,
+    ref_check_tower_coherence,
+    ref_p_standard_schedule,
+    ref_q_standard_schedule,
+)
 
 
 def test_build_filter_empty_schedule():
-    run = build_filter(PCondition.empty(), [])
-    assert run.trace == [PCondition.empty()]
-    assert run.result == PCondition.empty()
+    """A target of 0 takes no step, with or without tower indices."""
+    for ctx in (_tiny_ctx(), _forged_ctx(0, 0, 0)):
+        run = build_filter(ctx, 0, seed=0)
+        assert run.schedule == [] and run.trace == [QCondition.empty()]
+        assert run.result == QCondition.empty()
 
 
 def test_build_filter_height_requirement():
+    """The reference fold, which the forge's sweep replaced, meets the
+    height requirement of its P schedule."""
     reqs = ref_p_standard_schedule([fin(0), fin(1)], 5, seed=3)
-    run = build_filter(PCondition.empty(), reqs)
+    run = ref_build_filter(PCondition.empty(), reqs)
     assert run.result.height >= 5
     assert set(run.result.entries) == {fin(0), fin(1)}
     for a, b in zip(run.trace, run.trace[1:]):
@@ -54,52 +66,79 @@ def test_the_forge_schedule_meets_a_start_holding_an_index_off_the_schedule():
     does not list keeps its masks and draws no level of its own, receiving
     only what `p_extend` carries up to it."""
     start = PCondition(3, {fin(7): ("101", "111")})  # taller than the first levels too
-    final = build_filter(start, ref_p_standard_schedule([fin(0), fin(1)], 8, seed=3)).result
+    final = ref_build_filter(start, ref_p_standard_schedule([fin(0), fin(1)], 8, seed=3)).result
     assert final.masks.keys() == {fin(0), fin(1), fin(7)} and p_leq(start, final)
     assert final.masks[fin(7)][0] == 0b101 | final.masks[fin(0)][0] | final.masks[fin(1)][0]
     assert final.masks[fin(0)][0] >> 3 and final.height == 8
 
 
 def test_build_filter_idempotent_requirement_stabilizes():
+    """A met requirement of the reference fold is a no-op; `build_filter`
+    takes none, every step of its trace grows the condition."""
     req = ref_p_standard_schedule([], 4, seed=0)[0]  # the height requirement alone
-    run = build_filter(PCondition.empty(), [req, req, req])
-    assert run.trace[1] is run.trace[2] is run.trace[3]  # a met requirement is a no-op
+    run = ref_build_filter(PCondition.empty(), [req, req, req])
+    assert run.trace[1] is run.trace[2] is run.trace[3]
+    run = build_filter(_tiny_ctx(), 12, seed=0)
+    assert all(a != b for a, b in zip(run.trace, run.trace[1:]))
 
 
 def test_every_standard_meet_rule_verifies_its_step(monkeypatch):
-    """The selection schedule is the one standard schedule; `p_extend`'s
-    own order postcondition is tested with P."""
+    """Every step of the selection is checked by `q_leq`: a check failing
+    at step k alone raises selection-order there, after k checks passed.
+    Each rule of the reference schedule verifies its step too."""
     ctx = _tiny_ctx()
-    q_reqs = q_standard_schedule(ctx, 3, seed=0)
+    steps = len(build_filter(ctx, 3, seed=0).schedule)
+    assert steps == 4  # one designated limit, three picks
+    for bad in range(steps):
+        checked = []
+
+        def failing_at_bad(ctx, p, q):
+            checked.append(q)
+            return len(checked) <= bad and q_leq(ctx, p, q)
+
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "q_leq", failing_at_bad)
+            with pytest.raises(InvariantViolation) as err:
+                build_filter(ctx, 3, seed=0)
+        assert err.value.invariant == "selection-order" and len(checked) == bad + 1
     with monkeypatch.context() as m:
-        m.setattr(simulate, "q_leq", lambda ctx, p, q: False)
-        for req in q_reqs:
+        m.setattr(simulate_reference, "q_leq", lambda ctx, p, q: False)
+        for req in ref_q_standard_schedule(ctx, 3, seed=0):
             with pytest.raises(InvariantViolation) as err:
                 req.meet(QCondition.empty())
             assert err.value.invariant == "selection-order"
-        with pytest.raises(InvariantViolation) as err:
-            build_filter(QCondition.empty(), q_reqs)
-        assert err.value.invariant == "selection-order"
 
 
-def test_build_filter_passes_invariant_violations_through():
-    def broken(p):
+def test_build_filter_passes_invariant_violations_through(monkeypatch):
+    def broken(*args):
         raise InvariantViolation("extend-order", "planted")
 
     with pytest.raises(InvariantViolation) as err:
-        build_filter(PCondition.empty(), [DenseRequirement("broken", broken)])
+        ref_build_filter(PCondition.empty(), [DenseRequirement("broken", broken)])
+    assert (err.value.invariant, err.value.detail) == ("extend-order", "planted")
+    monkeypatch.setattr(simulate, "q_leq", broken)
+    with pytest.raises(InvariantViolation) as err:
+        build_filter(_tiny_ctx(), 2, seed=0)
     assert (err.value.invariant, err.value.detail) == ("extend-order", "planted")
 
 
 @pytest.mark.parametrize("exc", [ValueError("planted"), RequirementFailure("planted")])
-def test_build_filter_wraps_failed_requirements(exc):
-    def failing(p):
+def test_build_filter_wraps_failed_requirements(exc, monkeypatch):
+    """The reference fold wraps a failed requirement in RequirementFailure,
+    naming it.  `build_filter` has no requirements to name and wraps
+    nothing: what `q_leq` raises reaches the caller as it is."""
+
+    def failing(*args):
         raise exc
 
     with pytest.raises(RequirementFailure) as err:
-        build_filter(PCondition.empty(), [DenseRequirement("failing", failing)])
+        ref_build_filter(PCondition.empty(), [DenseRequirement("failing", failing)])
     assert "'failing' failed: planted" in str(err.value)
     assert err.value.__cause__ is exc
+    monkeypatch.setattr(simulate, "q_leq", failing)
+    with pytest.raises(type(exc)) as err:
+        build_filter(_tiny_ctx(), 2, seed=0)
+    assert err.value is exc
 
 
 def test_p_standard_schedule_shapes():
@@ -119,7 +158,7 @@ def test_the_schedule_ends_at_its_last_bit_requirement():
     for count, height in [(0, 5), (3, 5), (5, 5), (0, 0)]:
         ordinals = default_index_blocks(count)
         frag = forge(ordinals, height, seed=count)
-        final = build_filter(PCondition.empty(), ref_p_standard_schedule(ordinals, height, seed=count)).result
+        final = ref_build_filter(PCondition.empty(), ref_p_standard_schedule(ordinals, height, seed=count)).result
         assert frag.universe == final.height == height
         assert frag.I == frag.J == ordinals == tuple(sorted(final.masks))
         assert all(frag.b[o] & ((1 << k) - 1) == 0 for k, o in enumerate(ordinals))
@@ -142,7 +181,7 @@ def test_extract_gap_fragment_examples():
     assert frag.a[fin(0)] == mask({0, 1}) == frag.b[fin(0)]
     for seed in range(5):
         reqs = ref_p_standard_schedule(default_index_blocks(6), 16, seed=seed)
-        run = build_filter(PCondition.empty(), reqs)
+        run = ref_build_filter(PCondition.empty(), reqs)
         out = extract_gap_fragment(run.result)
         assert all(not out.a[o] & ~out.b[o] for o in out.a)
 
@@ -150,7 +189,7 @@ def test_extract_gap_fragment_examples():
 def test_tower_coherence_on_runs():
     for seed in range(4):
         reqs = ref_p_standard_schedule(default_index_blocks(10), 24, seed=seed)
-        run = build_filter(PCondition.empty(), reqs)
+        run = ref_build_filter(PCondition.empty(), reqs)
         check_tower_coherence(run.result.masks, entry_heights(run.trace))  # must not raise
 
 
@@ -280,7 +319,7 @@ def test_more_indices_than_the_height_raise_before_any_draw(count, height, monke
 
 
 def _reference_run(ordinals, height, seed) -> SimRun:
-    return build_filter(PCondition.empty(), ref_p_standard_schedule(ordinals, height, seed))
+    return ref_build_filter(PCondition.empty(), ref_p_standard_schedule(ordinals, height, seed))
 
 
 def _assert_matches_the_level_by_level_schedule(count, height, seed):
@@ -381,19 +420,20 @@ def _quadratic_picks(ctx, target, seed):
 def test_w_picks_match_the_quadratic_formula(count, height, seed):
     ctx = _forged_ctx(count, height, seed)
     for target in range(count + 1):  # up to every tower index
-        run = build_filter(QCondition.empty(), q_standard_schedule(ctx, target, seed))
+        run = build_filter(ctx, target, seed)
         picks = [next(iter(b.w - a.w)) for a, b in zip(run.trace, run.trace[1:]) if b.w != a.w]
         assert picks == list(_quadratic_picks(ctx, target, seed))
 
 
 def test_q_standard_schedule():
+    """Each step adds one designated limit or one index above the current
+    maximum of w, the trace is a chain in Q, and the run ends with w of the
+    target size; `pipeline` selects the w of the run at seed + 1."""
     ctx = _tiny_ctx()
-    assert q_standard_schedule(ctx, 0, seed=0) == []
     for size in (6, 12):  # 12 is every tower index
-        reqs = q_standard_schedule(ctx, size, seed=0)
-        run = build_filter(QCondition.empty(), reqs)
+        run = build_filter(ctx, size, seed=0)
         final = run.result
-        assert len(final.w) >= size
+        assert len(final.w) == size and len(run.schedule) == len(run.trace) - 1
         assert final.s == ctx.part.S
         ws = [sorted(c.w) for c in run.trace]
         for earlier, later in zip(ws, ws[1:]):
@@ -403,14 +443,84 @@ def test_q_standard_schedule():
         assert all(q_leq(ctx, a, b) for a, b in zip(run.trace, run.trace[1:]))
         assert final.w == frozenset().union(*(c.w for c in run.trace))
     report = pipeline(ctx.g.I, 24, 6, Ladder.canonical(), ctx.part, 9)
-    q_run = build_filter(QCondition.empty(), q_standard_schedule(ctx, 6, seed=10))
-    assert report["W"] == [o.to_json() for o in sorted(q_run.result.w)]
+    assert report["W"] == [o.to_json() for o in sorted(build_filter(ctx, 6, seed=10).result.w)]
 
 
-def test_q_schedule_runs_out_of_room():
+def test_q_schedule_runs_out_of_room(monkeypatch):
+    """A target above the tower indices fails before any step, and a
+    negative one is refused."""
     ctx = _tiny_ctx()
-    with pytest.raises(RequirementFailure):  # only 12 indices exist
-        build_filter(QCondition.empty(), q_standard_schedule(ctx, 13, seed=0))
+
+    def no_steps(*args):
+        raise AssertionError("a selection step was checked")
+
+    monkeypatch.setattr(simulate, "q_leq", no_steps)
+    with pytest.raises(RequirementFailure, match="more than the 12 tower indices"):
+        build_filter(ctx, 13, seed=0)
+    with pytest.raises(ValueError, match="must be a natural"):
+        build_filter(ctx, -1, seed=0)
+
+
+def _assert_matches_the_reference_fold(ctx, wsize, seed):
+    """Same schedule and trace as the requirement fold, or the same refusal
+    of a target above the tower indices."""
+    try:
+        run = build_filter(ctx, wsize, seed)
+    except RequirementFailure as err:
+        with pytest.raises(RequirementFailure) as ref_err:
+            ref_q_standard_schedule(ctx, wsize, seed)
+        assert str(ref_err.value) == str(err)
+        return
+    ref = ref_build_filter(QCondition.empty(), ref_q_standard_schedule(ctx, wsize, seed))
+    assert run.schedule == ref.schedule and run.trace == ref.trace
+    assert all(a != b for a, b in zip(run.trace, run.trace[1:]))  # the fold's no-op branches never ran
+
+
+def test_build_filter_matches_the_reference_fold_on_every_small_size():
+    for count in range(13):
+        for seed in range(3):
+            ctx = _forged_ctx(count, max(count, 1) * 2, seed)
+            for wsize in range(count + 2):  # count + 1 runs out of room
+                _assert_matches_the_reference_fold(ctx, wsize, seed)
+
+
+def test_build_filter_matches_the_reference_fold_on_random_sizes():
+    rng = random.Random(71)
+    for _ in range(8):
+        count = rng.randrange(13, 258)
+        ctx = _forged_ctx(count, count + rng.randrange(8), rng.randrange(1000))
+        for wsize in (rng.randrange(count + 1), count - rng.randrange(3), count):
+            _assert_matches_the_reference_fold(ctx, wsize, rng.randrange(1000))
+
+
+@pytest.mark.parametrize("ladder", ["canonical", "explicit", "short"])
+def test_build_filter_matches_the_reference_fold_with_more_limits_than_wsize(ladder):
+    """Partitions designating up to every block limit, and ladders listing
+    rungs for each, down to a single rung."""
+    rng = random.Random(73)
+    for _ in range(6):
+        count = rng.randrange(17, 60)
+        ordinals = default_index_blocks(count)
+        limits = sorted(default_partition(ordinals).S)
+        S = frozenset(rng.sample(limits, rng.randrange(2, len(limits) + 1)))
+        rungs = {d: [Ordinal(d.q - 1, r) for r in range(1 if ladder == "short" else 9)] for d in limits}
+        ctx = QContext(
+            forge(ordinals, count + 4, rng.randrange(1000)),
+            Ladder.canonical() if ladder == "canonical" else Ladder.explicit(rungs),
+            SPartition(S, frozenset(set(limits) - S), frozenset(limits)),
+        )
+        for wsize in range(len(S) + 2):
+            _assert_matches_the_reference_fold(ctx, wsize, rng.randrange(1000))
+
+
+def test_s_takes_only_the_first_wsize_limits():
+    """With 40 indices the partition designates w, w*2, w*3 and w*4; a
+    selection of 2 indices grows s by the first two alone."""
+    ctx = _forged_ctx(40, 64, 0)
+    assert sorted(ctx.part.S) == [Ordinal(q, 0) for q in (1, 2, 3, 4)]
+    assert build_filter(ctx, 2, seed=1).result.s == {Ordinal(1, 0), Ordinal(2, 0)}
+    for wsize in range(41):
+        assert build_filter(ctx, wsize, seed=1).result.s == frozenset(sorted(ctx.part.S)[:wsize])
 
 
 def test_pipeline_trivial():
