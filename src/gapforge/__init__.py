@@ -57,7 +57,6 @@ from .poset_p import (
     p_union_agreeing,
 )
 from .poset_q import (
-    CandidateSlices,
     QCondition,
     QContext,
     ladder_blocked,

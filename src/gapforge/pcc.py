@@ -20,9 +20,7 @@ from typing import Sequence
 from .errors import InvariantViolation
 from .gaps import GapFragment, bits, members, table_csv, word
 from .ordinals import Ladder, Ordinal, SPartition
-from .poset_q import (
-    CandidateSlices, QCondition, QContext, ladder_blocked, q_compatible, q_restrict, upper_join, upper_meet
-)
+from .poset_q import QCondition, QContext, ladder_blocked, q_compatible, q_restrict, upper_join, upper_meet
 
 
 @dataclass(frozen=True)
@@ -93,20 +91,21 @@ def build_compat_matrix(
     p and q are compatible exactly when their union extends both, that is
     when neither one's ladder clause blocks a w member the other brings
     in.  Each condition is validated once and each family's w-union sorted
-    and bit-sliced once (`CandidateSlices`); a row's blocked set is taken
-    over the column union and a column's over the row union (bit k = k-th
-    member) by the one `ladder_blocked` kernel, so a cell is
-    `not (w_q & blocked_p or w_p & blocked_q)`.
+    once; one `ladder_blocked` call per family takes the rows' blocked sets
+    over the column union and another the columns' over the row union (bit
+    k = k-th member), bit-slicing each family's w-union once at most, so a
+    cell is `not (w_q & blocked_p or w_p & blocked_q)`.
     """
     sides = []
     for fam in (fam1, fam2):
         for _, p in fam:
             ctx.check_condition(p)
-        cs = CandidateSlices(ctx.g, sorted(set().union(*(p.w for _, p in fam))))
-        sides.append((cs, [sum(1 << cs.pos[o] for o in p.w) for _, p in fam]))
-    (cs1, w1), (cs2, w2) = sides
-    blocked1 = [ladder_blocked(ctx, p, cs2) for _, p in fam1]
-    blocked2 = [ladder_blocked(ctx, q, cs1) for _, q in fam2]
+        cand = sorted(set().union(*(p.w for _, p in fam)))
+        pos = {o: k for k, o in enumerate(cand)}
+        sides.append((cand, [sum(1 << pos[o] for o in p.w) for _, p in fam]))
+    (cand1, w1), (cand2, w2) = sides
+    blocked1 = ladder_blocked(ctx, [p for _, p in fam1], cand2)
+    blocked2 = ladder_blocked(ctx, [q for _, q in fam2], cand1)
     cols = list(zip(w2, blocked2))
     rows = [bits("".join(["0" if wq & bp or wp & bq else "1" for wq, bq in cols])) for wp, bp in zip(w1, blocked1)]
     return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), tuple(rows))

@@ -4,10 +4,11 @@ Conditions are pairs (w, s) of finite ordinal sets: w collects tower indices
 being selected, s collects designated limits that anchor the ladder clause.
 Extending a condition may only add below-delta indices j whose excess over
 each committed b_i beats the rung count of c_delta below j.  Tower sets
-are int bitmasks (bit k = member k), and `ladder_blocked` collects the
-indices a condition's clause keeps out as a bitmask over a bit-sliced
-candidate list: both the order and the pcc compatibility matrix stand on
-it.
+are int bitmasks (bit k = member k), and `ladder_blocked` collects, for
+each condition of a family, the candidates its clause keeps out as a
+bitmask over one ascending candidate list, bit-sliced at most once per
+call and only once a clause reaches the slices: the order (a family of
+one) and the pcc compatibility matrix (one call per family) stand on it.
 """
 
 from __future__ import annotations
@@ -72,73 +73,68 @@ class QContext:
             raise ValueError("the s component must stay inside the designated set S")
 
 
-class CandidateSlices:
-    """An ascending candidate list, bit-sliced by its a-sets.
+def ladder_blocked(ctx: QContext, conds: Sequence[QCondition], cand: Sequence[Ordinal]) -> list[int]:
+    """The candidates each condition's ladder clause keeps out, as one
+    bitmask over the ascending cand (bit k = cand[k]) per condition.
 
-    Bit k of a mask over the list stands for cand[k]; pos maps each
-    candidate to its k, used is the union of the candidates' a-sets, and
-    sl[u] is the mask of the candidates whose a-set holds u (for u below
-    the length of used), the bit-sliced index of O'Neil and Quass.
+    Bit k is set when j = cand[k] is outside w^p and lies below some delta
+    in s^p with an anchor i in w^p (delta <= i) such that excess(a_j, b_i)
+    is at most the rung count r = |c_delta below j|: no u >= r outside b_i
+    lies in a_j.  The anchors of delta are the suffix of sorted w^p from
+    delta on.  Per delta, `Ladder.count_runs` splits the candidates below
+    delta into runs of equal r, and per run and anchor the candidates that
+    do hold such a u are the OR of the slices sl[u] over the bits u >= r of
+    `used & ~b_i`, where used is the union of the candidates' a-sets and
+    sl[u] the mask of those whose a-set holds u (the bit-sliced index of
+    O'Neil and Quass); the rest of the run is blocked, and only the hit
+    part goes on to the next anchor.  The slices are cut at most once per
+    call, when a delta first has anchors and fresh candidates below it.
+    Whenever a delta has both, a fresh candidate past an explicit ladder
+    table raises TableTooShort first, whatever the outcome; conditions are
+    taken in order, so the first that raises decides the error.
     """
-
-    __slots__ = ("cand", "pos", "used", "sl")
-
-    def __init__(self, g: GapFragment, cand: Sequence[Ordinal]):
-        self.cand = cand
-        self.pos = {o: k for k, o in enumerate(cand)}
-        sets = [g.a[o] for o in cand]
-        self.used = reduce(or_, sets, 0)
-        # transpose: character k * width + u of the text is bit u of cand[k]'s a-set
-        width = self.used.bit_length()
-        text = "".join([word(s, width) for s in sets])
-        self.sl = [bits(text[u::width]) for u in range(width)]
-
-
-def ladder_blocked(ctx: QContext, p: QCondition, cs: CandidateSlices) -> int:
-    """The candidates of cs that p's ladder clause keeps out, as a bitmask.
-
-    Bit k is set when j = cs.cand[k] is outside w^p and lies below some
-    delta in s^p with an anchor i in w^p (delta <= i) such that excess(a_j,
-    b_i) is at most the rung count r = |c_delta below j|: no u >= r outside
-    b_i lies in a_j.  Per delta, `Ladder.count_runs` splits the candidates
-    below delta into runs of equal r, and per run and anchor the
-    candidates that do hold such a u are the OR of the slices sl[u] over
-    the bits u >= r of `used & ~b_i`; the rest of the run is blocked, and
-    only the hit part goes on to the next anchor.  Whenever delta has
-    anchors and fresh candidates below it, a fresh one past an explicit
-    ladder table raises TableTooShort, whatever the outcome.
-    """
-    cand, pos, sl = cs.cand, cs.pos, cs.sl
-    fresh = ~sum(1 << pos[o] for o in p.w if o in pos)
-    blocked = 0
-    for delta in p.s:
-        n = bisect_left(cand, delta)
-        below = fresh & (1 << n) - 1
-        if not below:
-            continue
-        # within used, so never negative: the bit loop below ends
-        outside = [cs.used & ~ctx.g.b[i] for i in p.w if delta <= i]
-        if not outside:
-            continue
-        runs, end = ctx.ladder.count_runs(delta, cand, n)
-        if below >> end:
-            j = cand[below.bit_length() - 1]
-            raise TableTooShort(f"ladder at {delta} never reaches {j} within its table")
-        below &= ~blocked
-        for lo, hi, r in runs:
-            run = below & (1 << hi) - (1 << lo)
-            for nb in outside:
-                if not run:
-                    break
-                nb = nb >> r << r
-                hit = 0
-                while nb:
-                    low = nb & -nb
-                    hit |= sl[low.bit_length() - 1]
-                    nb ^= low
-                blocked |= run & ~hit
-                run &= hit
-    return blocked
+    pos = {o: k for k, o in enumerate(cand)}
+    sets = [ctx.g.a[o] for o in cand]
+    used = reduce(or_, sets, 0)
+    sl = None
+    out = []
+    for p in conds:
+        w = sorted(p.w)
+        fresh = ~sum(1 << pos[o] for o in w if o in pos)
+        blocked = 0
+        for delta in p.s:
+            n = bisect_left(cand, delta)
+            below = fresh & (1 << n) - 1
+            first = bisect_left(w, delta)
+            if not below or first == len(w):
+                continue
+            runs, end = ctx.ladder.count_runs(delta, cand, n)
+            if below >> end:
+                j = cand[below.bit_length() - 1]
+                raise TableTooShort(f"ladder at {delta} never reaches {j} within its table")
+            if sl is None:
+                # transpose: character k * width + u of the text is bit u of cand[k]'s a-set
+                width = used.bit_length()
+                text = "".join([word(s, width) for s in sets])
+                sl = [bits(text[u::width]) for u in range(width)]
+            below &= ~blocked
+            # within used, so never negative: the bit loop below ends
+            outside = [used & ~ctx.g.b[i] for i in w[first:]]
+            for lo, hi, r in runs:
+                run = below & (1 << hi) - (1 << lo)
+                for nb in outside:
+                    if not run:
+                        break
+                    nb = nb >> r << r
+                    hit = 0
+                    while nb:
+                        low = nb & -nb
+                        hit |= sl[low.bit_length() - 1]
+                        nb ^= low
+                    blocked |= run & ~hit
+                    run &= hit
+        out.append(blocked)
+    return out
 
 
 def q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
@@ -151,7 +147,7 @@ def q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
     ctx.check_condition(q)
     if not (p.w <= q.w and p.s <= q.s):
         return False
-    return not ladder_blocked(ctx, p, CandidateSlices(ctx.g, sorted(q.w - p.w)))
+    return not ladder_blocked(ctx, [p], sorted(q.w - p.w))[0]
 
 
 def q_restrict(p: QCondition, alpha: Ordinal) -> QCondition:

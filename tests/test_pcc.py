@@ -27,7 +27,7 @@ from gapforge import (
     uniform_interpolation,
     verify_rectangle,
 )
-from gapforge import pcc
+from gapforge import pcc, poset_q
 from helpers import mask, matrix_from_grid
 from pcc_reference import exact_rectangle, matching_size, ref_koenig_rows, ref_verify_rectangle
 
@@ -198,6 +198,25 @@ def test_the_matrix_counts_rungs_once_per_delta(monkeypatch):
             patched.setattr(Ladder, "count_runs", count_runs)
             assert build_compat_matrix(inst.ctx, fam1, fam2) == expected
         assert 0 < len(calls) <= sum(len(p.s) for _, p in fam1 + fam2)
+
+
+def test_the_matrix_slices_each_family_once(monkeypatch):
+    """One ladder_blocked call per family, each cutting the slices of the
+    other family's w-union once: one `bits` call per bit of that union's
+    a-sets, each over all of its members."""
+    inst = generate_pcc_instance(0, 120, 120)
+    expected = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+    cut = []
+    real = poset_q.bits
+    monkeypatch.setattr(poset_q, "bits", lambda text: cut.append(len(text)) or real(text))
+    assert build_compat_matrix(inst.ctx, inst.fam1, inst.fam2) == expected
+    want = []
+    for fam in (inst.fam2, inst.fam1):
+        union = set().union(*(p.w for _, p in fam))
+        width = reduce(or_, (inst.ctx.g.a[o] for o in union)).bit_length()
+        assert width > 0
+        want += [len(union)] * width
+    assert cut == want
 
 
 def _random_matrix(rng, nr, nc, prob):

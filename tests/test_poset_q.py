@@ -4,7 +4,6 @@ import random
 import pytest
 
 from gapforge import (
-    CandidateSlices,
     GapFragment,
     InvariantViolation,
     Ladder,
@@ -12,9 +11,14 @@ from gapforge import (
     QCondition,
     QContext,
     SPartition,
+    TableTooShort,
     UnknownIndex,
+    build_filter,
+    default_index_blocks,
+    default_partition,
     excess,
     fin,
+    forge,
     q_compatible,
     q_leq,
     q_restrict,
@@ -224,21 +228,28 @@ def test_qcontext_validation():
         QContext(good, Ladder.explicit({}), SPartition(S=frozenset({Ordinal(1, 0)}), T=frozenset(), D=frozenset()))
 
 
-def test_candidate_slices_match_their_definition_on_every_small_list():
-    """Bit k of sl[u] is bit u of the a-set of cand[k], for u below the
-    length of the union: every list of up to 3 a-sets over a universe of at
-    most 4."""
-    seen = 0
-    for universe in range(5):
-        for n in range(4):
-            cand = [fin(k) for k in range(n)]
-            for sets in itertools.product(range(1 << universe), repeat=n):
-                g = GapFragment(universe, dict(zip(cand, sets)), dict.fromkeys(cand, 0))
-                cs = CandidateSlices(g, cand)
-                used = 0
-                for a in sets:
-                    used |= a
-                assert cs.used == used and cs.pos == {o: k for k, o in enumerate(cand)}
-                assert cs.sl == [mask(k for k, a in enumerate(sets) if a >> u & 1) for u in range(used.bit_length())]
-                seen += 1
-    assert seen == sum((1 << u * n) for u in range(5) for n in range(4))
+def test_the_selection_never_cuts_the_slices_and_a_biting_pair_cuts_them_once(monkeypatch):
+    """The kernel cuts its bit slices, one `bits` call per slice, only once
+    some delta has anchors and fresh candidates below it.  An ascending
+    selection never gets there, each pick lying above every anchor; a
+    q_compatible pair whose clause bites cuts them once, in the q_leq of
+    the side that holds the anchor."""
+    cut = []
+    real = poset_q.bits
+    monkeypatch.setattr(poset_q, "bits", lambda text: cut.append(text) or real(text))
+    ordinals = default_index_blocks(24)
+    ctx = QContext(forge(ordinals, 256, 0), Ladder.canonical(), default_partition(ordinals))
+    run = build_filter(ctx, 12, 1)
+    assert run.result.s == ctx.part.S and len(run.result.w) == 12
+    assert cut == []
+    anchor, j = Ordinal(1, 2), fin(1)
+    g = GapFragment(4, {anchor: 0b1000, j: 0b0110}, {anchor: 0b0111, j: 0})
+    part = SPartition(S=frozenset({DELTA}), T=frozenset(), D=frozenset({DELTA}))
+    ctx = QContext(g, Ladder.canonical(), part)
+    p, q = QCondition(frozenset({anchor}), frozenset({DELTA})), QCondition(frozenset({j}), frozenset())
+    assert q_compatible(ctx, p, q) is None  # excess(a_j, b_anchor) is 0, within the 1 rung below j
+    assert cut == ["0", "1", "1"]  # one cut: slice u holds bit u of a_j, over the one candidate j
+    short = QContext(g, Ladder.explicit({DELTA: []}), part)
+    with pytest.raises(TableTooShort):
+        q_compatible(short, p, q)
+    assert len(cut) == 3  # the short table raises before the slices are cut

@@ -10,7 +10,6 @@ from collections import Counter
 import pytest
 
 from gapforge import (
-    CandidateSlices,
     GapFragment,
     Ladder,
     Ordinal,
@@ -202,6 +201,14 @@ ABOVE = Ordinal(5, 1)  # above every delta a condition carries
 STRAY = Ordinal(4, 0)  # a limit outside S, which no explicit table holds
 
 
+def _context_above(rng: random.Random, kind: str) -> QContext:
+    """A context over some of POOL and ABOVE, so that every delta, STRAY
+    too, has an index above it."""
+    idx = rng.sample(POOL, rng.randint(3, len(POOL))) + [ABOVE]
+    frag = random_fragment(rng, rng.randint(4, 8), idx, len(idx))
+    return QContext(frag, _ladder(rng, kind), SPartition(S=LIMITS, T=frozenset(), D=LIMITS))
+
+
 def _outcome(call):
     """What a blocked-set call returns, or the type of what it raises."""
     try:
@@ -210,16 +217,20 @@ def _outcome(call):
         return type(e)
 
 
-def _blocked(ctx: QContext, p: QCondition, cand):
-    """The kernel's outcome over cand, required equal to the per-candidate
-    reference's."""
-    got = _outcome(lambda: ladder_blocked(ctx, p, CandidateSlices(ctx.g, cand)))
-    assert got == _outcome(lambda: ref_ladder_blocked(ctx, p, cand)), (ctx, p, cand)
+def _blocked(ctx: QContext, conds, cand):
+    """The kernel's outcome on the family conds over cand, required equal to
+    the per-candidate reference's on each condition in turn: the masks, or
+    the type that the first condition to raise raises."""
+    got = _outcome(lambda: ladder_blocked(ctx, conds, cand))
+    assert got == _outcome(lambda: [ref_ladder_blocked(ctx, p, cand) for p in conds]), (ctx, conds, cand)
     return got
 
 
 def _tally(seen: Counter, got) -> None:
-    seen[got if isinstance(got, type) else "blocked" if got else "none"] += 1
+    if isinstance(got, type):
+        seen[got] += 1
+    else:
+        seen.update("blocked" if m else "none" for m in got)
 
 
 EXPECTED_OUTCOMES = {
@@ -232,35 +243,35 @@ EXPECTED_OUTCOMES = {
 
 @pytest.mark.parametrize("kind", sorted(EXPECTED_OUTCOMES))
 def test_ladder_blocked_matches_reference_on_random_contexts(kind):
-    """Candidate lists mix members of w^p, other indices and ABOVE, or are
-    empty; now and then s^p holds STRAY, which only a canonical ladder
-    has, so a missing delta raises as a short table does."""
+    """Families of one to three conditions over one candidate list, which
+    mixes members of their w, other indices and ABOVE, or is empty; now and
+    then an s holds STRAY, which only a canonical ladder has, so a missing
+    delta raises as a short table does."""
     rng = random.Random({"canonical": 71, "empty": 72, "full": 73, "short": 74}[kind])
     seen, lists = Counter(), Counter()
     for _ in range(200):
-        idx = rng.sample(POOL, rng.randint(3, len(POOL))) + [ABOVE]
-        frag = random_fragment(rng, rng.randint(4, 8), idx, len(idx))
-        ctx = QContext(frag, _ladder(rng, kind), SPartition(S=LIMITS, T=frozenset(), D=LIMITS))
-        members = sorted(frag.a)
+        ctx = _context_above(rng, kind)
+        members = sorted(ctx.g.a)
         for _ in range(20):
-            p = _random_condition(rng, ctx)
-            if rng.random() < 0.1:
-                p = QCondition(p.w, p.s | {STRAY})
+            conds = [_random_condition(rng, ctx) for _ in range(rng.randint(1, 3))]
+            conds = [QCondition(p.w, p.s | {STRAY}) if rng.random() < 0.1 else p for p in conds]
+            w = set().union(*(p.w for p in conds))
             cand = []
             if rng.random() < 0.9:
-                own = rng.sample(sorted(p.w), rng.randint(0, len(p.w)))
+                own = rng.sample(sorted(w), rng.randint(0, len(w)))
                 cand = sorted(set(own) | set(rng.sample(members, rng.randint(1, len(members)))))
-            lists["empty" if not cand else "meets w" if p.w & set(cand) else "fresh"] += 1
+            lists["empty" if not cand else "meets w" if w & set(cand) else "fresh"] += 1
             lists["above"] += ABOVE in cand
-            _tally(seen, _blocked(ctx, p, cand))
+            _tally(seen, _blocked(ctx, conds, cand))
     assert set(seen) == EXPECTED_OUTCOMES[kind], seen
     assert min(seen.values()) >= 20 and min(lists.values()) >= 200, (seen, lists)
 
 
 @pytest.mark.parametrize("kind", ["canonical", "full", "short"])
 def test_ladder_blocked_matches_reference_on_grid(kind):
-    """Every bounded condition against every candidate sublist of the
-    index set."""
+    """Every bounded condition against every candidate sublist of the index
+    set: all of them as one family, and one at a time where the family
+    raises."""
     rng = random.Random({"canonical": 75, "full": 76, "short": 77}[kind])
     seen = Counter()
     for _ in range(6):
@@ -269,23 +280,78 @@ def test_ladder_blocked_matches_reference_on_grid(kind):
             ctx = QContext(ctx.g, _ladder(rng, kind), SPartition(S=LIMITS, T=frozenset(), D=LIMITS))
         idx = sorted(ctx.g.a)
         lists = [list(c) for n in range(len(idx) + 1) for c in itertools.combinations(idx, n)]
-        for p in conditions_in(ctx):
-            for cand in lists:
-                _tally(seen, _blocked(ctx, p, cand))
+        conds = conditions_in(ctx)
+        for cand in lists:
+            got = _blocked(ctx, conds, cand)
+            _tally(seen, got)
+            if isinstance(got, type):  # the masks of the rest, one condition at a time
+                for p in conds:
+                    _tally(seen, _blocked(ctx, [p], cand))
     assert {"blocked", "none"} <= set(seen), seen
     assert (TableTooShort in seen) is (kind == "short"), seen
 
 
 @pytest.mark.parametrize("seed, t", [(0, 120), (1, 120), (2, 120), (3, 120), (0, 480)])
 def test_ladder_blocked_matches_reference_on_pcc_instances(seed, t):
-    """Rows over the column union and columns over the row union, the two
-    orientations build_compat_matrix takes."""
+    """Rows over the column union and columns over the row union, one
+    family each, the two calls build_compat_matrix makes."""
     inst = generate_pcc_instance(seed, t, t)
     fam1 = [p for _, p in inst.fam1]
     fam2 = [q for _, q in inst.fam2]
     for fam, other in ((fam1, fam2), (fam2, fam1)):
         cand = sorted(set().union(*(q.w for q in other)))
-        cs = CandidateSlices(inst.ctx.g, cand)
-        got = [ladder_blocked(inst.ctx, p, cs) for p in fam]
+        got = ladder_blocked(inst.ctx, fam, cand)
         assert got == [ref_ladder_blocked(inst.ctx, p, cand) for p in fam]
         assert any(got)
+
+
+@pytest.mark.parametrize("kind", sorted(EXPECTED_OUTCOMES))
+def test_a_family_call_equals_its_per_condition_calls(kind):
+    """One call on a family gives each condition the mask a call on it
+    alone gives; when some condition raises (a short table, or STRAY in s),
+    the family raises the type of the first condition that raises."""
+    rng = random.Random({"canonical": 78, "empty": 79, "full": 80, "short": 81}[kind])
+    seen = Counter()
+    for _ in range(100):
+        ctx = _context_above(rng, kind)
+        members = sorted(ctx.g.a)
+        for _ in range(10):
+            conds = [_random_condition(rng, ctx) for _ in range(rng.randint(0, 5))]
+            conds = [QCondition(p.w, p.s | {STRAY}) if rng.random() < 0.1 else p for p in conds]
+            cand = sorted(rng.sample(members, rng.randint(0, len(members))))
+            alone = [_outcome(lambda: ladder_blocked(ctx, [p], cand)[0]) for p in conds]
+            raised = [x for x in alone if isinstance(x, type)]
+            assert _outcome(lambda: ladder_blocked(ctx, conds, cand)) == (raised[0] if raised else alone)
+            seen["clean" if not raised else raised[0]] += 1
+            seen["raise after a mask"] += bool(raised) and not isinstance(alone[0], type)
+            seen["two error types"] += len(set(raised)) > 1
+    raising = {o for o in EXPECTED_OUTCOMES[kind] if isinstance(o, type)}
+    assert {o for o in seen if isinstance(o, type)} == raising, seen
+    assert seen["clean"] >= 100 and (seen["raise after a mask"] >= 20) is bool(raising), seen
+    assert (seen["two error types"] > 0) is (len(raising) > 1), seen
+
+
+def test_ladder_blocked_matches_reference_on_every_small_list():
+    """Every list of up to 3 a-sets over a universe of at most 4, below the
+    limit w, against one anchor above w per b-set, one condition each, and
+    all anchors in one condition: the candidates are fresh below w with an
+    anchor, so the slices are cut and read."""
+    delta = Ordinal(1, 0)
+    part = SPartition(S=frozenset({delta}), T=frozenset(), D=frozenset({delta}))
+    seen, calls = Counter(), 0
+    for universe in range(5):
+        anchors = [Ordinal(1, 1 + v) for v in range(1 << universe)]
+        conds = [QCondition(frozenset({i}), frozenset({delta})) for i in anchors]
+        conds.append(QCondition(frozenset(anchors), frozenset({delta})))
+        for n in range(4):
+            cand = [fin(k) for k in range(n)]
+            for sets in itertools.product(range(1 << universe), repeat=n):
+                a = dict(zip(cand, sets)) | dict.fromkeys(anchors, 0)
+                b = dict.fromkeys(cand, 0) | dict(zip(anchors, range(1 << universe)))
+                ctx = QContext(GapFragment(universe, a, b), Ladder.canonical(), part)
+                got = ladder_blocked(ctx, conds, cand)
+                assert got == [ref_ladder_blocked(ctx, p, cand) for p in conds], (universe, sets)
+                _tally(seen, got)
+                calls += 1
+    assert calls == sum((1 << u * n) for u in range(5) for n in range(4))
+    assert min(seen["blocked"], seen["none"]) >= 10_000, seen
