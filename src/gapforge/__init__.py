@@ -17,7 +17,6 @@ from .errors import (
     UnknownIndex,
 )
 from .gaps import (
-    CHWitness,
     GapFragment,
     almost_subset,
     bits,
@@ -32,7 +31,6 @@ from .ordinals import (
     Ladder,
     Ordinal,
     SPartition,
-    fin,
     two_sided,
 )
 from .pcc import (

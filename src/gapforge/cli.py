@@ -29,7 +29,15 @@ from .errors import (
     RequirementFailure,
     SearchTooLarge,
 )
-from .gaps import MAX_UNIVERSE, GapFragment, c_hausdorff_check, members, special_gap_check, uniform_interpolation
+from .gaps import (
+    MAX_UNIVERSE,
+    GapFragment,
+    c_hausdorff_check,
+    members,
+    special_gap_check,
+    uniform_interpolation,
+    witnesses_json,
+)
 from .ordinals import Ladder, SPartition
 from .pcc import (
     CompatMatrix,
@@ -160,13 +168,14 @@ def _cmd_check(args) -> int:
         )
         return 0 if x is not None else 1
 
-    result = c_hausdorff_check(g, _load_input(args, "ladder"), _load_input(args, "partition"))
-    witnesses = [wit.to_json() for _, wit in sorted(result.items()) if wit is not None]
-    failures = [
-        {"delta": d.to_json(), "j": j.to_json()} for (d, j), wit in sorted(result.items()) if wit is None
-    ]
+    rows, failures = c_hausdorff_check(g, _load_input(args, "ladder"), _load_input(args, "partition"))
     _emit(
-        {"predicate": "c-hausdorff", "witnesses": witnesses, "failures": failures, "holds": not failures},
+        {
+            "predicate": "c-hausdorff",
+            "witnesses": witnesses_json(rows),
+            "failures": [{"delta": d.to_json(), "j": j.to_json()} for d, j in failures],
+            "holds": not failures,
+        },
         args.out,
     )
     return 0 if not failures else 1

@@ -173,37 +173,18 @@ def uniform_interpolation(g: GapFragment, n0: int) -> int | None:
     return union >> n0 << n0
 
 
-@dataclass(frozen=True)
-class CHWitness:
-    """Witness threshold for one (delta, j) query of the ladder predicate.
-
-    n_star is the first rung index whose antecedent is empty; k <= n_star is
-    the least threshold from which the excess clause holds up to n_star.
-    """
-
-    delta: Ordinal
-    j: Ordinal
-    k: int
-    n_star: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n_star:
-            raise ValueError("witness threshold must satisfy 0 <= k <= n_star")
-
-    def to_json(self) -> dict:
-        return {"delta": self.delta.to_json(), "j": self.j.to_json(), "k": self.k, "n_star": self.n_star}
-
-
 def c_hausdorff_check(
     g: GapFragment, ladder: Ladder, part: SPartition
-) -> dict[tuple[Ordinal, Ordinal], CHWitness | None]:
+) -> tuple[list[tuple[Ordinal, Ordinal, int, int]], list[tuple[Ordinal, Ordinal]]]:
     """Evaluate the ladder-threshold gap clause on every queried pair.
 
     For each designated limit delta in S & D and each j in J at or above
     delta: with n_star the first rung of c_delta clearing max(I & delta),
     find the least k such that for all n in [k, n_star) every i in I lying
-    in [c_delta(n), delta) has excess(a_i, b_j) > n.  A pair maps to its
-    witness, or to None when only the vacuous k = n_star survives.
+    in [c_delta(n), delta) has excess(a_i, b_j) > n.  Returns two lists in
+    ascending (delta, j) order: `rows`, one (delta, j, k, n_star) per pair
+    with a witness, 0 <= k <= n_star, and `failures`, one (delta, j) per
+    pair where only the vacuous k = n_star > 0 survives.
 
     With t_i the number of rungs at or below i, i lies in [c_delta(n),
     delta) exactly when n < t_i, so the clause fails at n through i exactly
@@ -213,15 +194,15 @@ def c_hausdorff_check(
     in t, so per j a scan of the runs in reverse stops at the first hit.
     """
     I, J = g.I, g.J
-    out: dict[tuple[Ordinal, Ordinal], CHWitness | None] = {}
+    rows: list[tuple[Ordinal, Ordinal, int, int]] = []
+    failures: list[tuple[Ordinal, Ordinal]] = []
     for delta in sorted(part.S & part.D):
         js = [j for j in J if j >= delta]
         if not js:
             continue
         below = [i for i in I if i < delta]
         if not below:
-            for j in js:
-                out[(delta, j)] = CHWitness(delta, j, 0, 0)
+            rows += [(delta, j, 0, 0) for j in js]
             continue
         n_star = ladder.first_index_above(delta, below[-1])
         # succ(i) < delta as delta is a limit, and the table has just been
@@ -231,11 +212,16 @@ def c_hausdorff_check(
         for j in js:
             outside = ~g.b[j]
             k = next((t for t, a in rungs if not (a & outside) >> (t - 1)), 0)
-            if n_star > 0 and k == n_star:
-                out[(delta, j)] = None
+            if 0 < k == n_star:
+                failures.append((delta, j))
             else:
-                out[(delta, j)] = CHWitness(delta, j, k, n_star)
-    return out
+                rows.append((delta, j, k, n_star))
+    return rows, failures
+
+
+def witnesses_json(rows: Iterable[tuple[Ordinal, Ordinal, int, int]]) -> list[dict]:
+    """The report form of `c_hausdorff_check`'s rows, in their order."""
+    return [{"delta": d.to_json(), "j": j.to_json(), "k": k, "n_star": n_star} for d, j, k, n_star in rows]
 
 
 def excess_matrix_csv(g: GapFragment) -> str:

@@ -86,11 +86,6 @@ class Ordinal(tuple):
         return head if self.r == 0 else f"{head}+{self.r}"
 
 
-def fin(n: int) -> Ordinal:
-    """The finite ordinal n."""
-    return Ordinal(0, n)
-
-
 def two_sided(ordinals: Iterable[Ordinal]) -> Iterator[tuple[Ordinal, int]]:
     """The points (o, side) over distinct ordinals, ascending in the two-sided
     order: side 0 with the ordinals ascending, then side 1 descending, so

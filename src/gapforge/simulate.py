@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, RequirementFailure
-from .gaps import GapFragment, bits, c_hausdorff_check, excess_matrix_csv
+from .gaps import GapFragment, bits, c_hausdorff_check, excess_matrix_csv, witnesses_json
 from .ordinals import Ladder, Ordinal, SPartition, two_sided
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
 from .poset_q import QCondition, QContext, q_leq
@@ -177,10 +177,10 @@ def pipeline(
     q_run = build_filter(ctx, wsize, seed + 1)
     selected = q_run.result.w  # every step was verified, so w only grew
     sub = frag.restrict(selected)
-    witnesses = c_hausdorff_check(sub, ladder, part)
-    for (delta, j), wit in sorted(witnesses.items()):
-        if wit is None:
-            raise InvariantViolation("ladder-threshold-witness", f"no witness for ({delta}, {j})")
+    rows, failures = c_hausdorff_check(sub, ladder, part)
+    if failures:
+        delta, j = failures[0]
+        raise InvariantViolation("ladder-threshold-witness", f"no witness for ({delta}, {j})")
     return {
         "seed": seed,
         "params": {
@@ -190,6 +190,6 @@ def pipeline(
         },
         "fragment": frag.to_json(),
         "W": [o.to_json() for o in sorted(selected)],
-        "witnesses": [wit.to_json() for _, wit in sorted(witnesses.items())],
+        "witnesses": witnesses_json(rows),
         "excess_csv": excess_matrix_csv(sub),
     }

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import AbstractSet, Mapping
 
-from gapforge import CHWitness, GapFragment, IndexMismatch, Ladder, Ordinal, PccInstance, SPartition
+from gapforge import GapFragment, IndexMismatch, Ladder, Ordinal, PccInstance, SPartition
 from ordinals_reference import ref_first_index_above, ref_value
 
 
@@ -73,20 +73,20 @@ def ref_uniform_interpolation(g: GapFragment, n0: int) -> frozenset[int] | None:
 
 def ref_c_hausdorff_check(
     g: GapFragment, ladder: Ladder, part: SPartition
-) -> dict[tuple[Ordinal, Ordinal], CHWitness | None]:
+) -> tuple[list[tuple[Ordinal, Ordinal, int, int]], list[tuple[Ordinal, Ordinal]]]:
     """The ladder clause scanned rung by rung: for each n below n_star, the
     tail of I in [c_delta(n), delta), and k = n + 1 whenever some i of the
-    tail has excess(a_i, b_j) <= n."""
+    tail has excess(a_i, b_j) <= n.  A pair with k = n_star > 0 is a
+    failure, every other pair a row (delta, j, k, n_star)."""
     a, b = as_sets(g.a, g.universe), as_sets(g.b, g.universe)
-    out: dict[tuple[Ordinal, Ordinal], CHWitness | None] = {}
+    rows, failures = [], []
     for delta in sorted(part.S & part.D):
         js = [j for j in sorted(b) if j >= delta]
         if not js:
             continue
         below = [i for i in sorted(a) if i < delta]
         if not below:
-            for j in js:
-                out[(delta, j)] = CHWitness(delta, j, 0, 0)
+            rows += [(delta, j, 0, 0) for j in js]
             continue
         n_star = ref_first_index_above(ladder, delta, max(below))
         tails = [[i for i in below if i >= ref_value(ladder, delta, n)] for n in range(n_star)]
@@ -95,8 +95,11 @@ def ref_c_hausdorff_check(
             for n in range(n_star):
                 if any(ref_excess(a[i], b[j]) <= n for i in tails[n]):
                     k = n + 1
-            out[(delta, j)] = None if n_star > 0 and k == n_star else CHWitness(delta, j, k, n_star)
-    return out
+            if n_star > 0 and k == n_star:
+                failures.append((delta, j))
+            else:
+                rows.append((delta, j, k, n_star))
+    return rows, failures
 
 
 def ref_full_inclusion_union(g: GapFragment) -> frozenset[int] | None:

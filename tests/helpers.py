@@ -14,9 +14,13 @@ from gapforge import (
     QCondition,
     QContext,
     SPartition,
-    fin,
     p_extend,
 )
+
+
+def fin(n: int) -> Ordinal:
+    """The finite ordinal n."""
+    return Ordinal(0, n)
 
 
 def mask(members) -> int:

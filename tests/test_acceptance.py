@@ -21,7 +21,6 @@ from gapforge import (
     default_partition,
     delta_system_refine,
     excess,
-    fin,
     find_compatible_pair,
     generate_pcc_instance,
     max_order_rectangle,
@@ -44,6 +43,7 @@ from gapforge import (
 from helpers import (
     conditions_in,
     enumerate_conditions,
+    fin,
     mask,
     matrix_from_grid,
     random_extension,

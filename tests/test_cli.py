@@ -16,14 +16,13 @@ from gapforge import (
     PCondition,
     SPartition,
     cli,
-    fin,
     simulate,
 )
 from gapforge.cli import build_parser, main
 from gapforge.gaps import MAX_UNIVERSE
 from gapforge.pcc import MAX_FAMILY
 from gapforge.simulate import MAX_INDICES
-from helpers import mask, word_from_bits
+from helpers import fin, mask, word_from_bits
 
 
 def _write(path, obj):
@@ -344,7 +343,11 @@ def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys):
 # q-clash.json agrees with p.json on every prefix but fixes a 0 at [0, 3]
 # where that carry needs a 1, so the pair is incompatible.  The ladder and
 # the partition are the context of `check c-hausdorff` on frag.json, the
-# forged 40 x 64 diagram of seed 7.
+# forged 40 x 64 diagram of seed 7, and on gap-mixed.json, a hand-made
+# diagram where the check fails: at w, a_3 = {4} lies inside b_j for
+# j = w+1 and w*2+1, so only the vacuous k = n_star = 4 survives, while
+# w+2 keeps the witness k = 3 (excess(a_2, b_{w+2}) = 2 < t_2 = 3); at w*2,
+# w*2+1 has k = 0 and n_star = 3.
 GOLDEN_INPUTS = {
     "p.json": {"height": 2, "entries": [
         {"ord": [0, 1], "a_bits": "10", "b_bits": "11"},
@@ -358,6 +361,13 @@ GOLDEN_INPUTS = {
         {"ord": [0, 1], "a_bits": "1010", "b_bits": "1110"},
         {"ord": [0, 3], "a_bits": "0000", "b_bits": "0110"},
     ]},
+    "gap-mixed.json": {
+        "universe": 6,
+        "I": [[0, 1], [0, 2], [0, 3], [1, 1], [1, 2], [2, 1]],
+        "J": [[0, 1], [0, 2], [0, 3], [1, 1], [1, 2], [2, 1]],
+        "a": {"0.1": [0], "0.2": [1], "0.3": [4], "1.1": [5], "1.2": [2, 5], "2.1": []},
+        "b": {"0.1": [0, 1], "0.2": [1, 4], "0.3": [4], "1.1": [4, 5], "1.2": [5], "2.1": [4]},
+    },
     "ladder.json": {"mode": "canonical"},
     "partition.json": {"S": [[1, 0], [2, 0], [4, 0]], "T": [[3, 0]], "D": [[1, 0], [2, 0], [3, 0], [4, 0]]},
 }
@@ -384,6 +394,8 @@ GOLDEN = [
      "58a25b6d5f9918a2eab22c0260f13638109cafadea6b6897271a6e695ba75267"),
     (["check", "c-hausdorff", "--gap", "frag.json", "--ladder", "ladder.json", "--partition", "partition.json"], 0,
      "9229d779903794f4bc4266f09ba109694b38107fca1ac00d85cbe430b65d909e"),
+    (["check", "c-hausdorff", "--gap", "gap-mixed.json", "--ladder", "ladder.json", "--partition", "partition.json"],
+     1, "7ff4c8dbe6509ecda687af149e99a89431c1bbdc7c90ea6297093d344fb38f2f"),
 ]
 
 
@@ -393,7 +405,7 @@ GOLDEN = [
     ids=[
         "pipeline-80x128", "pipeline-160x256", "simulate-p-64x64", "simulate-p-24x4096",
         "pipeline-256x256", "pcc-120x120", "pcc-30x8", "oracle-p-compatible", "oracle-p-incompatible",
-        "check-c-hausdorff-40x64",
+        "check-c-hausdorff-40x64", "check-c-hausdorff-failing",
     ],
 )
 def test_reports_match_their_golden_digests(argv, code, sha, tmp_path, monkeypatch):
@@ -773,15 +785,26 @@ def _incoherent(masks, entry):
     raise InvariantViolation("tower-coherence", "planted")
 
 
+def _failing_pairs(sub, ladder, part):
+    return [], [(Ordinal(1, 0), Ordinal(1, 3)), (Ordinal(2, 0), Ordinal(2, 1))]
+
+
 @pytest.mark.parametrize(
-    "name, stub, invariant",
-    [("check_tower_coherence", _incoherent, "tower-coherence"), ("q_leq", lambda *args: False, "selection-order")],
-    ids=["tower-coherence", "selection-order"],
+    "name, stub, invariant, detail",
+    [
+        ("check_tower_coherence", _incoherent, "tower-coherence", "planted"),
+        ("q_leq", lambda *args: False, "selection-order", ""),
+        ("c_hausdorff_check", _failing_pairs, "ladder-threshold-witness", "no witness for (w, w+3)\n"),
+    ],
+    ids=["tower-coherence", "selection-order", "ladder-threshold-witness"],
 )
-def test_pipeline_invariant_violation_keeps_its_fields(name, stub, invariant, monkeypatch, capsys):
+def test_pipeline_invariant_violation_keeps_its_fields(name, stub, invariant, detail, tmp_path, monkeypatch, capsys):
+    """A failed run assertion exits 3 with its name and detail, and writes no report."""
     monkeypatch.setattr(simulate, name, stub)
-    assert main(["pipeline", "--indices", "4", "--height", "4", "--wsize", "2"]) == 3
-    assert capsys.readouterr().err.startswith(f"gapforge: InvariantViolation: {invariant}: ")
+    out = tmp_path / "report.json"
+    assert main(["pipeline", "--indices", "4", "--height", "4", "--wsize", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"gapforge: InvariantViolation: {invariant}: {detail}")
+    assert not out.exists()
 
 
 def test_pcc_generated_and_matrix_modes(tmp_path):

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from gapforge import (
-    CHWitness,
     GapFragment,
     IndexMismatch,
     Ladder,
@@ -15,13 +14,12 @@ from gapforge import (
     c_hausdorff_check,
     excess,
     excess_matrix_csv,
-    fin,
     members,
     special_gap_check,
     uniform_interpolation,
 )
 from gapforge.gaps import MAX_UNIVERSE, table_csv, word
-from helpers import mask, random_fragment
+from helpers import fin, mask, random_fragment
 
 
 def _ref_word(m: int, n: int) -> str:
@@ -184,9 +182,7 @@ def test_c_hausdorff_witness_example():
     b = {o: 0 for o in a}
     g = _chc_fragment(8, a, b)
     part = SPartition(S=frozenset({delta}), T=frozenset(), D=frozenset({delta}))
-    out = c_hausdorff_check(g, Ladder.canonical(), part)
-    wit = out[(delta, j)]
-    assert wit == CHWitness(delta, j, 0, 5)
+    assert c_hausdorff_check(g, Ladder.canonical(), part) == ([(delta, j, 0, 5)], [])
 
 
 def test_c_hausdorff_vacuous_example():
@@ -194,8 +190,7 @@ def test_c_hausdorff_vacuous_example():
     j = Ordinal(1, 1)
     g = _chc_fragment(4, {j: mask({1})}, {j: 0})
     part = SPartition(S=frozenset({delta}), T=frozenset(), D=frozenset({delta}))
-    out = c_hausdorff_check(g, Ladder.canonical(), part)
-    assert out[(delta, j)] == CHWitness(delta, j, 0, 0)
+    assert c_hausdorff_check(g, Ladder.canonical(), part) == ([(delta, j, 0, 0)], [])
 
 
 def test_c_hausdorff_failure_example():
@@ -206,8 +201,7 @@ def test_c_hausdorff_failure_example():
     b = {o: mask(range(8)) for o in a}  # full: every excess is 0
     g = _chc_fragment(8, a, b)
     part = SPartition(S=frozenset({delta}), T=frozenset(), D=frozenset({delta}))
-    out = c_hausdorff_check(g, Ladder.canonical(), part)
-    assert out[(delta, j)] is None
+    assert c_hausdorff_check(g, Ladder.canonical(), part) == ([], [(delta, j)])
 
 
 def test_c_hausdorff_monotone_under_shrinking_b():
@@ -220,14 +214,15 @@ def test_c_hausdorff_monotone_under_shrinking_b():
         a = {o: mask(v for v in range(m) if rng.random() < 0.5) for o in idx}
         b = {o: mask(v for v in range(m) if rng.random() < 0.5) for o in idx}
         g = GapFragment(m, a, b)
-        before = c_hausdorff_check(g, Ladder.canonical(), part)
+        before, _ = c_hausdorff_check(g, Ladder.canonical(), part)
         j = Ordinal(1, 1)
         shrunk = dict(b)
         shrunk[j] = mask(v for v in members(b[j]) if rng.random() < 0.5)
-        after = c_hausdorff_check(GapFragment(m, a, shrunk), Ladder.canonical(), part)
-        if before[(delta, j)] is not None:
-            assert after[(delta, j)] is not None
-            assert after[(delta, j)].k <= before[(delta, j)].k
+        after, _ = c_hausdorff_check(GapFragment(m, a, shrunk), Ladder.canonical(), part)
+        # (delta, j) is the one queried pair: a row before keeps a row after
+        if before:
+            assert [row[:2] for row in before] == [row[:2] for row in after] == [(delta, j)]
+            assert after[0][2] <= before[0][2]
 
 
 def test_uniform_interpolation_at_zero_is_the_full_inclusion_union():

@@ -18,7 +18,6 @@ from gapforge import (
     almost_subset,
     c_hausdorff_check,
     excess,
-    fin,
     find_compatible_pair,
     generate_pcc_instance,
     members,
@@ -39,7 +38,7 @@ from gaps_reference import (
     ref_special_gap_check,
     ref_uniform_interpolation,
 )
-from helpers import mask, random_fragment
+from helpers import fin, mask, random_fragment
 
 
 def _optional_mask(x):
@@ -152,7 +151,8 @@ def test_predicates_match_reference_with_an_empty_side():
 
 def _check_c_hausdorff(g: GapFragment, ladder: Ladder, part: SPartition):
     """c_hausdorff_check equals its reference on g, or raises an exception
-    of the very same type; returns the reference result or that type."""
+    of the very same type; returns the reference result or that type.  Every
+    row has 0 <= k <= n_star, and both lists strictly increase in (delta, j)."""
     try:
         expected = ref_c_hausdorff_check(g, ladder, part)
     except Exception as e:  # any type: the kernel must raise the very same one
@@ -160,13 +160,18 @@ def _check_c_hausdorff(g: GapFragment, ladder: Ladder, part: SPartition):
             c_hausdorff_check(g, ladder, part)
         assert type(info.value) is type(e)
         return type(e)
-    assert c_hausdorff_check(g, ladder, part) == expected
+    rows, failures = c_hausdorff_check(g, ladder, part)
+    assert (rows, failures) == expected
+    assert all(0 <= k <= n_star for _, _, k, n_star in rows)
+    for pairs in ([row[:2] for row in rows], failures):
+        assert all(x < y for x, y in zip(pairs, pairs[1:]))
     return expected
 
 
 def _verdicts(result) -> set:
-    """None for a failing pair, else (k > 0, k == n_star) of its witness."""
-    return {None if w is None else (w.k > 0, w.k == w.n_star) for w in result.values()}
+    """None for a failing pair, else (k > 0, k == n_star) of its row."""
+    rows, failures = result
+    return {(k > 0, k == n_star) for _, _, k, n_star in rows} | ({None} if failures else set())
 
 
 LIMITS = [Ordinal(1, 0), Ordinal(2, 0), Ordinal(3, 0)]
@@ -217,8 +222,9 @@ def test_c_hausdorff_matches_reference_on_every_small_diagram():
     for masks in itertools.product(range(8), repeat=4):
         a = dict(zip(below, masks)) | {j: 0}
         b = {i: 0 for i in below} | {j: masks[3]}
-        result = _check_c_hausdorff(GapFragment(3, a, b), Ladder.canonical(), part)
-        seen.add(None if result[(delta, j)] is None else result[(delta, j)].k)
+        rows, failures = _check_c_hausdorff(GapFragment(3, a, b), Ladder.canonical(), part)
+        assert [row[:2] for row in rows] + failures == [(delta, j)]
+        seen.add(rows[0][2] if rows else None)
     assert seen == {None, 0, 1, 2}
 
 

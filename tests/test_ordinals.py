@@ -11,9 +11,9 @@ from gapforge import (
     SPartition,
     TableTooShort,
     UnknownDelta,
-    fin,
     two_sided,
 )
+from helpers import fin
 from ordinals_reference import ref_count_below, ref_first_index_above, ref_value
 from p_reference import _ilt
 

@@ -17,7 +17,6 @@ from gapforge import (
     QContext,
     SPartition,
     build_compat_matrix,
-    fin,
     find_compatible_pair,
     generate_pcc_instance,
     max_order_rectangle,
@@ -28,7 +27,7 @@ from gapforge import (
     verify_rectangle,
 )
 from gapforge import pcc, poset_q
-from helpers import mask, matrix_from_grid
+from helpers import fin, mask, matrix_from_grid
 from pcc_reference import exact_rectangle, matching_size, ref_koenig_rows, ref_verify_rectangle
 
 

@@ -16,7 +16,6 @@ from gapforge import (
     SearchTooLarge,
     bits,
     delta_system_refine,
-    fin,
     p_compatible_oracle,
     p_extend,
     p_join,
@@ -26,7 +25,7 @@ from gapforge import (
     p_union_agreeing,
     poset_p,
 )
-from helpers import enumerate_conditions, random_extension, random_pcondition, word_from_bits
+from helpers import enumerate_conditions, fin, random_extension, random_pcondition, word_from_bits
 
 AL, BE = fin(0), fin(1)
 POOL = [fin(k) for k in range(6)]

@@ -11,14 +11,13 @@ from gapforge import (
     InvalidBit,
     Ordinal,
     PCondition,
-    fin,
     p_extend,
     p_join,
     p_join_from_core,
     p_leq,
     p_restrict,
 )
-from helpers import enumerate_conditions, grants_from_bits, random_extension, random_pcondition
+from helpers import enumerate_conditions, fin, grants_from_bits, random_extension, random_pcondition
 from p_reference import ref_p_extend, ref_p_join, ref_p_join_from_core, ref_p_leq
 
 # two w-blocks, so side-1 sweeps cross a limit as well as finite steps

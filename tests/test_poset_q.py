@@ -17,7 +17,6 @@ from gapforge import (
     default_index_blocks,
     default_partition,
     excess,
-    fin,
     forge,
     q_compatible,
     q_leq,
@@ -25,7 +24,7 @@ from gapforge import (
     separated_pair_check,
 )
 from gapforge import poset_q
-from helpers import conditions_in, mask, small_context
+from helpers import conditions_in, fin, mask, small_context
 from ordinals_reference import ref_value
 
 DELTA = Ordinal(1, 0)

@@ -19,12 +19,11 @@ from gapforge import (
     TableTooShort,
     UnknownDelta,
     build_compat_matrix,
-    fin,
     generate_pcc_instance,
     ladder_blocked,
     q_leq,
 )
-from helpers import conditions_in, random_fragment, small_context
+from helpers import conditions_in, fin, random_fragment, small_context
 from q_reference import ref_build_compat_matrix, ref_ladder_blocked, ref_q_leq
 
 # finite indices, indices between the limits, and the limits themselves

@@ -22,7 +22,6 @@ from gapforge import (
     check_tower_coherence,
     default_index_blocks,
     default_partition,
-    fin,
     forge,
     p_leq,
     pipeline,
@@ -30,7 +29,7 @@ from gapforge import (
     q_leq,
     simulate,
 )
-from helpers import mask
+from helpers import fin, mask
 from simulate_reference import (
     DenseRequirement,
     entry_heights,
