@@ -32,11 +32,12 @@ from .errors import (
 from .gaps import (
     MAX_UNIVERSE,
     GapFragment,
+    Witnesses,
     c_hausdorff_check,
+    member_text,
     members,
     special_gap_check,
     uniform_interpolation,
-    witnesses_json,
 )
 from .ordinals import Ladder, SPartition
 from .pcc import (
@@ -70,9 +71,23 @@ def _write_json(write, obj, pad: str) -> None:
     sort_keys=True, indent=2): a key through json's own str quoting, an
     exact int (no bool) through str and a list of them in one C-level join,
     every other scalar through json.dumps.  A key that is no str raises
-    TypeError in the quoting, where json would convert some of them."""
+    TypeError in the quoting, where json would convert some of them.  Of
+    the two report values that are no JSON, a GapFragment is written as its
+    `to_json` with each set's members joined from its mask, and Witnesses as
+    one {"delta", "j", "k", "n_star"} object per row, from one format."""
     inner = pad + "  "
-    if isinstance(obj, dict):
+    if isinstance(obj, GapFragment):
+        # to_json's dict, each set a deferred member_text call over one table, made as the set is written
+        texts = [str(k) for k in range(obj.universe)]
+        _write_json(write, obj.to_json(lambda mask: functools.partial(member_text, mask, texts)), pad)
+    elif isinstance(obj, Witnesses):
+        at, deep = inner + "  ", inner + "    "
+        row = (f'{inner}{{\n{at}"delta": [\n{deep}%d,\n{deep}%d\n{at}],\n{at}"j": [\n{deep}%d,\n{deep}%d\n{at}],\n'
+               f'{at}"k": %d,\n{at}"n_star": %d\n{inner}}}')
+        for n, (d, j, k, n_star) in enumerate(obj.rows):
+            write((",\n" if n else "[\n") + row % (*d, *j, k, n_star))
+        write("\n" + pad + "]" if obj.rows else "[]")
+    elif isinstance(obj, dict):
         if not obj:
             write("{}")
             return
@@ -82,6 +97,9 @@ def _write_json(write, obj, pad: str) -> None:
             _write_json(write, value, inner)
             sep = ",\n"
         write("\n" + pad + "}")
+    elif isinstance(obj, functools.partial):  # a set of a GapFragment, as above
+        text = obj(",\n" + inner)
+        write("[\n" + inner + text + "\n" + pad + "]" if text else "[]")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             write("[]")
@@ -100,7 +118,7 @@ def _write_json(write, obj, pad: str) -> None:
 
 def _emit(obj, out: str | None) -> None:
     """Stream the report to stdout or to the file `out`, holding at most the
-    text of one list of ints at a time."""
+    text of one list of ints, or of one set, at a time."""
     with open(out, "w", encoding="utf-8") if out is not None else contextlib.nullcontext(sys.stdout) as fh:
         _write_json(fh.write, obj, "")
         fh.write("\n")
@@ -146,7 +164,7 @@ def _cmd_simulate_p(args) -> int:
     _check_size(args.indices, args.height)
     seed = _resolve_seed(args.seed)
     ordinals = default_index_blocks(args.indices)
-    _emit(forge(ordinals, args.height, seed).to_json(), args.out)
+    _emit(forge(ordinals, args.height, seed), args.out)
     return 0
 
 
@@ -172,7 +190,7 @@ def _cmd_check(args) -> int:
     _emit(
         {
             "predicate": "c-hausdorff",
-            "witnesses": witnesses_json(rows),
+            "witnesses": Witnesses(rows),
             "failures": [{"delta": d.to_json(), "j": j.to_json()} for d, j in failures],
             "holds": not failures,
         },

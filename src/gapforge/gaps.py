@@ -2,9 +2,9 @@
 
 A set of naturals inside a bounded universe [0, M) is an int bitmask whose
 bit k is member k, and its text a 01 word whose character k is bit k: every
-module converts through `bits`, `word` and `members` alone, except that
-`GapFragment.from_json` reads a member list in its own loop, which checks
-each member before it sets a bit.  Between
+module converts through `bits`, `word`, `members` and `member_text` alone,
+except that `GapFragment.from_json` reads a member list in its own loop,
+which checks each member before it sets a bit.  Between
 finite sets almost-inclusion is vacuous, so a diagram carries no tower
 laws; everything of interest is measured through the excess number.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexMismatch
 from .ordinals import Ladder, Ordinal, SPartition
@@ -23,8 +23,8 @@ from .ordinals import Ladder, Ordinal, SPartition
 MAX_UNIVERSE = 1 << 16
 
 
-def bits(text: str) -> int:
-    """The set of a 01 word: bit k is character k."""
+def bits(text: str | bytes) -> int:
+    """The set of a 01 word, as text or ASCII bytes: bit k is character k."""
     return int(text[::-1] or "0", 2)
 
 
@@ -41,6 +41,11 @@ _ONES = bytes(c == ord("1") for c in range(256))
 def members(mask: int) -> list[int]:
     """The members of a set, ascending."""
     return list(compress(count(), format(mask, "b")[::-1].encode().translate(_ONES)))
+
+
+def member_text(mask: int, texts: Sequence[str], sep: str) -> str:
+    """texts[k] for each member k of a set, ascending, joined by sep: no member list is built."""
+    return sep.join(compress(texts, format(mask, "b")[::-1].encode().translate(_ONES)))
 
 
 def table_csv(row_index: Iterable[Ordinal], col_index: Iterable[Ordinal], rows: Iterable[Iterable[str]]) -> str:
@@ -98,14 +103,15 @@ class GapFragment:
             {o: s for o, s in self.b.items() if o in jkeep},
         )
 
-    def to_json(self) -> dict:
-        I, J = self.I, self.J
+    def to_json(self, listed=None) -> dict:
+        """The JSON form, with `listed(mask)` for each set: its member list by default."""
+        I, J, listed = self.I, self.J, listed or members
         return {
             "universe": self.universe,
             "I": [o.to_json() for o in I],
             "J": [o.to_json() for o in J],
-            "a": {o.key(): members(self.a[o]) for o in I},
-            "b": {o.key(): members(self.b[o]) for o in J},
+            "a": {o.key(): listed(self.a[o]) for o in I},
+            "b": {o.key(): listed(self.b[o]) for o in J},
         }
 
     @classmethod
@@ -219,12 +225,15 @@ def c_hausdorff_check(
     return rows, failures
 
 
-def witnesses_json(rows: Iterable[tuple[Ordinal, Ordinal, int, int]]) -> list[dict]:
-    """The report form of `c_hausdorff_check`'s rows, in their order."""
-    return [{"delta": d.to_json(), "j": j.to_json(), "k": k, "n_star": n_star} for d, j, k, n_star in rows]
+@dataclass(frozen=True)
+class Witnesses:
+    """`c_hausdorff_check`'s rows as a report value, one JSON object per row."""
+
+    rows: list[tuple[Ordinal, Ordinal, int, int]]
 
 
 def excess_matrix_csv(g: GapFragment) -> str:
     """CSV of the excess matrix X(a_i, b_j), ordinal row and column headers."""
     I, J = g.I, g.J
-    return table_csv(I, J, ([str(excess(g.a[i], g.b[j])) for j in J] for i in I))
+    outside = [~g.b[j] for j in J]  # excess(a, b) is (a & ~b).bit_length()
+    return table_csv(I, J, ([str((a & o).bit_length()) for o in outside] for a in map(g.a.__getitem__, I)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, RequirementFailure
-from .gaps import GapFragment, bits, c_hausdorff_check, excess_matrix_csv, witnesses_json
+from .gaps import GapFragment, Witnesses, bits, c_hausdorff_check, excess_matrix_csv
 from .ordinals import Ladder, Ordinal, SPartition, two_sided
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
 from .poset_q import QCondition, QContext, q_leq
@@ -95,11 +95,12 @@ def check_tower_coherence(masks: Mapping[Ordinal, tuple[int, int]], entry: Mappi
 
 
 BLOCK_WIDTH = 8  # indices per w-block of the default index list
+_COIN = b"1" * 128 + b"0" * 128  # translation table: a top byte below 128 draws 1
 MAX_INDICES = 2048
 """Most tower indices the CLI forges; indices times height is capped at its
 square.  The forge draws one bit per index and level, and the report lists
-every member: `simulate-p` at 1024² takes 0.69-0.85 s and 55 MB, and at
-2048² 2.3-2.5 s and 179 MB for a 49.5 MB report (3 runs each, wall and
+every member: `simulate-p` at 1024² takes 0.19-0.20 s and 33 MB, and at
+2048² 0.48-0.54 s and 82 MB for a 49.5 MB report (3 runs each, wall and
 peak RSS with interpreter start; 2-vCPU Xeon, Python 3.11)."""
 
 
@@ -139,8 +140,9 @@ def forge(ordinals: Sequence[Ordinal], height: int, seed: int) -> GapFragment:
     n = len(todo)
     if n > height:
         raise ValueError(f"{n} indices exceed the target height {height}, one level per index")
-    rng = random.Random(seed)
-    draws = "".join(["01"[rng.random() < 0.5] for _ in range(height * n)])
+    # random() < 0.5 just when bit 31 of the first of its two 32-bit words is 0, and
+    # getrandbits(64 m) gives those 2m words, least significant first: take byte 3 of 8
+    draws = random.Random(seed).getrandbits(64 * height * n).to_bytes(8 * height * n, "little")[3::8].translate(_COIN)
     grants = [bits(draws[k::n]) >> k << k for k in range(n)]
     every = 0
     for grant in grants:
@@ -188,8 +190,8 @@ def pipeline(
             "height": height,
             "w_target": wsize,
         },
-        "fragment": frag.to_json(),
+        "fragment": frag,
         "W": [o.to_json() for o in sorted(selected)],
-        "witnesses": witnesses_json(rows),
+        "witnesses": Witnesses(rows),
         "excess_csv": excess_matrix_csv(sub),
     }

@@ -1,12 +1,19 @@
-"""Reference versions of the excess number, the gap predicates (the
-ladder-threshold check among them) and the pcc meet/join profiles, over
-frozensets.
+"""Reference versions of the excess number, the excess matrix, the gap
+predicates (the ladder-threshold check among them) and the pcc meet/join
+profiles, over frozensets, and the dict forms of the two report values
+that `cli._write_json` writes straight to text.
 
 These are the set-based versions the package's bitmask code replaced.  A
 fragment's tower sets are read into frozensets one member test at a time
 (`set_of`), and from there on everything is set algebra, so they share no
 logic with the bitmask code; the differential tests require both to agree
 exactly.
+
+`witnesses_json` is the list of dicts the report's witnesses were built as
+before the writer learned `Witnesses`, and `report_default`, passed as
+json.dumps's `default=`, maps a `GapFragment` to its `to_json` and
+`Witnesses` to that list, so that a report object's json.dumps text is
+the text `cli` writes for it.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from functools import lru_cache
 from typing import AbstractSet, Mapping
 
 from gapforge import GapFragment, IndexMismatch, Ladder, Ordinal, PccInstance, SPartition
+from gapforge.gaps import Witnesses
 from ordinals_reference import ref_first_index_above, ref_value
 
 
@@ -39,6 +47,31 @@ def ref_excess(a: AbstractSet[int], b: AbstractSet[int]) -> int:
     """Least k with a - b contained in [0, k); 0 exactly when a is a subset of b."""
     d = a - b
     return max(d) + 1 if d else 0
+
+
+def ref_excess_matrix_csv(g: GapFragment) -> str:
+    """The excess matrix, one `ref_excess` per cell over the frozensets:
+    a header of the J keys after an empty corner, then per i its key and
+    excess(a_i, b_j) for each j."""
+    a, b = as_sets(g.a, g.universe), as_sets(g.b, g.universe)
+    lines = [",".join(["", *(j.key() for j in sorted(b))])]
+    lines += [",".join([i.key(), *(str(ref_excess(a[i], b[j])) for j in sorted(b))]) for i in sorted(a)]
+    return "\n".join(lines) + "\n"
+
+
+def witnesses_json(rows) -> list[dict]:
+    """The report form of `c_hausdorff_check`'s rows, in their order."""
+    return [{"delta": d.to_json(), "j": j.to_json(), "k": k, "n_star": n_star} for d, j, k, n_star in rows]
+
+
+def report_default(obj):
+    """json.dumps's `default=` for a report object: the dict forms of its
+    two values that are no JSON."""
+    if isinstance(obj, GapFragment):
+        return obj.to_json()
+    if isinstance(obj, Witnesses):
+        return witnesses_json(obj.rows)
+    raise TypeError(f"{type(obj).__name__} is no report value")
 
 
 def ref_almost_subset(a: AbstractSet[int], b: AbstractSet[int], n: int) -> bool:

@@ -5,6 +5,9 @@ dense requirements, each a total meet rule that returns the condition
 itself once it holds and verifies every step it takes, folded over a
 schedule from a start condition.
 
+`ref_coin_draws` is the draw loop `simulate.forge` replaced by whole
+generator words: one `rng.random() < 0.5` per coin.
+
 `ref_p_standard_schedule` is the fold that `simulate.forge`, which computes
 the final condition in one sweep, replaced.  It draws the same level plans
 from the seed, lets each index enter before the level of its own position,
@@ -152,6 +155,12 @@ def _height_requirement(target: int) -> DenseRequirement:
         return p if p.height >= target else p_extend(p, target)
 
     return DenseRequirement(f"height>={target}", meet)
+
+
+def ref_coin_draws(rng: random.Random, count: int) -> str:
+    """`count` coins as a 01 word, character k "1" exactly when the k-th
+    `rng.random()` is below 0.5."""
+    return "".join(["01"[rng.random() < 0.5] for _ in range(count)])
 
 
 def ref_p_standard_schedule(

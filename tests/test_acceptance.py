@@ -51,6 +51,7 @@ from helpers import (
     random_pcondition,
     small_context,
 )
+from gaps_reference import report_default
 from ordinals_reference import ref_value
 from pcc_reference import exact_rectangle
 
@@ -352,8 +353,9 @@ def test_09_pipeline_end_to_end():
     args = (ordinals, 64, 10, Ladder.canonical(), default_partition(ordinals), 7)
     report = pipeline(*args)
     again = pipeline(*args)
-    one, two = json.dumps(report, sort_keys=True), json.dumps(again, sort_keys=True)
+    one, two = (json.dumps(r, sort_keys=True, default=report_default) for r in (report, again))
     assert one == two  # byte-identical rerun
+    report = json.loads(one)  # the report as its text reads, fragment and witnesses in their dict forms
     frag = GapFragment.from_json(report["fragment"])
     assert all(not frag.a[o] & ~frag.b[o] for o in frag.a)
     assert len(report["W"]) >= 10

@@ -16,12 +16,14 @@ from gapforge import (
     PCondition,
     SPartition,
     cli,
+    gaps,
     simulate,
 )
 from gapforge.cli import build_parser, main
-from gapforge.gaps import MAX_UNIVERSE
+from gapforge.gaps import MAX_UNIVERSE, Witnesses
 from gapforge.pcc import MAX_FAMILY
 from gapforge.simulate import MAX_INDICES
+from gaps_reference import report_default
 from helpers import fin, mask, word_from_bits
 
 
@@ -410,7 +412,8 @@ GOLDEN = [
 )
 def test_reports_match_their_golden_digests(argv, code, sha, tmp_path, monkeypatch):
     """Each report has its pinned digest, and is the text json.dumps gives
-    for the object the command emitted."""
+    for the object the command emitted, with its fragment and witnesses in
+    their reference dict forms."""
     monkeypatch.chdir(tmp_path)
     for name, obj in GOLDEN_INPUTS.items():
         _write(tmp_path / name, obj)
@@ -421,7 +424,7 @@ def test_reports_match_their_golden_digests(argv, code, sha, tmp_path, monkeypat
     assert main(argv + ["--out", "out.json"]) == code
     text = (tmp_path / "out.json").read_text(encoding="utf-8")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
-    assert [text] == [json.dumps(obj, sort_keys=True, indent=2) + "\n" for obj in emitted]
+    assert [text] == [json.dumps(obj, sort_keys=True, indent=2, default=report_default) + "\n" for obj in emitted]
 
 
 def _written(obj) -> str:
@@ -473,6 +476,71 @@ def test_the_writer_writes_the_bytes_of_json_dumps_on_random_nested_values():
     for _ in range(400):
         obj = _random_value(rng, rng.randrange(5))
         assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _random_diagram(rng: random.Random, count: int, universe: int) -> GapFragment:
+    """A fragment over the first `count` default indices, I and J each a
+    random part of them, every set dense, sparse or empty."""
+
+    def side():
+        dense, sparse = rng.getrandbits(universe), rng.getrandbits(universe) & rng.getrandbits(universe) << 3
+        return {o: rng.choice([0, dense, sparse & (1 << universe) - 1]) for o in indices if rng.random() < 0.8}
+
+    indices = simulate.default_index_blocks(count)
+    return GapFragment(universe, side(), side())
+
+
+def test_the_writer_writes_a_fragment_as_json_dumps_writes_its_to_json():
+    """Each set is joined from its mask, and the maps are keyed in the
+    order sort_keys gives: from 81 indices on, "10.0" comes before "2.0"."""
+    rng = random.Random(27)
+    wide = _random_diagram(rng, 96, 12)
+    assert {Ordinal(2, 0), Ordinal(10, 0)} <= set(wide.a) | set(wide.b)
+    cases = [
+        wide,
+        GapFragment(0, {}, {}),
+        GapFragment(0, {fin(0): 0}, {fin(0): 0, fin(1): 0}),
+        GapFragment(MAX_UNIVERSE, {fin(0): 1 << (MAX_UNIVERSE - 1) | 1 << 7}, {fin(0): 1 << 40000, fin(1): 0}),
+        simulate.forge(simulate.default_index_blocks(300), 300, 1),
+    ]
+    cases += [_random_diagram(rng, rng.choice([0, 1, 5, 81, 100]), rng.choice([0, 1, 7, 64, 300])) for _ in range(80)]
+    for g in cases:
+        assert _written(g) == json.dumps(g.to_json(), sort_keys=True, indent=2)
+        nested = {"fragment": g, "more": [[g], {"x": g}]}  # at deeper indentations too
+        assert _written(nested) == json.dumps(nested, sort_keys=True, indent=2, default=report_default)
+
+
+def test_the_writer_writes_witness_rows_as_json_dumps_writes_their_dicts():
+    rng = random.Random(28)
+    pool = [Ordinal(q, r) for q in (0, 1, 2, 10, 123) for r in (0, 1, 9, 10, 4096)]
+    for count in (0, 1, 2, 37, 500):
+        rows = [(rng.choice(pool), rng.choice(pool), rng.randrange(50), rng.randrange(10**6)) for _ in range(count)]
+        for obj in (Witnesses(rows), {"witnesses": Witnesses(rows), "more": [[Witnesses(rows)]]}):
+            assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2, default=report_default)
+
+
+def test_emitting_a_tall_diagram_builds_no_member_list(tmp_path, monkeypatch):
+    """The 64 x 16384 `simulate-p` report, 25.6 MB of text, is written from
+    the masks: `gaps.members` is never called, and the emission peaks under
+    1 MiB plus the text of one set and the writer's table of member texts,
+    one str per level (about 1 MiB here; 71 MiB of member lists before)."""
+    frag = simulate.forge(simulate.default_index_blocks(64), 16384, 0)
+    table = [str(k) for k in range(frag.universe)]
+    largest = max(len(gaps.member_text(m, table, ",\n      ")) for m in [*frag.a.values(), *frag.b.values()])
+
+    def no_lists(mask):
+        raise AssertionError("a member list was built")
+
+    monkeypatch.setattr(gaps, "members", no_lists)
+    out = tmp_path / "frag.json"
+    tracemalloc.start()
+    try:
+        cli._emit(frag, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 25 * 10**6
+    assert peak < 2**20 + largest + sys.getsizeof(table) + sum(map(sys.getsizeof, table))
 
 
 @pytest.mark.parametrize(

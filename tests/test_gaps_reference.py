@@ -18,19 +18,23 @@ from gapforge import (
     almost_subset,
     c_hausdorff_check,
     excess,
+    excess_matrix_csv,
     find_compatible_pair,
+    forge,
+    default_index_blocks,
     generate_pcc_instance,
     members,
     pcc_ab_profiles,
     special_gap_check,
     uniform_interpolation,
 )
-from gapforge.gaps import MAX_UNIVERSE
+from gapforge.gaps import MAX_UNIVERSE, member_text
 from gaps_reference import (
     as_sets,
     ref_almost_subset,
     ref_c_hausdorff_check,
     ref_excess,
+    ref_excess_matrix_csv,
     ref_first_witness,
     ref_full_inclusion_union,
     ref_members,
@@ -86,6 +90,33 @@ def test_members_matches_its_reference_on_every_small_mask_and_on_tall_ones():
         tall += [rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)]
     for m in tall:
         assert members(m) == ref_members(m)
+
+
+def test_member_text_joins_the_texts_of_the_reference_members():
+    texts = [f"<{k}>" for k in range(MAX_UNIVERSE)]
+    rng = random.Random(74)
+    masks = list(range(1 << 8)) + [1 << (MAX_UNIVERSE - 1), (1 << MAX_UNIVERSE) - 1]
+    masks += [rng.getrandbits(rng.randint(0, MAX_UNIVERSE)) for _ in range(20)]
+    for m in masks:
+        assert member_text(m, texts, ", ") == ", ".join(texts[k] for k in ref_members(m))
+
+
+def test_excess_matrix_csv_matches_the_cell_by_cell_reference():
+    """On random fragments with I and J apart, either side empty, universe
+    0, and on forged diagrams, whose excesses are mostly 0."""
+    rng = random.Random(75)
+    pool = [Ordinal(q, r) for q in range(3) for r in range(5)]
+    cases = [GapFragment(0, {}, {}), GapFragment(5, {fin(0): 3}, {}), GapFragment(5, {}, {fin(0): 3})]
+    cases += [forge(default_index_blocks(n), 40, seed) for n, seed in ((0, 0), (1, 1), (24, 2), (40, 3))]
+    for _ in range(300):
+        universe = rng.randint(0, 70)
+
+        def side():
+            return {o: rng.getrandbits(universe) & rng.getrandbits(universe) for o in rng.sample(pool, rng.randint(0, 15))}
+
+        cases.append(GapFragment(universe, side(), side()))
+    for g in cases:
+        assert excess_matrix_csv(g) == ref_excess_matrix_csv(g)
 
 
 def test_excess_and_almost_subset_match_reference_on_every_small_pair():

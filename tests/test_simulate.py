@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -23,12 +24,14 @@ from gapforge import (
     default_index_blocks,
     default_partition,
     forge,
+    gaps,
     p_leq,
     pipeline,
     poset_p,
     q_leq,
     simulate,
 )
+from gaps_reference import report_default
 from helpers import fin, mask
 from simulate_reference import (
     DenseRequirement,
@@ -36,6 +39,7 @@ from simulate_reference import (
     extract_gap_fragment,
     ref_build_filter,
     ref_check_tower_coherence,
+    ref_coin_draws,
     ref_p_standard_schedule,
     ref_q_standard_schedule,
 )
@@ -317,6 +321,34 @@ def test_more_indices_than_the_height_raise_before_any_draw(count, height, monke
             call()
 
 
+@pytest.mark.parametrize(
+    "count, height, seeds",
+    [(0, 0, 40), (0, 9, 40), (1, 1, 300), (3, 5, 300), (5, 7, 100), (7, 13, 100), (64, 2048, 3)],
+)
+def test_the_forge_draws_what_the_per_call_reference_draws(count, height, seeds, monkeypatch):
+    """The coins the forge reads off whole generator words, column by column
+    into `bits`, are the `rng.random() < 0.5` draws of the reference loop,
+    for height * count of 0, 1, odd sizes and 131,072; and the generator is
+    left where the reference leaves it."""
+    Random, made, columns = random.Random, [], []
+
+    class Recorded(Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(simulate.random, "Random", Recorded)
+    monkeypatch.setattr(simulate, "bits", lambda text: columns.append(text) or gaps.bits(text))
+    for seed in range(seeds):
+        made.clear()
+        columns.clear()
+        forge(default_index_blocks(count), height, seed)
+        ref = Random(seed)
+        # index k reads the coins k, k + count, k + 2 count, ...: level l holds coin l * count + k
+        assert bytes(b for level in zip(*columns) for b in level).decode() == ref_coin_draws(ref, count * height)
+        assert len(made) == 1 and made[0].random() == ref.random()
+
+
 def _reference_run(ordinals, height, seed) -> SimRun:
     return ref_build_filter(PCondition.empty(), ref_p_standard_schedule(ordinals, height, seed))
 
@@ -522,8 +554,13 @@ def test_s_takes_only_the_first_wsize_limits():
         assert build_filter(ctx, wsize, seed=1).result.s == frozenset(sorted(ctx.part.S)[:wsize])
 
 
+def _as_json(report) -> dict:
+    """A pipeline report as its text reads, through the reference dict forms."""
+    return json.loads(json.dumps(report, default=report_default))
+
+
 def test_pipeline_trivial():
-    report = pipeline((), 0, 0, Ladder.canonical(), default_partition(()), 0)
+    report = _as_json(pipeline((), 0, 0, Ladder.canonical(), default_partition(()), 0))
     assert report["W"] == []
     assert report["witnesses"] == []
     assert report["fragment"]["universe"] == 0
@@ -534,9 +571,10 @@ def test_pipeline_deterministic():
     args = (ordinals, 32, 6, Ladder.canonical(), default_partition(ordinals), 7)
     one = pipeline(*args)
     two = pipeline(*args)
-    assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+    text = functools.partial(json.dumps, sort_keys=True, default=report_default)
+    assert text(one) == text(two)
     other = pipeline(ordinals, 32, 6, Ladder.canonical(), default_partition(ordinals), 8)
-    assert json.dumps(one, sort_keys=True) != json.dumps(other, sort_keys=True)
+    assert text(one) != text(other)
 
 
 def test_forging_builds_and_parses_no_words(monkeypatch):
@@ -552,7 +590,7 @@ def test_forging_builds_and_parses_no_words(monkeypatch):
 
 def test_pipeline_report_shape():
     ordinals = default_index_blocks(12)
-    report = pipeline(ordinals, 32, 6, Ladder.canonical(), default_partition(ordinals), 7)
+    report = _as_json(pipeline(ordinals, 32, 6, Ladder.canonical(), default_partition(ordinals), 7))
     assert set(report) == {"seed", "params", "fragment", "W", "witnesses", "excess_csv"}
     assert len(report["W"]) >= 6
     for wit in report["witnesses"]:
