@@ -11,7 +11,7 @@ finite index lists, nothing more.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import InvariantViolation
 from .gaps import GapFragment, bits, members, table_csv, word
 from .ordinals import Ladder, Ordinal, SPartition
-from .poset_q import QCondition, QContext, ladder_blocked, q_compatible, q_restrict, upper_join, upper_meet
+from .poset_q import QCondition, QContext, ladder_blocked, q_compatible, upper_join, upper_meet
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,37 @@ def build_compat_matrix(
     in.  Each condition is validated once and each family's w-union sorted
     once; one `ladder_blocked` call per family takes the rows' blocked sets
     over the column union and another the columns' over the row union (bit
-    k = k-th member), bit-slicing each family's w-union once at most, so a
-    cell is `not (w_q & blocked_p or w_p & blocked_q)`.
+    k = k-th member), bit-slicing each family's w-union once at most.
+
+    Two tables over the columns then give every row by ORs alone (the
+    bit-sliced index of O'Neil and Quass, on the columns): owner[k] is the
+    columns whose w holds the k-th column-union member, and blocker[k] the
+    columns whose blocked set holds the k-th row-union member.  A row is
+    false at the columns in the OR of owner[k] over its blocked set (its
+    clause keeps out a member they bring in) and in the OR of blocker[k]
+    over its own w (their clause keeps out one it brings in).
     """
-    sides = []
+    cands = []
     for fam in (fam1, fam2):
         for _, p in fam:
             ctx.check_condition(p)
-        cand = sorted(set().union(*(p.w for _, p in fam)))
-        pos = {o: k for k, o in enumerate(cand)}
-        sides.append((cand, [sum(1 << pos[o] for o in p.w) for _, p in fam]))
-    (cand1, w1), (cand2, w2) = sides
+        cands.append(sorted(set().union(*(p.w for _, p in fam))))
+    cand1, cand2 = cands
     blocked1 = ladder_blocked(ctx, [p for _, p in fam1], cand2)
     blocked2 = ladder_blocked(ctx, [q for _, q in fam2], cand1)
-    cols = list(zip(w2, blocked2))
-    rows = [bits("".join(["0" if wq & bp or wp & bq else "1" for wq, bq in cols])) for wp, bp in zip(w1, blocked1)]
+    pos1, pos2 = ({o: k for k, o in enumerate(c)} for c in cands)
+    owner, blocker = [0] * len(cand2), [0] * len(cand1)
+    for y, ((_, q), bq) in enumerate(zip(fam2, blocked2)):
+        col = 1 << y
+        for o in q.w:
+            owner[pos2[o]] |= col
+        for k in members(bq):
+            blocker[k] |= col
+    full = (1 << len(fam2)) - 1
+    rows = []
+    for (_, p), bp in zip(fam1, blocked1):
+        false = reduce(or_, map(owner.__getitem__, members(bp)), 0)
+        rows.append(full & ~reduce(or_, [blocker[pos1[o]] for o in p.w], false))
     return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), tuple(rows))
 
 
@@ -141,24 +157,25 @@ class PccInstance:
         if {d for d, _ in self.fam1} & {d for d, _ in self.fam2}:
             raise ValueError("the two index lists must be disjoint")
         merged = sorted([*self.fam1, *self.fam2], key=itemgetter(0))
+        gamma = self.gamma
         core = None
         for pos, (delta, p) in enumerate(merged):
             self.ctx.check_condition(p)
-            dom = p.w | p.s
-            if any(x < delta and not x < self.gamma for x in dom):
+            dom = sorted(p.w | p.s)
+            upper = bisect_left(dom, gamma)  # dom[upper:] is the part at or beyond gamma
+            if upper < len(dom) and dom[upper] < delta:
                 raise ValueError(f"domain of the condition at {delta} meets [gamma, {delta})")
-            low = q_restrict(p, self.gamma)
+            low = frozenset(filter(gamma.__gt__, p.w)), frozenset(filter(gamma.__gt__, p.s))
             if core is None:
                 core = low
             elif low != core:
                 raise ValueError("all conditions must share one core below gamma")
-            upper = [x for x in dom if not x < self.gamma]
-            if pos + 1 < len(merged):
+            if pos + 1 < len(merged) and upper < len(dom):
                 fence = merged[pos + 1][0]
-                if any(not x < fence for x in upper):
+                if not dom[-1] < fence:
                     raise ValueError(f"upper domain at {delta} must stay below the next index {fence}")
             for alpha in p.s:
-                if not alpha < self.gamma:
+                if not alpha < gamma:
                     if not delta < alpha:
                         raise ValueError(f"upper s member {alpha} must lie above its index {delta}")
                     if not self.ctx.ladder.count_below(alpha, delta) < self.k:
@@ -279,11 +296,13 @@ def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ..
 
 MAX_FAMILY = 2048
 """Most conditions per generated family.  The matrix and the rectangle
-search grow with t1 * t2: `pcc` at 480 x 480 takes 0.2 s and 20 MB, at
-1024 x 1024 0.4-0.6 s and 28 MB, and at 2048 x 2048 1.6-2.3 s and 54-59 MB
-(wall and peak RSS with interpreter start, 2-vCPU Xeon, Python 3.11).
-The bitmask rows retain 0.6 MiB at 2048 x 2048, where the build's loop
-over the t1 * t2 cells takes about 1.4 s and the rectangle search 15 ms."""
+search grow with t1 * t2: `pcc` at 480 x 480 takes 0.15-0.17 s and 20 MB, at
+1024 x 1024 0.23-0.28 s and 29 MB, and at 2048 x 2048 0.59-0.67 s and 55 MB
+(3 runs each; wall and peak RSS with interpreter start, 2-vCPU Xeon, Python
+3.11).  The bitmask rows retain 0.6 MiB at 2048 x 2048, where the build
+takes about 0.33 s (0.06 s of it in `ladder_blocked`, 0.11 s listing the
+members of the rows' 198,672 blocked candidates) and the rectangle search
+8 ms."""
 
 
 def generate_pcc_instance(

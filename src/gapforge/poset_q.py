@@ -66,9 +66,9 @@ class QContext:
                 raise ValueError(f"designated limit {delta} has no ladder")
 
     def check_condition(self, p: QCondition) -> None:
-        for o in p.w:
-            if o not in self.g.a:
-                raise UnknownIndex(f"index {o} has no tower set in the diagram")
+        if not all(map(self.g.a.__contains__, p.w)):
+            o = next(o for o in p.w if o not in self.g.a)
+            raise UnknownIndex(f"index {o} has no tower set in the diagram")
         if not p.s <= self.part.S:
             raise ValueError("the s component must stay inside the designated set S")
 

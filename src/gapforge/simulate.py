@@ -96,11 +96,12 @@ def check_tower_coherence(masks: Mapping[Ordinal, tuple[int, int]], entry: Mappi
 
 BLOCK_WIDTH = 8  # indices per w-block of the default index list
 _COIN = b"1" * 128 + b"0" * 128  # translation table: a top byte below 128 draws 1
+COIN_BLOCK = 1 << 17  # most coins drawn by one getrandbits call, a 1 MiB int
 MAX_INDICES = 2048
 """Most tower indices the CLI forges; indices times height is capped at its
 square.  The forge draws one bit per index and level, and the report lists
-every member: `simulate-p` at 1024² takes 0.19-0.20 s and 33 MB, and at
-2048² 0.48-0.54 s and 82 MB for a 49.5 MB report (3 runs each, wall and
+every member: `simulate-p` at 1024² takes 0.15-0.16 s and 20 MB, and at
+2048² 0.41-0.57 s and 26 MB for a 49.5 MB report (3 runs each, wall and
 peak RSS with interpreter start; 2-vCPU Xeon, Python 3.11)."""
 
 
@@ -141,8 +142,11 @@ def forge(ordinals: Sequence[Ordinal], height: int, seed: int) -> GapFragment:
     if n > height:
         raise ValueError(f"{n} indices exceed the target height {height}, one level per index")
     # random() < 0.5 just when bit 31 of the first of its two 32-bit words is 0, and
-    # getrandbits(64 m) gives those 2m words, least significant first: take byte 3 of 8
-    draws = random.Random(seed).getrandbits(64 * height * n).to_bytes(8 * height * n, "little")[3::8].translate(_COIN)
+    # getrandbits(64 m) gives those 2m words, least significant first: take byte 3 of 8.
+    # Blocks of at most COIN_BLOCK draws continue one word stream, so they split anywhere.
+    rng, total = random.Random(seed), height * n
+    sizes = [min(COIN_BLOCK, total - start) for start in range(0, total, COIN_BLOCK)]
+    draws = b"".join([rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8] for m in sizes]).translate(_COIN)
     grants = [bits(draws[k::n]) >> k << k for k in range(n)]
     every = 0
     for grant in grants:

@@ -11,11 +11,21 @@ leaves at least one end out of any rectangle).  All of them read a cell as
 bit y of row x.  `ref_koenig_rows` is the Hopcroft-Karp search that
 `_koenig_rows`, one augmenting-path search per row, replaced; the rows it
 returns are the same for every maximum matching.
+
+`ref_matrix_rows` is the per-cell row build that `build_compat_matrix`'s
+two column tables replaced: the same `ladder_blocked` sets, each condition's
+w as a mask over its family's w-union, and one `wq & bp or wp & bq` test
+per cell.  `ref_validate_instance` is the per-condition check that
+`PccInstance.__post_init__`, one sorted pass per condition, replaced: it
+runs `check_condition` and `q_restrict` on every condition and tests each
+domain member against gamma, delta and the next index one at a time.
 """
 
 from __future__ import annotations
 
-from gapforge import CompatMatrix, members
+from operator import itemgetter
+
+from gapforge import CompatMatrix, QContext, bits, ladder_blocked, members, q_restrict
 
 
 def _bad(m: CompatMatrix, x: int, y: int) -> bool:
@@ -116,3 +126,56 @@ def ref_koenig_rows(masks: list[int], nc: int) -> list[int]:
                     break
                 else:
                     path += [y, mate[y]]
+
+
+def ref_matrix_rows(ctx: QContext, fam1, fam2) -> tuple[int, ...]:
+    """The matrix rows, one "0" or "1" per cell: bit y of row x is clear
+    when w_q & blocked_p or w_p & blocked_q, over the w-union masks."""
+    sides = []
+    for fam in (fam1, fam2):
+        for _, p in fam:
+            ctx.check_condition(p)
+        cand = sorted(set().union(*(p.w for _, p in fam)))
+        pos = {o: k for k, o in enumerate(cand)}
+        sides.append((cand, [sum(1 << pos[o] for o in p.w) for _, p in fam]))
+    (cand1, w1), (cand2, w2) = sides
+    blocked1 = ladder_blocked(ctx, [p for _, p in fam1], cand2)
+    blocked2 = ladder_blocked(ctx, [q for _, q in fam2], cand1)
+    cols = list(zip(w2, blocked2))
+    return tuple(bits("".join(["0" if wq & bp or wp & bq else "1" for wq, bq in cols])) for wp, bp in zip(w1, blocked1))
+
+
+def ref_validate_instance(ctx: QContext, gamma, fam1, fam2, k: int) -> None:
+    """Raise what `PccInstance(ctx, gamma, fam1, fam2, k)` must raise, or
+    nothing when the instance has the split shape."""
+    for fam in (fam1, fam2):
+        idx = [d for d, _ in fam]
+        if any(not a < b for a, b in zip(idx, idx[1:])):
+            raise ValueError("index lists must strictly increase")
+        if any(d in ctx.part.S for d, _ in fam):
+            raise ValueError("family indices must avoid the designated set S")
+    if {d for d, _ in fam1} & {d for d, _ in fam2}:
+        raise ValueError("the two index lists must be disjoint")
+    merged = sorted([*fam1, *fam2], key=itemgetter(0))
+    core = None
+    for pos, (delta, p) in enumerate(merged):
+        ctx.check_condition(p)
+        dom = p.w | p.s
+        if any(x < delta and not x < gamma for x in dom):
+            raise ValueError(f"domain of the condition at {delta} meets [gamma, {delta})")
+        low = q_restrict(p, gamma)
+        if core is None:
+            core = low
+        elif low != core:
+            raise ValueError("all conditions must share one core below gamma")
+        upper = [x for x in dom if not x < gamma]
+        if pos + 1 < len(merged):
+            fence = merged[pos + 1][0]
+            if any(not x < fence for x in upper):
+                raise ValueError(f"upper domain at {delta} must stay below the next index {fence}")
+        for alpha in p.s:
+            if not alpha < gamma:
+                if not delta < alpha:
+                    raise ValueError(f"upper s member {alpha} must lie above its index {delta}")
+                if not ctx.ladder.count_below(alpha, delta) < k:
+                    raise ValueError(f"k={k} does not bound the rung count of {alpha} below {delta}")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from functools import reduce
 from operator import or_
@@ -16,6 +17,7 @@ from gapforge import (
     QCondition,
     QContext,
     SPartition,
+    UnknownIndex,
     build_compat_matrix,
     find_compatible_pair,
     generate_pcc_instance,
@@ -28,7 +30,15 @@ from gapforge import (
 )
 from gapforge import pcc, poset_q
 from helpers import fin, mask, matrix_from_grid
-from pcc_reference import exact_rectangle, matching_size, ref_koenig_rows, ref_verify_rectangle
+from pcc_reference import (
+    exact_rectangle,
+    matching_size,
+    ref_koenig_rows,
+    ref_matrix_rows,
+    ref_validate_instance,
+    ref_verify_rectangle,
+)
+from q_reference import ref_build_compat_matrix
 
 
 def _flat_instance(universe=8, with_upper=False):
@@ -216,6 +226,122 @@ def test_the_matrix_slices_each_family_once(monkeypatch):
         assert width > 0
         want += [len(union)] * width
     assert cut == want
+
+
+def test_matrix_rows_match_the_per_cell_reference():
+    """The rows ORed from the two column tables equal the per-cell rows
+    over the same blocked sets at the benchmark size (seeds 0-15), at 480 x
+    480 and at 1024 x 1024; and on small generated families, cut to random
+    sub-families in both orientations, the cell-by-cell reference matrix."""
+    for seed, t in [(s, 120) for s in range(16)] + [(0, 480), (0, 1024)]:
+        inst = generate_pcc_instance(seed, t, t)
+        rows = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2).rows
+        assert rows == ref_matrix_rows(inst.ctx, inst.fam1, inst.fam2), (seed, t)
+        assert 0 < sum(r.bit_count() for r in rows) < t * t
+    rng = random.Random(71)
+    false_cells = 0
+    for seed in range(12):
+        inst = generate_pcc_instance(seed, rng.randint(1, 8), rng.randint(1, 8))
+        for _ in range(4):
+            fam1, fam2 = (tuple(f for f in fam if rng.random() < 0.7) for fam in (inst.fam1, inst.fam2))
+            for rows_fam, cols_fam in ((fam1, fam2), (fam2, fam1)):
+                expected = ref_build_compat_matrix(inst.ctx, rows_fam, cols_fam)
+                assert build_compat_matrix(inst.ctx, rows_fam, cols_fam) == expected
+                false_cells += len(rows_fam) * len(cols_fam) - sum(r.bit_count() for r in expected.rows)
+    assert false_cells > 0
+
+
+def _raised(make, *args):
+    """The type and message of what make(*args) raises, or None."""
+    try:
+        make(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def _mutations(inst: PccInstance, rng: random.Random):
+    """The instance's arguments, then copies broken one way each: a
+    condition taking two indices off the diagram, a non-designated s member,
+    a lost core w or s member, an upper member of the previous condition in
+    merged order (beside its own upper members or in their place), an upper
+    s member below its own index, an upper member of the next condition, a
+    smaller k; and index lists out of order, meeting S or shared between
+    the families."""
+    ctx, gamma, fam1, fam2, k = inst.ctx, inst.gamma, inst.fam1, inst.fam2, inst.k
+    merged = sorted(fam1 + fam2)
+    yield "none", (ctx, gamma, fam1, fam2, k)
+
+    def changed(pos, w=frozenset(), s=frozenset(), drop=frozenset()):
+        delta, p = merged[pos]
+        cond = QCondition(p.w - drop | w, p.s - drop | s)
+        fams = tuple(tuple((d, cond if d == delta else q) for d, q in fam) for fam in (fam1, fam2))
+        return (ctx, gamma, *fams, k)
+
+    def upper(pos):
+        return rng.choice(sorted(x for x in merged[pos][1].w if not x < gamma))
+
+    pos = rng.randrange(len(merged))
+    yield "unknown index", changed(pos, w=frozenset({Ordinal(999, 1), Ordinal(999, 2)}))
+    yield "s outside S", changed(pos, s=frozenset({gamma}))
+    if len(merged) > 1:
+        yield "lost core member", changed(pos, drop=frozenset({min(merged[pos][1].w)}))
+        yield "lost core s member", changed(pos, drop=frozenset({min(merged[pos][1].s)}))
+        later = rng.randrange(1, len(merged))
+        yield "member in [gamma, delta)", changed(later, w=frozenset({upper(later - 1)}))
+        _, p = merged[later]
+        own = frozenset(x for x in p.w | p.s if not x < gamma)
+        yield "only upper member in [gamma, delta)", changed(later, w=frozenset({upper(later - 1)}), drop=own)
+        # every designated limit in [gamma, delta) is a domain member there too
+        below = sorted(x for x in ctx.part.S if not x < gamma and x < merged[later][0])
+        yield "s member below its index", changed(later, s=frozenset({rng.choice(below)}))
+        earlier = rng.randrange(len(merged) - 1)
+        yield "member past the next index", changed(earlier, w=frozenset({upper(earlier + 1)}))
+    if k > 0:
+        yield "smaller k", (ctx, gamma, fam1, fam2, rng.randrange(k))
+    if len(fam1) > 1:
+        yield "index lists out of order", (ctx, gamma, fam1[::-1], fam2, k)
+    (d, p), limit = fam1[-1], Ordinal(fam1[-1][0].q + 1, 0)
+    assert limit in ctx.part.S
+    yield "an index in S", (ctx, gamma, fam1[:-1] + ((limit, p),), fam2, k)
+    if fam2[-1][0] > d:
+        yield "a shared index", (ctx, gamma, fam1 + fam2[-1:], fam2, k)
+
+
+_BROKEN = {
+    "unknown index": "has no tower set in the diagram",
+    "s outside S": "must stay inside the designated set S",
+    "lost core member": "must share one core below gamma",
+    "lost core s member": "must share one core below gamma",
+    "member in [gamma, delta)": r"meets \[gamma, ",
+    "only upper member in [gamma, delta)": r"meets \[gamma, ",
+    "s member below its index": r"meets \[gamma, ",
+    "member past the next index": "must stay below the next index",
+    "smaller k": "does not bound the rung count",
+    "index lists out of order": "must strictly increase",
+    "an index in S": "must avoid the designated set S",
+    "a shared index": "must be disjoint",
+}
+
+
+def test_instance_validation_matches_the_per_condition_reference():
+    """The sorted pass per condition raises what the per-member checks
+    raise, of the same type with the same message, on generated instances
+    broken in each way `_mutations` knows; unbroken ones pass both."""
+    rng = random.Random(73)
+    seen = set()
+    for seed in range(40):
+        inst = generate_pcc_instance(seed, rng.randint(1, 12), rng.randint(1, 12))
+        for kind, args in _mutations(inst, rng):
+            want = _raised(ref_validate_instance, *args)
+            assert _raised(PccInstance, *args) == want, (seed, kind)
+            if kind == "none":
+                assert want is None
+            else:
+                assert want is not None and re.search(_BROKEN[kind], want[1]), (seed, kind, want)
+                assert want[0] is (UnknownIndex if kind == "unknown index" else ValueError)
+            seen.add(kind)
+    assert seen == {"none", *_BROKEN}
 
 
 def _random_matrix(rng, nr, nc, prob):

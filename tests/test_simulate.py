@@ -328,8 +328,35 @@ def test_more_indices_than_the_height_raise_before_any_draw(count, height, monke
 def test_the_forge_draws_what_the_per_call_reference_draws(count, height, seeds, monkeypatch):
     """The coins the forge reads off whole generator words, column by column
     into `bits`, are the `rng.random() < 0.5` draws of the reference loop,
-    for height * count of 0, 1, odd sizes and 131,072; and the generator is
-    left where the reference leaves it."""
+    for height * count of 0, 1, odd sizes and 131,072 (one whole block);
+    and the generator is left where the reference leaves it."""
+    _assert_the_forge_draws_the_reference_coins(count, height, seeds, monkeypatch)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1000])
+def test_the_forge_draws_in_blocks_what_the_per_call_reference_draws(block, monkeypatch):
+    """Blocks of COIN_BLOCK draws continue one word stream: blocks that end
+    mid-level, a last short block and single-draw blocks all give the
+    reference coins and leave the generator where the reference does."""
+    monkeypatch.setattr(simulate, "COIN_BLOCK", block)
+    for count, height in ((1, 1), (3, 5), (5, 7), (7, 13), (13, 77)):
+        _assert_the_forge_draws_the_reference_coins(count, height, 20, monkeypatch)
+
+
+def test_the_forge_at_its_cap_holds_its_coins_a_block_at_a_time():
+    """At 2048 indices and height 2048 the 2^22 coins are 4 MiB of bytes;
+    one getrandbits call for all of them held a 32 MiB int and its 32 MiB
+    of bytes at once, a 66 MiB peak."""
+    tracemalloc.start()
+    try:
+        forge(default_index_blocks(2048), 2048, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _assert_the_forge_draws_the_reference_coins(count, height, seeds, monkeypatch):
     Random, made, columns = random.Random, [], []
 
     class Recorded(Random):
@@ -337,16 +364,17 @@ def test_the_forge_draws_what_the_per_call_reference_draws(count, height, seeds,
             super().__init__(seed)
             made.append(self)
 
-    monkeypatch.setattr(simulate.random, "Random", Recorded)
-    monkeypatch.setattr(simulate, "bits", lambda text: columns.append(text) or gaps.bits(text))
-    for seed in range(seeds):
-        made.clear()
-        columns.clear()
-        forge(default_index_blocks(count), height, seed)
-        ref = Random(seed)
-        # index k reads the coins k, k + count, k + 2 count, ...: level l holds coin l * count + k
-        assert bytes(b for level in zip(*columns) for b in level).decode() == ref_coin_draws(ref, count * height)
-        assert len(made) == 1 and made[0].random() == ref.random()
+    with monkeypatch.context() as patched:
+        patched.setattr(simulate.random, "Random", Recorded)
+        patched.setattr(simulate, "bits", lambda text: columns.append(text) or gaps.bits(text))
+        for seed in range(seeds):
+            made.clear()
+            columns.clear()
+            forge(default_index_blocks(count), height, seed)
+            ref = Random(seed)
+            # index k reads the coins k, k + count, k + 2 count, ...: level l holds coin l * count + k
+            assert bytes(b for level in zip(*columns) for b in level).decode() == ref_coin_draws(ref, count * height)
+            assert len(made) == 1 and made[0].random() == ref.random()
 
 
 def _reference_run(ordinals, height, seed) -> SimRun:
