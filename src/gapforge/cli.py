@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .gaps import (
     special_gap_check,
     uniform_interpolation,
 )
-from .ordinals import Ladder, SPartition
+from .ordinals import Ladder, Ordinal, SPartition
 from .pcc import (
     CompatMatrix,
     build_compat_matrix,
@@ -69,17 +70,27 @@ def _load_json(path: str):
 def _write_json(write, obj, pad: str) -> None:
     """Write `obj` at indentation `pad` with the bytes of json.dump(obj,
     sort_keys=True, indent=2): a key through json's own str quoting, an
-    exact int (no bool) through str and a list of them in one C-level join,
-    every other scalar through json.dumps.  A key that is no str raises
-    TypeError in the quoting, where json would convert some of them.  Of
-    the two report values that are no JSON, a GapFragment is written as its
-    `to_json` with each set's members joined from its mask, and Witnesses as
-    one {"delta", "j", "k", "n_star"} object per row, from one format."""
+    exact int (no bool) through str, a list of them in one join and a list
+    of exact-int pairs (Ordinals, [q, r] lists or tuples) in one format,
+    every other scalar through json.dumps; a key that is no str raises
+    TypeError in the quoting, where json would convert some of them.  Of the
+    two report values that are no JSON, a GapFragment is written as its
+    `to_json` with no dict: I and J as pair lists, each map in key-text order
+    ("10.0" before "2.0"), each set one join around its `member_text` over
+    one table of member texts; Witnesses as one object per row, one format."""
     inner = pad + "  "
     if isinstance(obj, GapFragment):
-        # to_json's dict, each set a deferred member_text call over one table, made as the set is written
-        texts = [str(k) for k in range(obj.universe)]
-        _write_json(write, obj.to_json(lambda mask: functools.partial(member_text, mask, texts)), pad)
+        texts, at, deep = list(map(str, range(obj.universe))), "\n" + inner + "  ", "\n" + inner + "    "
+        for sep, name, value in ("{\n", "I", obj.I), (",\n", "J", obj.J):
+            write(f'{sep}{inner}"{name}": ')
+            _write_json(write, value, inner)
+        for name, side in ("a", obj.a), ("b", obj.b):
+            write(f',\n{inner}"{name}": {{')
+            for n, (key, mask) in enumerate(sorted([(o.key(), m) for o, m in side.items()])):
+                text = member_text(mask, texts, "," + deep)
+                write("".join(("," if n else "", at, '"', key, '": [', text and deep, text, text and at, "]")))
+            write("\n" + inner + "}" if side else "}")
+        write(f',\n{inner}"universe": {obj.universe}\n{pad}}}')
     elif isinstance(obj, Witnesses):
         at, deep = inner + "  ", inner + "    "
         row = (f'{inner}{{\n{at}"delta": [\n{deep}%d,\n{deep}%d\n{at}],\n{at}"j": [\n{deep}%d,\n{deep}%d\n{at}],\n'
@@ -97,14 +108,16 @@ def _write_json(write, obj, pad: str) -> None:
             _write_json(write, value, inner)
             sep = ",\n"
         write("\n" + pad + "}")
-    elif isinstance(obj, functools.partial):  # a set of a GapFragment, as above
-        text = obj(",\n" + inner)
-        write("[\n" + inner + text + "\n" + pad + "]" if text else "[]")
     elif isinstance(obj, (list, tuple)):
+        types = set(map(type, obj))
         if not obj:
             write("[]")
-        elif set(map(type, obj)) == {int}:
+        elif types == {int}:
             write("[\n" + inner + (",\n" + inner).join(map(str, obj)) + "\n" + pad + "]")
+        elif (types <= {list, tuple, Ordinal} and set(map(len, obj)) == {2}
+              and set(map(type, flat := tuple(chain.from_iterable(obj)))) == {int}):
+            row = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+            write("[\n" + ",\n".join([row] * len(obj)) % flat + "\n" + pad + "]")
         else:
             sep = "[\n"
             for x in obj:
@@ -118,7 +131,7 @@ def _write_json(write, obj, pad: str) -> None:
 
 def _emit(obj, out: str | None) -> None:
     """Stream the report to stdout or to the file `out`, holding at most the
-    text of one list of ints, or of one set, at a time."""
+    text of one list of ints or of pairs, or of one set, at a time."""
     with open(out, "w", encoding="utf-8") if out is not None else contextlib.nullcontext(sys.stdout) as fh:
         _write_json(fh.write, obj, "")
         fh.write("\n")

@@ -103,15 +103,15 @@ class GapFragment:
             {o: s for o, s in self.b.items() if o in jkeep},
         )
 
-    def to_json(self, listed=None) -> dict:
-        """The JSON form, with `listed(mask)` for each set: its member list by default."""
-        I, J, listed = self.I, self.J, listed or members
+    def to_json(self) -> dict:
+        """The JSON form, each set its member list (`cli._write_json` writes its text from the masks)."""
+        I, J = self.I, self.J
         return {
             "universe": self.universe,
             "I": [o.to_json() for o in I],
             "J": [o.to_json() for o in J],
-            "a": {o.key(): listed(self.a[o]) for o in I},
-            "b": {o.key(): listed(self.b[o]) for o in J},
+            "a": {o.key(): members(self.a[o]) for o in I},
+            "b": {o.key(): members(self.b[o]) for o in J},
         }
 
     @classmethod

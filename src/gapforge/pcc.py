@@ -137,10 +137,10 @@ class PccInstance:
     shared core; each condition's domain (w and s together) avoids [gamma,
     its own index); along the merged index order the part of each domain at
     or beyond gamma stays below the next index, so the upper domains are
-    strictly increasing and separated; upper s members sit above their own
-    index with rung counts below them strictly bounded by k.  Under this
-    shape a numeric witness n >= k certifies compatibility of an
-    order-respecting pair.
+    strictly increasing and separated; each upper s member lies above its
+    index (the domain and S tests leave it no room below) with fewer than k
+    rungs below that index.  Under this shape a numeric witness n >= k
+    certifies compatibility of an order-respecting pair.
     """
 
     ctx: QContext
@@ -175,11 +175,8 @@ class PccInstance:
                 if not dom[-1] < fence:
                     raise ValueError(f"upper domain at {delta} must stay below the next index {fence}")
             for alpha in p.s:
-                if not alpha < gamma:
-                    if not delta < alpha:
-                        raise ValueError(f"upper s member {alpha} must lie above its index {delta}")
-                    if not self.ctx.ladder.count_below(alpha, delta) < self.k:
-                        raise ValueError(f"k={self.k} does not bound the rung count of {alpha} below {delta}")
+                if not alpha < gamma and not self.ctx.ladder.count_below(alpha, delta) < self.k:
+                    raise ValueError(f"k={self.k} does not bound the rung count of {alpha} below {delta}")
 
 
 def pcc_ab_profiles(inst: PccInstance) -> tuple[dict[Ordinal, int], dict[Ordinal, int]]:

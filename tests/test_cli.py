@@ -478,6 +478,58 @@ def test_the_writer_writes_the_bytes_of_json_dumps_on_random_nested_values():
         assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
+_PAIRS = [Ordinal(0, 0), Ordinal(3, 17), Ordinal(10, 0), Ordinal(2, 10**6), [0, 1], [12, 9], (7, 8)]
+# pairs that are no exact-int pair, items of another length, and items that are no pair at all
+_NO_PAIRS = [[True, 1], [0, False], (True, True), [1.0, 2], [3, 0.5], [1, None], ["1", 2], [[1], 2]]
+_NO_ITEMS = [[1], [1, 2, 3], (4,), (), [], 7, True, {}, {"q": 1}, "ab", None]
+
+
+def _pair_list(rng: random.Random):
+    """A list or tuple of pairs, maybe with one odd pair or item among them,
+    maybe inside a few lists, tuples and dicts."""
+    items = [rng.choice(_PAIRS) for _ in range(rng.randrange(1, 6))]
+    if rng.random() < 0.5:
+        items.insert(rng.randrange(len(items) + 1), rng.choice(_NO_PAIRS + _NO_ITEMS))
+    obj = items if rng.random() < 0.5 else tuple(items)
+    for _ in range(rng.randrange(4)):
+        obj = rng.choice([[obj], (obj, 1), [obj, obj], {"x": obj, "y": [obj, 2]}])
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj, one_write",
+    [
+        ([Ordinal(0, 1), Ordinal(10, 0)], True),
+        ((Ordinal(0, 1),), True),
+        ([[0, 1], [2, 3]], True),
+        (([5, 6], (7, 8), Ordinal(9, 10)), True),
+        ([[10**299, -1], [-(10**20), 0]], True),
+        ([[True, 1], [2, 3]], False),
+        ([[1.0, 2]], False),
+        ([[1, 2], [3]], False),
+        ([[1, 2], [3, 4, 5]], False),
+        ([[1, 2], 3], False),
+        ([[1, 2], {}], False),
+        ([[[1, 2], [3, 4]]], False),
+    ],
+)
+def test_the_writer_writes_a_pair_list_in_one_write_with_the_bytes_of_json_dumps(obj, one_write):
+    """A non-empty list or tuple of exact-int pairs, Ordinals or [q, r]
+    lists, is one write; a bool, a float, another length or another item
+    sends the list down the generic path, with the same bytes."""
+    calls = []
+    cli._write_json(calls.append, obj, "")
+    assert "".join(calls) == json.dumps(obj, sort_keys=True, indent=2)
+    assert (len(calls) == 1) == one_write
+
+
+def test_the_writer_writes_pair_lists_at_every_depth_with_the_bytes_of_json_dumps():
+    rng = random.Random(29)
+    for _ in range(400):
+        obj = _pair_list(rng)
+        assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 def _random_diagram(rng: random.Random, count: int, universe: int) -> GapFragment:
     """A fragment over the first `count` default indices, I and J each a
     random part of them, every set dense, sparse or empty."""
@@ -541,6 +593,27 @@ def test_emitting_a_tall_diagram_builds_no_member_list(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert out.stat().st_size > 25 * 10**6
     assert peak < 2**20 + largest + sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+
+
+def test_emitting_a_pipeline_report_holds_one_set_and_the_excess_text(tmp_path):
+    """The `pipeline` report at 512 indices, height 512 and wsize 512, 6.2
+    MiB of text, peaks in emission under 1 MiB plus the JSON text of its
+    excess CSV (one string, 0.75 MiB), the text of its largest set and the
+    writer's table of member texts."""
+    ordinals = simulate.default_index_blocks(512)
+    report = simulate.pipeline(ordinals, 512, 512, Ladder.canonical(), simulate.default_partition(ordinals), 0)
+    frag = report["fragment"]
+    table = [str(k) for k in range(frag.universe)]
+    largest = max(len(gaps.member_text(m, table, ",\n        ")) for m in [*frag.a.values(), *frag.b.values()])
+    out = tmp_path / "pipeline.json"
+    tracemalloc.start()
+    try:
+        cli._emit(report, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = len(json.dumps(report["excess_csv"])) + largest + sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+    assert peak < 2**20 + held < out.stat().st_size / 3
 
 
 @pytest.mark.parametrize(

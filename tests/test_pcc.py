@@ -344,6 +344,23 @@ def test_instance_validation_matches_the_per_condition_reference():
     assert seen == {"none", *_BROKEN}
 
 
+def test_an_upper_s_member_below_its_index_meets_the_domain_test_first():
+    """A designated limit in [gamma, delta) put into s is a domain member
+    there, so the domain test refuses it before any test of where upper s
+    members lie: the package, which keeps no such test, and the reference,
+    which does, both raise the domain message."""
+    inst = generate_pcc_instance(5, 6, 6)
+    delta, p = max(inst.fam1 + inst.fam2)
+    below = [x for x in inst.ctx.part.S if not x < inst.gamma and x < delta]
+    assert below
+    cond = QCondition(p.w, p.s | {min(below)})
+    fams = [tuple((d, cond if d == delta else q) for d, q in fam) for fam in (inst.fam1, inst.fam2)]
+    args = (inst.ctx, inst.gamma, *fams, inst.k)
+    for make in (PccInstance, ref_validate_instance):
+        with pytest.raises(ValueError, match=rf"^domain of the condition at {re.escape(str(delta))} meets \[gamma, "):
+            make(*args)
+
+
 def _random_matrix(rng, nr, nc, prob):
     rows = tuple(Ordinal(0, 2 * i) for i in range(nr))
     cols = tuple(Ordinal(0, 2 * i + 1) for i in range(nc))
