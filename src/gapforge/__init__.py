@@ -3,9 +3,7 @@ two forcing-style posets, generic-filter simulation, and chain-condition
 experiments."""
 
 from .errors import (
-    AgreementFailure,
     GapforgeError,
-    HeightMismatch,
     HypothesisFailure,
     IndexMismatch,
     InvalidBit,
@@ -45,14 +43,12 @@ from .pcc import (
 )
 from .poset_p import (
     PCondition,
-    delta_system_refine,
     p_compatible_oracle,
     p_extend,
     p_join,
     p_join_from_core,
     p_leq,
     p_restrict,
-    p_union_agreeing,
 )
 from .poset_q import (
     QCondition,
@@ -60,8 +56,6 @@ from .poset_q import (
     ladder_blocked,
     q_compatible,
     q_leq,
-    q_restrict,
-    separated_pair_check,
 )
 from .simulate import (
     SimRun,

@@ -140,26 +140,32 @@ def _emit(obj, out: str | None) -> None:
 _DECODERS = {"gap": GapFragment.from_json, "ladder": Ladder.from_json, "partition": SPartition.from_json}
 
 
-def _load_input(args, key: str, default=None):
-    """The input `key` (gap, ladder or partition), decoded: from the file
-    --<key> names, else from the file the manifest names for `key`,
-    relative to the manifest, else `default`.  A manifest that is given is
-    read and must be a JSON object; with nothing to load, the command
-    exits 2."""
+def _loader(args):
+    """The loader of a command's inputs: `load(key, default=None)` decodes
+    the file --<key> names (gap, ladder or partition), else the one the
+    manifest names for `key` (a string, relative to the manifest), else
+    returns `default`.  A given manifest is read once, here, and must be a
+    JSON object; with nothing to load, the command exits 2."""
     manifest_path = getattr(args, "manifest", None)
     manifest = _load_json(manifest_path) if manifest_path else {}
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object")
-    flag = getattr(args, key, None)
-    if flag:
-        path = Path(flag)
-    elif key in manifest:
-        path = Path(manifest_path).parent / manifest[key]
-    elif default is not None:
-        return default
-    else:
-        raise ValueError(f"a {key} file is required, and no flag or manifest names one")
-    return _DECODERS[key](_load_json(path))
+
+    def load(key: str, default=None):
+        flag = getattr(args, key, None)
+        if flag:
+            path = Path(flag)
+        elif key in manifest:
+            if not isinstance(manifest[key], str):
+                raise ValueError(f"manifest entry {key!r} must be a file name, got {manifest[key]!r}")
+            path = Path(manifest_path).parent / manifest[key]
+        elif default is not None:
+            return default
+        else:
+            raise ValueError(f"a {key} file is required, and no flag or manifest names one")
+        return _DECODERS[key](_load_json(path))
+
+    return load
 
 
 def _check_size(indices: int, height: int) -> None:
@@ -184,7 +190,8 @@ def _cmd_simulate_p(args) -> int:
 def _cmd_check(args) -> int:
     if args.n0 < 0:
         raise ValueError(f"--n0 must be a natural, got {args.n0}")
-    g = _load_input(args, "gap")
+    load = _loader(args)
+    g = load("gap")
 
     if args.predicate == "special":
         holds = special_gap_check(g, args.n0)
@@ -199,7 +206,7 @@ def _cmd_check(args) -> int:
         )
         return 0 if x is not None else 1
 
-    rows, failures = c_hausdorff_check(g, _load_input(args, "ladder"), _load_input(args, "partition"))
+    rows, failures = c_hausdorff_check(g, load("ladder"), load("partition"))
     _emit(
         {
             "predicate": "c-hausdorff",
@@ -220,7 +227,7 @@ def _cmd_oracle(args) -> int:
     if cond is PCondition:
         witness = p_compatible_oracle(p, q, args.max_free_bits)
     else:
-        witness = q_compatible(QContext(*(_load_input(args, key) for key in ("gap", "ladder", "partition"))), p, q)
+        witness = q_compatible(QContext(*map(_loader(args), ("gap", "ladder", "partition"))), p, q)
     _emit({"compatible": witness is not None, "witness": None if witness is None else witness.to_json()}, args.out)
     return 0 if witness is not None else 1
 
@@ -229,8 +236,9 @@ def _cmd_pipeline(args) -> int:
     _check_size(args.indices, args.height)
     seed = _resolve_seed(args.seed)
     ordinals = default_index_blocks(args.indices)
-    ladder = _load_input(args, "ladder", Ladder.canonical())
-    part = _load_input(args, "partition", default_partition(ordinals))
+    load = _loader(args)
+    ladder = load("ladder", Ladder.canonical())
+    part = load("partition", default_partition(ordinals))
     report = pipeline(ordinals, args.height, args.wsize, ladder, part, seed)
     _emit(report, args.out)
     return 0

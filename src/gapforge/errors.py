@@ -21,14 +21,6 @@ class IndexMismatch(GapforgeError):
     """A predicate requiring matching index sets was given different ones."""
 
 
-class HeightMismatch(GapforgeError):
-    """A union of conditions was attempted across different heights."""
-
-
-class AgreementFailure(GapforgeError):
-    """Two conditions disagree on their common domain."""
-
-
 class HypothesisFailure(GapforgeError):
     """A join was requested without its required precondition."""
 

@@ -139,6 +139,8 @@ class GapFragment:
         b = {Ordinal.from_key(k): mask(k, v) for k, v in data["b"].items()}
         if set(a) != set(iset) or set(b) != set(jset):
             raise ValueError("index lists do not match the tower maps")
+        if len(iset) != len(a) or len(jset) != len(b):
+            raise ValueError("an index list names an index twice")
         return cls(universe, a, b)
 
 

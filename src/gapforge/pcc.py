@@ -183,8 +183,8 @@ def pcc_ab_profiles(inst: PccInstance) -> tuple[dict[Ordinal, int], dict[Ordinal
     """Per index: meet of family-1 upper a-sets, join of family-2 upper b-sets.
 
     The profiles are `poset_q.upper_meet` and `upper_join` above gamma, the
-    witness rule `separated_pair_check` reads too: the empty meet is the
-    full universe, the empty join is empty.
+    witness rule of the separated-pair criterion in `tests/proof_steps.py`:
+    the empty meet is the full universe, the empty join is empty.
     """
     meets = {d: upper_meet(inst.ctx, p, inst.gamma) for d, p in inst.fam1}
     joins = {d: upper_join(inst.ctx, q, inst.gamma) for d, q in inst.fam2}

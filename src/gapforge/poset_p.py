@@ -17,19 +17,11 @@ where a reader asks for them (`entries`, `word`, `to_json`, by `gaps.word`).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import (
-    AgreementFailure,
-    HeightMismatch,
-    HypothesisFailure,
-    InvalidBit,
-    InvariantViolation,
-    SearchTooLarge,
-)
+from .errors import HypothesisFailure, InvalidBit, InvariantViolation, SearchTooLarge
 from .gaps import MAX_UNIVERSE, bits, word
 from .ordinals import Ordinal, two_sided
 
@@ -173,20 +165,6 @@ def p_restrict(p: PCondition, keep: Iterable[Ordinal]) -> PCondition:
     return PCondition.from_masks(p.height, {o: pair for o, pair in p.masks.items() if o in keep})
 
 
-def p_union_agreeing(p: PCondition, q: PCondition) -> PCondition:
-    """Map union of two equal-height conditions agreeing on the overlap.
-
-    This is the minimum common extension: neither side gains a single bit
-    on its own domain.
-    """
-    if p.height != q.height:
-        raise HeightMismatch(f"heights {p.height} and {q.height} differ")
-    for o in p.masks.keys() & q.masks.keys():
-        if p.masks[o] != q.masks[o]:
-            raise AgreementFailure(f"conditions disagree at {o}")
-    return PCondition.from_masks(p.height, {**p.masks, **q.masks})
-
-
 def p_join(p: PCondition, q: PCondition) -> PCondition:
     """Canonical join r of p with q, where q dominates on A = dom(q).
 
@@ -287,51 +265,3 @@ def p_extend(
     if not p_leq(p, out):
         raise InvariantViolation("extend-order", f"extension to height {target_height} does not extend p")
     return out
-
-
-def delta_system_refine(family: Sequence[PCondition]) -> tuple[list[PCondition], frozenset[Ordinal]]:
-    """Pick an agreeing sunflower subfamily of one height.
-
-    Keeps the plurality height, then tries the most frequent pairwise domain
-    intersections (plus the empty set) as candidate cores; for each, members
-    matching one core restriction are collected greedily under the rule that
-    petals never overlap.  Every pair of the result unions via
-    p_union_agreeing, and any finite subset has the iterated union as a
-    common upper bound.
-    """
-    family = list(family)
-    if not family:
-        return [], frozenset()
-    by_height = Counter(p.height for p in family)
-    height = min(by_height, key=lambda h: (-by_height[h], h))
-    group = [p for p in family if p.height == height]
-    if len(group) == 1:
-        return group, frozenset()
-    doms = [frozenset(p.masks) for p in group]
-    inter = Counter()
-    for x in range(len(group)):
-        for y in range(x + 1, len(group)):
-            inter[doms[x] & doms[y]] += 1
-    candidates = sorted(inter, key=lambda c: (-inter[c], len(c), tuple(sorted(c))))[:32]
-    if frozenset() not in candidates:
-        candidates.append(frozenset())
-    best: list[PCondition] = []
-    best_core: frozenset[Ordinal] = frozenset()
-    for core in candidates:
-        groups: dict[tuple, list[tuple[PCondition, frozenset[Ordinal]]]] = {}
-        for p, d in zip(group, doms):
-            if core <= d:
-                sig = tuple((o, p.masks[o]) for o in sorted(core))
-                groups.setdefault(sig, []).append((p, d))
-        for members in groups.values():
-            chosen: list[PCondition] = []
-            used: set[Ordinal] = set()
-            for p, d in members:
-                petals = d - core
-                if petals & used:
-                    continue
-                used |= petals
-                chosen.append(p)
-            if len(chosen) > len(best):
-                best, best_core = chosen, core
-    return best, best_core

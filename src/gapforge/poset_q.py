@@ -19,7 +19,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Sequence
 
-from .errors import InvariantViolation, TableTooShort, UnknownIndex
+from .errors import TableTooShort, UnknownIndex
 from .gaps import GapFragment, bits, word
 from .ordinals import Ladder, Ordinal, SPartition
 
@@ -150,14 +150,6 @@ def q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
     return not ladder_blocked(ctx, [p], sorted(q.w - p.w))[0]
 
 
-def q_restrict(p: QCondition, alpha: Ordinal) -> QCondition:
-    """Componentwise intersection with [0, alpha); always below p."""
-    return QCondition(
-        frozenset(o for o in p.w if o < alpha),
-        frozenset(o for o in p.s if o < alpha),
-    )
-
-
 def upper_meet(ctx: QContext, p: QCondition, gamma: Ordinal) -> int:
     """Meet of the a-sets of p's w members at or beyond gamma; the whole
     universe when there are none."""
@@ -181,42 +173,3 @@ def q_compatible(ctx: QContext, p: QCondition, q: QCondition) -> QCondition | No
     if q_leq(ctx, p, u) and q_leq(ctx, q, u):
         return u
     return None
-
-
-def separated_pair_check(
-    ctx: QContext, p1: QCondition, p2: QCondition, gamma: Ordinal, alpha: Ordinal
-) -> bool:
-    """Sufficient criterion for compatibility of a separated pair.
-
-    The shape: p1 lives below alpha, p2 jumps over the interval [gamma,
-    alpha] (its w and s meet it only below gamma), both restrictions to
-    gamma are compatible with the other condition, and some witness n lies
-    in p1's `upper_meet` minus p2's `upper_join` (the a-sets and b-sets of
-    their w members at or beyond gamma), clearing every rung count |c_delta
-    below alpha| for delta in s2 beyond alpha.  True means p1 and p2 are
-    compatible outright.
-    """
-    if not gamma < alpha:
-        raise ValueError("the split points must satisfy gamma < alpha")
-    ctx.check_condition(p1)
-    ctx.check_condition(p2)
-    if any(not i < alpha for i in p1.w):
-        return False
-    if any(not j < gamma for j in p2.w if j < alpha):
-        return False
-    if any(not d < gamma for d in p2.s if d <= alpha):
-        return False
-    low2 = q_restrict(p2, gamma)
-    if q_restrict(p2, alpha) != low2:  # forced by the two clauses above
-        detail = f"p2 restricted to {alpha} differs from its part below {gamma}"
-        raise InvariantViolation("separated-restriction", detail)
-    if q_compatible(ctx, q_restrict(p1, gamma), p2) is None:
-        return False
-    if q_compatible(ctx, low2, p1) is None:
-        return False
-    floor = max(
-        (ctx.ladder.count_below(d, alpha) for d in p2.s if not d < alpha),
-        default=-1,
-    )
-    return bool((upper_meet(ctx, p1, gamma) & ~upper_join(ctx, p2, gamma)) >> (floor + 1))
-

@@ -17,15 +17,17 @@ two column tables replaced: the same `ladder_blocked` sets, each condition's
 w as a mask over its family's w-union, and one `wq & bp or wp & bq` test
 per cell.  `ref_validate_instance` is the per-condition check that
 `PccInstance.__post_init__`, one sorted pass per condition, replaced: it
-runs `check_condition` and `q_restrict` on every condition and tests each
-domain member against gamma, delta and the next index one at a time.
+runs `check_condition` and `proof_steps.q_restrict` on every condition
+and tests each domain member against gamma, delta and the next index one
+at a time.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from gapforge import CompatMatrix, QContext, bits, ladder_blocked, members, q_restrict
+from gapforge import CompatMatrix, QContext, bits, ladder_blocked, members
+from proof_steps import q_restrict
 
 
 def _bad(m: CompatMatrix, x: int, y: int) -> bool:

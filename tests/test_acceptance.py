@@ -19,7 +19,6 @@ from gapforge import (
     build_compat_matrix,
     default_index_blocks,
     default_partition,
-    delta_system_refine,
     excess,
     find_compatible_pair,
     generate_pcc_instance,
@@ -30,12 +29,10 @@ from gapforge import (
     p_join_from_core,
     p_leq,
     p_restrict,
-    p_union_agreeing,
     pcc_ab_profiles,
     pipeline,
     q_compatible,
     q_leq,
-    separated_pair_check,
     special_gap_check,
     uniform_interpolation,
     verify_rectangle,
@@ -54,6 +51,7 @@ from helpers import (
 from gaps_reference import report_default
 from ordinals_reference import ref_value
 from pcc_reference import exact_rectangle
+from proof_steps import delta_system_refine, p_union_agreeing, separated_pair_check
 
 POOL = [fin(k) for k in range(8)]
 

@@ -790,6 +790,51 @@ def test_oracle_q_reads_its_context_from_a_whole_manifest_only(manifest, tmp_pat
     assert "ValueError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value", [5, None, ["ladder.json"], {"file": "ladder.json"}], ids=["int", "null", "list", "dict"]
+)
+def test_a_manifest_entry_that_is_no_file_name_exits_2_naming_its_key(value, tmp_path, capsys):
+    gap, _, part = _hausdorff_inputs(tmp_path)
+    m = _write(tmp_path / "m.json", {"gap": "gap.json", "ladder": value, "partition": "part.json"})
+    q = _write(tmp_path / "q.json", {"w": [], "s": []})
+    for argv in (
+        ["check", "c-hausdorff", "--manifest", m],
+        ["check", "c-hausdorff", "--manifest", m, "--gap", gap, "--partition", part],
+        ["oracle", "q", "--cond1", q, "--cond2", q, "--manifest", m],
+    ):
+        assert main(argv) == 2, argv
+        message = f"gapforge: ValueError: manifest entry 'ladder' must be a file name, got {value!r}\n"
+        assert capsys.readouterr() == ("", message)
+
+
+def test_each_command_reads_its_manifest_once(tmp_path, monkeypatch):
+    _hausdorff_inputs(tmp_path)
+    m = _write(tmp_path / "m.json", {"gap": "gap.json", "ladder": "ladder.json", "partition": "part.json"})
+    q = _write(tmp_path / "q.json", {"w": [], "s": []})
+    reads = []
+    real = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: reads.append(str(path)) or real(path))
+    for argv, code in (
+        (["check", "c-hausdorff", "--manifest", m], 0),
+        (["check", "special", "--manifest", m], 1),
+        (["oracle", "q", "--cond1", q, "--cond2", q, "--manifest", m], 0),
+    ):
+        reads.clear()
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == code, argv
+        assert reads.count(m) == 1, (argv, reads)
+
+
+@pytest.mark.parametrize("side", ["I", "J"])
+def test_a_fragment_listing_an_index_twice_exits_2(side, tmp_path, capsys):
+    """Written back, such a fragment would list the index once: the reader
+    refuses it, as the condition and ladder readers refuse their duplicates."""
+    frag = _tiny_special_fragment().to_json()
+    frag[side] = [frag[side][0], *frag[side]]
+    gap = _write(tmp_path / "gap.json", frag)
+    assert main(["check", "special", "--gap", gap]) == 2
+    assert capsys.readouterr() == ("", "gapforge: ValueError: an index list names an index twice\n")
+
+
 @pytest.mark.parametrize("predicate", ["special", "interpolate", "c-hausdorff"])
 def test_check_negative_n0_exits_2(predicate, tmp_path, capsys):
     gap, ladder, part = _hausdorff_inputs(tmp_path)

@@ -38,6 +38,7 @@ from pcc_reference import (
     ref_validate_instance,
     ref_verify_rectangle,
 )
+from proof_steps import separated_pair_check
 from q_reference import ref_build_compat_matrix
 
 
@@ -125,6 +126,29 @@ def test_generated_instance_pair_validates():
         u = q_compatible(inst.ctx, p1, p2)
         assert u is not None
         assert q_leq(inst.ctx, p1, u) and q_leq(inst.ctx, p2, u)
+
+
+def test_every_witnessed_pair_passes_the_separated_pair_criterion():
+    """The lab's witness rule is the proof's: every order-respecting pair
+    with a witness n >= k under the profiles is a separated pair at alpha =
+    delta2, and so is the first pair `find_compatible_pair` reports."""
+    witnessed = 0
+    for t in (6, 30):
+        for seed in range(12):
+            inst = generate_pcc_instance(seed, t, t)
+            meets, joins = pcc_ab_profiles(inst)
+            for d1, p1 in inst.fam1:
+                for d2, p2 in inst.fam2:
+                    if d1 < d2 and (meets[d1] & ~joins[d2]) >> inst.k:
+                        assert separated_pair_check(inst.ctx, p1, p2, inst.gamma, d2), (t, seed, d1, d2)
+                        witnessed += 1
+    assert witnessed == 4420
+    for t in (6, 30, 120):
+        for seed in range(40):
+            inst = generate_pcc_instance(seed, t, t)
+            d1, d2, _ = find_compatible_pair(inst)
+            p1, p2 = dict(inst.fam1)[d1], dict(inst.fam2)[d2]
+            assert separated_pair_check(inst.ctx, p1, p2, inst.gamma, d2), (t, seed, d1, d2)
 
 
 def test_find_compatible_pair_raises_on_an_incompatible_witness_pair(monkeypatch):

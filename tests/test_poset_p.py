@@ -7,25 +7,22 @@ import random
 import pytest
 
 from gapforge import (
-    AgreementFailure,
-    HeightMismatch,
     HypothesisFailure,
     InvalidBit,
     InvariantViolation,
     PCondition,
     SearchTooLarge,
     bits,
-    delta_system_refine,
     p_compatible_oracle,
     p_extend,
     p_join,
     p_join_from_core,
     p_leq,
     p_restrict,
-    p_union_agreeing,
     poset_p,
 )
 from helpers import enumerate_conditions, fin, random_extension, random_pcondition, word_from_bits
+from proof_steps import AgreementFailure, HeightMismatch, delta_system_refine, p_union_agreeing
 
 AL, BE = fin(0), fin(1)
 POOL = [fin(k) for k in range(6)]

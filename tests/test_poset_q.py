@@ -20,12 +20,12 @@ from gapforge import (
     forge,
     q_compatible,
     q_leq,
-    q_restrict,
-    separated_pair_check,
 )
 from gapforge import poset_q
 from helpers import conditions_in, fin, mask, small_context
 from ordinals_reference import ref_value
+import proof_steps
+from proof_steps import q_restrict, separated_pair_check
 
 DELTA = Ordinal(1, 0)
 J5 = fin(5)
@@ -204,8 +204,7 @@ def test_separated_pair_check_shape_clauses():
 
 def test_separated_pair_check_raises_on_a_split_restriction(monkeypatch):
     ctx, p1, p2, gamma, alpha = _separated_instance()
-    real = poset_q.q_restrict
-    monkeypatch.setattr(poset_q, "q_restrict", lambda p, at: QCondition.empty() if at == alpha else real(p, at))
+    monkeypatch.setattr(proof_steps, "q_restrict", lambda p, at: QCondition.empty() if at == alpha else q_restrict(p, at))
     with pytest.raises(InvariantViolation) as err:
         separated_pair_check(ctx, p1, p2, gamma, alpha)
     assert err.value.invariant == "separated-restriction"
