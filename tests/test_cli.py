@@ -267,6 +267,53 @@ def test_the_forge_limit_admits_every_index_count_at_height_equal_to_it():
         cli._check_size(MAX_INDICES, MAX_INDICES + 1)
 
 
+def _blank_diagram(sets: int, universe: int) -> dict:
+    """A diagram file of `sets` indices on each side, each set {universe - 1}."""
+    idx = [o.to_json() for o in simulate.default_index_blocks(sets)]
+    side = {f"{q}.{r}": [universe - 1] for q, r in idx}
+    return {"universe": universe, "I": idx, "J": idx, "a": side, "b": side}
+
+
+def test_every_diagram_the_forge_admits_loads_and_no_larger_side():
+    """The loader's cap on sets times universe is the forge's product cap,
+    read from the one constant that `simulate` still exports: a side of one
+    more set at the cap is refused."""
+    assert simulate.MAX_INDICES is gaps.MAX_INDICES == MAX_INDICES
+    at_cap = MAX_INDICES**2 // MAX_UNIVERSE
+    for indices, height in ((MAX_INDICES, MAX_INDICES), (at_cap, MAX_UNIVERSE), (1, MAX_UNIVERSE)):
+        cli._check_size(indices, height)
+        g = GapFragment.from_json(_blank_diagram(indices, height))
+        assert len(g.a) == len(g.b) == indices and g.a[fin(0)] == 1 << (height - 1)
+        if indices * height == MAX_INDICES**2:
+            with pytest.raises(ValueError, match=f"exceed the load limit {MAX_INDICES}"):
+                GapFragment.from_json(_blank_diagram(indices + 1, height))
+
+
+def test_a_diagram_at_the_load_limit_loads_through_check_special(tmp_path):
+    """64 sets at universe 65536 on each side: 2^22 bytes of words per side."""
+    data = _blank_diagram(MAX_INDICES**2 // MAX_UNIVERSE, MAX_UNIVERSE)
+    assert len(data["a"]) * data["universe"] == MAX_INDICES**2
+    assert main(["check", "special", "--gap", _write(tmp_path / "gap.json", data)]) == 1
+
+
+@pytest.mark.parametrize("sets", [MAX_INDICES**2 // MAX_UNIVERSE + 1, 20_000], ids=["65-sets", "20000-sets"])
+def test_a_diagram_over_the_load_limit_exits_2_before_reading_a_member(sets, tmp_path, capsys):
+    """One more set than the cap at universe 65536, or 20,000 one-member
+    sets, which the unchecked loader would write as 1.3 GB of words: refused
+    before a word is written."""
+    gap = _write(tmp_path / "gap.json", _blank_diagram(sets, MAX_UNIVERSE))
+    tracemalloc.start()
+    try:
+        code = main(["check", "special", "--gap", gap])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    expected = f"gapforge: ValueError: {sets} a-sets by universe {MAX_UNIVERSE} exceed the load limit {MAX_INDICES}^2\n"
+    assert capsys.readouterr() == ("", expected)
+    assert peak < 16 * 2**20  # 65 sets alone would take 520 KiB of masks, 20,000 sets 160 MiB
+
+
 def test_two_negative_counts_are_refused_as_naturals_not_by_the_product_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["simulate-p", "--indices", "-3000", "--height", "-3000", "--out", "x.json"]) == 2
@@ -833,6 +880,40 @@ def test_a_fragment_listing_an_index_twice_exits_2(side, tmp_path, capsys):
     gap = _write(tmp_path / "gap.json", frag)
     assert main(["check", "special", "--gap", gap]) == 2
     assert capsys.readouterr() == ("", "gapforge: ValueError: an index list names an index twice\n")
+
+
+@pytest.mark.parametrize("field", ["w", "s"])
+def test_a_condition_listing_an_ordinal_twice_exits_2(field, tmp_path, capsys):
+    """Loaded, the repeat would be dropped without a word: `oracle q`
+    refuses it, as the fragment reader refuses a repeated index."""
+    _hausdorff_inputs(tmp_path)
+    m = _write(tmp_path / "m.json", {"gap": "gap.json", "ladder": "ladder.json", "partition": "part.json"})
+    good = {"w": [[0, 1]], "s": [[1, 0]]}
+    q = _write(tmp_path / "q.json", good)
+    twice = _write(tmp_path / "twice.json", good | {field: good[field] * 2})
+    assert main(["oracle", "q", "--cond1", q, "--cond2", q, "--manifest", m]) == 0
+    capsys.readouterr()
+    for cond1, cond2 in ((twice, q), (q, twice)):
+        assert main(["oracle", "q", "--cond1", cond1, "--cond2", cond2, "--manifest", m]) == 2
+        assert capsys.readouterr() == ("", f"gapforge: ValueError: the {field} list names an ordinal twice\n")
+
+
+@pytest.mark.parametrize("field", ["S", "T", "D"])
+def test_a_partition_listing_an_ordinal_twice_exits_2(field, tmp_path, capsys):
+    gap, ladder, _ = _hausdorff_inputs(tmp_path)
+    part = {"S": [[1, 0]], "T": [[2, 0]], "D": [[1, 0]]}
+    argv = ["check", "c-hausdorff", "--gap", gap, "--ladder", ladder, "--partition"]
+    assert main(argv + [_write(tmp_path / "part.json", part)]) == 0
+    capsys.readouterr()
+    twice = _write(tmp_path / "twice.json", part | {field: part[field] * 2})
+    assert main(argv + [twice]) == 2
+    assert capsys.readouterr() == ("", f"gapforge: ValueError: the {field} list names an ordinal twice\n")
+
+
+def test_every_golden_input_loads_and_reads_back():
+    loaders = {"gap-mixed.json": GapFragment, "ladder.json": Ladder, "partition.json": SPartition}
+    for name, obj in GOLDEN_INPUTS.items():
+        assert loaders.get(name, PCondition).from_json(obj).to_json() == obj, name
 
 
 @pytest.mark.parametrize("predicate", ["special", "interpolate", "c-hausdorff"])

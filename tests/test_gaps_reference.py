@@ -1,6 +1,7 @@
 """Differential tests: the bitmask excess, gap predicates, ladder-threshold
 check and pcc profiles against the frozenset versions in gaps_reference,
-requiring exact equality (or the same exception type)."""
+requiring exact equality (or the same exception type), and the diagram
+loader against the one it replaced (equal fragments or the same message)."""
 
 import itertools
 import random
@@ -28,9 +29,10 @@ from gapforge import (
     special_gap_check,
     uniform_interpolation,
 )
-from gapforge.gaps import MAX_UNIVERSE, member_text
+from gapforge.gaps import MAX_INDICES, MAX_UNIVERSE, member_text
 from gaps_reference import (
     as_sets,
+    ref_fragment_from_json,
     ref_almost_subset,
     ref_c_hausdorff_check,
     ref_excess,
@@ -268,3 +270,121 @@ def test_pcc_profiles_and_witness_match_reference(t):
         assert meets == {d: mask(s) for d, s in ref_meets.items()}
         assert joins == {d: mask(s) for d, s in ref_joins.items()}
         assert find_compatible_pair(inst) == ref_first_witness(inst)
+
+
+def _load_matches_reference(data) -> GapFragment | None:
+    """The loaded fragment, equal to the reference's and keyed by `Ordinal`s,
+    or None when both loaders raise ValueError with one message."""
+    try:
+        expected = ref_fragment_from_json(data)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            GapFragment.from_json(data)
+        assert str(got.value) == str(e)
+        return None
+    g = GapFragment.from_json(data)
+    assert g == expected
+    assert all(type(o) is Ordinal for o in [*g.a, *g.b])
+    return g
+
+
+def _random_diagram_json(rng: random.Random, universe: int) -> dict:
+    """A valid diagram file: indices and keys in random order, and member
+    lists unsorted with repeats."""
+    iset, jset = (rng.sample(INDEX_POOL, rng.randint(0, len(INDEX_POOL))) for _ in "IJ")
+
+    def side(idx):
+        keys = [o.key() for o in idx]
+        rng.shuffle(keys)
+        return {k: rng.choices(range(universe), k=rng.randint(0, 2 * universe)) if universe else [] for k in keys}
+
+    return {"universe": universe, "I": [o.to_json() for o in iset], "J": [o.to_json() for o in jset],
+            "a": side(iset), "b": side(jset)}
+
+
+def test_fragment_loader_matches_reference_on_random_diagrams():
+    rng = random.Random(31)
+    for _ in range(300):
+        assert _load_matches_reference(_random_diagram_json(rng, rng.randint(0, 300))) is not None
+
+
+@pytest.mark.parametrize("indices, height", [(0, 5), (1, 1), (8, 64), (40, 64), (64, 1024), (64, 16384)])
+def test_fragment_loader_matches_reference_on_forged_diagrams(indices, height):
+    data = forge(default_index_blocks(indices), height, indices + height).to_json()
+    assert _load_matches_reference(data) is not None
+
+
+def _pair_diagram(universe, a0, a1, b0, b1) -> dict:
+    return {"universe": universe, "I": [[0, 0], [0, 1]], "J": [[0, 0], [1, 0]],
+            "a": {"0.0": a0, "0.1": a1}, "b": {"0.0": b0, "1.0": b1}}
+
+
+@pytest.mark.parametrize("universe", [-1, 0, 1, 4, MAX_UNIVERSE])
+def test_fragment_loader_matches_reference_on_every_bad_member(universe):
+    """Each value alone, after a good member, and before a second bad one,
+    on either side: the first bad member in file order is named."""
+    good = [universe - 1] if universe > 0 else []
+    loaded = 0
+    for x in [-1, universe, 10**9, -(10**9), 1.0, "1", True, False, None, [1]]:
+        for listed in ([x], [*good, x], [x, -2]):
+            for pos in range(4):
+                lists = [good, [], [*good, *good], good]
+                lists[pos] = listed
+                loaded += _load_matches_reference(_pair_diagram(universe, *lists)) is not None
+    assert loaded == 0
+
+
+@pytest.mark.parametrize("universe", [-1, 0, 1, MAX_UNIVERSE])
+def test_fragment_loader_matches_reference_at_the_edge_universes(universe):
+    top = [universe - 1] if universe > 0 else []
+    for lists in ([[], [], [], []], [top, [], top, top], [[0], [], [], []], [top * 3, top, [], [*top, *top]]):
+        loaded = _load_matches_reference(_pair_diagram(universe, *lists)) is not None
+        # a negative universe loads nothing, and an empty one no member
+        assert loaded == (universe > 0 or universe == 0 and not any(lists))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        None, [], {"universe": 4},
+        _pair_diagram(True, [], [], [], []),
+        _pair_diagram(4.0, [], [], [], []),
+        _pair_diagram(MAX_UNIVERSE + 1, [], [], [], []),
+        {**_pair_diagram(4, [], [], [], []), "a": []},
+        {**_pair_diagram(4, [], [], [], []), "I": [[0, 0], [0, 1], [0, 0]]},
+        {**_pair_diagram(4, [], [], [], []), "I": [[0, 0], [0, -1]]},
+        {**_pair_diagram(4, [], [], [], []), "J": [[0, 0], [1, 0], [2, 0]]},
+        {**_pair_diagram(4, [], [], [], []), "a": {"0.0": [1], "00.1": [2]}},
+        {**_pair_diagram(4, [], [], [], []), "a": {"0.0": [1], "0.1": [2], "0.2": [3]}},
+        {**_pair_diagram(4, [], [], [], []), "a": {"0.0": [1], "x": [9]}},
+        {**_pair_diagram(4, [], [], [], []), "a": {"0.1": [1], "0.0": [0, 3]}},
+        {**_pair_diagram(4, [], [], [], []), "b": {"1.0": [1], "0.0": [4]}},
+    ],
+    ids=[
+        "null", "list", "missing-keys", "bool-universe", "float-universe", "big-universe", "a-list",
+        "repeated-index", "bad-index", "unmapped-index", "aliased-key", "unlisted-key", "bad-key-before-bad-member",
+        "keys-out-of-order", "bad-member-in-b",
+    ],
+)
+def test_fragment_loader_matches_reference_on_malformed_diagrams(data):
+    _load_matches_reference(data)
+
+
+def test_fragment_loader_refuses_a_side_over_the_cap_before_reading_a_member():
+    """Sets times universe above MAX_INDICES^2 on one side: refused, where
+    the reference would name the first bad member, and the cap is exact."""
+    universe = MAX_UNIVERSE
+    at_cap = MAX_INDICES**2 // universe
+    keys = [f"0.{r}" for r in range(at_cap + 1)]
+    idx = [[0, r] for r in range(at_cap + 1)]
+    for side, other in ("ab", "ba"):
+        data = {"universe": universe, "I": idx, "J": idx}
+        data |= {side: {k: ["x"] for k in keys}, other: {k: [] for k in keys[:at_cap]}}
+        with pytest.raises(ValueError, match="member 'x' at 0.0"):
+            ref_fragment_from_json(data)
+        with pytest.raises(ValueError) as refused:
+            GapFragment.from_json(data)
+        assert str(refused.value) == f"{at_cap + 1} {side}-sets by universe {universe} exceed the load limit 2048^2"
+    data = {"universe": universe, "I": idx[:at_cap], "J": idx[:at_cap],
+            "a": {k: [universe - 1] for k in keys[:at_cap]}, "b": {k: [0] for k in keys[:at_cap]}}
+    assert _load_matches_reference(data) is not None

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from bisect import bisect_left
@@ -14,7 +15,7 @@ from gapforge import (
     two_sided,
 )
 from helpers import fin
-from ordinals_reference import ref_count_below, ref_first_index_above, ref_value
+from ordinals_reference import ref_count_below, ref_first_index_above, ref_ordinal_from_json, ref_value
 from p_reference import _ilt
 
 
@@ -41,6 +42,34 @@ def test_ordinal_json_and_key_roundtrip():
                 "\u0663.\u0664", "\u00b2.1", "1_0.1"):
         with pytest.raises(ValueError):
             Ordinal.from_key(key)
+
+
+def _from_json_matches_reference(data) -> bool:
+    """Whether the encoding loads: to an `Ordinal` equal to the reference's,
+    or else with the reference's ValueError message."""
+    try:
+        expected = ref_ordinal_from_json(data)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            Ordinal.from_json(data)
+        assert str(got.value) == str(e)
+        return False
+    o = Ordinal.from_json(data)
+    assert o == expected and type(o) is Ordinal
+    return True
+
+
+def test_ordinal_from_json_matches_reference_on_every_short_encoding():
+    """Every list and tuple of length 0-3 over the diagram loader's pool of
+    bad members and three naturals, and a few values that are no sequence."""
+    pool = [0, 4, 10**20, -1, 10**9, -(10**9), 1.0, "1", True, False, None, [1]]
+    loaded = 0
+    for n in range(4):
+        for parts in itertools.product(pool, repeat=n):
+            loaded += _from_json_matches_reference(list(parts)) + _from_json_matches_reference(parts)
+    assert loaded == 2 * 4 * 4  # each pair of naturals 0, 4, 10**20 and 10**9, as list and tuple
+    for data in (None, "12", b"\x01\x02", {0: 1, 1: 2}, range(2), Ordinal(3, 4)):
+        _from_json_matches_reference(data)
 
 
 GRID = [(q, r) for q in (0, 1, 2, 7, 12) for r in (0, 1, 3, 10, 255)]
