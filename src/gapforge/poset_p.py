@@ -1,17 +1,17 @@
 """The gap-introducing poset of finite bit-word conditions.
 
-A condition assigns to each ordinal in its finite domain a pair of equal
-length bit words (the growing lower set and its upper companion), all words
-sharing one length, the condition's height.  Character k of a word is the
-membership bit of k, so extending a word as a function means appending
-characters.  The extension order additionally demands that every bit newly
-granted at an index reappear at every index above it in the two-sided order,
-which is what forges the tower structure out of raw bits.  One sweep up that
-order, `_carry`, propagates grants for both `p_extend` and the canonical join.
+A condition assigns to each ordinal in its finite domain a pair of bit words
+(the growing lower set and its upper companion), all of one length, the
+condition's height; character k of a word is the membership bit of k.  The
+extension order appends characters and demands that every bit newly granted
+at an index reappear at every index above it in the two-sided order, which
+forges the tower structure out of raw bits.  Each clause is one sweep up
+that order on plain masks: `_leq` checks the order (for `p_leq`, the join's
+hypothesis and the oracle's candidates), `_carry` propagates grants (for
+`p_extend` and the join).
 
 A condition stores each word as the integer bitmask whose bit k is character
-k, and every kernel here works on those masks; the `01` strings exist only
-where a reader asks for them (`entries`, `word`, `to_json`, by `gaps.word`).
+k; `gaps.word` builds the `01` strings on request (`entries`, `word`, `to_json`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 from .errors import HypothesisFailure, InvalidBit, InvariantViolation, SearchTooLarge
 from .gaps import MAX_UNIVERSE, bits, word
-from .ordinals import Ordinal, two_sided
+from .ordinals import Ordinal
 
 
 @dataclass(frozen=True, init=False)
@@ -120,43 +120,47 @@ class PCondition:
 
 
 def p_leq(p: PCondition, q: PCondition) -> bool:
-    """Extension order: q extends p.
+    """Extension order: q extends p.  Requires dom(p) within dom(q), every
+    p-word a prefix of the matching q-word, height monotone, and the bits q
+    grants at each p-domain index beyond p's height to reappear at every
+    p-domain index above it in the two-sided order, as `_leq` decides."""
+    return p.height <= q.height and p.masks.keys() <= q.masks.keys() and _leq(p.height, p.masks, q.masks, q.height)
 
-    Requires dom(p) within dom(q), every p-word a prefix of the matching
-    q-word, height monotone, and the bits q grants at each p-domain index
-    beyond p's height to reappear at every p-domain index above it in the
-    two-sided order.  That order is total, so one prefix-union sweep up it
-    checks the prefixes and the last clause, stopping at the first failure:
-    at each index, the union of the grants below must lie inside q's mask.
-    Only q restricted to dom(p) is ever consulted.
-    """
-    if p.height > q.height or not p.masks.keys() <= q.masks.keys():
-        return False
-    m = p.height
-    below = (1 << m) - 1
-    pm, qm = p.masks, q.masks
-    seen = 0
-    for o, s in two_sided(pm):
-        q_mask = qm[o][s]
-        if (q_mask ^ pm[o][s]) & below or seen & ~q_mask:
+
+def _leq(m: int, pm: Mapping[Ordinal, tuple[int, int]], qm: Mapping[Ordinal, tuple[int, int]], h: int) -> bool:
+    """The order on masks, pm of height m below qm of height h >= m (keys
+    within qm's).  At equal heights no bit lies beyond m: a subset test of
+    the entries.  Else one prefix-union sweep up the total two-sided order
+    (side 0 up the sorted keys, then side 1 down) checks the prefixes and
+    that the union of the grants below each index lies in qm's mask."""
+    if m == h:
+        return pm.items() <= qm.items()
+    below, up, seen = (1 << m) - 1, sorted(pm), 0
+    for o in up:
+        q_mask = qm[o][0]
+        if (q_mask ^ pm[o][0]) & below or seen & ~q_mask:
+            return False
+        seen |= q_mask >> m << m
+    for o in reversed(up):
+        q_mask = qm[o][1]
+        if (q_mask ^ pm[o][1]) & below or seen & ~q_mask:
             return False
         seen |= q_mask >> m << m
     return True
 
 
 def _carry(masks: Mapping[Ordinal, tuple[int, int]], grants: Mapping[Ordinal, tuple[int, int]]) -> dict:
-    """The propagation clause as one sweep: over the keys of both maps, a
-    missing entry read as all-zero, each mask joined by every grant at or
-    below its point in the two-sided order, as {o: (low, high)} in key
-    order."""
-    zeros = (0, 0)
-    order = sorted(masks.keys() | grants.keys())
-    seen = 0
-    out = {}
-    for o, s in two_sided(order):
-        seen |= grants.get(o, zeros)[s]
-        out[o, s] = masks.get(o, zeros)[s] | seen
-    return {o: (out[o, 0], out[o, 1]) for o in order}
+    """The propagation clause as one sweep over the keys of both maps (a
+    missing entry reads all-zero): each mask joined by every grant at or
+    below its point in the two-sided order, as {o: (low, high)} in key order."""
+    zeros, up, seen, lows, highs = (0, 0), sorted(masks.keys() | grants.keys()), 0, [], []
+    for o in up:
+        seen |= grants.get(o, zeros)[0]
+        lows.append(masks.get(o, zeros)[0] | seen)
+    for o in reversed(up):
+        seen |= grants.get(o, zeros)[1]
+        highs.append(masks.get(o, zeros)[1] | seen)
+    return dict(zip(up, zip(lows, reversed(highs))))
 
 
 def p_restrict(p: PCondition, keep: Iterable[Ordinal]) -> PCondition:
@@ -169,33 +173,29 @@ def p_join(p: PCondition, q: PCondition) -> PCondition:
     """Canonical join r of p with q, where q dominates on A = dom(q).
 
     Needs p restricted to A below q, and q at least as tall.  On A the join
-    copies q.  Off A each word keeps p's bits and additionally receives, for
-    every A-index k of p's domain below it, all bits q granted at k at or
-    above p's height, carried up the two-sided order by `_carry`.  That
-    bulk transfer is exactly what makes r extend p: a bit new at i came from
-    some k below i, and k sits below every j above i as well.  Guarantees
-    r >= p, r >= q and r restricted to A equal to q.
+    copies q.  Off A each word keeps p's bits and receives, carried up the
+    two-sided order by `_carry`, every bit q granted at or above p's height
+    at each A-index of p's domain below it: a bit new at i came from some k
+    below i, and k sits below every j above i too, so r extends p.
+    Guarantees r >= p, r >= q and r restricted to A equal to q.
     """
-    a_dom = q.masks.keys()
-    if q.height < p.height or not p_leq(p_restrict(p, a_dom), q):
+    pm, qm, m = p.masks, q.masks, p.height
+    shared = {o: pm[o] for o in pm.keys() & qm.keys()}  # p restricted to dom(q)
+    if q.height < m or not _leq(m, shared, qm, q.height):
         raise HypothesisFailure("join needs p restricted to dom(q) below q, and q at least as tall")
-    m = p.height
-    cuts = {o: (q.masks[o][0] >> m << m, q.masks[o][1] >> m << m) for o in p.masks.keys() & a_dom}
-    r = PCondition.from_masks(q.height, {**_carry(p.masks, cuts), **q.masks})
-    if not (p_leq(p, r) and p_leq(q, r) and p_restrict(r, a_dom) == q):
+    cuts = {o: (qm[o][0] >> m << m, qm[o][1] >> m << m) for o in shared}
+    r = PCondition.from_masks(q.height, {**_carry(pm, cuts), **qm})
+    # r has q's height, so one subset test is both r >= q and r restricted to dom(q) equal to q
+    if not (p_leq(p, r) and qm.items() <= r.masks.items()):
         raise InvariantViolation("join-upper-bound", f"join of heights {p.height} and {q.height} is no upper bound")
     return r
 
 
 def p_join_from_core(p1: PCondition, p2: PCondition) -> PCondition:
-    """Join two conditions whose shared core is comparable, p1 on top.
-
-    With C the common domain, needs p2 restricted to C below p1 restricted
-    to C and p1 at least as tall; then the join with A = dom(p1) extends
-    both.  That hypothesis is `p_join(p2, p1)`'s own, since the order reads
-    only the upper condition's height and its entries on the lower
-    condition's domain, so this is that join.
-    """
+    """Join two conditions whose shared core C is comparable, p1 on top:
+    needs p2 restricted to C below p1 restricted to C, and p1 at least as
+    tall.  The order reads only the upper condition's height and its entries
+    on the lower one's domain, so that is `p_join(p2, p1)`'s hypothesis."""
     return p_join(p2, p1)
 
 
@@ -225,18 +225,19 @@ def p_compatible_oracle(p: PCondition, q: PCondition, max_free_bits: int = 24) -
     # counted before any slot is built: the slots of one word take about height^2 / 16 bytes
     if n_free > max_free_bits:
         raise SearchTooLarge(f"{n_free} free bits exceed the {max_free_bits}-bit cap")
-    # per free slot: (0, its bit), ascending within a word
+    # per free slot, ascending within a word: (0, its bit); the first varies slowest, so lexicographic order
     free = [(0, 1 << k) for a, b in spans for k in range(height - (b - a), height)]
-    # the first slot varies slowest, so candidates come in lexicographic order
     for choice in itertools.product(*free):
         # the free bits of a word are distinct and above its fixed ones: sum is union
         words = [base + sum(choice[a:b]) for base, (a, b) in zip(fixed, spans)]
-        try:
-            cand = PCondition.from_masks(height, {o: (words[2 * x], words[2 * x + 1]) for x, o in enumerate(dom)})
-        except ValueError:
-            continue
-        if p_leq(p, cand) and p_leq(q, cand):
-            return cand
+        cand = {}  # a plain dict of masks: only the witness becomes a PCondition
+        for o, lo, hi in zip(dom, words[::2], words[1::2]):
+            if lo & ~hi:
+                break  # a low word escapes its high word
+            cand[o] = (lo, hi)
+        else:
+            if _leq(p.height, p.masks, cand, height) and _leq(q.height, q.masks, cand, height):
+                return PCondition.from_masks(height, cand)
     return None
 
 
@@ -250,10 +251,9 @@ def p_extend(
     `grants` maps an ordinal to a (low, high) pair of masks, the shape of
     `PCondition.masks`.  Each key joins the domain, all-zero if it is new,
     and receives its masks, whose bits must lie in [height(p),
-    target_height).  Every granted bit is propagated to every domain index
-    above its own in the two-sided order, which keeps both the pairing
-    containment and the extension clauses intact (bits are only ever added,
-    so no conflict can arise).  One sweep up the order, `_carry`, does it.
+    target_height).  `_carry` propagates every granted bit to every domain
+    index above its own in the two-sided order, which keeps the pairing
+    containment and the extension clauses intact: bits are only added.
     """
     if target_height < p.height:
         raise ValueError("target height may not shrink the condition")

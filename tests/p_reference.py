@@ -1,15 +1,18 @@
-"""Reference implementations of the bit-word order, extension and join.
+"""Reference implementations of the bit-word order, extension, join and
+compatibility oracle.
 
 These are the pairwise, set-based versions the package's prefix-union
 sweeps replaced.  They compare every pair of domain indices in the
-two-sided order and work on frozensets of bit positions, so they share no
-logic with the bitmask code; the differential tests require both to agree
-exactly.
+two-sided order and work on frozensets of bit positions or on the words
+themselves, so they share no logic with the bitmask code; the differential
+tests require both to agree exactly.
 """
 
 from __future__ import annotations
 
-from gapforge import InvalidBit, PCondition, UnknownIndex, p_restrict
+import itertools
+
+from gapforge import InvalidBit, PCondition, SearchTooLarge, UnknownIndex, p_restrict
 from helpers import word_from_bits
 
 
@@ -114,3 +117,53 @@ def ref_p_join_from_core(p1: PCondition, p2: PCondition) -> PCondition | None:
     if p1.height < p2.height or not ref_p_leq(p_restrict(p2, core), p_restrict(p1, core)):
         return None
     return ref_p_join(p2, p1)
+
+
+def _oracle_stems(p: PCondition, q: PCondition) -> list[str] | None:
+    """Per (ordinal, side), ordinals ascending and side 0 first: the longer
+    of the inputs' words there, which every common extension continues.
+    None when two words there are not one a prefix of the other."""
+    pe, qe = p.entries, q.entries
+    stems = []
+    for o in sorted(set(pe) | set(qe)):
+        for s in (0, 1):
+            known = sorted((c[o][s] for c in (pe, qe) if o in c), key=len)
+            if not known[-1].startswith(known[0]):
+                return None
+            stems.append(known[-1])
+    return stems
+
+
+def ref_oracle_free_bits(p: PCondition, q: PCondition) -> int | None:
+    """The characters a common extension of height max(heights) adds to the
+    stems; None when the stems conflict."""
+    stems = _oracle_stems(p, q)
+    height = max(p.height, q.height)
+    return None if stems is None else sum(height - len(w) for w in stems)
+
+
+def ref_p_compatible_oracle(p: PCondition, q: PCondition, max_free_bits: int = 24) -> PCondition | None:
+    """The least common extension of p and q on dom(p) | dom(q) at height
+    max(heights), ordering conditions by their words, ordinals ascending and
+    side 0 first; None when there is none.  Every candidate continues the
+    stems, so conflicting stems give None before any count, and more than
+    `max_free_bits` added characters raise SearchTooLarge."""
+    stems = _oracle_stems(p, q)
+    if stems is None:
+        return None
+    height = max(p.height, q.height)
+    n_free = sum(height - len(w) for w in stems)
+    if n_free > max_free_bits:
+        raise SearchTooLarge(f"{n_free} free bits exceed the {max_free_bits}-bit cap")
+    dom = sorted(set(p.entries) | set(q.entries))
+    tails = [["".join(t) for t in itertools.product("01", repeat=height - len(w))] for w in stems]
+    witnesses = []
+    for choice in itertools.product(*tails):
+        words = [w + t for w, t in zip(stems, choice)]
+        try:
+            cand = PCondition(height, {o: (words[2 * x], words[2 * x + 1]) for x, o in enumerate(dom)})
+        except ValueError:
+            continue  # a low word escapes its high word
+        if ref_p_leq(p, cand) and ref_p_leq(q, cand):
+            witnesses.append(cand)
+    return min(witnesses, key=lambda c: [c.entries[o] for o in dom], default=None)

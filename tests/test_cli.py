@@ -898,6 +898,19 @@ def test_a_condition_listing_an_ordinal_twice_exits_2(field, tmp_path, capsys):
         assert capsys.readouterr() == ("", f"gapforge: ValueError: the {field} list names an ordinal twice\n")
 
 
+def test_a_p_condition_listing_an_ordinal_twice_exits_2(tmp_path, capsys):
+    """Loaded, the repeat would overwrite the first entry without a word:
+    `oracle p` refuses it, as `oracle q` refuses a repeated ordinal."""
+    good = PCondition(1, {fin(1): ("0", "1")}).to_json()
+    c = _write(tmp_path / "c.json", good)
+    twice = _write(tmp_path / "twice.json", good | {"entries": good["entries"] * 2})
+    assert main(["oracle", "p", "--cond1", c, "--cond2", c]) == 0
+    capsys.readouterr()
+    for cond1, cond2 in ((twice, c), (c, twice)):
+        assert main(["oracle", "p", "--cond1", cond1, "--cond2", cond2]) == 2
+        assert capsys.readouterr() == ("", "gapforge: ValueError: duplicate entry at 1\n")
+
+
 @pytest.mark.parametrize("field", ["S", "T", "D"])
 def test_a_partition_listing_an_ordinal_twice_exits_2(field, tmp_path, capsys):
     gap, ladder, _ = _hausdorff_inputs(tmp_path)

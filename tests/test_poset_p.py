@@ -206,18 +206,20 @@ def test_p_extend_postcondition_raises(monkeypatch):
 
 
 def test_p_join_postcondition_raises(monkeypatch):
-    real, calls = p_leq, []
+    """A join whose sweep loses a grant is no upper bound of p: the
+    postcondition refuses it, whichever of its checks catches it."""
+    p, q = PCondition(1, {AL: ("1", "1"), BE: ("0", "1")}), PCondition(2, {AL: ("11", "11")})
+    assert p_join(p, q).masks == {AL: (0b11, 0b11), BE: (0b10, 0b11)}  # AL's new bit reaches BE
+    real = poset_p._carry
 
-    def leq_failing_after_hypothesis(p, q):
-        calls.append((p, q))
-        return real(p, q) if len(calls) == 1 else False
+    def carry_dropping_al(masks, grants):
+        return real(masks, {o: pair for o, pair in grants.items() if o != AL})
 
-    monkeypatch.setattr(poset_p, "p_leq", leq_failing_after_hypothesis)
+    monkeypatch.setattr(poset_p, "_carry", carry_dropping_al)
     with pytest.raises(InvariantViolation) as err:
-        p_join(PCondition(1, {AL: ("1", "1"), BE: ("0", "1")}), PCondition(2, {AL: ("11", "11")}))
+        p_join(p, q)
     assert err.value.invariant == "join-upper-bound"
     assert "heights 1 and 2" in err.value.detail
-    assert len(calls) == 2
 
 
 def test_p_extend_random_invariants():

@@ -11,14 +11,30 @@ from gapforge import (
     InvalidBit,
     Ordinal,
     PCondition,
+    SearchTooLarge,
+    p_compatible_oracle,
     p_extend,
     p_join,
     p_join_from_core,
     p_leq,
     p_restrict,
 )
-from helpers import enumerate_conditions, fin, grants_from_bits, random_extension, random_pcondition
-from p_reference import ref_p_extend, ref_p_join, ref_p_join_from_core, ref_p_leq
+from helpers import (
+    enumerate_conditions,
+    fin,
+    grants_from_bits,
+    random_extension,
+    random_mask_pair,
+    random_pcondition,
+)
+from p_reference import (
+    ref_oracle_free_bits,
+    ref_p_compatible_oracle,
+    ref_p_extend,
+    ref_p_join,
+    ref_p_join_from_core,
+    ref_p_leq,
+)
 
 # two w-blocks, so side-1 sweeps cross a limit as well as finite steps
 POOL = [fin(0), fin(1), fin(2), fin(5), Ordinal(1, 0), Ordinal(1, 3), Ordinal(2, 1)]
@@ -85,6 +101,84 @@ def test_p_leq_matches_reference_on_grid():
         assert p_leq(p, q) is expected, (p, q)
         related += expected
     assert 0 < related < len(grid) ** 2
+
+
+def test_p_leq_at_equal_heights_matches_reference_on_near_misses():
+    """At equal heights the order is a subset test of the entries: q equal
+    to p, q with one bit flipped, q with keys p lacks, and q missing one of
+    p's keys, each read both ways."""
+    rng = random.Random(34)
+    verdicts = {"same": set(), "flipped": set(), "extra keys": set(), "missing key": set()}
+    for _ in range(2_000):
+        p = random_pcondition(rng, POOL, rng.randint(1, 4), max_dom=5)
+        outside = [o for o in POOL if o not in p.masks]
+        near = {"same": PCondition.from_masks(p.height, dict(p.masks)), "flipped": _flip_one_bit(rng, p, 0)}
+        if outside:
+            extra = rng.sample(outside, rng.randint(1, min(2, len(outside))))
+            near["extra keys"] = PCondition.from_masks(
+                p.height, {**p.masks, **{o: random_mask_pair(rng, p.height) for o in extra}})
+        if p.masks:
+            near["missing key"] = p_restrict(p, sorted(p.masks)[:-1] if rng.random() < 0.5 else sorted(p.masks)[1:])
+        for kind, q in near.items():
+            if q is None:
+                continue
+            assert q.height == p.height
+            assert p_leq(p, q) is ref_p_leq(p, q), (kind, p, q)
+            assert p_leq(q, p) is ref_p_leq(q, p), (kind, q, p)
+            verdicts[kind].add((p_leq(p, q), p_leq(q, p)))
+    # a flip or a dropped key breaks the order one way; an added key keeps it one way
+    assert verdicts == {"same": {(True, True)}, "flipped": {(False, False)},
+                        "extra keys": {(True, False)}, "missing key": {(False, True)}}
+
+
+def _check_oracle(p: PCondition, q: PCondition, cap: int) -> str:
+    """Compare the oracle with the reference at the free-bit cap `cap`, and
+    name the outcome both gave."""
+    try:
+        expected = ref_p_compatible_oracle(p, q, max_free_bits=cap)
+    except SearchTooLarge:
+        with pytest.raises(SearchTooLarge):
+            p_compatible_oracle(p, q, max_free_bits=cap)
+        return "too large"
+    assert p_compatible_oracle(p, q, max_free_bits=cap) == expected, (p, q)
+    return "compatible" if expected is not None else "incompatible"
+
+
+def test_oracle_matches_reference_on_grid():
+    grid = enumerate_conditions([fin(0), fin(1)], [0, 1, 2])
+    outcomes = {"compatible": 0, "incompatible": 0}
+    for p, q in itertools.product(grid, repeat=2):
+        outcomes[_check_oracle(p, q, 24)] += 1
+    assert min(outcomes.values()) > len(grid), outcomes
+
+
+def test_oracle_matches_reference_on_random_pairs():
+    """Pairs extending one common condition, some of them with one bit
+    flipped above it, at a cap small enough to be hit."""
+    rng = random.Random(35)
+    outcomes = {"compatible": 0, "incompatible": 0, "too large": 0}
+    for _ in range(600):
+        r = random_pcondition(rng, POOL, rng.randint(0, 3), max_dom=4)
+        p, q = random_extension(rng, r, POOL, extra_height=2), random_extension(rng, r, POOL, extra_height=4)
+        if rng.random() < 0.5:
+            q = _flip_one_bit(rng, q, r.height) or q
+        outcomes[_check_oracle(p, q, 6)] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_oracle_search_too_large_boundary_matches_reference():
+    """At a cap of exactly the free bits both search; one below, both raise."""
+    rng = random.Random(36)
+    searched = 0
+    while searched < 200:
+        r = random_pcondition(rng, POOL, rng.randint(0, 3), max_dom=4)
+        p, q = random_extension(rng, r, POOL, extra_height=2), random_pcondition(rng, POOL, r.height + 2, max_dom=3)
+        n_free = ref_oracle_free_bits(p, q)
+        if not n_free or n_free > 10:
+            continue
+        assert _check_oracle(p, q, n_free) != "too large"
+        assert _check_oracle(p, q, n_free - 1) == "too large"
+        searched += 1
 
 
 def _as_bits(grants) -> tuple[list, list]:
