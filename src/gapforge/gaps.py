@@ -12,12 +12,11 @@ laws; everything of interest is measured through the excess number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexMismatch
-from .ordinals import Ladder, Ordinal, SPartition
+from .ordinals import Ladder, Ordinal, SPartition, Value, ordinal_set
 
 # Largest universe a diagram file may declare.  A loaded tower set is first
 # written as its 01 word of universe bytes however few members it has, so
@@ -77,25 +76,25 @@ def almost_subset(a: int, b: int, n: int) -> bool:
     return not (a & ~b) >> n
 
 
-@dataclass(frozen=True)
-class GapFragment:
+class GapFragment(Value):
     """A finite pre-gap diagram: index sets I and J with subsets of [0, M).
 
     The a-map is keyed by I, the b-map by J.  Purely a diagram; which gap
     predicates it satisfies is measured by the checkers below.
     """
 
-    universe: int
-    a: Mapping[Ordinal, int]
-    b: Mapping[Ordinal, int]
+    __slots__ = ("universe", "a", "b")
 
-    def __post_init__(self):
-        if self.universe < 0:
+    def __init__(self, universe: int, a: Mapping[Ordinal, int], b: Mapping[Ordinal, int]):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if universe < 0:
             raise ValueError("universe bound must be a natural")
-        for name, side in (("a", self.a), ("b", self.b)):
+        for name, side in (("a", a), ("b", b)):
             for o, mask in side.items():
-                if mask < 0 or mask >> self.universe:
-                    raise ValueError(f"{name}[{o}] leaves the universe [0, {self.universe})")
+                if mask < 0 or mask >> universe:
+                    raise ValueError(f"{name}[{o}] leaves the universe [0, {universe})")
 
     @property
     def I(self) -> tuple[Ordinal, ...]:
@@ -151,16 +150,14 @@ class GapFragment:
                 text[x] = 49  # "1"
             return bits(text)
 
-        iset = [Ordinal.from_json(o) for o in data["I"]]
-        jset = [Ordinal.from_json(o) for o in data["J"]]
+        iset = ordinal_set(data["I"], "I")
+        jset = ordinal_set(data["J"], "J")
         # a listed index's key is its canonical key; any other key is parsed, and refused if not canonical
-        known = {o.key(): o for o in iset + jset}
+        known = {o.key(): o for o in iset | jset}
         a = {(known[k] if k in known else Ordinal.from_key(k)): mask(k, v) for k, v in data["a"].items()}
         b = {(known[k] if k in known else Ordinal.from_key(k)): mask(k, v) for k, v in data["b"].items()}
-        if set(a) != set(iset) or set(b) != set(jset):
+        if a.keys() != iset or b.keys() != jset:
             raise ValueError("index lists do not match the tower maps")
-        if len(iset) != len(a) or len(jset) != len(b):
-            raise ValueError("an index list names an index twice")
         return cls(universe, a, b)
 
 
@@ -247,11 +244,13 @@ def c_hausdorff_check(
     return rows, failures
 
 
-@dataclass(frozen=True)
-class Witnesses:
+class Witnesses(Value):
     """`c_hausdorff_check`'s rows as a report value, one JSON object per row."""
 
-    rows: list[tuple[Ordinal, Ordinal, int, int]]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[tuple[Ordinal, Ordinal, int, int]]):
+        object.__setattr__(self, "rows", rows)
 
 
 def excess_matrix_csv(g: GapFragment) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import TableTooShort, UnknownDelta
@@ -84,6 +83,39 @@ class Ordinal(tuple):
         return head if self.r == 0 else f"{head}+{self.r}"
 
 
+class Value:
+    """An immutable value.  Each subclass names its fields in `__slots__` and
+    sets them in its own `__init__` through `object.__setattr__`.  It equals
+    only an instance of its own class with equal fields, hashes their tuple,
+    writes its repr as `Name(field=value, ...)`, and pickles through its
+    constructor; assigning or deleting any attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 def ordinal_set(listed, name: str) -> frozenset[Ordinal]:
     """The ordinals of a JSON list, refusing one that the list names twice."""
     out = [Ordinal.from_json(o) for o in listed]
@@ -104,8 +136,7 @@ def two_sided(ordinals: Iterable[Ordinal]) -> Iterator[tuple[Ordinal, int]]:
         yield o, 1
 
 
-@dataclass(frozen=True)
-class Ladder:
+class Ladder(Value):
     """A ladder system: per limit ordinal d, an increasing sequence below d.
 
     Canonical mode computes c_d(n) = (d.q - 1, n) for every n and every
@@ -113,15 +144,17 @@ class Ladder:
     past the table raise TableTooShort rather than extrapolating.
     """
 
-    mode: str
-    entries: Mapping[Ordinal, tuple[Ordinal, ...]] = field(default_factory=dict)
+    __slots__ = ("mode", "entries")
 
-    def __post_init__(self):
-        if self.mode not in ("canonical", "explicit"):
-            raise ValueError(f"ladder mode must be canonical or explicit, got {self.mode!r}")
-        if self.mode == "canonical" and self.entries:
+    def __init__(self, mode: str, entries: Mapping[Ordinal, tuple[Ordinal, ...]] | None = None):
+        entries = {} if entries is None else entries
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "entries", entries)
+        if mode not in ("canonical", "explicit"):
+            raise ValueError(f"ladder mode must be canonical or explicit, got {mode!r}")
+        if mode == "canonical" and entries:
             raise ValueError("canonical ladders carry no table")
-        for delta, values in self.entries.items():
+        for delta, values in entries.items():
             if not delta.is_limit:
                 raise ValueError(f"ladder domain must consist of limits, got {delta}")
             if any(not v < delta for v in values):
@@ -222,21 +255,23 @@ class Ladder:
         raise ValueError(f"bad ladder mode: {data['mode']!r}")
 
 
-@dataclass(frozen=True)
-class SPartition:
+class SPartition(Value):
     """Designated finite sets standing in for a stationary set S, its
     complement T, and a club D.  Checkers take these as explicit input;
     no stationarity is modeled or claimed."""
 
-    S: frozenset[Ordinal]
-    T: frozenset[Ordinal] = frozenset()
-    D: frozenset[Ordinal] = frozenset()
+    __slots__ = ("S", "T", "D")
 
-    def __post_init__(self):
-        for name, part in (("S", self.S), ("T", self.T)):
+    def __init__(
+        self, S: frozenset[Ordinal], T: frozenset[Ordinal] = frozenset(), D: frozenset[Ordinal] = frozenset()
+    ):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "D", D)
+        for name, part in (("S", S), ("T", T)):
             if any(not o.is_limit for o in part):
                 raise ValueError(f"{name} must consist of limit ordinals")
-        if self.S & self.T:
+        if S & T:
             raise ValueError("S and T must be disjoint")
 
     def to_json(self) -> dict:

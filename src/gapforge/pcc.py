@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
 from typing import Sequence
 
 from .errors import InvariantViolation
 from .gaps import GapFragment, bits, members, table_csv, word
-from .ordinals import Ladder, Ordinal, SPartition
+from .ordinals import Ladder, Ordinal, SPartition, Value
 from .poset_q import QCondition, QContext, ladder_blocked, q_compatible, upper_join, upper_meet
 
 
-@dataclass(frozen=True)
-class CompatMatrix:
+class CompatMatrix(Value):
     """Pairwise compatibility of two indexed condition families.
 
     Bit y of rows[x] records whether the conditions at row_index[x] and
@@ -33,17 +31,18 @@ class CompatMatrix:
     bit past the last column.
     """
 
-    row_index: tuple[Ordinal, ...]
-    col_index: tuple[Ordinal, ...]
-    rows: tuple[int, ...]
+    __slots__ = ("row_index", "col_index", "rows")
 
-    def __post_init__(self):
-        _require_increasing(self.row_index, "matrix row indices")
-        _require_increasing(self.col_index, "matrix column indices")
-        if len(self.rows) != len(self.row_index):
-            raise ValueError(f"{len(self.rows)} matrix rows for {len(self.row_index)} row indices")
-        width = len(self.col_index)
-        if any(r >> width for r in self.rows):  # a negative row shifts to -1
+    def __init__(self, row_index: tuple[Ordinal, ...], col_index: tuple[Ordinal, ...], rows: tuple[int, ...]):
+        object.__setattr__(self, "row_index", row_index)
+        object.__setattr__(self, "col_index", col_index)
+        object.__setattr__(self, "rows", rows)
+        _require_increasing(row_index, "matrix row indices")
+        _require_increasing(col_index, "matrix column indices")
+        if len(rows) != len(row_index):
+            raise ValueError(f"{len(rows)} matrix rows for {len(row_index)} row indices")
+        width = len(col_index)
+        if any(r >> width for r in rows):  # a negative row shifts to -1
             raise ValueError(f"a matrix row sets a bit past its {width} columns")
 
     @property
@@ -127,8 +126,7 @@ def build_compat_matrix(
     return CompatMatrix(tuple(o for o, _ in fam1), tuple(o for o, _ in fam2), tuple(rows))
 
 
-@dataclass(frozen=True)
-class PccInstance:
+class PccInstance(Value):
     """Two condition families in the split shape the pair-finder exploits.
 
     Each family is a tuple of (index, condition) pairs in ascending index
@@ -143,24 +141,31 @@ class PccInstance:
     certifies compatibility of an order-respecting pair.
     """
 
-    ctx: QContext
-    gamma: Ordinal
-    fam1: tuple[tuple[Ordinal, QCondition], ...]
-    fam2: tuple[tuple[Ordinal, QCondition], ...]
-    k: int
+    __slots__ = ("ctx", "gamma", "fam1", "fam2", "k")
 
-    def __post_init__(self):
-        for fam in (self.fam1, self.fam2):
+    def __init__(
+        self,
+        ctx: QContext,
+        gamma: Ordinal,
+        fam1: tuple[tuple[Ordinal, QCondition], ...],
+        fam2: tuple[tuple[Ordinal, QCondition], ...],
+        k: int,
+    ):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "fam1", fam1)
+        object.__setattr__(self, "fam2", fam2)
+        object.__setattr__(self, "k", k)
+        for fam in (fam1, fam2):
             _require_increasing([d for d, _ in fam], "index lists")
-            if any(d in self.ctx.part.S for d, _ in fam):
+            if any(d in ctx.part.S for d, _ in fam):
                 raise ValueError("family indices must avoid the designated set S")
-        if {d for d, _ in self.fam1} & {d for d, _ in self.fam2}:
+        if {d for d, _ in fam1} & {d for d, _ in fam2}:
             raise ValueError("the two index lists must be disjoint")
-        merged = sorted([*self.fam1, *self.fam2], key=itemgetter(0))
-        gamma = self.gamma
+        merged = sorted([*fam1, *fam2], key=itemgetter(0))
         core = None
         for pos, (delta, p) in enumerate(merged):
-            self.ctx.check_condition(p)
+            ctx.check_condition(p)
             dom = sorted(p.w | p.s)
             upper = bisect_left(dom, gamma)  # dom[upper:] is the part at or beyond gamma
             if upper < len(dom) and dom[upper] < delta:
@@ -175,8 +180,8 @@ class PccInstance:
                 if not dom[-1] < fence:
                     raise ValueError(f"upper domain at {delta} must stay below the next index {fence}")
             for alpha in p.s:
-                if not alpha < gamma and not self.ctx.ladder.count_below(alpha, delta) < self.k:
-                    raise ValueError(f"k={self.k} does not bound the rung count of {alpha} below {delta}")
+                if not alpha < gamma and not ctx.ladder.count_below(alpha, delta) < k:
+                    raise ValueError(f"k={k} does not bound the rung count of {alpha} below {delta}")
 
 
 def pcc_ab_profiles(inst: PccInstance) -> tuple[dict[Ordinal, int], dict[Ordinal, int]]:

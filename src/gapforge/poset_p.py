@@ -17,17 +17,15 @@ k; `gaps.word` builds the `01` strings on request (`entries`, `word`, `to_json`)
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import HypothesisFailure, InvalidBit, InvariantViolation, SearchTooLarge
 from .gaps import MAX_UNIVERSE, bits, word
-from .ordinals import Ordinal
+from .ordinals import Ordinal, Value
 
 
-@dataclass(frozen=True, init=False)
-class PCondition:
+class PCondition(Value):
     """height plus a finite map ordinal -> (low mask, high mask).
 
     Mask bit k is character k of the word it stands for.  Invariants
@@ -37,8 +35,7 @@ class PCondition:
     Instances are frozen and hashable, and the map is read-only.
     """
 
-    height: int
-    masks: Mapping[Ordinal, tuple[int, int]]
+    __slots__ = ("height", "masks")
 
     def __init__(self, height: int, entries: Mapping[Ordinal, tuple[str, str]]):
         """Build from words: each is checked for length and alphabet, then
@@ -64,6 +61,7 @@ class PCondition:
         return self
 
     def __post_init__(self):
+        # the one check of both constructors: perfbench/tracer.py counts constructions here
         if self.height < 0:
             raise ValueError("height must be a natural")
         for o, (lo, hi) in self.masks.items():

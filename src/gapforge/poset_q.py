@@ -14,23 +14,24 @@ one) and the pcc compatibility matrix (one call per family) stand on it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Sequence
 
 from .errors import TableTooShort, UnknownIndex
 from .gaps import GapFragment, bits, word
-from .ordinals import Ladder, Ordinal, SPartition, ordinal_set
+from .ordinals import Ladder, Ordinal, SPartition, Value, ordinal_set
 
 
-@dataclass(frozen=True)
-class QCondition:
+class QCondition(Value):
     """A pair (w, s) of finite ordinal sets; s must stay inside the
     designated set S of the ambient context."""
 
-    w: frozenset[Ordinal]
-    s: frozenset[Ordinal]
+    __slots__ = ("w", "s")
+
+    def __init__(self, w: frozenset[Ordinal], s: frozenset[Ordinal]):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def empty(cls) -> QCondition:
@@ -46,20 +47,20 @@ class QCondition:
         return cls(ordinal_set(data["w"], "w"), ordinal_set(data["s"], "s"))
 
 
-@dataclass(frozen=True)
-class QContext:
+class QContext(Value):
     """The bound context: a diagram with one shared index set, a ladder
     covering the designated limits, and the designated-set partition."""
 
-    g: GapFragment
-    ladder: Ladder
-    part: SPartition
+    __slots__ = ("g", "ladder", "part")
 
-    def __post_init__(self):
-        if set(self.g.a) != set(self.g.b):
+    def __init__(self, g: GapFragment, ladder: Ladder, part: SPartition):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "ladder", ladder)
+        object.__setattr__(self, "part", part)
+        if set(g.a) != set(g.b):
             raise ValueError("the context diagram must carry one shared index set")
-        for delta in self.part.S:
-            if not self.ladder.has(delta):
+        for delta in part.S:
+            if not ladder.has(delta):
                 raise ValueError(f"designated limit {delta} has no ladder")
 
     def check_condition(self, p: QCondition) -> None:

@@ -13,7 +13,6 @@ filter would guarantee is downgraded to invariants checked on the result.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, RequirementFailure
@@ -24,12 +23,14 @@ from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_
 from .poset_q import QCondition, QContext, q_leq
 
 
-@dataclass
 class SimRun:
     """One deterministic run: the names of its steps, and the increasing trace."""
 
-    schedule: list[str]
-    trace: list
+    __slots__ = ("schedule", "trace")
+
+    def __init__(self, schedule: list[str], trace: list):
+        self.schedule = schedule
+        self.trace = trace
 
     @property
     def result(self):

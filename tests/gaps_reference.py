@@ -56,14 +56,16 @@ def ref_fragment_from_json(data) -> GapFragment:
 
     if not isinstance(data["a"], dict) or not isinstance(data["b"], dict):
         raise ValueError("the a and b maps must be JSON objects")
-    iset = [ref_ordinal_from_json(o) for o in data["I"]]
-    jset = [ref_ordinal_from_json(o) for o in data["J"]]
+    idx = {}
+    for name in "IJ":
+        idx[name] = [ref_ordinal_from_json(o) for o in data[name]]
+        # refused before any member is read
+        if len(set(idx[name])) != len(idx[name]):
+            raise ValueError(f"the {name} list names an ordinal twice")
     a = {Ordinal.from_key(k): mask(k, v) for k, v in data["a"].items()}
     b = {Ordinal.from_key(k): mask(k, v) for k, v in data["b"].items()}
-    if set(a) != set(iset) or set(b) != set(jset):
+    if set(a) != set(idx["I"]) or set(b) != set(idx["J"]):
         raise ValueError("index lists do not match the tower maps")
-    if len(iset) != len(a) or len(jset) != len(b):
-        raise ValueError("an index list names an index twice")
     return GapFragment(universe, a, b)
 
 

@@ -874,12 +874,15 @@ def test_each_command_reads_its_manifest_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("side", ["I", "J"])
 def test_a_fragment_listing_an_index_twice_exits_2(side, tmp_path, capsys):
     """Written back, such a fragment would list the index once: the reader
-    refuses it, as the condition and ladder readers refuse their duplicates."""
+    refuses it through `ordinal_set`, as the condition and partition readers
+    refuse their duplicates, before it reads a member (here every one is bad)."""
     frag = _tiny_special_fragment().to_json()
     frag[side] = [frag[side][0], *frag[side]]
+    for tower in "ab":
+        frag[tower] = {k: ["x"] for k in frag[tower]}
     gap = _write(tmp_path / "gap.json", frag)
     assert main(["check", "special", "--gap", gap]) == 2
-    assert capsys.readouterr() == ("", "gapforge: ValueError: an index list names an index twice\n")
+    assert capsys.readouterr() == ("", f"gapforge: ValueError: the {side} list names an ordinal twice\n")
 
 
 @pytest.mark.parametrize("field", ["w", "s"])
