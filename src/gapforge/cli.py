@@ -33,6 +33,7 @@ from .errors import (
 from .gaps import (
     MAX_INDICES,
     MAX_UNIVERSE,
+    Failures,
     GapFragment,
     Witnesses,
     c_hausdorff_check,
@@ -75,10 +76,11 @@ def _write_json(write, obj, pad: str) -> None:
     of exact-int pairs (Ordinals, [q, r] lists or tuples) in one format,
     every other scalar through json.dumps; a key that is no str raises
     TypeError in the quoting, where json would convert some of them.  Of the
-    two report values that are no JSON, a GapFragment is written as its
+    report values that are no JSON, a GapFragment is written as its
     `to_json` with no dict: I and J as pair lists, each map in key-text order
     ("10.0" before "2.0"), each set one join around its `member_text` over
-    one table of member texts; Witnesses as one object per row, one format."""
+    one table of member texts; Witnesses and Failures as one object per row,
+    one format over their KEYS."""
     inner = pad + "  "
     if isinstance(obj, GapFragment):
         texts, at, deep = list(map(str, range(obj.universe))), "\n" + inner + "  ", "\n" + inner + "    "
@@ -92,12 +94,13 @@ def _write_json(write, obj, pad: str) -> None:
                 write("".join(("," if n else "", at, '"', key, '": [', text and deep, text, text and at, "]")))
             write("\n" + inner + "}" if side else "}")
         write(f',\n{inner}"universe": {obj.universe}\n{pad}}}')
-    elif isinstance(obj, Witnesses):
+    elif isinstance(obj, (Witnesses, Failures)):
         at, deep = inner + "  ", inner + "    "
-        row = (f'{inner}{{\n{at}"delta": [\n{deep}%d,\n{deep}%d\n{at}],\n{at}"j": [\n{deep}%d,\n{deep}%d\n{at}],\n'
-               f'{at}"k": %d,\n{at}"n_star": %d\n{inner}}}')
-        for n, (d, j, k, n_star) in enumerate(obj.rows):
-            write((",\n" if n else "[\n") + row % (*d, *j, k, n_star))
+        pair = f"[\n{deep}%d,\n{deep}%d\n{at}]"
+        fields = ",\n".join([f'{at}"{key}": {"%d" if n > 1 else pair}' for n, key in enumerate(obj.KEYS)])
+        row = f"{inner}{{\n{fields}\n{inner}}}"
+        for n, (d, j, *ints) in enumerate(obj.rows):
+            write((",\n" if n else "[\n") + row % (*d, *j, *ints))
         write("\n" + pad + "]" if obj.rows else "[]")
     elif isinstance(obj, dict):
         if not obj:
@@ -212,7 +215,7 @@ def _cmd_check(args) -> int:
         {
             "predicate": "c-hausdorff",
             "witnesses": Witnesses(rows),
-            "failures": [{"delta": d.to_json(), "j": j.to_json()} for d, j in failures],
+            "failures": Failures(failures),
             "holds": not failures,
         },
         args.out,

@@ -2,18 +2,19 @@
 
 A set of naturals inside a bounded universe [0, M) is an int bitmask whose
 bit k is member k, and its text a 01 word whose character k is bit k: every
-module converts through `bits`, `word`, `members` and `member_text` alone.
-`GapFragment.from_json` writes each loaded member list into its 01 word,
-checking each member before it sets its character, and reads the word
-through `bits`, under a cap on sets times universe per side.  Between
-finite sets almost-inclusion is vacuous, so a diagram carries no tower
-laws; everything of interest is measured through the excess number.
+module converts through `bits`, `word`, `select`, `members` and
+`member_text` alone.  `GapFragment.from_json` writes each loaded member
+list into its 01 word, checking each member before it sets its character,
+and reads the word through `bits`, under a cap on sets times universe per
+side.  Between finite sets almost-inclusion is vacuous, so a diagram
+carries no tower laws; everything of interest is measured through the
+excess number.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexMismatch
 from .ordinals import Ladder, Ordinal, SPartition, Value, ordinal_set
@@ -47,16 +48,34 @@ def word(mask: int, length: int) -> str:
 
 # translation table: the byte "1" to 1, every other byte to 0
 _ONES = bytes(c == ord("1") for c in range(256))
+# a set holding more than one member in SPARSE bits of its width is dense
+SPARSE = 8
+
+
+def select(items: Iterable, mask: int) -> Iterator:
+    """items[k] for each member k of a set, ascending, in C: one flag per bit of the set's width."""
+    return compress(items, format(mask, "b")[::-1].encode().translate(_ONES))
 
 
 def members(mask: int) -> list[int]:
-    """The members of a set, ascending."""
-    return list(compress(count(), format(mask, "b")[::-1].encode().translate(_ONES)))
+    """The members of a set, ascending.  A dense set flags every bit of
+    its width; a sparse one (see SPARSE) costs what it holds, one search of
+    its binary text per member, from the lowest (the end of the text) up."""
+    if mask.bit_count() * SPARSE > mask.bit_length():
+        return list(select(count(), mask))
+    text = format(mask, "b")
+    top = len(text) - 1
+    out = []
+    k = text.rfind("1")
+    while k >= 0:
+        out.append(top - k)
+        k = text.rfind("1", 0, k)
+    return out
 
 
 def member_text(mask: int, texts: Sequence[str], sep: str) -> str:
     """texts[k] for each member k of a set, ascending, joined by sep: no member list is built."""
-    return sep.join(compress(texts, format(mask, "b")[::-1].encode().translate(_ONES)))
+    return sep.join(select(texts, mask))
 
 
 def table_csv(row_index: Iterable[Ordinal], col_index: Iterable[Ordinal], rows: Iterable[Iterable[str]]) -> str:
@@ -245,11 +264,24 @@ def c_hausdorff_check(
 
 
 class Witnesses(Value):
-    """`c_hausdorff_check`'s rows as a report value, one JSON object per row."""
+    """`c_hausdorff_check`'s rows as a report value, one JSON object per row
+    under KEYS: its two ordinals as [q, r] pairs, then its ints."""
 
     __slots__ = ("rows",)
+    KEYS = ("delta", "j", "k", "n_star")
 
     def __init__(self, rows: list[tuple[Ordinal, Ordinal, int, int]]):
+        object.__setattr__(self, "rows", rows)
+
+
+class Failures(Value):
+    """`c_hausdorff_check`'s failures as a report value, written as
+    `Witnesses` are: one JSON object per (delta, j) pair under KEYS."""
+
+    __slots__ = ("rows",)
+    KEYS = ("delta", "j")
+
+    def __init__(self, rows: list[tuple[Ordinal, Ordinal]]):
         object.__setattr__(self, "rows", rows)
 
 

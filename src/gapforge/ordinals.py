@@ -199,20 +199,22 @@ class Ladder(Value):
         past an explicit table; end is n when the table reaches them all.
         This is the one rung count: every other query is a call on one point.
 
-        A canonical ladder takes one bisection to the rung (delta.q - 1, 1):
-        everything below it counts 0 rungs, and every later candidate is a
-        run of its own with count j.r.  An explicit table bisects back and
-        forth, the first candidate of a run into the table for its count,
-        then the next rung into cand for the run's end, and stops once the
-        prefix is used up: two bisections per run, however long the table.
+        A canonical ladder takes one bisection to the rung (delta.q - 1, 1),
+        a plain pair: everything below it counts 0 rungs, and every later
+        candidate is a run of its own with count j.r.  An explicit table
+        bisects back and forth, the first candidate of a run into the table
+        for its count, then the next rung into cand for the run's end, and
+        stops once the prefix is used up: two bisections per run, however
+        long the table.
         """
-        if not self.has(delta):
+        canonical = self.mode == "canonical"
+        q, r = delta
+        if not (q and not r if canonical else delta in self.entries):  # `has`, on the pair
             raise UnknownDelta(f"no ladder at {delta}")
         if n and not cand[n - 1] < delta:
             raise ValueError(f"a rung count needs j < delta, got j={cand[n - 1]}, delta={delta}")
-        if self.mode == "canonical":
-            q = delta[0] - 1
-            lo = bisect_left(cand, Ordinal(q, 1), 0, n)
+        if canonical:
+            lo = bisect_left(cand, (q - 1, 1), 0, n)
             runs = [(0, lo, 0)] if lo else []
             return runs + [(k, k + 1, cand[k][1]) for k in range(lo, n)], n
         table = self.entries[delta]

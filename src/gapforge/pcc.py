@@ -170,7 +170,8 @@ class PccInstance(Value):
             upper = bisect_left(dom, gamma)  # dom[upper:] is the part at or beyond gamma
             if upper < len(dom) and dom[upper] < delta:
                 raise ValueError(f"domain of the condition at {delta} meets [gamma, {delta})")
-            low = frozenset(filter(gamma.__gt__, p.w)), frozenset(filter(gamma.__gt__, p.s))
+            below = dom[:upper]
+            low = p.w.intersection(below), p.s.intersection(below)  # apart: one union may split two ways
             if core is None:
                 core = low
             elif low != core:
@@ -298,13 +299,14 @@ def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ..
 
 MAX_FAMILY = 2048
 """Most conditions per generated family.  The matrix and the rectangle
-search grow with t1 * t2: `pcc` at 480 x 480 takes 0.15-0.17 s and 20 MB, at
-1024 x 1024 0.23-0.28 s and 29 MB, and at 2048 x 2048 0.59-0.67 s and 55 MB
+search grow with t1 * t2: `pcc` at 480 x 480 takes 0.13-0.19 s and 18 MB, at
+1024 x 1024 0.22-0.29 s and 26 MB, and at 2048 x 2048 0.46-0.56 s and 53 MB
 (3 runs each; wall and peak RSS with interpreter start, 2-vCPU Xeon, Python
 3.11).  The bitmask rows retain 0.6 MiB at 2048 x 2048, where the build
-takes about 0.33 s (0.06 s of it in `ladder_blocked`, 0.11 s listing the
-members of the rows' 198,672 blocked candidates) and the rectangle search
-8 ms."""
+takes 0.13-0.23 s (0.05-0.08 s of it in `ladder_blocked`, 0.04-0.07 s
+listing the members of the rows' 198,672 blocked candidates, which the
+sparse path of `members` lists at a cost per member) and the rectangle
+search 6-11 ms."""
 
 
 def generate_pcc_instance(
@@ -356,17 +358,20 @@ def generate_pcc_instance(
         a_map[o] = random_set(range(universe), 0.4)
         b_map[o] = random_set(range(universe), 0.6)
 
+    # every part is a natural by construction, so each ordinal is built as Ordinal.from_json builds one
+    new = tuple.__new__
     for m, kind in enumerate(kinds):
         base = 3 * (m + 1)
-        delta = Ordinal(base, rng.randint(1, 6))
-        limit = Ordinal(base + 1, 0)
+        r = rng.randint(1, 6)
+        delta = new(Ordinal, (base, r))
+        limit = new(Ordinal, (base + 1, 0))
         limits.add(limit)
-        lowers = {Ordinal(base, delta.r + 1 + t) for t in range(rng.randint(1, 2))}
-        uppers = {Ordinal(base + 2, 1 + t) for t in range(rng.randint(1, 2))}
+        lowers = {new(Ordinal, (base, r + 1 + t)) for t in range(rng.randint(1, 2))}
+        uppers = {new(Ordinal, (base + 2, 1 + t)) for t in range(rng.randint(1, 2))}
         w_extra = lowers | uppers
         s_extra = frozenset({limit}) if rng.random() < 0.8 else frozenset()
         if s_extra:
-            counts.append(delta.r)  # rungs of c_limit below delta
+            counts.append(r)  # rungs of c_limit below delta
         lean = kind == 1 and rng.random() < 0.3
         for o in sorted(w_extra):
             if kind == 1:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
+from itertools import repeat
 from operator import and_, or_
 from typing import Sequence
 
 from .errors import TableTooShort, UnknownIndex
-from .gaps import GapFragment, bits, word
+from .gaps import GapFragment, bits, select
 from .ordinals import Ladder, Ordinal, SPartition, Value, ordinal_set
 
 
@@ -82,14 +83,15 @@ def ladder_blocked(ctx: QContext, conds: Sequence[QCondition], cand: Sequence[Or
     delta on.  Per delta, `Ladder.count_runs` splits the candidates below
     delta into runs of equal r, and per run and anchor the candidates that
     do hold such a u are the OR of the slices sl[u] over the bits u >= r of
-    `used & ~b_i`, where used is the union of the candidates' a-sets and
-    sl[u] the mask of those whose a-set holds u (the bit-sliced index of
-    O'Neil and Quass); the rest of the run is blocked, and only the hit
-    part goes on to the next anchor.  The slices are cut at most once per
-    call, when a delta first has anchors and fresh candidates below it.
-    Whenever a delta has both, a fresh candidate past an explicit ladder
-    table raises TableTooShort first, whatever the outcome; conditions are
-    taken in order, so the first that raises decides the error.
+    `used & ~b_i`, taken in C through `gaps.select`, where used is the
+    union of the candidates' a-sets and sl[u] the mask of those whose a-set
+    holds u (the bit-sliced index of O'Neil and Quass); the rest of the run
+    is blocked, and only the hit part goes on to the next anchor.  The
+    slices are cut at most once per call, when a delta first has anchors
+    and fresh candidates below it.  Whenever a delta has both, a fresh
+    candidate past an explicit ladder table raises TableTooShort first,
+    whatever the outcome; conditions are taken in order, so the first that
+    raises decides the error.
     """
     pos = {o: k for k, o in enumerate(cand)}
     sets = [ctx.g.a[o] for o in cand]
@@ -111,24 +113,19 @@ def ladder_blocked(ctx: QContext, conds: Sequence[QCondition], cand: Sequence[Or
                 j = cand[below.bit_length() - 1]
                 raise TableTooShort(f"ladder at {delta} never reaches {j} within its table")
             if sl is None:
-                # transpose: character k * width + u of the text is bit u of cand[k]'s a-set
+                # transpose: the a-sets as width-bit words, high bit first, the last
+                # candidate's first; reversed, character k * width + u is bit u of cand[k]'s
                 width = used.bit_length()
-                text = "".join([word(s, width) for s in sets])
+                text = "".join(map(format, reversed(sets), repeat(f"0{width}b")))[::-1]
                 sl = [bits(text[u::width]) for u in range(width)]
             below &= ~blocked
-            # within used, so never negative: the bit loop below ends
             outside = [used & ~ctx.g.b[i] for i in w[first:]]
             for lo, hi, r in runs:
                 run = below & (1 << hi) - (1 << lo)
                 for nb in outside:
                     if not run:
                         break
-                    nb = nb >> r << r
-                    hit = 0
-                    while nb:
-                        low = nb & -nb
-                        hit |= sl[low.bit_length() - 1]
-                        nb ^= low
+                    hit = reduce(or_, select(sl, nb >> r << r), 0)
                     blocked |= run & ~hit
                     run &= hit
         out.append(blocked)

@@ -9,11 +9,12 @@ fragment's tower sets are read into frozensets one member test at a time
 logic with the bitmask code; the differential tests require both to agree
 exactly.
 
-`witnesses_json` is the list of dicts the report's witnesses were built as
-before the writer learned `Witnesses`, and `report_default`, passed as
-json.dumps's `default=`, maps a `GapFragment` to its `to_json` and
-`Witnesses` to that list, so that a report object's json.dumps text is
-the text `cli` writes for it.
+`witnesses_json` and `failures_json` are the lists of dicts the report's
+witnesses and failures were built as before the writer learned `Witnesses`
+and `Failures`, and `report_default`, passed as json.dumps's `default=`,
+maps a `GapFragment` to its `to_json` and each of those values to its
+list, so that a report object's json.dumps text is the text `cli` writes
+for it.
 
 `ref_fragment_from_json` is the diagram loader that `GapFragment.from_json`
 replaced: it ORs one shifted bit per checked member into the mask, and
@@ -25,10 +26,11 @@ return equal fragments or raise the same `ValueError`.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count
 from typing import AbstractSet, Mapping
 
 from gapforge import GapFragment, IndexMismatch, Ladder, Ordinal, PccInstance, SPartition
-from gapforge.gaps import MAX_UNIVERSE, Witnesses
+from gapforge.gaps import MAX_UNIVERSE, Failures, Witnesses
 from ordinals_reference import ref_first_index_above, ref_ordinal_from_json, ref_value
 
 
@@ -69,6 +71,16 @@ def ref_fragment_from_json(data) -> GapFragment:
     return GapFragment(universe, a, b)
 
 
+def compress_members(m: int) -> list[int]:
+    """The members of a set, one flag per bit of its width: the listing
+    `gaps.members` ran on every set before it took a sparse path, and the
+    one its dense path still runs."""
+    return list(compress(count(), format(m, "b")[::-1].encode().translate(_ONES)))
+
+
+_ONES = bytes(c == ord("1") for c in range(256))
+
+
 def ref_members(m: int) -> list[int]:
     """The members of a set, ascending, one character of its binary text at
     a time: the comprehension `gaps.members` replaced."""
@@ -101,13 +113,20 @@ def witnesses_json(rows) -> list[dict]:
     return [{"delta": d.to_json(), "j": j.to_json(), "k": k, "n_star": n_star} for d, j, k, n_star in rows]
 
 
+def failures_json(rows) -> list[dict]:
+    """The report form of `c_hausdorff_check`'s failures, in their order."""
+    return [{"delta": d.to_json(), "j": j.to_json()} for d, j in rows]
+
+
 def report_default(obj):
     """json.dumps's `default=` for a report object: the dict forms of its
-    two values that are no JSON."""
+    three values that are no JSON."""
     if isinstance(obj, GapFragment):
         return obj.to_json()
     if isinstance(obj, Witnesses):
         return witnesses_json(obj.rows)
+    if isinstance(obj, Failures):
+        return failures_json(obj.rows)
     raise TypeError(f"{type(obj).__name__} is no report value")
 
 

@@ -20,7 +20,7 @@ from gapforge import (
     simulate,
 )
 from gapforge.cli import build_parser, main
-from gapforge.gaps import MAX_UNIVERSE, Witnesses
+from gapforge.gaps import MAX_UNIVERSE, Failures, Witnesses
 from gapforge.pcc import MAX_FAMILY
 from gapforge.simulate import MAX_INDICES
 from gaps_reference import report_default
@@ -615,6 +615,15 @@ def test_the_writer_writes_witness_rows_as_json_dumps_writes_their_dicts():
     for count in (0, 1, 2, 37, 500):
         rows = [(rng.choice(pool), rng.choice(pool), rng.randrange(50), rng.randrange(10**6)) for _ in range(count)]
         for obj in (Witnesses(rows), {"witnesses": Witnesses(rows), "more": [[Witnesses(rows)]]}):
+            assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2, default=report_default)
+
+
+def test_the_writer_writes_failure_rows_as_json_dumps_writes_their_dicts():
+    rng = random.Random(29)
+    pool = [Ordinal(q, r) for q in (0, 1, 2, 10, 123) for r in (0, 1, 9, 10, 4096)]
+    for count in (0, 1, 2, 37, 500):
+        rows = [(rng.choice(pool), rng.choice(pool)) for _ in range(count)]
+        for obj in (Failures(rows), {"failures": Failures(rows), "more": [[Failures(rows)]]}):
             assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2, default=report_default)
 
 

@@ -29,9 +29,10 @@ from gapforge import (
     special_gap_check,
     uniform_interpolation,
 )
-from gapforge.gaps import MAX_INDICES, MAX_UNIVERSE, member_text
+from gapforge.gaps import MAX_INDICES, MAX_UNIVERSE, SPARSE, member_text
 from gaps_reference import (
     as_sets,
+    compress_members,
     ref_fragment_from_json,
     ref_almost_subset,
     ref_c_hausdorff_check,
@@ -92,6 +93,21 @@ def test_members_matches_its_reference_on_every_small_mask_and_on_tall_ones():
         tall += [rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)]
     for m in tall:
         assert members(m) == ref_members(m)
+
+
+def test_members_matches_the_compress_listing_on_sparse_wide_masks():
+    """0-8 members over 300-65,536 bits, a single top bit, and masks just
+    either side of the density switch, where the listing changes path."""
+    rng = random.Random(73)
+    masks = [0, 1, 1 << 299, 1 << (MAX_UNIVERSE - 1), (1 << MAX_UNIVERSE) - 1]
+    for width in (300, 349, 1000, 6133, 2**14, MAX_UNIVERSE):
+        for n in range(9):
+            masks.append(sum(1 << k for k in rng.sample(range(width - 1), n)) | 1 << (width - 1))
+        # the density switch: one member in SPARSE bits of the width
+        for n in (width // SPARSE - 1, width // SPARSE, width // SPARSE + 1):
+            masks.append(sum(1 << k for k in rng.sample(range(width - 1), n - 1)) | 1 << (width - 1))
+    for m in masks:
+        assert members(m) == compress_members(m) == ref_members(m)
 
 
 def test_member_text_joins_the_texts_of_the_reference_members():

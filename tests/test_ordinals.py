@@ -335,6 +335,31 @@ def test_count_runs_edge_cases():
         canonical.count_runs(delta, [fin(3), Ordinal(1, 2), delta], 3)  # delta is not below delta
 
 
+def test_the_canonical_count_refuses_as_has_and_the_order_refuse():
+    """The canonical path reads delta's parts and builds no ordinal, yet
+    refuses as before: UnknownDelta at a delta that is no limit, ahead of
+    any check of the candidates, and ValueError for a candidate at or above
+    delta.  An explicit table refuses a delta it lacks the same way."""
+    canonical = Ladder.canonical()
+    explicit = Ladder.explicit({Ordinal(1, 0): [fin(2)]})
+    for ladder, delta in [(canonical, d) for d in (Ordinal(0, 0), Ordinal(2, 3), fin(5))] + [(explicit, Ordinal(2, 0))]:
+        assert not ladder.has(delta)
+        for cand in ([], [fin(0)], [Ordinal(3, 0)]):  # the last lies above delta
+            with pytest.raises(UnknownDelta):
+                ladder.count_runs(delta, cand, len(cand))
+        with pytest.raises(UnknownDelta):
+            ladder.count_below(delta, fin(0))
+    for ladder, delta in ((canonical, Ordinal(2, 0)), (explicit, Ordinal(1, 0))):
+        for j in (delta, delta.succ(), Ordinal(5, 0)):
+            with pytest.raises(ValueError):
+                ladder.count_runs(delta, [fin(1), j], 2)
+            with pytest.raises(ValueError):
+                ladder.count_below(delta, j)
+    # only the prefix cand[:n] is read
+    cand = [fin(1), Ordinal(1, 4), Ordinal(2, 0)]
+    assert canonical.count_runs(Ordinal(2, 0), cand, 2) == ([(0, 1, 0), (1, 2, 4)], 2)
+
+
 class _Counted(list):
     """A list that counts the items read from it, bisection included."""
 

@@ -368,6 +368,36 @@ def test_instance_validation_matches_the_per_condition_reference():
     assert seen == {"none", *_BROKEN}
 
 
+def test_a_core_that_moves_an_ordinal_between_w_and_s_is_refused():
+    """The limit w below gamma is a diagram index and a member of S, so one
+    condition may hold it in w and another in s: their parts below gamma
+    have one union, and a check of the union alone would pass them.  The
+    package and the reference both refuse the pair, and both take it when
+    the two cores agree, with w in w, in s, or in both."""
+    gamma, w = Ordinal(2, 0), Ordinal(1, 0)
+    d1, d2 = Ordinal(3, 1), Ordinal(6, 1)
+    idx = {fin(1), w, Ordinal(3, 2), Ordinal(6, 2)}
+    limits = frozenset({w, Ordinal(4, 0)})
+    ctx = QContext(GapFragment(8, dict.fromkeys(idx, 0), dict.fromkeys(idx, 0)), Ladder.canonical(),
+                   SPartition(S=limits, T=frozenset(), D=limits))
+    cores = {"w": (frozenset({fin(1), w}), frozenset()), "s": (frozenset({fin(1)}), frozenset({w})),
+             "both": (frozenset({fin(1), w}), frozenset({w}))}
+
+    def fams(core1, core2):
+        (w1, s1), (w2, s2) = cores[core1], cores[core2]
+        return ((d1, QCondition(w1 | {Ordinal(3, 2)}, s1)),), ((d2, QCondition(w2 | {Ordinal(6, 2)}, s2)),)
+
+    for core1, core2 in itertools.product(cores, repeat=2):
+        args = (ctx, gamma, *fams(core1, core2), 0)
+        if core1 == core2:
+            PccInstance(*args)
+            ref_validate_instance(*args)
+            continue
+        for make in (PccInstance, ref_validate_instance):
+            with pytest.raises(ValueError, match="share one core below gamma"):
+                make(*args)
+
+
 def test_an_upper_s_member_below_its_index_meets_the_domain_test_first():
     """A designated limit in [gamma, delta) put into s is a domain member
     there, so the domain test refuses it before any test of where upper s

@@ -330,6 +330,41 @@ def test_a_family_call_equals_its_per_condition_calls(kind):
     assert (seen["two error types"] > 0) is (len(raising) > 1), seen
 
 
+def test_ladder_blocked_matches_reference_on_explicit_ladders_with_counted_runs():
+    """Explicit tables of 1-6 rungs below w over twelve candidates, so that
+    runs of several candidates count r > 0 rungs: the kernel ORs each run's
+    slices from bit r up, as the reference shifts each a-set by its count.
+    The cut must decide some candidates: blocked at its count r, though its
+    a-set meets every anchor's complement, below r."""
+    delta = Ordinal(1, 0)
+    part = SPartition(S=frozenset({delta}), T=frozenset(), D=frozenset({delta}))
+    cand = [fin(k) for k in range(12)]
+    anchors = [Ordinal(1, 1 + v) for v in range(4)]
+    rng = random.Random(82)
+    seen = Counter()
+    for _ in range(300):
+        universe = rng.randint(1, 10)
+        # the last rung, 12, lies above every candidate: no table runs short
+        ladder = Ladder.explicit({delta: [fin(x) for x in sorted(rng.sample(range(12), rng.randint(1, 5))) + [12]]})
+        a = {o: rng.getrandbits(universe) for o in cand + anchors}
+        b = {o: rng.getrandbits(universe) for o in cand + anchors}
+        ctx = QContext(GapFragment(universe, a, b), ladder, part)
+        conds = [
+            QCondition(frozenset(rng.sample(cand, rng.randint(0, 3)) + rng.sample(anchors, rng.randint(1, 4))),
+                       frozenset({delta}))
+            for _ in range(4)
+        ]
+        runs, _ = ladder.count_runs(delta, cand, len(cand))
+        seen["run of several, r > 0"] += sum(hi - lo > 1 and r > 0 for lo, hi, r in runs)
+        for p, got in zip(conds, _blocked(ctx, conds, cand)):
+            for lo, hi, r in runs:
+                for k in range(lo, hi):
+                    meets = [a[cand[k]] & ~b[i] for i in p.w if delta <= i]
+                    if got >> k & 1 and r and all(meets):
+                        seen["decided by the cut"] += 1
+    assert min(seen["run of several, r > 0"], seen["decided by the cut"]) >= 100, seen
+
+
 def test_ladder_blocked_matches_reference_on_every_small_list():
     """Every list of up to 3 a-sets over a universe of at most 4, below the
     limit w, against one anchor above w per b-set, one condition each, and

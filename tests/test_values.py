@@ -17,7 +17,7 @@ import pytest
 
 import gapforge
 from gapforge import CompatMatrix, GapFragment, Ladder, Ordinal, PccInstance, PCondition, QCondition, QContext, SPartition
-from gapforge.gaps import Witnesses
+from gapforge.gaps import Failures, Witnesses
 from gapforge.ordinals import Value
 from helpers import fin
 
@@ -41,6 +41,11 @@ CASES = {
         lambda: Witnesses([(W, W.succ(), 0, 2)]),
         False,
         "Witnesses(rows=[(Ordinal(q=1, r=0), Ordinal(q=1, r=1), 0, 2)])",
+    ),
+    Failures: (
+        lambda: Failures([(W, W.succ())]),
+        False,
+        "Failures(rows=[(Ordinal(q=1, r=0), Ordinal(q=1, r=1))])",
     ),
     Ladder: (
         lambda: Ladder.explicit({W: [fin(1), fin(3)]}),
