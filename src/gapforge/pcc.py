@@ -89,7 +89,7 @@ def build_compat_matrix(
 
     p and q are compatible exactly when their union extends both, that is
     when neither one's ladder clause blocks a w member the other brings
-    in.  Each condition is validated once and each family's w-union sorted
+    in.  Each family is validated once, through its union, whose w is sorted
     once; one `ladder_blocked` call per family takes the rows' blocked sets
     over the column union and another the columns' over the row union (bit
     k = k-th member), bit-slicing each family's w-union once at most.
@@ -104,9 +104,9 @@ def build_compat_matrix(
     """
     cands = []
     for fam in (fam1, fam2):
-        for _, p in fam:
-            ctx.check_condition(p)
-        cands.append(sorted(set().union(*(p.w for _, p in fam))))
+        union = QCondition(frozenset().union(*(p.w for _, p in fam)), frozenset().union(*(p.s for _, p in fam)))
+        ctx.check_condition(union)
+        cands.append(sorted(union.w))
     cand1, cand2 = cands
     blocked1 = ladder_blocked(ctx, [p for _, p in fam1], cand2)
     blocked2 = ladder_blocked(ctx, [q for _, q in fam2], cand1)

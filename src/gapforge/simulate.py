@@ -6,7 +6,7 @@ one sweep, the final condition of the P chain those draws determine; it
 then checks tower coherence and the pairing containment on that diagram.
 The selection stands in for a generic filter in Q by a finite chain: one
 loop grows s by the designated limits and w by fresh indices, each pick
-drawn from the seed, and `q_leq` verifies every step.  What a generic
+drawn from the seed, and `ladder_blocked` checks every pick.  What a generic
 filter would guarantee is downgraded to invariants checked on the result.
 """
 
@@ -16,11 +16,10 @@ import random
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, RequirementFailure
-from .gaps import MAX_INDICES  # unused here, but simulate.MAX_INDICES still names the forge cap
 from .gaps import GapFragment, Witnesses, bits, c_hausdorff_check, excess_matrix_csv
 from .ordinals import Ladder, Ordinal, SPartition, two_sided
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
-from .poset_q import QCondition, QContext, q_leq
+from .poset_q import QCondition, QContext, ladder_blocked
 
 
 class SimRun:
@@ -44,9 +43,10 @@ def build_filter(ctx: QContext, wsize: int, seed: int) -> SimRun:
     picks one tower index into w: of the indices above the last pick that
     leave enough above them to finish, the one a seed-shuffled order ranks
     first.  A pick above the current maximum of w is never blocked, and
-    that window is never empty, so every step is taken; each is still
-    checked by `q_leq`.  A `wsize` above the number of tower indices fails
-    before any step.
+    that window is never empty, so every step is taken; the clause kernel
+    still checks each pick, and the last condition, which holds every
+    earlier one, is checked once against the context.  A `wsize` above the
+    number of tower indices fails before any step.
     """
     if wsize < 0:
         raise ValueError(f"target size of w must be a natural, got {wsize}")
@@ -59,19 +59,18 @@ def build_filter(ctx: QContext, wsize: int, seed: int) -> SimRun:
     rank = sorted(range(n), key=shuffled.__getitem__)  # the inverse: where each position was shuffled to
     limits = sorted(ctx.part.S)
     run, last = SimRun([], [QCondition.empty()]), -1
-
-    def step(name: str, nxt: QCondition) -> None:
-        p = run.result
-        if not q_leq(ctx, p, nxt):
-            raise InvariantViolation("selection-order", f"{nxt.to_json()} does not extend {p.to_json()}")
-        run.schedule.append(name)
-        run.trace.append(nxt)
-
     for k in range(wsize):
         if k < len(limits):
-            step(f"s:{limits[k]}", QCondition(run.result.w, run.result.s | {limits[k]}))
+            run.schedule.append(f"s:{limits[k]}")
+            run.trace.append(QCondition(run.result.w, run.result.s | {limits[k]}))
+        p = run.result
         last = min(range(last + 1, n - wsize + k + 1), key=rank.__getitem__)
-        step(f"wsize>={k + 1}", QCondition(run.result.w | {order[last]}, run.result.s))
+        nxt = QCondition(p.w | {order[last]}, p.s)
+        if ladder_blocked(ctx, [p], [order[last]])[0]:
+            raise InvariantViolation("selection-order", f"{nxt.to_json()} does not extend {p.to_json()}")
+        run.schedule.append(f"wsize>={k + 1}")
+        run.trace.append(nxt)
+    ctx.check_condition(run.result)
     return run
 
 

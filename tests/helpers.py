@@ -1,9 +1,11 @@
-"""Shared generators and enumerators for the test suite."""
+"""Shared generators and enumerators for the test suite, and its one
+peak-memory probe."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 from gapforge import (
     CompatMatrix,
@@ -16,6 +18,15 @@ from gapforge import (
     SPartition,
     p_extend,
 )
+
+
+def traced_peak(fn, *args):
+    """What fn(*args) returns, and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fin(n: int) -> Ordinal:

@@ -4,7 +4,6 @@ import json
 import random
 import subprocess
 import sys
-import tracemalloc
 
 import pytest
 
@@ -14,17 +13,17 @@ from gapforge import (
     Ladder,
     Ordinal,
     PCondition,
+    QContext,
     SPartition,
     cli,
     gaps,
     simulate,
 )
 from gapforge.cli import build_parser, main
-from gapforge.gaps import MAX_UNIVERSE, Failures, Witnesses
+from gapforge.gaps import MAX_INDICES, MAX_UNIVERSE, Failures, Witnesses
 from gapforge.pcc import MAX_FAMILY
-from gapforge.simulate import MAX_INDICES
 from gaps_reference import report_default
-from helpers import fin, mask, word_from_bits
+from helpers import fin, mask, traced_peak, word_from_bits
 
 
 def _write(path, obj):
@@ -151,12 +150,7 @@ def test_check_c_hausdorff_cost_does_not_grow_with_an_index(tmp_path):
         "--ladder", _write(tmp_path / "ladder.json", Ladder.canonical().to_json()),
         "--partition", _write(tmp_path / "part.json", SPartition(S=limits, D=limits).to_json()),
     ]
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, argv)
     assert code in (0, 1)
     assert peak < 2**20
 
@@ -165,12 +159,7 @@ def test_check_rejects_a_huge_member_without_building_it(tmp_path, capsys):
     frag = _tiny_special_fragment().to_json()
     frag["a"]["0.1"] = [1, 10**9]
     gap = _write(tmp_path / "gap.json", frag)
-    tracemalloc.start()
-    try:
-        code = main(["check", "special", "--gap", gap])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["check", "special", "--gap", gap])
     assert code == 2
     assert "1000000000" in capsys.readouterr().err
     assert peak < 16 * 2**20  # the set itself would take 119 MiB
@@ -180,12 +169,7 @@ def test_check_rejects_a_huge_universe_without_building_it(tmp_path, capsys):
     top = [10**9 - 1]
     frag = {"universe": 10**9, "I": [[0, 0]], "J": [[0, 0]], "a": {"0.0": top}, "b": {"0.0": top}}
     gap = _write(tmp_path / "gap.json", frag)
-    tracemalloc.start()
-    try:
-        code = main(["check", "special", "--gap", gap])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["check", "special", "--gap", gap])
     assert code == 2
     assert "1000000000" in capsys.readouterr().err
     assert peak < 16 * 2**20  # either tower set would take 119 MiB
@@ -202,12 +186,7 @@ def test_check_rejects_a_huge_universe_without_building_it(tmp_path, capsys):
 @pytest.mark.parametrize("height", [MAX_UNIVERSE + 1, 10**9])
 def test_height_above_the_universe_limit_exits_2(argv, height, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    tracemalloc.start()
-    try:
-        code = main(argv + ["--height", str(height)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, argv + ["--height", str(height)])
     assert code == 2
     assert str(MAX_UNIVERSE) in capsys.readouterr().err
     assert not (tmp_path / "never-written.json").exists()
@@ -224,12 +203,7 @@ def test_height_above_the_universe_limit_exits_2(argv, height, tmp_path, monkeyp
 )
 def test_indices_above_the_forge_limit_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    tracemalloc.start()
-    try:
-        code = main(argv + ["--indices", str(MAX_INDICES + 1)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, argv + ["--indices", str(MAX_INDICES + 1)])
     assert code == 2
     assert str(MAX_INDICES) in capsys.readouterr().err
     assert not (tmp_path / "never-written.json").exists()
@@ -248,12 +222,7 @@ def test_indices_times_height_above_the_forge_limit_exit_2(argv, tmp_path, monke
     """Each count passes its own limit; their product, 2^27 levels to draw,
     does not."""
     monkeypatch.chdir(tmp_path)
-    tracemalloc.start()
-    try:
-        code = main(argv + ["--indices", str(MAX_INDICES), "--height", str(MAX_UNIVERSE)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, argv + ["--indices", str(MAX_INDICES), "--height", str(MAX_UNIVERSE)])
     assert code == 2
     assert f"exceeds the forge limit {MAX_INDICES}^2" in capsys.readouterr().err
     assert not (tmp_path / "never-written.json").exists()
@@ -276,9 +245,9 @@ def _blank_diagram(sets: int, universe: int) -> dict:
 
 def test_every_diagram_the_forge_admits_loads_and_no_larger_side():
     """The loader's cap on sets times universe is the forge's product cap,
-    read from the one constant that `simulate` still exports: a side of one
-    more set at the cap is refused."""
-    assert simulate.MAX_INDICES is gaps.MAX_INDICES == MAX_INDICES
+    read from the one constant that `cli` checks the forge against: a side
+    of one more set at the cap is refused."""
+    assert cli.MAX_INDICES is gaps.MAX_INDICES == MAX_INDICES
     at_cap = MAX_INDICES**2 // MAX_UNIVERSE
     for indices, height in ((MAX_INDICES, MAX_INDICES), (at_cap, MAX_UNIVERSE), (1, MAX_UNIVERSE)):
         cli._check_size(indices, height)
@@ -302,12 +271,7 @@ def test_a_diagram_over_the_load_limit_exits_2_before_reading_a_member(sets, tmp
     sets, which the unchecked loader would write as 1.3 GB of words: refused
     before a word is written."""
     gap = _write(tmp_path / "gap.json", _blank_diagram(sets, MAX_UNIVERSE))
-    tracemalloc.start()
-    try:
-        code = main(["check", "special", "--gap", gap])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["check", "special", "--gap", gap])
     assert code == 2
     expected = f"gapforge: ValueError: {sets} a-sets by universe {MAX_UNIVERSE} exceed the load limit {MAX_INDICES}^2\n"
     assert capsys.readouterr() == ("", expected)
@@ -341,12 +305,7 @@ def test_simulate_p_writes_no_diagram_that_fails_its_checks(tmp_path, monkeypatc
 )
 def test_more_indices_than_the_height_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    tracemalloc.start()
-    try:
-        code = main(argv + ["--indices", "80", "--height", "64"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, argv + ["--indices", "80", "--height", "64"])
     assert code == 2
     assert "80 indices exceed the target height 64" in capsys.readouterr().err
     assert not (tmp_path / "never-written.json").exists()
@@ -641,12 +600,7 @@ def test_emitting_a_tall_diagram_builds_no_member_list(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gaps, "members", no_lists)
     out = tmp_path / "frag.json"
-    tracemalloc.start()
-    try:
-        cli._emit(frag, str(out))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(cli._emit, frag, str(out))[1]
     assert out.stat().st_size > 25 * 10**6
     assert peak < 2**20 + largest + sys.getsizeof(table) + sum(map(sys.getsizeof, table))
 
@@ -662,12 +616,7 @@ def test_emitting_a_pipeline_report_holds_one_set_and_the_excess_text(tmp_path):
     table = [str(k) for k in range(frag.universe)]
     largest = max(len(gaps.member_text(m, table, ",\n        ")) for m in [*frag.a.values(), *frag.b.values()])
     out = tmp_path / "pipeline.json"
-    tracemalloc.start()
-    try:
-        cli._emit(report, str(out))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(cli._emit, report, str(out))[1]
     held = len(json.dumps(report["excess_csv"])) + largest + sys.getsizeof(table) + sum(map(sys.getsizeof, table))
     assert peak < 2**20 + held < out.stat().st_size / 3
 
@@ -701,12 +650,7 @@ def test_emit_streams_a_tall_diagram_within_a_mebibyte(tmp_path):
     stays below the size of the text."""
     report = simulate.forge(simulate.default_index_blocks(64), 1024, 3).to_json()
     out = tmp_path / "frag.json"
-    tracemalloc.start()
-    try:
-        cli._emit(report, str(out))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(cli._emit, report, str(out))[1]
     text = out.read_text(encoding="utf-8")
     assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert peak < 2**20 < len(text)
@@ -775,12 +719,7 @@ def test_oracle_p_counts_free_bits_before_building_them(tmp_path, capsys):
     about 0.5 GB."""
     c1 = _write(tmp_path / "c1.json", {"height": 0, "entries": [{"ord": [0, 1], "a_bits": "", "b_bits": ""}]})
     c2 = _write(tmp_path / "c2.json", {"height": MAX_UNIVERSE, "entries": []})
-    tracemalloc.start()
-    try:
-        code = main(["oracle", "p", "--cond1", c1, "--cond2", c2])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["oracle", "p", "--cond1", c1, "--cond2", c2])
     assert code == 4
     assert f"{2 * MAX_UNIVERSE} free bits" in capsys.readouterr().err
     assert peak < 2**20
@@ -792,12 +731,7 @@ def test_oracle_p_height_above_the_universe_limit_exits_2(height, tmp_path, caps
     the universe limit is refused on load, before any mask is checked
     against it."""
     c = _write(tmp_path / "c.json", {"height": height, "entries": []})
-    tracemalloc.start()
-    try:
-        code = main(["oracle", "p", "--cond1", c, "--cond2", c])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["oracle", "p", "--cond1", c, "--cond2", c])
     assert code == 2
     assert str(MAX_UNIVERSE) in capsys.readouterr().err
     assert peak < 2**20
@@ -1043,6 +977,25 @@ def test_negative_counts_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "never-written.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        (["pipeline", "--indices", "40", "--height", "64", "--wsize", "10", "--seed", "1"], 1),
+        (["pcc", "--t1", "120", "--t2", "120", "--seed", "1"], 246),
+    ],
+    ids=["pipeline", "pcc"],
+)
+def test_each_condition_is_checked_against_the_context_once(argv, checks, tmp_path, monkeypatch):
+    """The selection checks its last condition alone.  pcc checks its 240
+    conditions in `PccInstance`, each family's union in the matrix, and the
+    found pair's conditions and union in `q_compatible`'s two `q_leq` calls."""
+    calls = []
+    check = QContext.check_condition
+    monkeypatch.setattr(QContext, "check_condition", lambda ctx, p: calls.append(p) or check(ctx, p))
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == checks
+
+
 def test_pipeline_failure_exit_code(tmp_path):
     # asking for more selected indices than exist must fail the simulation
     assert main(["pipeline", "--indices", "4", "--height", "8", "--wsize", "9"]) == 3
@@ -1062,12 +1015,7 @@ def test_pipeline_with_a_short_ladder_table_exits_2(wsize, tmp_path, capsys):
 
 
 def test_pipeline_impossible_wsize_fails_before_building_its_schedule(capsys):
-    tracemalloc.start()
-    try:
-        code = main(["pipeline", "--indices", "4", "--height", "8", "--wsize", "1000000000"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["pipeline", "--indices", "4", "--height", "8", "--wsize", "1000000000"])
     assert code == 3
     assert "RequirementFailure" in capsys.readouterr().err
     assert peak < 2**20  # the schedule alone would hold 10**9 requirements
@@ -1085,7 +1033,7 @@ def _failing_pairs(sub, ladder, part):
     "name, stub, invariant, detail",
     [
         ("check_tower_coherence", _incoherent, "tower-coherence", "planted"),
-        ("q_leq", lambda *args: False, "selection-order", ""),
+        ("ladder_blocked", lambda ctx, conds, cand: [1], "selection-order", ""),
         ("c_hausdorff_check", _failing_pairs, "ladder-threshold-witness", "no witness for (w, w+3)\n"),
     ],
     ids=["tower-coherence", "selection-order", "ladder-threshold-witness"],
@@ -1143,12 +1091,7 @@ def test_pcc_rejects_empty_families_and_the_budget_flag(capsys):
 @pytest.mark.parametrize("t1, t2", [(MAX_FAMILY + 1, 1), (1, 10**9)], ids=["t1", "t2"])
 def test_pcc_families_above_the_limit_exit_2(t1, t2, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    tracemalloc.start()
-    try:
-        code = main(["pcc", "--t1", str(t1), "--t2", str(t2), "--seed", "0", "--out", "never-written.json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["pcc", "--t1", str(t1), "--t2", str(t2), "--seed", "0", "--out", "never-written.json"])
     assert code == 2
     assert str(MAX_FAMILY) in capsys.readouterr().err
     assert not (tmp_path / "never-written.json").exists()

@@ -29,6 +29,7 @@ from q_reference import ref_build_compat_matrix, ref_ladder_blocked, ref_q_leq
 # finite indices, indices between the limits, and the limits themselves
 POOL = [fin(1), fin(3), fin(4), Ordinal(1, 0), Ordinal(1, 2), Ordinal(1, 5), Ordinal(2, 0), Ordinal(2, 1)]
 LIMITS = frozenset({Ordinal(1, 0), Ordinal(2, 0), Ordinal(3, 0)})
+UNKNOWN = Ordinal(9, 9)  # outside the pool, so no diagram holds it
 
 
 def _ladder(rng: random.Random, kind: str) -> Ladder:
@@ -101,15 +102,40 @@ def test_q_leq_matches_reference_on_random_pairs(kind):
 
 @pytest.mark.parametrize("kind", ["canonical", "full"])
 def test_compat_matrix_matches_reference_on_random_families(kind):
+    """Clean families give the reference's matrix.  A family with one fault,
+    an unknown index or an s member outside S in one condition, raises what
+    `check_condition` raises on that condition, in both orientations, as
+    the reference does once the other family has a cell to check."""
     rng = random.Random(63 if kind == "canonical" else 64)
+    plant = random.Random(73 if kind == "canonical" else 74)  # apart, so the clean families stay as they were
     cells = true = 0
+    faults = Counter()
     for _ in range(60):
         ctx = _context(rng, kind)
         fam1 = _family(rng, ctx, rng.randint(0, 9), 10)
         fam2 = _family(rng, ctx, rng.randint(0, 9), 11)
         true += _check_matrix(ctx, fam1, fam2)
         cells += len(fam1) * len(fam2)
+        if not fam1:
+            continue
+        x = plant.randrange(len(fam1))
+        delta, p = fam1[x]
+        bad = QCondition(p.w | {UNKNOWN}, p.s) if plant.random() < 0.5 else QCondition(p.w, p.s | {STRAY})
+        faulty = fam1[:x] + [(delta, bad)] + fam1[x + 1 :]
+        expected = _raised(ctx.check_condition, bad)
+        faults[expected[0].__name__] += 1
+        for pair in ((faulty, fam2), (fam2, faulty)):
+            assert _raised(build_compat_matrix, ctx, *pair) == expected, pair
+            if fam2:
+                assert _raised(ref_build_compat_matrix, ctx, *pair) == expected, pair
     assert 0 < true < cells
+    assert faults["UnknownIndex"] > 5 and faults["ValueError"] > 5, faults
+
+
+def _raised(fn, *args) -> tuple[type, str]:
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return err.type, str(err.value)
 
 
 @pytest.mark.parametrize("kind", ["canonical", "full"])

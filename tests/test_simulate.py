@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 import re
-import tracemalloc
 
 import pytest
 import simulate_reference
@@ -25,6 +24,7 @@ from gapforge import (
     default_partition,
     forge,
     gaps,
+    ladder_blocked,
     p_leq,
     pipeline,
     poset_p,
@@ -32,7 +32,7 @@ from gapforge import (
     simulate,
 )
 from gaps_reference import report_default
-from helpers import fin, mask
+from helpers import fin, mask, traced_peak
 from simulate_reference import (
     DenseRequirement,
     entry_heights,
@@ -86,30 +86,50 @@ def test_build_filter_idempotent_requirement_stabilizes():
 
 
 def test_every_standard_meet_rule_verifies_its_step(monkeypatch):
-    """Every step of the selection is checked by `q_leq`: a check failing
-    at step k alone raises selection-order there, after k checks passed.
-    Each rule of the reference schedule verifies its step too."""
+    """Every pick of the selection is checked by the clause kernel: a block
+    planted at pick k alone raises selection-order there, after k clean
+    picks, naming the pick's condition and the one before it.  Each rule of
+    the reference schedule verifies its step through `q_leq` too."""
     ctx = _tiny_ctx()
-    steps = len(build_filter(ctx, 3, seed=0).schedule)
-    assert steps == 4  # one designated limit, three picks
-    for bad in range(steps):
+    run = build_filter(ctx, 3, seed=0)
+    assert len(run.schedule) == 4  # one designated limit, three picks
+    picks = [(a, b) for a, b in zip(run.trace, run.trace[1:]) if a.w != b.w]
+    for bad, (p, nxt) in enumerate(picks):
         checked = []
 
-        def failing_at_bad(ctx, p, q):
-            checked.append(q)
-            return len(checked) <= bad and q_leq(ctx, p, q)
+        def blocking_at_bad(ctx, conds, cand):
+            checked.append(cand)
+            return [1] if len(checked) > bad else ladder_blocked(ctx, conds, cand)
 
         with monkeypatch.context() as m:
-            m.setattr(simulate, "q_leq", failing_at_bad)
+            m.setattr(simulate, "ladder_blocked", blocking_at_bad)
             with pytest.raises(InvariantViolation) as err:
                 build_filter(ctx, 3, seed=0)
         assert err.value.invariant == "selection-order" and len(checked) == bad + 1
+        assert err.value.detail == f"{nxt.to_json()} does not extend {p.to_json()}"
     with monkeypatch.context() as m:
         m.setattr(simulate_reference, "q_leq", lambda ctx, p, q: False)
         for req in ref_q_standard_schedule(ctx, 3, seed=0):
             with pytest.raises(InvariantViolation) as err:
                 req.meet(QCondition.empty())
             assert err.value.invariant == "selection-order"
+
+
+@pytest.mark.parametrize("count, height, seed", [(12, 24, 9), (20, 32, 1), (33, 40, 5)])
+def test_build_filter_asks_the_kernel_once_per_pick_and_checks_the_chain_once(count, height, seed, monkeypatch):
+    """One `ladder_blocked` call per pick, on the condition before it and
+    the pick alone, and none per limit; only the last condition, which
+    holds every earlier one, is checked against the context."""
+    ctx = _forged_ctx(count, height, seed)
+    for target in (0, 1, count // 2, count):
+        real, calls, checked = build_filter(ctx, target, seed), [], []
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "ladder_blocked", lambda ctx, conds, cand: calls.append((conds, cand)) or [0])
+            m.setattr(QContext, "check_condition", lambda ctx, p: checked.append(p))
+            run = build_filter(ctx, target, seed)
+        assert (run.schedule, run.trace) == (real.schedule, real.trace) and checked == [run.result]
+        assert calls == [([a], sorted(b.w - a.w)) for a, b in zip(run.trace, run.trace[1:]) if a.w != b.w]
+        assert len(calls) == target
 
 
 def test_build_filter_passes_invariant_violations_through(monkeypatch):
@@ -119,7 +139,7 @@ def test_build_filter_passes_invariant_violations_through(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         ref_build_filter(PCondition.empty(), [DenseRequirement("broken", broken)])
     assert (err.value.invariant, err.value.detail) == ("extend-order", "planted")
-    monkeypatch.setattr(simulate, "q_leq", broken)
+    monkeypatch.setattr(simulate, "ladder_blocked", broken)
     with pytest.raises(InvariantViolation) as err:
         build_filter(_tiny_ctx(), 2, seed=0)
     assert (err.value.invariant, err.value.detail) == ("extend-order", "planted")
@@ -129,7 +149,7 @@ def test_build_filter_passes_invariant_violations_through(monkeypatch):
 def test_build_filter_wraps_failed_requirements(exc, monkeypatch):
     """The reference fold wraps a failed requirement in RequirementFailure,
     naming it.  `build_filter` has no requirements to name and wraps
-    nothing: what `q_leq` raises reaches the caller as it is."""
+    nothing: what the clause kernel raises reaches the caller as it is."""
 
     def failing(*args):
         raise exc
@@ -138,7 +158,7 @@ def test_build_filter_wraps_failed_requirements(exc, monkeypatch):
         ref_build_filter(PCondition.empty(), [DenseRequirement("failing", failing)])
     assert "'failing' failed: planted" in str(err.value)
     assert err.value.__cause__ is exc
-    monkeypatch.setattr(simulate, "q_leq", failing)
+    monkeypatch.setattr(simulate, "ladder_blocked", failing)
     with pytest.raises(type(exc)) as err:
         build_filter(_tiny_ctx(), 2, seed=0)
     assert err.value is exc
@@ -347,13 +367,7 @@ def test_the_forge_at_its_cap_holds_its_coins_a_block_at_a_time():
     """At 2048 indices and height 2048 the 2^22 coins are 4 MiB of bytes;
     one getrandbits call for all of them held a 32 MiB int and its 32 MiB
     of bytes at once, a 66 MiB peak."""
-    tracemalloc.start()
-    try:
-        forge(default_index_blocks(2048), 2048, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert traced_peak(forge, default_index_blocks(2048), 2048, 0)[1] < 16 * 2**20
 
 
 def _assert_the_forge_draws_the_reference_coins(count, height, seeds, monkeypatch):
@@ -443,13 +457,7 @@ def test_the_forged_condition_tops_the_reference_chain():
 def test_forge_memory_grows_with_the_diagram_not_the_chain():
     """At 256 indices and height 256 the diagram holds 8 KiB of masks; the
     fold kept all 513 conditions of its chain, 12.5 MiB at its peak."""
-    tracemalloc.start()
-    try:
-        forge(default_index_blocks(256), 256, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert traced_peak(forge, default_index_blocks(256), 256, 0)[1] < 2 * 2**20
 
 
 def _forged_ctx(count, height, seed):
@@ -513,7 +521,7 @@ def test_q_schedule_runs_out_of_room(monkeypatch):
     def no_steps(*args):
         raise AssertionError("a selection step was checked")
 
-    monkeypatch.setattr(simulate, "q_leq", no_steps)
+    monkeypatch.setattr(simulate, "ladder_blocked", no_steps)
     with pytest.raises(RequirementFailure, match="more than the 12 tower indices"):
         build_filter(ctx, 13, seed=0)
     with pytest.raises(ValueError, match="must be a natural"):
