@@ -58,7 +58,7 @@ from .poset_q import (
     q_leq,
 )
 from .simulate import (
-    SimRun,
+    Selection,
     build_filter,
     check_tower_coherence,
     default_index_blocks,

@@ -65,8 +65,10 @@ def _resolve_seed(flag: int | None) -> int:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ValueError(f"{path} nests its JSON too deeply to load") from None
 
 
 def _write_json(write, obj, pad: str) -> None:

@@ -4,10 +4,11 @@ a selection of it.
 The forge draws one level mask per index from the seed and computes, in
 one sweep, the final condition of the P chain those draws determine; it
 then checks tower coherence and the pairing containment on that diagram.
-The selection stands in for a generic filter in Q by a finite chain: one
-loop grows s by the designated limits and w by fresh indices, each pick
-drawn from the seed, and `ladder_blocked` checks every pick.  What a generic
-filter would guarantee is downgraded to invariants checked on the result.
+The selection stands in for a generic filter in Q by a finite chain that
+it keeps as its limits and picks, rebuilt only when asked for: one loop
+grows s by the designated limits and w by seeded picks, which must ascend.
+What a generic filter would guarantee is downgraded to invariants checked
+on the result.
 """
 
 from __future__ import annotations
@@ -17,36 +18,52 @@ from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, RequirementFailure
 from .gaps import GapFragment, Witnesses, bits, c_hausdorff_check, excess_matrix_csv
-from .ordinals import Ladder, Ordinal, SPartition, two_sided
+from .ordinals import Ladder, Ordinal, SPartition, Value, two_sided
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
-from .poset_q import QCondition, QContext, ladder_blocked
+from .poset_q import QCondition, QContext
 
 
-class SimRun:
-    """One deterministic run: the names of its steps, and the increasing trace."""
+class Selection(Value):
+    """One run of the selection: the names of its steps, and the designated
+    limits and the ascending picks it took.  Step k adds limits[k] to s,
+    while one is left, then picks[k] to w."""
 
-    __slots__ = ("schedule", "trace")
+    __slots__ = ("schedule", "limits", "picks")
 
-    def __init__(self, schedule: list[str], trace: list):
-        self.schedule = schedule
-        self.trace = trace
+    def __init__(self, schedule: tuple[str, ...], limits: tuple[Ordinal, ...], picks: tuple[Ordinal, ...]):
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "limits", limits)
+        object.__setattr__(self, "picks", picks)
 
     @property
-    def result(self):
-        return self.trace[-1]
+    def result(self) -> QCondition:
+        """The last condition of the chain, which holds every earlier one."""
+        return QCondition(frozenset(self.picks), frozenset(self.limits))
+
+    @property
+    def trace(self) -> list[QCondition]:
+        """The chain in Q from the empty condition, built anew on each call."""
+        trace = [QCondition.empty()]
+        for k, pick in enumerate(self.picks):
+            if k < len(self.limits):
+                trace.append(QCondition(trace[-1].w, trace[-1].s | {self.limits[k]}))
+            trace.append(QCondition(trace[-1].w | {pick}, trace[-1].s))
+        return trace
 
 
-def build_filter(ctx: QContext, wsize: int, seed: int) -> SimRun:
+def build_filter(ctx: QContext, wsize: int, seed: int) -> Selection:
     """Grow a selection (w, s) through Q from the empty condition.
 
     Step k first adds the k-th designated limit to s, while one is left, then
     picks one tower index into w: of the indices above the last pick that
     leave enough above them to finish, the one a seed-shuffled order ranks
-    first.  A pick above the current maximum of w is never blocked, and
-    that window is never empty, so every step is taken; the clause kernel
-    still checks each pick, and the last condition, which holds every
-    earlier one, is checked once against the context.  A `wsize` above the
-    number of tower indices fails before any step.
+    first.  That window is never empty, so every step is taken.  One check
+    requires the finished picks to strictly ascend, which is enough for the
+    ladder clause: it only blocks a fresh index below a delta of s that has
+    an anchor in w (a member at or above delta), and a pick above every
+    member of w lies below no such delta.  The last condition is checked
+    once against the context.  A `wsize` above the tower indices fails
+    before any step.
     """
     if wsize < 0:
         raise ValueError(f"target size of w must be a natural, got {wsize}")
@@ -57,19 +74,18 @@ def build_filter(ctx: QContext, wsize: int, seed: int) -> SimRun:
     shuffled = list(range(n))
     random.Random(seed).shuffle(shuffled)
     rank = sorted(range(n), key=shuffled.__getitem__)  # the inverse: where each position was shuffled to
-    limits = sorted(ctx.part.S)
-    run, last = SimRun([], [QCondition.empty()]), -1
+    limits = sorted(ctx.part.S)[:wsize]
+    schedule, picks, last = [], [], -1
     for k in range(wsize):
         if k < len(limits):
-            run.schedule.append(f"s:{limits[k]}")
-            run.trace.append(QCondition(run.result.w, run.result.s | {limits[k]}))
-        p = run.result
+            schedule.append(f"s:{limits[k]}")
         last = min(range(last + 1, n - wsize + k + 1), key=rank.__getitem__)
-        nxt = QCondition(p.w | {order[last]}, p.s)
-        if ladder_blocked(ctx, [p], [order[last]])[0]:
-            raise InvariantViolation("selection-order", f"{nxt.to_json()} does not extend {p.to_json()}")
-        run.schedule.append(f"wsize>={k + 1}")
-        run.trace.append(nxt)
+        picks.append(order[last])
+        schedule.append(f"wsize>={k + 1}")
+    for x, y in zip(picks, picks[1:]):
+        if not x < y:
+            raise InvariantViolation("selection-order", f"pick {y} does not lie above the pick {x} before it")
+    run = Selection(tuple(schedule), tuple(limits), tuple(picks))
     ctx.check_condition(run.result)
     return run
 
@@ -174,9 +190,7 @@ def pipeline(
     and the seed.
     """
     frag = forge(ordinals, height, seed)
-    ctx = QContext(frag, ladder, part)
-    q_run = build_filter(ctx, wsize, seed + 1)
-    selected = q_run.result.w  # every step was verified, so w only grew
+    selected = build_filter(QContext(frag, ladder, part), wsize, seed + 1).picks  # ascending
     sub = frag.restrict(selected)
     rows, failures = c_hausdorff_check(sub, ladder, part)
     if failures:
@@ -190,7 +204,7 @@ def pipeline(
             "w_target": wsize,
         },
         "fragment": frag,
-        "W": [o.to_json() for o in sorted(selected)],
+        "W": [o.to_json() for o in selected],
         "witnesses": Witnesses(rows),
         "excess_csv": excess_matrix_csv(sub),
     }

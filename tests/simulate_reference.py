@@ -3,7 +3,8 @@
 `ref_build_filter` is the generic fold both phases once ran through: named
 dense requirements, each a total meet rule that returns the condition
 itself once it holds and verifies every step it takes, folded over a
-schedule from a start condition.
+schedule from a start condition.  It returns a `SimRun`, the schedule and
+the whole trace of conditions, as `simulate.build_filter` once did.
 
 `ref_coin_draws` is the draw loop `simulate.forge` replaced by whole
 generator words: one `rng.random() < 0.5` per coin.
@@ -45,11 +46,22 @@ from gapforge import (
     QCondition,
     QContext,
     RequirementFailure,
-    SimRun,
     excess,
     p_extend,
     q_leq,
 )
+
+
+@dataclass
+class SimRun:
+    """One run of a fold: the names of its steps, and the increasing trace."""
+
+    schedule: list[str]
+    trace: list
+
+    @property
+    def result(self):
+        return self.trace[-1]
 
 
 @dataclass(frozen=True)

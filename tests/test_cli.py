@@ -684,6 +684,41 @@ def test_a_diagram_map_that_is_no_object_exits_2(side, value, tmp_path, capsys):
         assert capsys.readouterr() == ("", "gapforge: ValueError: the a and b maps must be JSON objects\n")
 
 
+@pytest.mark.parametrize(
+    "reader",
+    ["check-gap", "oracle-p-cond", "oracle-q-cond", "pipeline-ladder", "pipeline-partition", "manifest", "manifest-entry"],
+)
+def test_json_nested_1000_deep_exits_2(reader, tmp_path, capsys):
+    """2 KB of nested brackets: the decoder's RecursionError once escaped
+    as a traceback and exit 1, which reads as "predicate false".  Every
+    JSON reader exits 2 instead; where the decoder gives up, the message
+    names the file."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
+    gap, ladder, part = _hausdorff_inputs(tmp_path)
+    m = _write(tmp_path / "m.json", {"gap": "gap.json", "ladder": "ladder.json", "partition": "part.json"})
+    named = _write(tmp_path / "named.json", {"gap": "deep.json", "ladder": "ladder.json", "partition": "part.json"})
+    q = _write(tmp_path / "q.json", {"w": [], "s": []})
+    p = _write(tmp_path / "p.json", PCondition(0, {}).to_json())
+    pipe = ["pipeline", "--indices", "4", "--height", "4", "--wsize", "1"]
+    argv = {
+        "check-gap": ["check", "special", "--gap", str(deep)],
+        "oracle-p-cond": ["oracle", "p", "--cond1", str(deep), "--cond2", p],
+        "oracle-q-cond": ["oracle", "q", "--cond1", q, "--cond2", str(deep), "--manifest", m],
+        "pipeline-ladder": pipe + ["--ladder", str(deep)],
+        "pipeline-partition": pipe + ["--partition", str(deep)],
+        "manifest": ["check", "c-hausdorff", "--manifest", str(deep)],
+        "manifest-entry": ["check", "c-hausdorff", "--manifest", named],
+    }[reader]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapforge: ValueError: ") and not (tmp_path / "out.json").exists()
+    try:
+        json.loads(deep.read_text(encoding="utf-8"))
+    except RecursionError:
+        assert err == f"gapforge: ValueError: {deep} nests its JSON too deeply to load\n"
+
+
 def test_oracle_p(tmp_path):
     cond = PCondition(1, {fin(0): ("1", "1")})
     c1 = _write(tmp_path / "c1.json", cond.to_json())
@@ -1025,6 +1060,12 @@ def _incoherent(masks, entry):
     raise InvariantViolation("tower-coherence", "planted")
 
 
+def _stalled_pick(*args, key=None):
+    """The builtin `min`, but a keyed call, a pick of the selection, returns
+    the position before its window: the top index, then that index again."""
+    return args[0].start - 1 if key else min(*args)
+
+
 def _failing_pairs(sub, ladder, part):
     return [], [(Ordinal(1, 0), Ordinal(1, 3)), (Ordinal(2, 0), Ordinal(2, 1))]
 
@@ -1033,14 +1074,15 @@ def _failing_pairs(sub, ladder, part):
     "name, stub, invariant, detail",
     [
         ("check_tower_coherence", _incoherent, "tower-coherence", "planted"),
-        ("ladder_blocked", lambda ctx, conds, cand: [1], "selection-order", ""),
+        ("min", _stalled_pick, "selection-order", "pick 3 does not lie above the pick 3 before it\n"),
         ("c_hausdorff_check", _failing_pairs, "ladder-threshold-witness", "no witness for (w, w+3)\n"),
     ],
     ids=["tower-coherence", "selection-order", "ladder-threshold-witness"],
 )
 def test_pipeline_invariant_violation_keeps_its_fields(name, stub, invariant, detail, tmp_path, monkeypatch, capsys):
-    """A failed run assertion exits 3 with its name and detail, and writes no report."""
-    monkeypatch.setattr(simulate, name, stub)
+    """A failed run assertion exits 3 with its name and detail, and writes no
+    report.  The selection-order stub forces a pick that does not ascend."""
+    monkeypatch.setattr(simulate, name, stub, raising=name != "min")
     out = tmp_path / "report.json"
     assert main(["pipeline", "--indices", "4", "--height", "4", "--wsize", "2", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"gapforge: InvariantViolation: {invariant}: {detail}")

@@ -1,3 +1,4 @@
+import builtins
 import functools
 import itertools
 import json
@@ -16,8 +17,8 @@ from gapforge import (
     QCondition,
     RequirementFailure,
     QContext,
+    Selection,
     SPartition,
-    SimRun,
     build_filter,
     check_tower_coherence,
     default_index_blocks,
@@ -28,6 +29,7 @@ from gapforge import (
     p_leq,
     pipeline,
     poset_p,
+    poset_q,
     q_leq,
     simulate,
 )
@@ -35,6 +37,7 @@ from gaps_reference import report_default
 from helpers import fin, mask, traced_peak
 from simulate_reference import (
     DenseRequirement,
+    SimRun,
     entry_heights,
     extract_gap_fragment,
     ref_build_filter,
@@ -49,7 +52,7 @@ def test_build_filter_empty_schedule():
     """A target of 0 takes no step, with or without tower indices."""
     for ctx in (_tiny_ctx(), _forged_ctx(0, 0, 0)):
         run = build_filter(ctx, 0, seed=0)
-        assert run.schedule == [] and run.trace == [QCondition.empty()]
+        assert run == Selection((), (), ()) and run.trace == [QCondition.empty()]
         assert run.result == QCondition.empty()
 
 
@@ -85,28 +88,37 @@ def test_build_filter_idempotent_requirement_stabilizes():
     assert all(a != b for a, b in zip(run.trace, run.trace[1:]))
 
 
+def _stalling_at(bad: int):
+    """A stand-in for the builtin `min` in `simulate`: its keyed calls are
+    the picks, and the one of step `bad` >= 1 returns the position before
+    its window, so it picks the last pick again."""
+    windows = []
+
+    def stalling_min(*args, key=None):
+        if key is None:
+            return builtins.min(*args)
+        windows.append(args[0])
+        return args[0].start - 1 if len(windows) == bad + 1 else builtins.min(*args, key=key)
+
+    return stalling_min
+
+
 def test_every_standard_meet_rule_verifies_its_step(monkeypatch):
-    """Every pick of the selection is checked by the clause kernel: a block
-    planted at pick k alone raises selection-order there, after k clean
-    picks, naming the pick's condition and the one before it.  Each rule of
-    the reference schedule verifies its step through `q_leq` too."""
+    """Every pick of the selection is checked, by one check on the finished
+    picks: a pick that repeats the one before it at step k alone does not
+    ascend, and selection-order names that pair, the first that does not.
+    Each rule of the reference schedule verifies its step through `q_leq`."""
     ctx = _tiny_ctx()
-    run = build_filter(ctx, 3, seed=0)
-    assert len(run.schedule) == 4  # one designated limit, three picks
-    picks = [(a, b) for a, b in zip(run.trace, run.trace[1:]) if a.w != b.w]
-    for bad, (p, nxt) in enumerate(picks):
-        checked = []
-
-        def blocking_at_bad(ctx, conds, cand):
-            checked.append(cand)
-            return [1] if len(checked) > bad else ladder_blocked(ctx, conds, cand)
-
+    run = build_filter(ctx, 6, seed=0)
+    assert len(run.schedule) == 7 and len(run.picks) == 6  # one designated limit, six picks
+    for bad in range(1, 6):
         with monkeypatch.context() as m:
-            m.setattr(simulate, "ladder_blocked", blocking_at_bad)
+            m.setattr(simulate, "min", _stalling_at(bad), raising=False)
             with pytest.raises(InvariantViolation) as err:
-                build_filter(ctx, 3, seed=0)
-        assert err.value.invariant == "selection-order" and len(checked) == bad + 1
-        assert err.value.detail == f"{nxt.to_json()} does not extend {p.to_json()}"
+                build_filter(ctx, 6, seed=0)
+        x = run.picks[bad - 1]
+        assert err.value.invariant == "selection-order"
+        assert err.value.detail == f"pick {x} does not lie above the pick {x} before it"
     with monkeypatch.context() as m:
         m.setattr(simulate_reference, "q_leq", lambda ctx, p, q: False)
         for req in ref_q_standard_schedule(ctx, 3, seed=0):
@@ -116,20 +128,20 @@ def test_every_standard_meet_rule_verifies_its_step(monkeypatch):
 
 
 @pytest.mark.parametrize("count, height, seed", [(12, 24, 9), (20, 32, 1), (33, 40, 5)])
-def test_build_filter_asks_the_kernel_once_per_pick_and_checks_the_chain_once(count, height, seed, monkeypatch):
-    """One `ladder_blocked` call per pick, on the condition before it and
-    the pick alone, and none per limit; only the last condition, which
-    holds every earlier one, is checked against the context."""
+def test_build_filter_asks_the_kernel_nothing_and_checks_the_chain_once(count, height, seed, monkeypatch):
+    """No `ladder_blocked` call, since a pick above every member of w lies
+    below no anchored delta; only the last condition, which holds every
+    earlier one, is checked against the context."""
     ctx = _forged_ctx(count, height, seed)
+    assert not hasattr(simulate, "ladder_blocked")
     for target in (0, 1, count // 2, count):
         real, calls, checked = build_filter(ctx, target, seed), [], []
         with monkeypatch.context() as m:
-            m.setattr(simulate, "ladder_blocked", lambda ctx, conds, cand: calls.append((conds, cand)) or [0])
+            m.setattr(poset_q, "ladder_blocked", lambda ctx, conds, cand: calls.append((conds, cand)) or [0])
             m.setattr(QContext, "check_condition", lambda ctx, p: checked.append(p))
             run = build_filter(ctx, target, seed)
-        assert (run.schedule, run.trace) == (real.schedule, real.trace) and checked == [run.result]
-        assert calls == [([a], sorted(b.w - a.w)) for a, b in zip(run.trace, run.trace[1:]) if a.w != b.w]
-        assert len(calls) == target
+        assert run == real and checked == [run.result] and calls == []
+        assert len(run.picks) == target
 
 
 def test_build_filter_passes_invariant_violations_through(monkeypatch):
@@ -139,7 +151,7 @@ def test_build_filter_passes_invariant_violations_through(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         ref_build_filter(PCondition.empty(), [DenseRequirement("broken", broken)])
     assert (err.value.invariant, err.value.detail) == ("extend-order", "planted")
-    monkeypatch.setattr(simulate, "ladder_blocked", broken)
+    monkeypatch.setattr(QContext, "check_condition", broken)
     with pytest.raises(InvariantViolation) as err:
         build_filter(_tiny_ctx(), 2, seed=0)
     assert (err.value.invariant, err.value.detail) == ("extend-order", "planted")
@@ -149,7 +161,7 @@ def test_build_filter_passes_invariant_violations_through(monkeypatch):
 def test_build_filter_wraps_failed_requirements(exc, monkeypatch):
     """The reference fold wraps a failed requirement in RequirementFailure,
     naming it.  `build_filter` has no requirements to name and wraps
-    nothing: what the clause kernel raises reaches the caller as it is."""
+    nothing: what the context check raises reaches the caller as it is."""
 
     def failing(*args):
         raise exc
@@ -158,7 +170,7 @@ def test_build_filter_wraps_failed_requirements(exc, monkeypatch):
         ref_build_filter(PCondition.empty(), [DenseRequirement("failing", failing)])
     assert "'failing' failed: planted" in str(err.value)
     assert err.value.__cause__ is exc
-    monkeypatch.setattr(simulate, "ladder_blocked", failing)
+    monkeypatch.setattr(QContext, "check_condition", failing)
     with pytest.raises(type(exc)) as err:
         build_filter(_tiny_ctx(), 2, seed=0)
     assert err.value is exc
@@ -488,8 +500,7 @@ def test_w_picks_match_the_quadratic_formula(count, height, seed):
     ctx = _forged_ctx(count, height, seed)
     for target in range(count + 1):  # up to every tower index
         run = build_filter(ctx, target, seed)
-        picks = [next(iter(b.w - a.w)) for a, b in zip(run.trace, run.trace[1:]) if b.w != a.w]
-        assert picks == list(_quadratic_picks(ctx, target, seed))
+        assert list(run.picks) == list(_quadratic_picks(ctx, target, seed))
 
 
 def test_q_standard_schedule():
@@ -515,13 +526,13 @@ def test_q_standard_schedule():
 
 def test_q_schedule_runs_out_of_room(monkeypatch):
     """A target above the tower indices fails before any step, and a
-    negative one is refused."""
+    negative one is refused: no pick order is drawn."""
     ctx = _tiny_ctx()
 
     def no_steps(*args):
-        raise AssertionError("a selection step was checked")
+        raise AssertionError("a pick order was drawn")
 
-    monkeypatch.setattr(simulate, "ladder_blocked", no_steps)
+    monkeypatch.setattr(simulate.random, "Random", no_steps)
     with pytest.raises(RequirementFailure, match="more than the 12 tower indices"):
         build_filter(ctx, 13, seed=0)
     with pytest.raises(ValueError, match="must be a natural"):
@@ -539,7 +550,7 @@ def _assert_matches_the_reference_fold(ctx, wsize, seed):
         assert str(ref_err.value) == str(err)
         return
     ref = ref_build_filter(QCondition.empty(), ref_q_standard_schedule(ctx, wsize, seed))
-    assert run.schedule == ref.schedule and run.trace == ref.trace
+    assert list(run.schedule) == ref.schedule and run.trace == ref.trace
     assert all(a != b for a, b in zip(run.trace, run.trace[1:]))  # the fold's no-op branches never ran
 
 
@@ -578,6 +589,45 @@ def test_build_filter_matches_the_reference_fold_with_more_limits_than_wsize(lad
         )
         for wsize in range(len(S) + 2):
             _assert_matches_the_reference_fold(ctx, wsize, rng.randrange(1000))
+
+
+def _random_explicit_ladder(rng: random.Random, limits) -> Ladder:
+    """Per limit w*q, a seeded strictly increasing table of 0 to 12 rungs
+    drawn from the block below it."""
+    return Ladder.explicit({d: sorted(rng.sample([Ordinal(d.q - 1, r) for r in range(12)], rng.randrange(13))) for d in limits})
+
+
+@pytest.mark.parametrize("ladder", ["canonical", "explicit"])
+def test_the_clause_kernel_blocks_no_pick(ladder):
+    """The kernel is the reference for the ascending check: on forged
+    diagrams at random sizes and seeds, with partitions designating random
+    block limits, `ladder_blocked` keeps out no pick from the condition of
+    the trace just before it, and raises nothing, not even past a short
+    explicit table."""
+    rng = random.Random(79 if ladder == "canonical" else 83)
+    for _ in range(12):
+        count = rng.randrange(1, 120)
+        ordinals = default_index_blocks(count)
+        limits = sorted(default_partition(ordinals).S)
+        S = frozenset(rng.sample(limits, rng.randrange(len(limits) + 1)))
+        ctx = QContext(
+            forge(ordinals, count + rng.randrange(8), rng.randrange(1000)),
+            Ladder.canonical() if ladder == "canonical" else _random_explicit_ladder(rng, S),
+            SPartition(S, frozenset(set(limits) - S), frozenset(limits)),
+        )
+        for wsize in (rng.randrange(count + 1), count):
+            run = build_filter(ctx, wsize, rng.randrange(1000))
+            before = {b.w - a.w: a for a, b in zip(run.trace, run.trace[1:]) if b.w != a.w}
+            assert [ladder_blocked(ctx, [before[frozenset({pick})]], [pick]) for pick in run.picks] == [[0]] * wsize
+
+
+def test_the_selection_holds_its_picks_not_its_chain():
+    """At 1024 indices, height 1024 and wsize 1024 the chain of 2,049
+    conditions, each with its own w and s, held 22 MiB; the picks, limits
+    and step names hold well under 1 KiB per index."""
+    ctx = _forged_ctx(1024, 1024, 0)
+    run, peak = traced_peak(build_filter, ctx, 1024, 0)
+    assert len(run.picks) == 1024 and peak < 1024 * 2**10
 
 
 def test_s_takes_only_the_first_wsize_limits():

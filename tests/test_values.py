@@ -16,7 +16,18 @@ from pathlib import Path
 import pytest
 
 import gapforge
-from gapforge import CompatMatrix, GapFragment, Ladder, Ordinal, PccInstance, PCondition, QCondition, QContext, SPartition
+from gapforge import (
+    CompatMatrix,
+    GapFragment,
+    Ladder,
+    Ordinal,
+    PccInstance,
+    PCondition,
+    QCondition,
+    QContext,
+    Selection,
+    SPartition,
+)
 from gapforge.gaps import Failures, Witnesses
 from gapforge.ordinals import Value
 from helpers import fin
@@ -74,6 +85,11 @@ CASES = {
         False,
         f"PccInstance(ctx={CTX_REPR}, gamma=Ordinal(q=0, r=0), fam1=((Ordinal(q=0, r=1), {EMPTY_Q}),),"
         f" fam2=((Ordinal(q=0, r=2), {EMPTY_Q}),), k=0)",
+    ),
+    Selection: (
+        lambda: Selection(("s:w", "wsize>=1"), (W,), (fin(0),)),
+        True,
+        "Selection(schedule=('s:w', 'wsize>=1'), limits=(Ordinal(q=1, r=0),), picks=(Ordinal(q=0, r=0),))",
     ),
 }
 
