@@ -143,7 +143,7 @@ def _emit(obj, out: str | None) -> None:
         fh.write("\n")
 
 
-_DECODERS = {"gap": GapFragment.from_json, "ladder": Ladder.from_json, "partition": SPartition.from_json}
+_DECODERS = {"gap": GapFragment, "ladder": Ladder, "partition": SPartition}  # from_json is looked up at each load
 
 
 def _loader(args):
@@ -169,7 +169,7 @@ def _loader(args):
             return default
         else:
             raise ValueError(f"a {key} file is required, and no flag or manifest names one")
-        return _DECODERS[key](_load_json(path))
+        return _DECODERS[key].from_json(_load_json(path))
 
     return load
 

@@ -105,9 +105,7 @@ class GapFragment(Value):
     __slots__ = ("universe", "a", "b")
 
     def __init__(self, universe: int, a: Mapping[Ordinal, int], b: Mapping[Ordinal, int]):
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__init__(universe, a, b)
         if universe < 0:
             raise ValueError("universe bound must be a natural")
         for name, side in (("a", a), ("b", b)):
@@ -270,9 +268,6 @@ class Witnesses(Value):
     __slots__ = ("rows",)
     KEYS = ("delta", "j", "k", "n_star")
 
-    def __init__(self, rows: list[tuple[Ordinal, Ordinal, int, int]]):
-        object.__setattr__(self, "rows", rows)
-
 
 class Failures(Value):
     """`c_hausdorff_check`'s failures as a report value, written as
@@ -280,9 +275,6 @@ class Failures(Value):
 
     __slots__ = ("rows",)
     KEYS = ("delta", "j")
-
-    def __init__(self, rows: list[tuple[Ordinal, Ordinal]]):
-        object.__setattr__(self, "rows", rows)
 
 
 def excess_matrix_csv(g: GapFragment) -> str:

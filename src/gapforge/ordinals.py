@@ -84,13 +84,20 @@ class Ordinal(tuple):
 
 
 class Value:
-    """An immutable value.  Each subclass names its fields in `__slots__` and
-    sets them in its own `__init__` through `object.__setattr__`.  It equals
-    only an instance of its own class with equal fields, hashes their tuple,
-    writes its repr as `Name(field=value, ...)`, and pickles through its
-    constructor; assigning or deleting any attribute raises AttributeError."""
+    """An immutable value.  Each subclass names its fields in `__slots__`, and
+    `__init__(*values)` sets them in that order (a subclass with checks or
+    defaults calls it once).  It equals only an instance of its own class with
+    equal fields, hashes their tuple, writes its repr as `Name(field=value,
+    ...)`, and pickles through its constructor; assigning or deleting any
+    attribute raises AttributeError."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])
@@ -148,8 +155,7 @@ class Ladder(Value):
 
     def __init__(self, mode: str, entries: Mapping[Ordinal, tuple[Ordinal, ...]] | None = None):
         entries = {} if entries is None else entries
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(mode, entries)
         if mode not in ("canonical", "explicit"):
             raise ValueError(f"ladder mode must be canonical or explicit, got {mode!r}")
         if mode == "canonical" and entries:
@@ -267,9 +273,7 @@ class SPartition(Value):
     def __init__(
         self, S: frozenset[Ordinal], T: frozenset[Ordinal] = frozenset(), D: frozenset[Ordinal] = frozenset()
     ):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "D", D)
+        super().__init__(S, T, D)
         for name, part in (("S", S), ("T", T)):
             if any(not o.is_limit for o in part):
                 raise ValueError(f"{name} must consist of limit ordinals")

@@ -34,9 +34,7 @@ class CompatMatrix(Value):
     __slots__ = ("row_index", "col_index", "rows")
 
     def __init__(self, row_index: tuple[Ordinal, ...], col_index: tuple[Ordinal, ...], rows: tuple[int, ...]):
-        object.__setattr__(self, "row_index", row_index)
-        object.__setattr__(self, "col_index", col_index)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(row_index, col_index, rows)
         _require_increasing(row_index, "matrix row indices")
         _require_increasing(col_index, "matrix column indices")
         if len(rows) != len(row_index):
@@ -151,11 +149,7 @@ class PccInstance(Value):
         fam2: tuple[tuple[Ordinal, QCondition], ...],
         k: int,
     ):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "fam1", fam1)
-        object.__setattr__(self, "fam2", fam2)
-        object.__setattr__(self, "k", k)
+        super().__init__(ctx, gamma, fam1, fam2, k)
         for fam in (fam1, fam2):
             _require_increasing([d for d, _ in fam], "index lists")
             if any(d in ctx.part.S for d, _ in fam):

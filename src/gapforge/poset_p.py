@@ -47,16 +47,14 @@ class PCondition(Value):
             if w0.strip("01") or w1.strip("01"):
                 raise ValueError(f"words at {o} must be over the alphabet 01")
             masks[o] = (bits(w0), bits(w1))
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "masks", MappingProxyType(masks))
+        super().__init__(height, MappingProxyType(masks))
         self.__post_init__()
 
     @classmethod
     def from_masks(cls, height: int, masks: Mapping[Ordinal, tuple[int, int]]) -> PCondition:
         """Build from (low, high) masks; the map is copied."""
         self = object.__new__(cls)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "masks", MappingProxyType(dict(masks)))
+        Value.__init__(self, height, MappingProxyType(dict(masks)))
         self.__post_init__()
         return self
 

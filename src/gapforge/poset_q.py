@@ -20,7 +20,7 @@ from operator import and_, or_
 from typing import Sequence
 
 from .errors import TableTooShort, UnknownIndex
-from .gaps import GapFragment, bits, select
+from .gaps import GapFragment, bits, select, word
 from .ordinals import Ladder, Ordinal, SPartition, Value, ordinal_set
 
 
@@ -29,10 +29,6 @@ class QCondition(Value):
     designated set S of the ambient context."""
 
     __slots__ = ("w", "s")
-
-    def __init__(self, w: frozenset[Ordinal], s: frozenset[Ordinal]):
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "s", s)
 
     @classmethod
     def empty(cls) -> QCondition:
@@ -55,9 +51,7 @@ class QContext(Value):
     __slots__ = ("g", "ladder", "part")
 
     def __init__(self, g: GapFragment, ladder: Ladder, part: SPartition):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "ladder", ladder)
-        object.__setattr__(self, "part", part)
+        super().__init__(g, ladder, part)
         if set(g.a) != set(g.b):
             raise ValueError("the context diagram must carry one shared index set")
         for delta in part.S:
@@ -113,10 +107,9 @@ def ladder_blocked(ctx: QContext, conds: Sequence[QCondition], cand: Sequence[Or
                 j = cand[below.bit_length() - 1]
                 raise TableTooShort(f"ladder at {delta} never reaches {j} within its table")
             if sl is None:
-                # transpose: the a-sets as width-bit words, high bit first, the last
-                # candidate's first; reversed, character k * width + u is bit u of cand[k]'s
+                # transpose: the a-sets as width-bit words; character k * width + u is bit u of cand[k]'s
                 width = used.bit_length()
-                text = "".join(map(format, reversed(sets), repeat(f"0{width}b")))[::-1]
+                text = "".join(map(word, sets, repeat(width)))
                 sl = [bits(text[u::width]) for u in range(width)]
             below &= ~blocked
             outside = [used & ~ctx.g.b[i] for i in w[first:]]

@@ -30,11 +30,6 @@ class Selection(Value):
 
     __slots__ = ("schedule", "limits", "picks")
 
-    def __init__(self, schedule: tuple[str, ...], limits: tuple[Ordinal, ...], picks: tuple[Ordinal, ...]):
-        object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "limits", limits)
-        object.__setattr__(self, "picks", picks)
-
     @property
     def result(self) -> QCondition:
         """The last condition of the chain, which holds every earlier one."""

@@ -87,6 +87,22 @@ def test_check_special(tmp_path):
     assert main(["check", "special", "--gap", gap2, "--n0", "0"]) == 1
 
 
+def test_a_decoder_rebound_after_import_is_the_one_loading_calls(tmp_path, monkeypatch):
+    """The loader looks `from_json` up on the class at each load, so a wrapper
+    installed after the CLI is imported (as a tracer installs one) sees it."""
+    gap = _write(tmp_path / "gap.json", _tiny_special_fragment().to_json())
+    original = GapFragment.from_json.__func__
+    calls = []
+
+    def counted(cls, data):
+        calls.append(data)
+        return original(cls, data)
+
+    monkeypatch.setattr(GapFragment, "from_json", classmethod(counted))
+    assert main(["check", "special", "--gap", gap]) == 0
+    assert len(calls) == 1
+
+
 def test_check_interpolate(tmp_path):
     gap = _write(tmp_path / "gap.json", _tiny_special_fragment().to_json())
     # max excess is 2 (the element 1 escapes b_0), so n0 below that fails

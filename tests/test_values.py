@@ -1,8 +1,9 @@
 """The value contract of the package's immutable classes, and the import
 they no longer need.
 
-Every value class is a slotted `ordinals.Value` with its own straight-line
-constructor, in place of a frozen dataclass: the same equality, hash, repr,
+Every value class is a slotted `ordinals.Value`, whose one constructor sets
+the fields in `__slots__` order (a class with checks or defaults calls it
+once), in place of a frozen dataclass: the same equality, hash, repr,
 immutability and pickling, with no `dataclasses` (and so no `inspect`) at
 import time.
 """
@@ -128,9 +129,7 @@ def test_value_contract(cls):
     # equal only to its own class: not to a plain tuple, nor to another
     # value class with the same fields and values
     values = tuple(getattr(v, name) for name in fields)
-    other = object.__new__(type("Other", (Value,), {"__slots__": fields}))
-    for name, value in zip(fields, values):
-        object.__setattr__(other, name, value)
+    other = type("Other", (Value,), {"__slots__": fields})(*values)
     for stranger in (values, other):
         assert v != stranger and stranger != v and not v == stranger
     assert repr(v) == expected_repr
@@ -143,6 +142,21 @@ def test_value_contract(cls):
         assert type(clone) is cls and clone == v and repr(clone) == expected_repr
         if hashable:
             assert hash(clone) == hash(v)
+
+
+# the positional values a constructor requires, where defaults make it fewer
+# than the fields
+REQUIRED = {Ladder: 1, SPartition: 1}
+
+
+@pytest.mark.parametrize("too_many", [True, False], ids=["one-too-many", "one-too-few"])
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_a_wrong_number_of_fields_raises_type_error(cls, too_many):
+    v = CASES[cls][0]()
+    values = tuple(getattr(v, name) for name in cls.__slots__)
+    args = values + values[:1] if too_many else values[: REQUIRED.get(cls, len(values)) - 1]
+    with pytest.raises(TypeError):
+        cls(*args)
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
