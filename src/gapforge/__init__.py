@@ -29,7 +29,6 @@ from .ordinals import (
     Ladder,
     Ordinal,
     SPartition,
-    two_sided,
 )
 from .pcc import (
     CompatMatrix,

@@ -35,6 +35,7 @@ from .gaps import (
     MAX_UNIVERSE,
     Failures,
     GapFragment,
+    MemberTable,
     Witnesses,
     c_hausdorff_check,
     member_text,
@@ -85,14 +86,15 @@ def _write_json(write, obj, pad: str) -> None:
     one format over their KEYS."""
     inner = pad + "  "
     if isinstance(obj, GapFragment):
-        texts, at, deep = list(map(str, range(obj.universe))), "\n" + inner + "  ", "\n" + inner + "    "
+        at, deep = "\n" + inner + "  ", "\n" + inner + "    "
+        table = MemberTable(list(map(str, range(obj.universe))), "," + deep)
         for sep, name, value in ("{\n", "I", obj.I), (",\n", "J", obj.J):
             write(f'{sep}{inner}"{name}": ')
             _write_json(write, value, inner)
         for name, side in ("a", obj.a), ("b", obj.b):
             write(f',\n{inner}"{name}": {{')
-            for n, (key, mask) in enumerate(sorted([(o.key(), m) for o, m in side.items()])):
-                text = member_text(mask, texts, "," + deep)
+            for n, (key, mask) in enumerate(sorted([("%d.%d" % o, m) for o, m in side.items()])):  # o.key(), uncalled
+                text = member_text(mask, table)
                 write("".join(("," if n else "", at, '"', key, '": [', text and deep, text, text and at, "]")))
             write("\n" + inner + "}" if side else "}")
         write(f',\n{inner}"universe": {obj.universe}\n{pad}}}')

@@ -13,7 +13,8 @@ excess number.
 
 from __future__ import annotations
 
-from itertools import compress, count
+from array import array
+from itertools import accumulate, compress, count
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexMismatch
@@ -27,8 +28,8 @@ MAX_INDICES = 2048
 """Most tower indices the CLI forges; indices times height is capped at its
 square, and a diagram file's sets times universe on either side at the same
 2^22.  The forge draws one bit per index and level, and the report lists
-every member: `simulate-p` at 1024² takes 0.15-0.16 s and 20 MB, and at
-2048² 0.41-0.57 s and 26 MB for a 49.5 MB report (3 runs each, wall and
+every member: `simulate-p` at 1024² takes 0.10-0.11 s and 19 MB, and at
+2048² 0.24-0.25 s and 25 MB for a 49.5 MB report (3 runs each, wall and
 peak RSS with interpreter start; 2-vCPU Xeon, Python 3.11).  The loader
 writes a universe-byte word per set: without the cap, a 1.2 MB file of
 20,000 one-member sets at universe 65536 takes 10 s to load, and at the cap
@@ -73,9 +74,47 @@ def members(mask: int) -> list[int]:
     return out
 
 
-def member_text(mask: int, texts: Sequence[str], sep: str) -> str:
-    """texts[k] for each member k of a set, ascending, joined by sep: no member list is built."""
-    return sep.join(select(texts, mask))
+# a set with more than RUNS members per run boundary is written run by run:
+# a run costs about what 16 member texts cost (2-vCPU Xeon, Python 3.11)
+RUNS = 8
+
+
+class MemberTable:
+    """The texts of members 0, 1, ... for one write, and the separator that
+    joins them.  The first set written run by run builds those texts joined
+    by the separator, with the offset where each starts (one 8-byte int per
+    text, in an array)."""
+
+    __slots__ = ("texts", "sep", "joined", "starts")
+
+    def __init__(self, texts: Sequence[str], sep: str):
+        self.texts, self.sep, self.joined, self.starts = texts, sep, None, None
+
+
+def member_text(mask: int, table: MemberTable) -> str:
+    """table.texts[k] for each member k of a set, ascending, joined by
+    table.sep: no member list is built.  A set of few runs of consecutive
+    members for its size (see RUNS) is one slice of the joined texts per
+    run: a single run is told by adding its lowest bit, and any other set's
+    runs are found by `str.find` in its 01 word.  Any other set joins one
+    text per member, through `select`."""
+    if mask.bit_count() <= RUNS * (mask ^ mask << 1).bit_count():
+        return table.sep.join(select(table.texts, mask))
+    if table.joined is None:
+        table.joined = table.sep.join(table.texts)
+        table.starts = array("q", accumulate(map(len(table.sep).__add__, map(len, table.texts)), initial=0))
+    joined, starts, gap = table.joined, table.starts, len(table.sep)
+    low = mask & -mask
+    if not mask & mask + low:  # the carry clears one run and leaves no member
+        return joined[starts[low.bit_length() - 1]:starts[mask.bit_length()] - gap]
+    text = word(mask, mask.bit_length() + 1)  # ends in a 0, which ends the last run
+    runs = []
+    lo = text.find("1")
+    while lo >= 0:
+        hi = text.find("0", lo)
+        runs.append(joined[starts[lo]:starts[hi] - gap])
+        lo = text.find("1", hi)
+    return table.sep.join(runs)
 
 
 def table_csv(row_index: Iterable[Ordinal], col_index: Iterable[Ordinal], rows: Iterable[Iterable[str]]) -> str:
@@ -281,4 +320,5 @@ def excess_matrix_csv(g: GapFragment) -> str:
     """CSV of the excess matrix X(a_i, b_j), ordinal row and column headers."""
     I, J = g.I, g.J
     outside = [~g.b[j] for j in J]  # excess(a, b) is (a & ~b).bit_length()
-    return table_csv(I, J, ([str((a & o).bit_length()) for o in outside] for a in map(g.a.__getitem__, I)))
+    texts = list(map(str, range(g.universe + 1)))  # an excess may equal the universe
+    return table_csv(I, J, ([texts[(a & o).bit_length()] for o in outside] for a in map(g.a.__getitem__, I)))

@@ -1,5 +1,5 @@
-"""Desk-scale ordinals below w^2, the two-sided index order, ladder systems,
-and designated limit-point partitions.
+"""Desk-scale ordinals below w^2, ladder systems and designated limit-point
+partitions.
 
 Ordinals are pairs (q, r) denoting w*q + r, compared lexicographically.
 This is the smallest surrogate that still has genuine limit points with
@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import TableTooShort, UnknownDelta
 
@@ -54,7 +54,7 @@ class Ordinal(tuple):
 
     def key(self) -> str:
         """Serialized map-key form, "q.r"."""
-        return f"{self.q}.{self.r}"
+        return "%d.%d" % self
 
     def to_json(self) -> list[int]:
         return [self.q, self.r]
@@ -130,17 +130,6 @@ def ordinal_set(listed, name: str) -> frozenset[Ordinal]:
     if len(once) != len(out):
         raise ValueError(f"the {name} list names an ordinal twice")
     return once
-
-
-def two_sided(ordinals: Iterable[Ordinal]) -> Iterator[tuple[Ordinal, int]]:
-    """The points (o, side) over distinct ordinals, ascending in the two-sided
-    order: side 0 with the ordinals ascending, then side 1 descending, so
-    that (a,0) < (b,0) < (b,1) < (a,1) whenever a < b; the order is total."""
-    up = sorted(ordinals)
-    for o in up:
-        yield o, 0
-    for o in reversed(up):
-        yield o, 1
 
 
 class Ladder(Value):

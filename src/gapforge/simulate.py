@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, RequirementFailure
 from .gaps import GapFragment, Witnesses, bits, c_hausdorff_check, excess_matrix_csv
-from .ordinals import Ladder, Ordinal, SPartition, Value, two_sided
+from .ordinals import Ladder, Ordinal, SPartition, Value
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
 from .poset_q import QCondition, QContext
 
@@ -91,19 +91,21 @@ def check_tower_coherence(masks: Mapping[Ordinal, tuple[int, int]], entry: Mappi
     `masks` maps each index to its (a, b) pair, and `entry` gives the height
     at which each index entered.  For x < y, with h the later entry height:
     excess(a_x, a_y) <= h and excess(b_y, b_x) <= h, the order's extension
-    clause between the entry and the final condition.  One sweep up the
-    two-sided order checks it: above its entry height, each mask holds the
-    earlier masks of its side, each cut below its own.
+    clause between the entry and the final condition.  One sweep per side,
+    side 0 up the sorted indices and side 1 down them, checks it: above its
+    entry height, each mask holds the earlier masks of its side, each cut
+    below its own.
     """
-    seen, done = [0, 0], ([], [])
-    for y, s in two_sided(masks):
-        h, m = entry[y], masks[y][s]
-        if (seen[s] & ~m) >> h:
-            x = next(x for x in done[s] if (masks[x][s] >> entry[x] << entry[x] & ~m) >> h)
-            detail = f"{'ab'[s]}-excess at ({x}, {y}) exceeds entry height {max(entry[x], h)}"
-            raise InvariantViolation("tower-coherence", detail)
-        seen[s] |= m >> h << h
-        done[s].append(y)
+    up = sorted(masks)
+    for s, order in (0, up), (1, up[::-1]):
+        seen = 0
+        for y in order:
+            h, m = entry[y], masks[y][s]
+            if (seen & ~m) >> h:
+                x = next(x for x in order if (masks[x][s] >> entry[x] << entry[x] & ~m) >> h)
+                detail = f"{'ab'[s]}-excess at ({x}, {y}) exceeds entry height {max(entry[x], h)}"
+                raise InvariantViolation("tower-coherence", detail)
+            seen |= m >> h << h
 
 
 BLOCK_WIDTH = 8  # indices per w-block of the default index list

@@ -5,12 +5,26 @@ count, replaced: `ref_count_below` walks the rungs upward and stops at the
 first one not below j, and `ref_first_index_above` at the first one above
 the bound.  They share no logic with the bisecting runs; the differential
 tests require both to agree exactly, errors included.  `ref_value` reads
-one rung, which no package code needs.
+one rung, which no package code needs.  `two_sided` lists the points of
+the two-sided index order, which the package sweeps one side at a time.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from gapforge import Ladder, Ordinal, TableTooShort, UnknownDelta
+
+
+def two_sided(ordinals: Iterable[Ordinal]) -> Iterator[tuple[Ordinal, int]]:
+    """The points (o, side) over distinct ordinals, ascending in the two-sided
+    order: side 0 with the ordinals ascending, then side 1 descending, so
+    that (a,0) < (b,0) < (b,1) < (a,1) whenever a < b; the order is total."""
+    up = sorted(ordinals)
+    for o in up:
+        yield o, 0
+    for o in reversed(up):
+        yield o, 1
 
 
 def ref_ordinal_from_json(data) -> Ordinal:

@@ -28,7 +28,10 @@ with enough indices above it to finish.
 `ref_check_tower_coherence` is the pairwise check that
 `check_tower_coherence`, one prefix-union sweep per side up the two-sided
 order, replaced: it tests both excesses of every pair of indices against
-the entry height of the later one.
+the entry height of the later one.  `ref_sweep_tower_coherence` is that
+sweep as one pass of `two_sided` (in `ordinals_reference`), with a list
+per side of the indices already passed, which two plain loops, side 0 up
+and side 1 down, replaced.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from gapforge import (
     p_extend,
     q_leq,
 )
+from ordinals_reference import two_sided
 
 
 @dataclass
@@ -216,6 +220,19 @@ def entry_heights(trace) -> dict[Ordinal, int]:
         for o in cond.masks:
             entry.setdefault(o, cond.height)
     return entry
+
+
+def ref_sweep_tower_coherence(masks, entry) -> None:
+    """`check_tower_coherence` as one sweep up the two-sided order."""
+    seen, done = [0, 0], ([], [])
+    for y, s in two_sided(masks):
+        h, m = entry[y], masks[y][s]
+        if (seen[s] & ~m) >> h:
+            x = next(x for x in done[s] if (masks[x][s] >> entry[x] << entry[x] & ~m) >> h)
+            detail = f"{'ab'[s]}-excess at ({x}, {y}) exceeds entry height {max(entry[x], h)}"
+            raise InvariantViolation("tower-coherence", detail)
+        seen[s] |= m >> h << h
+        done[s].append(y)
 
 
 def ref_check_tower_coherence(run: SimRun) -> None:

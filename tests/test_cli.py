@@ -609,7 +609,7 @@ def test_emitting_a_tall_diagram_builds_no_member_list(tmp_path, monkeypatch):
     one str per level (about 1 MiB here; 71 MiB of member lists before)."""
     frag = simulate.forge(simulate.default_index_blocks(64), 16384, 0)
     table = [str(k) for k in range(frag.universe)]
-    largest = max(len(gaps.member_text(m, table, ",\n      ")) for m in [*frag.a.values(), *frag.b.values()])
+    largest = max(len(gaps.member_text(m, gaps.MemberTable(table, ",\n      "))) for m in [*frag.a.values(), *frag.b.values()])
 
     def no_lists(mask):
         raise AssertionError("a member list was built")
@@ -630,7 +630,7 @@ def test_emitting_a_pipeline_report_holds_one_set_and_the_excess_text(tmp_path):
     report = simulate.pipeline(ordinals, 512, 512, Ladder.canonical(), simulate.default_partition(ordinals), 0)
     frag = report["fragment"]
     table = [str(k) for k in range(frag.universe)]
-    largest = max(len(gaps.member_text(m, table, ",\n        ")) for m in [*frag.a.values(), *frag.b.values()])
+    largest = max(len(gaps.member_text(m, gaps.MemberTable(table, ",\n        "))) for m in [*frag.a.values(), *frag.b.values()])
     out = tmp_path / "pipeline.json"
     peak = traced_peak(cli._emit, report, str(out))[1]
     held = len(json.dumps(report["excess_csv"])) + largest + sys.getsizeof(table) + sum(map(sys.getsizeof, table))

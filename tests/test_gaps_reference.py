@@ -29,7 +29,8 @@ from gapforge import (
     special_gap_check,
     uniform_interpolation,
 )
-from gapforge.gaps import MAX_INDICES, MAX_UNIVERSE, SPARSE, member_text
+from gapforge import gaps
+from gapforge.gaps import MAX_INDICES, MAX_UNIVERSE, SPARSE, MemberTable, member_text
 from gaps_reference import (
     as_sets,
     compress_members,
@@ -116,7 +117,75 @@ def test_member_text_joins_the_texts_of_the_reference_members():
     masks = list(range(1 << 8)) + [1 << (MAX_UNIVERSE - 1), (1 << MAX_UNIVERSE) - 1]
     masks += [rng.getrandbits(rng.randint(0, MAX_UNIVERSE)) for _ in range(20)]
     for m in masks:
-        assert member_text(m, texts, ", ") == ", ".join(texts[k] for k in ref_members(m))
+        assert member_text(m, MemberTable(texts, ", ")) == ", ".join(texts[k] for k in ref_members(m))
+
+
+def _runs_mask(rng: random.Random, width: int, lengths) -> int:
+    """A set of runs of the given lengths, in order, each after a gap of 1-5
+    non-members, within [0, width)."""
+    m, at = 0, 0
+    for n in lengths:
+        at += rng.randint(1, 5)
+        m |= (1 << n) - 1 << at
+        at += n
+    return m & (1 << width) - 1
+
+
+def _member_text_masks(rng: random.Random) -> list[int]:
+    """0, a single top bit, the full mask, alternating bits, random sets at
+    densities 0.01-0.99, runs of each length from 1 to the universe, and sets
+    with RUNS members per run boundary, one fewer and one more."""
+    width, full = MAX_UNIVERSE, (1 << MAX_UNIVERSE) - 1
+    masks = [0, 1, 1 << (width - 1), full, full // 3, full // 3 << 1, full // 3 << 2 & full, full - 1, full >> 1]
+    for density in (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
+        for w in (1, 7, 300, 4096):
+            masks.append(sum(1 << k for k in range(w) if rng.random() < density))
+    for n in (1, 2, 3, 7, 8, 9, 10, 64, 1000, 4095, 4096):
+        masks.append(_runs_mask(rng, 4096, [n] * (4096 // n + 1)))
+        masks.append((1 << n) - 1 << rng.randint(0, 4096 - n))
+    for runs in (1, 2, 3, 17, 500):
+        for extra in (-1, 0, 1):
+            # boundaries are 2 per run, so RUNS * 2 * runs members sit on the switch
+            count = gaps.RUNS * 2 * runs + extra
+            lengths = [1] * runs
+            for _ in range(count - runs):
+                lengths[rng.randrange(runs)] += 1
+            masks.append(_runs_mask(rng, MAX_UNIVERSE, lengths))
+    return masks
+
+
+@pytest.mark.parametrize("runs", [0, None, MAX_UNIVERSE], ids=["every-set-by-runs", "switch", "every-set-by-members"])
+def test_member_text_takes_either_path_with_the_text_of_the_reference_members(runs, monkeypatch):
+    """Both paths, and the switch between them, on the masks of
+    `_member_text_masks`, with separators of several lengths: RUNS at 0
+    writes every set run by run, and at MAX_UNIVERSE every set member by
+    member, which never builds the joined texts."""
+    masks = _member_text_masks(random.Random(76))  # on the switch at the package's RUNS
+    if runs is not None:
+        monkeypatch.setattr(gaps, "RUNS", runs)
+    texts = [f"<{k}>" for k in range(MAX_UNIVERSE)]
+    for sep in ("", ",", ", ", ",\n        "):
+        table = MemberTable(texts, sep)
+        for m in masks:
+            assert member_text(m, table) == sep.join(texts[k] for k in ref_members(m))
+        assert (table.joined is None) is (runs == MAX_UNIVERSE)
+
+
+def test_member_text_builds_the_joined_texts_at_the_first_set_written_by_runs():
+    """Sets of RUNS members per run boundary or fewer leave the table as it
+    was; the first set with more builds the joined texts and their offsets,
+    once: one run of 2 RUNS members is written member by member, and one of
+    2 RUNS + 1 run by run."""
+    table = MemberTable([str(k) for k in range(64)], ", ")
+    assert member_text(0, table) == "" and member_text(0b10101, table) == "0, 2, 4"
+    assert member_text((1 << 64) // 3, table) == ", ".join(map(str, range(0, 64, 2)))
+    assert member_text((1 << 2 * gaps.RUNS) - 1 << 3, table) == ", ".join(map(str, range(3, 3 + 2 * gaps.RUNS)))
+    assert table.joined is None and table.starts is None
+    assert member_text((1 << 2 * gaps.RUNS + 1) - 1 << 3, table) == ", ".join(map(str, range(3, 4 + 2 * gaps.RUNS)))
+    joined, starts = table.joined, table.starts
+    assert joined == ", ".join(map(str, range(64))) and starts.typecode == "q"
+    assert list(starts) == [len(joined) - len(", ".join(map(str, range(k, 64)))) for k in range(64)] + [len(joined) + 2]
+    assert member_text((1 << 64) - 1, table) == joined and table.joined is joined
 
 
 def test_excess_matrix_csv_matches_the_cell_by_cell_reference():
@@ -135,6 +204,17 @@ def test_excess_matrix_csv_matches_the_cell_by_cell_reference():
         cases.append(GapFragment(universe, side(), side()))
     for g in cases:
         assert excess_matrix_csv(g) == ref_excess_matrix_csv(g)
+
+
+@pytest.mark.parametrize("universe", [1, 2, 10, 64, MAX_UNIVERSE])
+def test_excess_matrix_csv_writes_an_excess_equal_to_the_universe(universe):
+    """An a-set holding the top member of the universe, which a b-set lacks,
+    has the universe as its excess: the last text of the CSV's table."""
+    top = 1 << (universe - 1)
+    g = GapFragment(universe, {fin(0): top, fin(1): 0}, {fin(0): 0, fin(2): top, fin(3): top >> 1})
+    text = excess_matrix_csv(g)
+    assert text == ref_excess_matrix_csv(g)
+    assert text.splitlines()[1] == f"0.0,{universe},0,{universe}"
 
 
 def test_excess_and_almost_subset_match_reference_on_every_small_pair():

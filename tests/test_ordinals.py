@@ -12,10 +12,9 @@ from gapforge import (
     SPartition,
     TableTooShort,
     UnknownDelta,
-    two_sided,
 )
 from helpers import fin
-from ordinals_reference import ref_count_below, ref_first_index_above, ref_ordinal_from_json, ref_value
+from ordinals_reference import ref_count_below, ref_first_index_above, ref_ordinal_from_json, ref_value, two_sided
 from p_reference import _ilt
 
 

@@ -45,6 +45,7 @@ from simulate_reference import (
     ref_coin_draws,
     ref_p_standard_schedule,
     ref_q_standard_schedule,
+    ref_sweep_tower_coherence,
 )
 
 
@@ -309,6 +310,36 @@ def test_tower_coherence_matches_the_pairwise_reference_on_random_traces(seed):
     rng = random.Random(seed)
     failed = sum(_assert_coherence_agrees_with_the_reference(_random_coherence_run(rng)) for _ in range(1000))
     assert 200 <= failed <= 800
+
+
+def _coherence_detail(check, masks, entry) -> str | None:
+    try:
+        check(masks, entry)
+    except InvariantViolation as err:
+        assert err.invariant == "tower-coherence"
+        return err.detail
+    return None
+
+
+def test_tower_coherence_names_the_pair_and_height_of_the_two_sided_sweep():
+    """Forged diagrams with 1-3 bits flipped in random masks above or below
+    their entry heights: the two loops raise the detail of the two-sided
+    sweep they replaced, naming the same x, y and height, or both pass."""
+    rng = random.Random(31)
+    seen = {"a": 0, "b": 0, None: 0}
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        frag = forge(default_index_blocks(n), rng.randint(n, 40), rng.randrange(10**6))
+        up = sorted(frag.a)
+        masks = {o: [frag.a[o], frag.b[o]] for o in up}
+        for _ in range(rng.randint(1, 3)):
+            masks[rng.choice(up)][rng.randrange(2)] ^= 1 << rng.randrange(frag.universe)
+        masks = {o: tuple(pair) for o, pair in masks.items()}
+        entry = {o: k for k, o in enumerate(up)}
+        detail = _coherence_detail(check_tower_coherence, masks, entry)
+        assert detail == _coherence_detail(ref_sweep_tower_coherence, masks, entry)
+        seen[detail and detail[0]] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 # (count, height, entry height of the first index), the last only to keep
