@@ -259,11 +259,11 @@ def _cmd_pcc(args) -> int:
         report = {"verified": True}  # max_order_rectangle raises InvariantViolation otherwise
     else:
         inst = generate_pcc_instance(seed, args.t1, args.t2)
-        triple = find_compatible_pair(inst)
+        matrix = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+        triple = find_compatible_pair(inst, matrix)
         if triple is None:
             raise InvariantViolation("compatible-pair", "no order-respecting pair carries a witness")
         d1, d2, n = triple
-        matrix = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
         report = {
             "seed": seed,
             "k": inst.k,

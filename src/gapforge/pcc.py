@@ -2,8 +2,9 @@
 
 Two families of pair conditions are indexed along increasing ordinal lists;
 the lab builds their compatibility matrix, derives the meet/join profiles
-of their upper tower sets, hunts for an order-respecting compatible pair
-through a numeric witness, and searches for large order-respecting all-true
+of their upper tower sets, hunts for an order-respecting pair through a
+numeric witness, confirmed by its matrix cell (the matrix is an op's one
+compatibility answer), and searches for large order-respecting all-true
 rectangles.  No stationarity is modeled: "large" means large within the
 finite index lists, nothing more.
 """
@@ -13,13 +14,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from functools import reduce
-from operator import itemgetter, or_
+from operator import and_, itemgetter, or_
 from typing import Sequence
 
 from .errors import InvariantViolation
 from .gaps import GapFragment, bits, members, table_csv, word
 from .ordinals import Ladder, Ordinal, SPartition, Value
-from .poset_q import QCondition, QContext, ladder_blocked, q_compatible, upper_join, upper_meet
+from .poset_q import QCondition, QContext, ladder_blocked
 
 
 class CompatMatrix(Value):
@@ -78,6 +79,13 @@ def _require_increasing(idx: Sequence[Ordinal], what: str) -> None:
         raise ValueError(f"{what} must strictly increase")
 
 
+def _checked_union(ctx: QContext, fam: Sequence[tuple[Ordinal, QCondition]]) -> frozenset[Ordinal]:
+    """The w-union of an indexed family, once the family's union is checked against the context."""
+    union = QCondition(frozenset().union(*(p.w for _, p in fam)), frozenset().union(*(p.s for _, p in fam)))
+    ctx.check_condition(union)
+    return union.w
+
+
 def build_compat_matrix(
     ctx: QContext,
     fam1: Sequence[tuple[Ordinal, QCondition]],
@@ -100,12 +108,7 @@ def build_compat_matrix(
     clause keeps out a member they bring in) and in the OR of blocker[k]
     over its own w (their clause keeps out one it brings in).
     """
-    cands = []
-    for fam in (fam1, fam2):
-        union = QCondition(frozenset().union(*(p.w for _, p in fam)), frozenset().union(*(p.s for _, p in fam)))
-        ctx.check_condition(union)
-        cands.append(sorted(union.w))
-    cand1, cand2 = cands
+    cand1, cand2 = cands = [sorted(_checked_union(ctx, fam)) for fam in (fam1, fam2)]
     blocked1 = ladder_blocked(ctx, [p for _, p in fam1], cand2)
     blocked2 = ladder_blocked(ctx, [q for _, q in fam2], cand1)
     pos1, pos2 = ({o: k for k, o in enumerate(c)} for c in cands)
@@ -129,10 +132,11 @@ class PccInstance(Value):
 
     Each family is a tuple of (index, condition) pairs in ascending index
     order, the shape `build_compat_matrix` takes.  Working hypotheses,
-    validated on construction: below gamma every condition restricts to one
-    shared core; each condition's domain (w and s together) avoids [gamma,
-    its own index); along the merged index order the part of each domain at
-    or beyond gamma stays below the next index, so the upper domains are
+    validated on construction once the union of all conditions passes the
+    context's check: below gamma every condition restricts to one shared
+    core; each condition's domain (w and s together) avoids [gamma, its own
+    index); along the merged index order the part of each domain at or
+    beyond gamma stays below the next index, so the upper domains are
     strictly increasing and separated; each upper s member lies above its
     index (the domain and S tests leave it no room below) with fewer than k
     rungs below that index.  Under this shape a numeric witness n >= k
@@ -157,9 +161,9 @@ class PccInstance(Value):
         if {d for d, _ in fam1} & {d for d, _ in fam2}:
             raise ValueError("the two index lists must be disjoint")
         merged = sorted([*fam1, *fam2], key=itemgetter(0))
+        _checked_union(ctx, merged)
         core = None
         for pos, (delta, p) in enumerate(merged):
-            ctx.check_condition(p)
             dom = sorted(p.w | p.s)
             upper = bisect_left(dom, gamma)  # dom[upper:] is the part at or beyond gamma
             if upper < len(dom) and dom[upper] < delta:
@@ -182,33 +186,37 @@ class PccInstance(Value):
 def pcc_ab_profiles(inst: PccInstance) -> tuple[dict[Ordinal, int], dict[Ordinal, int]]:
     """Per index: meet of family-1 upper a-sets, join of family-2 upper b-sets.
 
-    The profiles are `poset_q.upper_meet` and `upper_join` above gamma, the
+    The upper sets are those of the w members at or beyond gamma, as in the
     witness rule of the separated-pair criterion in `tests/proof_steps.py`:
     the empty meet is the full universe, the empty join is empty.
     """
-    meets = {d: upper_meet(inst.ctx, p, inst.gamma) for d, p in inst.fam1}
-    joins = {d: upper_join(inst.ctx, q, inst.gamma) for d, q in inst.fam2}
+    g, gamma, full = inst.ctx.g, inst.gamma, (1 << inst.ctx.g.universe) - 1
+    meets = {d: reduce(and_, [g.a[i] for i in p.w if not i < gamma], full) for d, p in inst.fam1}
+    joins = {d: reduce(or_, [g.b[j] for j in q.w if not j < gamma], 0) for d, q in inst.fam2}
     return meets, joins
 
 
-def find_compatible_pair(inst: PccInstance) -> tuple[Ordinal, Ordinal, int] | None:
+def find_compatible_pair(inst: PccInstance, matrix: CompatMatrix) -> tuple[Ordinal, Ordinal, int] | None:
     """First order-respecting pair carrying a witness n >= k, or None.
 
     Scans index pairs delta1 < delta2 in increasing order; a witness is the
     least n >= k in the meet profile of delta1 minus the join profile of
-    delta2, the lowest set bit of that difference cut below k.  On success
-    the pair is checked compatible, which the split shape of the instance
-    guarantees; InvariantViolation says it was not.
+    delta2, the lowest set bit of that difference cut below k.  The first
+    witnessed pair is confirmed by its cell of `matrix`, which the split
+    shape guarantees true (InvariantViolation says it was false); a matrix
+    not indexed by the instance's two families raises ValueError.
     """
+    if (matrix.row_index, matrix.col_index) != tuple(tuple(d for d, _ in fam) for fam in (inst.fam1, inst.fam2)):
+        raise ValueError("the matrix must be indexed by the instance's two families")
     meets, joins = pcc_ab_profiles(inst)
-    for d1, p1 in inst.fam1:
-        for d2, p2 in inst.fam2:
+    for x, (d1, _) in enumerate(inst.fam1):
+        for y, (d2, _) in enumerate(inst.fam2):
             if not d1 < d2:
                 continue
             witnesses = (meets[d1] & ~joins[d2]) >> inst.k << inst.k
             if witnesses:
                 n = (witnesses & -witnesses).bit_length() - 1
-                if q_compatible(inst.ctx, p1, p2) is None:
+                if not matrix.rows[x] >> y & 1:
                     detail = f"witness {n} for {d1} < {d2}, yet the pair is incompatible"
                     raise InvariantViolation("compatible-pair", detail)
                 return d1, d2, n

@@ -132,16 +132,12 @@ def _leq(m: int, pm: Mapping[Ordinal, tuple[int, int]], qm: Mapping[Ordinal, tup
     if m == h:
         return pm.items() <= qm.items()
     below, up, seen = (1 << m) - 1, sorted(pm), 0
-    for o in up:
-        q_mask = qm[o][0]
-        if (q_mask ^ pm[o][0]) & below or seen & ~q_mask:
-            return False
-        seen |= q_mask >> m << m
-    for o in reversed(up):
-        q_mask = qm[o][1]
-        if (q_mask ^ pm[o][1]) & below or seen & ~q_mask:
-            return False
-        seen |= q_mask >> m << m
+    for s, order in (0, up), (1, up[::-1]):
+        for o in order:
+            q_mask = qm[o][s]
+            if (q_mask ^ pm[o][s]) & below or seen & ~q_mask:
+                return False
+            seen |= q_mask >> m << m
     return True
 
 
@@ -150,12 +146,10 @@ def _carry(masks: Mapping[Ordinal, tuple[int, int]], grants: Mapping[Ordinal, tu
     missing entry reads all-zero): each mask joined by every grant at or
     below its point in the two-sided order, as {o: (low, high)} in key order."""
     zeros, up, seen, lows, highs = (0, 0), sorted(masks.keys() | grants.keys()), 0, [], []
-    for o in up:
-        seen |= grants.get(o, zeros)[0]
-        lows.append(masks.get(o, zeros)[0] | seen)
-    for o in reversed(up):
-        seen |= grants.get(o, zeros)[1]
-        highs.append(masks.get(o, zeros)[1] | seen)
+    for s, order, out in (0, up, lows), (1, up[::-1], highs):
+        for o in order:
+            seen |= grants.get(o, zeros)[s]
+            out.append(masks.get(o, zeros)[s] | seen)
     return dict(zip(up, zip(lows, reversed(highs))))
 
 

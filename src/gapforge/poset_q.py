@@ -7,8 +7,9 @@ each committed b_i beats the rung count of c_delta below j.  Tower sets
 are int bitmasks (bit k = member k), and `ladder_blocked` collects, for
 each condition of a family, the candidates its clause keeps out as a
 bitmask over one ascending candidate list, bit-sliced at most once per
-call and only once a clause reaches the slices: the order (a family of
-one) and the pcc compatibility matrix (one call per family) stand on it.
+call and only once a clause reaches the slices: the order `q_leq` and
+`q_compatible`, which `oracle q` asks (a family of one), and the pcc
+compatibility matrix (one call per family) stand on it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import reduce
 from itertools import repeat
-from operator import and_, or_
+from operator import or_
 from typing import Sequence
 
 from .errors import TableTooShort, UnknownIndex
@@ -59,9 +60,8 @@ class QContext(Value):
                 raise ValueError(f"designated limit {delta} has no ladder")
 
     def check_condition(self, p: QCondition) -> None:
-        if not all(map(self.g.a.__contains__, p.w)):
-            o = next(o for o in p.w if o not in self.g.a)
-            raise UnknownIndex(f"index {o} has no tower set in the diagram")
+        if not all(map(self.g.a.__contains__, p.w)):  # the least unknown index, whatever the set order
+            raise UnknownIndex(f"index {min(o for o in p.w if o not in self.g.a)} has no tower set in the diagram")
         if not p.s <= self.part.S:
             raise ValueError("the s component must stay inside the designated set S")
 
@@ -136,18 +136,6 @@ def q_leq(ctx: QContext, p: QCondition, q: QCondition) -> bool:
     if not (p.w <= q.w and p.s <= q.s):
         return False
     return not ladder_blocked(ctx, [p], sorted(q.w - p.w))[0]
-
-
-def upper_meet(ctx: QContext, p: QCondition, gamma: Ordinal) -> int:
-    """Meet of the a-sets of p's w members at or beyond gamma; the whole
-    universe when there are none."""
-    return reduce(and_, (ctx.g.a[i] for i in p.w if not i < gamma), (1 << ctx.g.universe) - 1)
-
-
-def upper_join(ctx: QContext, p: QCondition, gamma: Ordinal) -> int:
-    """Join of the b-sets of p's w members at or beyond gamma; 0 when there
-    are none."""
-    return reduce(or_, (ctx.g.b[j] for j in p.w if not j < gamma), 0)
 
 
 def q_compatible(ctx: QContext, p: QCondition, q: QCondition) -> QCondition | None:

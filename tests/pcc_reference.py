@@ -15,18 +15,19 @@ returns are the same for every maximum matching.
 `ref_matrix_rows` is the per-cell row build that `build_compat_matrix`'s
 two column tables replaced: the same `ladder_blocked` sets, each condition's
 w as a mask over its family's w-union, and one `wq & bp or wp & bq` test
-per cell.  `ref_validate_instance` is the per-condition check that
-`PccInstance.__post_init__`, one sorted pass per condition, replaced: it
-runs `check_condition` and `proof_steps.q_restrict` on every condition
-and tests each domain member against gamma, delta and the next index one
-at a time.
+per cell.  `ref_validate_instance` is the per-member check that
+`PccInstance.__init__`, one sorted pass per condition, replaced: after the
+index lists it runs `check_condition` once, on the union of all the
+conditions, as the package does, then `proof_steps.q_restrict` on every
+condition, and tests each domain member against gamma, delta and the next
+index one at a time.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from gapforge import CompatMatrix, QContext, bits, ladder_blocked, members
+from gapforge import CompatMatrix, QCondition, QContext, bits, ladder_blocked, members
 from proof_steps import q_restrict
 
 
@@ -159,9 +160,10 @@ def ref_validate_instance(ctx: QContext, gamma, fam1, fam2, k: int) -> None:
     if {d for d, _ in fam1} & {d for d, _ in fam2}:
         raise ValueError("the two index lists must be disjoint")
     merged = sorted([*fam1, *fam2], key=itemgetter(0))
+    union = QCondition(frozenset().union(*(p.w for _, p in merged)), frozenset().union(*(p.s for _, p in merged)))
+    ctx.check_condition(union)
     core = None
     for pos, (delta, p) in enumerate(merged):
-        ctx.check_condition(p)
         dom = p.w | p.s
         if any(x < delta and not x < gamma for x in dom):
             raise ValueError(f"domain of the condition at {delta} meets [gamma, {delta})")

@@ -18,10 +18,11 @@ Run through the tests, e.g. `pytest tests/test_acceptance.py -k "05 or 07"`.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
+from operator import and_, or_
 from typing import Sequence
 
 from gapforge import GapforgeError, InvariantViolation, Ordinal, PCondition, QCondition, QContext, q_compatible
-from gapforge.poset_q import upper_join, upper_meet
 
 
 class HeightMismatch(GapforgeError):
@@ -110,10 +111,10 @@ def separated_pair_check(
     The shape: p1 lives below alpha, p2 jumps over the interval [gamma,
     alpha] (its w and s meet it only below gamma), both restrictions to
     gamma are compatible with the other condition, and some witness n lies
-    in p1's `upper_meet` minus p2's `upper_join` (the a-sets and b-sets of
-    their w members at or beyond gamma), clearing every rung count |c_delta
-    below alpha| for delta in s2 beyond alpha.  True means p1 and p2 are
-    compatible outright.
+    in the meet of the a-sets of p1's w members at or beyond gamma (the
+    whole universe when there are none) minus the join of the b-sets of
+    p2's, clearing every rung count |c_delta below alpha| for delta in s2
+    beyond alpha.  True means p1 and p2 are compatible outright.
     """
     if not gamma < alpha:
         raise ValueError("the split points must satisfy gamma < alpha")
@@ -137,4 +138,6 @@ def separated_pair_check(
         (ctx.ladder.count_below(d, alpha) for d in p2.s if not d < alpha),
         default=-1,
     )
-    return bool((upper_meet(ctx, p1, gamma) & ~upper_join(ctx, p2, gamma)) >> (floor + 1))
+    meet = reduce(and_, (ctx.g.a[i] for i in p1.w if not i < gamma), (1 << ctx.g.universe) - 1)
+    join = reduce(or_, (ctx.g.b[j] for j in p2.w if not j < gamma), 0)
+    return bool((meet & ~join) >> (floor + 1))

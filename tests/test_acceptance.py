@@ -373,7 +373,8 @@ def test_10_chain_condition_lab():
     meets, joins = pcc_ab_profiles(inst)
     assert any(m != mask(range(inst.ctx.g.universe)) for m in meets.values())
     assert any(j for j in joins.values())
-    triple = find_compatible_pair(inst)
+    matrix = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+    triple = find_compatible_pair(inst, matrix)
     assert triple is not None
     d1, d2, n = triple
     assert d1 < d2 and n >= inst.k
@@ -381,7 +382,6 @@ def test_10_chain_condition_lab():
     u = q_compatible(inst.ctx, p1, p2)
     assert u is not None
     assert q_leq(inst.ctx, p1, u) and q_leq(inst.ctx, p2, u)
-    matrix = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
     rows, cols = max_order_rectangle(matrix)
     assert verify_rectangle(matrix, rows, cols)
     rng = random.Random(110)

@@ -4,19 +4,25 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import gapforge
 from gapforge import (
     GapFragment,
     InvariantViolation,
     Ladder,
     Ordinal,
+    PccInstance,
     PCondition,
+    QCondition,
     QContext,
     SPartition,
     cli,
     gaps,
+    pcc,
+    poset_q,
     simulate,
 )
 from gapforge.cli import build_parser, main
@@ -1032,19 +1038,59 @@ def test_negative_counts_exit_2(argv, tmp_path, monkeypatch, capsys):
     "argv, checks",
     [
         (["pipeline", "--indices", "40", "--height", "64", "--wsize", "10", "--seed", "1"], 1),
-        (["pcc", "--t1", "120", "--t2", "120", "--seed", "1"], 246),
+        (["pcc", "--t1", "120", "--t2", "120", "--seed", "1"], 3),
     ],
     ids=["pipeline", "pcc"],
 )
 def test_each_condition_is_checked_against_the_context_once(argv, checks, tmp_path, monkeypatch):
-    """The selection checks its last condition alone.  pcc checks its 240
-    conditions in `PccInstance`, each family's union in the matrix, and the
-    found pair's conditions and union in `q_compatible`'s two `q_leq` calls."""
+    """The selection checks its last condition alone.  pcc checks the union
+    of its 240 conditions in `PccInstance` and each family's union in the
+    matrix, which alone confirms the found pair."""
     calls = []
     check = QContext.check_condition
     monkeypatch.setattr(QContext, "check_condition", lambda ctx, p: calls.append(p) or check(ctx, p))
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     assert len(calls) == checks
+
+
+def test_the_pcc_op_asks_each_q_question_once(tmp_path, monkeypatch):
+    """One pcc op at 120 x 120 answers compatibility by its matrix alone: 3
+    context checks (the instance's union and each family's), the two
+    `ladder_blocked` calls of the matrix, and no `q_compatible` or `q_leq`
+    call, in any module that holds them."""
+    calls = Counter()
+
+    def counted(name, real):
+        return lambda *args: calls.update([name]) or real(*args)
+
+    monkeypatch.setattr(QContext, "check_condition", counted("check_condition", QContext.check_condition))
+    for name in ("q_compatible", "q_leq", "ladder_blocked"):
+        real = getattr(poset_q, name)
+        for module in (gapforge, cli, pcc, poset_q, simulate):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    argv = ["pcc", "--t1", "120", "--t2", "120", "--seed", "0", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert calls == Counter(check_condition=3, ladder_blocked=2)
+
+
+def test_pcc_without_a_witnessed_pair_exits_3(tmp_path, monkeypatch, capsys):
+    """An instance whose join profile covers the universe carries no
+    witness, though its one pair is compatible: pcc builds the matrix,
+    finds no pair, exits 3 and writes nothing."""
+    core, limit = fin(1), Ordinal(1, 0)
+    idx = {core, Ordinal(6, 2)}
+    part = SPartition(S=frozenset({limit}), T=frozenset(), D=frozenset({limit}))
+    ctx = QContext(GapFragment(8, dict.fromkeys(idx, 0), dict.fromkeys(idx, mask(range(8)))), Ladder.canonical(), part)
+    fam1 = ((Ordinal(3, 1), QCondition(frozenset({core}), frozenset({limit}))),)
+    fam2 = ((Ordinal(6, 1), QCondition(frozenset(idx), frozenset({limit}))),)
+    inst = PccInstance(ctx, Ordinal(2, 0), fam1, fam2, 0)
+    assert pcc.build_compat_matrix(ctx, fam1, fam2).rows == (1,)
+    monkeypatch.setattr(cli, "generate_pcc_instance", lambda seed, t1, t2: inst)
+    out = tmp_path / "report.json"
+    assert main(["pcc", "--t1", "1", "--t2", "1", "--out", str(out)]) == 3
+    assert "no order-respecting pair carries a witness" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_failure_exit_code(tmp_path):

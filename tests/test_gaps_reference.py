@@ -17,6 +17,7 @@ from gapforge import (
     TableTooShort,
     UnknownDelta,
     almost_subset,
+    build_compat_matrix,
     c_hausdorff_check,
     excess,
     excess_matrix_csv,
@@ -365,7 +366,8 @@ def test_pcc_profiles_and_witness_match_reference(t):
         ref_meets, ref_joins = ref_pcc_ab_profiles(inst)
         assert meets == {d: mask(s) for d, s in ref_meets.items()}
         assert joins == {d: mask(s) for d, s in ref_joins.items()}
-        assert find_compatible_pair(inst) == ref_first_witness(inst)
+        matrix = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+        assert find_compatible_pair(inst, matrix) == ref_first_witness(inst)
 
 
 def _load_matches_reference(data) -> GapFragment | None:

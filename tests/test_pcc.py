@@ -29,6 +29,7 @@ from gapforge import (
     verify_rectangle,
 )
 from gapforge import pcc, poset_q
+from gaps_reference import ref_first_witness
 from helpers import fin, mask, matrix_from_grid
 from pcc_reference import (
     exact_rectangle,
@@ -82,9 +83,14 @@ def test_profiles_singleton():
         assert joins[d] == inst.ctx.g.b[Ordinal(d.q, 2)]
 
 
+def _pair(inst: PccInstance):
+    """find_compatible_pair on the instance's own matrix."""
+    return find_compatible_pair(inst, build_compat_matrix(inst.ctx, inst.fam1, inst.fam2))
+
+
 def test_find_compatible_pair_trivial_cases():
     inst = _flat_instance()
-    d1, d2, n = find_compatible_pair(inst)
+    d1, d2, n = _pair(inst)
     assert (d1, d2, n) == (Ordinal(3, 1), Ordinal(6, 1), 0)  # first pair, least witness
 
     # join profile covering the universe blocks every witness
@@ -100,7 +106,7 @@ def test_find_compatible_pair_trivial_cases():
     fam1 = ((Ordinal(3, 1), QCondition(core_w, core_s)),)
     fam2 = ((Ordinal(6, 1), QCondition(core_w | {Ordinal(6, 2)}, core_s)),)
     inst2 = PccInstance(ctx, gamma, fam1, fam2, 0)
-    assert find_compatible_pair(inst2) is None
+    assert _pair(inst2) is None
 
 
 def test_generate_rejects_empty_families():
@@ -118,7 +124,7 @@ def test_generate_rejects_families_above_the_limit():
 def test_generated_instance_pair_validates():
     for seed in range(6):
         inst = generate_pcc_instance(seed, 12, 12)
-        triple = find_compatible_pair(inst)
+        triple = _pair(inst)
         assert triple is not None
         d1, d2, n = triple
         assert d1 < d2 and n >= inst.k
@@ -131,7 +137,7 @@ def test_generated_instance_pair_validates():
 def test_every_witnessed_pair_passes_the_separated_pair_criterion():
     """The lab's witness rule is the proof's: every order-respecting pair
     with a witness n >= k under the profiles is a separated pair at alpha =
-    delta2, and so is the first pair `find_compatible_pair` reports."""
+    delta2."""
     witnessed = 0
     for t in (6, 30):
         for seed in range(12):
@@ -143,19 +149,54 @@ def test_every_witnessed_pair_passes_the_separated_pair_criterion():
                         assert separated_pair_check(inst.ctx, p1, p2, inst.gamma, d2), (t, seed, d1, d2)
                         witnessed += 1
     assert witnessed == 4420
+
+
+def test_the_found_pair_is_the_reference_witness_with_a_true_cell():
+    """The pair the matrix confirms is the reference hunt's first witnessed
+    pair over the reference profiles, its cell is true, and it passes the
+    separated-pair criterion at alpha = delta2."""
     for t in (6, 30, 120):
         for seed in range(40):
             inst = generate_pcc_instance(seed, t, t)
-            d1, d2, _ = find_compatible_pair(inst)
+            m = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+            triple = find_compatible_pair(inst, m)
+            assert triple is not None and triple == ref_first_witness(inst), (t, seed)
+            d1, d2, _ = triple
+            assert m.rows[m.row_index.index(d1)] >> m.col_index.index(d2) & 1, (t, seed)
             p1, p2 = dict(inst.fam1)[d1], dict(inst.fam2)[d2]
             assert separated_pair_check(inst.ctx, p1, p2, inst.gamma, d2), (t, seed, d1, d2)
 
 
-def test_find_compatible_pair_raises_on_an_incompatible_witness_pair(monkeypatch):
-    monkeypatch.setattr(pcc, "q_compatible", lambda ctx, p, q: None)
+def test_find_compatible_pair_raises_on_an_incompatible_witness_pair():
+    """A matrix whose cell at the first witnessed pair is cleared, and no
+    other, makes the hunt raise rather than report the pair."""
+    inst = _flat_instance()
+    m = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+    assert find_compatible_pair(inst, m)[:2] == (Ordinal(3, 1), Ordinal(6, 1))
+    cleared = CompatMatrix(m.row_index, m.col_index, (m.rows[0] & ~1,) + m.rows[1:])
     with pytest.raises(InvariantViolation) as err:
-        find_compatible_pair(_flat_instance())
+        find_compatible_pair(inst, cleared)
     assert err.value.invariant == "compatible-pair"
+    assert "witness 0 for" in str(err.value)
+
+
+def test_find_compatible_pair_refuses_a_matrix_of_other_families():
+    """The cell of a pair is read by its positions in fam1 and fam2, so a
+    matrix over other indices, fewer of them, or the two families swapped,
+    raises ValueError before any cell is read."""
+    inst, alien = generate_pcc_instance(3, 12, 12), generate_pcc_instance(4, 12, 12)
+    m = build_compat_matrix(inst.ctx, inst.fam1, inst.fam2)
+    others = [
+        build_compat_matrix(inst.ctx, inst.fam2, inst.fam1),
+        build_compat_matrix(inst.ctx, inst.fam1[1:], inst.fam2),
+        build_compat_matrix(inst.ctx, inst.fam1, inst.fam2[:-1]),
+        build_compat_matrix(inst.ctx, inst.fam1, ()),
+        build_compat_matrix(alien.ctx, alien.fam1, alien.fam2),
+    ]
+    for other in others:
+        assert other.row_index != m.row_index or other.col_index != m.col_index
+        with pytest.raises(ValueError, match="indexed by the instance's two families"):
+            find_compatible_pair(inst, other)
 
 
 def test_instance_validation_rejects_bad_shapes():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -54,6 +55,21 @@ def test_q_leq_requires_known_indices():
         q_leq(ctx, QCondition(frozenset({fin(9)}), frozenset()), QCondition.empty())
     with pytest.raises(ValueError):
         q_leq(ctx, QCondition(frozenset(), frozenset({Ordinal(2, 0)})), QCondition.empty())
+
+
+def test_the_check_names_the_least_unknown_index():
+    """However a set of unknown indices was built, and whichever condition
+    holds them (one alone, or a union with known ones), the message names
+    the least of them."""
+    ctx = _clause_context({6, 7})
+    unknown = [Ordinal(q, r) for q in (9, 3, 70, 5) for r in (4, 1, 60)]
+    rng = random.Random(33)
+    for _ in range(20):
+        rng.shuffle(unknown)
+        picked = unknown[: rng.randint(1, len(unknown))]
+        for w in (frozenset(picked), frozenset(picked) | {J5, DELTA}):
+            with pytest.raises(UnknownIndex, match=rf"^index {re.escape(str(min(picked)))} has no tower set"):
+                ctx.check_condition(QCondition(w, frozenset()))
 
 
 def test_q_restrict_examples():
