@@ -6,13 +6,16 @@ module converts through `bits`, `word`, `select`, `members` and
 `member_text` alone.  `GapFragment.from_json` writes each loaded member
 list into its 01 word, checking each member before it sets its character,
 and reads the word through `bits`, under a cap on sets times universe per
-side.  Between finite sets almost-inclusion is vacuous, so a diagram
-carries no tower laws; everything of interest is measured through the
-excess number.
+side.  Seeded coins come as a 01 word too, from `coins`, the one reader of
+whole generator words.  Between finite sets almost-inclusion is vacuous, so
+a diagram carries no tower laws; everything of interest is measured through
+the excess number.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from array import array
 from itertools import accumulate, compress, count
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -45,6 +48,47 @@ def word(mask: int, length: int) -> str:
     """The 01 word of the given length whose character k is bit k of mask."""
     # the sentinel bit at `length` keeps leading zeros; [:0:-1] drops it
     return format(mask | 1 << length, "b")[:0:-1]
+
+
+# per probability: the table from a draw's top byte to its coin, and the cut
+_COIN_TABLES: dict[float, tuple[bytes, int]] = {}
+
+
+def _coin_table(prob: float) -> tuple[bytes, int]:
+    if not 0 <= prob <= 1:  # NaN fails too
+        raise ValueError(f"a coin's probability must lie in [0, 1], got {prob!r}")
+    cut = math.ceil(prob * 2.0**53)
+    tie = b"?" if cut & (1 << 45) - 1 else b"0"
+    table = (b"1" * (cut >> 45) + tie).ljust(256, b"0")[:256], cut
+    if len(_COIN_TABLES) < 64:  # the package draws at a few fixed probabilities
+        _COIN_TABLES[prob] = table
+    return table
+
+
+def coins(rng: random.Random, n: int, prob: float) -> bytes:
+    """The 01 word of n draws `rng.random() < prob`, from one `getrandbits`
+    call, which leaves rng where those n `random()` calls leave it.
+
+    `random()` is v / 2^53 with v = (w1 >> 5) << 26 | w2 >> 6 for its two
+    32-bit words w1, w2, and `getrandbits(64 n)` gives those 2n words, least
+    significant first: byte 3 of each 8 is w1's top byte, v >> 45.  With
+    cut = ceil(prob * 2^53) the draw is a 1 exactly when v < cut, so a top
+    byte below cut >> 45 draws 1 and one above it 0.  A top byte equal to
+    it (1 draw in 256, and never at 0.5) is marked "?" by the table and
+    settled as v < cut.  A probability outside [0, 1], or NaN, raises
+    ValueError.
+    """
+    table, cut = _COIN_TABLES.get(prob) or _coin_table(prob)
+    raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    flags = raw[3::8].translate(table)
+    if 63 in flags:  # a "?"
+        k = flags.find(63)
+        while k >= 0:
+            w = int.from_bytes(raw[8 * k:8 * k + 8], "little")  # w1 | w2 << 32
+            coin = b"1" if (w & 0xFFFFFFFF) >> 5 << 26 | w >> 38 < cut else b"0"
+            flags = flags[:k] + coin + flags[k + 1:]
+            k = flags.find(63, k + 1)
+    return flags
 
 
 # translation table: the byte "1" to 1, every other byte to 0
@@ -320,5 +364,8 @@ def excess_matrix_csv(g: GapFragment) -> str:
     """CSV of the excess matrix X(a_i, b_j), ordinal row and column headers."""
     I, J = g.I, g.J
     outside = [~g.b[j] for j in J]  # excess(a, b) is (a & ~b).bit_length()
-    texts = list(map(str, range(g.universe + 1)))  # an excess may equal the universe
+    union = 0
+    for a in g.a.values():
+        union |= a
+    texts = list(map(str, range(union.bit_length() + 1)))  # no excess exceeds the a-sets' union
     return table_csv(I, J, ([texts[(a & o).bit_length()] for o in outside] for a in map(g.a.__getitem__, I)))

@@ -15,10 +15,10 @@ import random
 from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import and_, itemgetter, or_
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InvariantViolation
-from .gaps import GapFragment, bits, members, table_csv, word
+from .gaps import GapFragment, bits, coins, members, table_csv, word
 from .ordinals import Ladder, Ordinal, SPartition, Value
 from .poset_q import QCondition, QContext, ladder_blocked
 
@@ -183,6 +183,20 @@ class PccInstance(Value):
                     raise ValueError(f"k={k} does not bound the rung count of {alpha} below {delta}")
 
 
+def _profile_rules(inst: PccInstance) -> tuple[Callable[[QCondition], int], Callable[[QCondition], int]]:
+    """The witness rule's two profiles of one condition: the meet of its
+    upper a-sets (family 1) and the join of its upper b-sets (family 2)."""
+    g, gamma, full = inst.ctx.g, inst.gamma, (1 << inst.ctx.g.universe) - 1
+
+    def meet(p: QCondition) -> int:
+        return reduce(and_, [g.a[i] for i in p.w if not i < gamma], full)
+
+    def join(q: QCondition) -> int:
+        return reduce(or_, [g.b[j] for j in q.w if not j < gamma], 0)
+
+    return meet, join
+
+
 def pcc_ab_profiles(inst: PccInstance) -> tuple[dict[Ordinal, int], dict[Ordinal, int]]:
     """Per index: meet of family-1 upper a-sets, join of family-2 upper b-sets.
 
@@ -190,10 +204,8 @@ def pcc_ab_profiles(inst: PccInstance) -> tuple[dict[Ordinal, int], dict[Ordinal
     witness rule of the separated-pair criterion in `tests/proof_steps.py`:
     the empty meet is the full universe, the empty join is empty.
     """
-    g, gamma, full = inst.ctx.g, inst.gamma, (1 << inst.ctx.g.universe) - 1
-    meets = {d: reduce(and_, [g.a[i] for i in p.w if not i < gamma], full) for d, p in inst.fam1}
-    joins = {d: reduce(or_, [g.b[j] for j in q.w if not j < gamma], 0) for d, q in inst.fam2}
-    return meets, joins
+    meet, join = _profile_rules(inst)
+    return {d: meet(p) for d, p in inst.fam1}, {d: join(q) for d, q in inst.fam2}
 
 
 def find_compatible_pair(inst: PccInstance, matrix: CompatMatrix) -> tuple[Ordinal, Ordinal, int] | None:
@@ -201,25 +213,34 @@ def find_compatible_pair(inst: PccInstance, matrix: CompatMatrix) -> tuple[Ordin
 
     Scans index pairs delta1 < delta2 in increasing order; a witness is the
     least n >= k in the meet profile of delta1 minus the join profile of
-    delta2, the lowest set bit of that difference cut below k.  The first
-    witnessed pair is confirmed by its cell of `matrix`, which the split
-    shape guarantees true (InvariantViolation says it was false); a matrix
-    not indexed by the instance's two families raises ValueError.
+    delta2 (see `pcc_ab_profiles`), the lowest set bit of that difference
+    cut below k.  Each profile is taken on first use: a row's meet once a
+    column lies above its index, and a column's join once, kept by position.
+    The first witnessed pair is confirmed by its cell of `matrix`, which the
+    split shape guarantees true (InvariantViolation says it was false); a
+    matrix not indexed by the instance's two families raises ValueError.
     """
-    if (matrix.row_index, matrix.col_index) != tuple(tuple(d for d, _ in fam) for fam in (inst.fam1, inst.fam2)):
+    cols = matrix.col_index
+    if (matrix.row_index, cols) != tuple(tuple(d for d, _ in fam) for fam in (inst.fam1, inst.fam2)):
         raise ValueError("the matrix must be indexed by the instance's two families")
-    meets, joins = pcc_ab_profiles(inst)
-    for x, (d1, _) in enumerate(inst.fam1):
-        for y, (d2, _) in enumerate(inst.fam2):
-            if not d1 < d2:
-                continue
-            witnesses = (meets[d1] & ~joins[d2]) >> inst.k << inst.k
+    meet, join = _profile_rules(inst)
+    k, joins = inst.k, {}
+    for x, (d1, p) in enumerate(inst.fam1):
+        first = bisect_right(cols, d1)  # the columns above d1
+        if first == len(cols):
+            continue
+        m = meet(p) >> k << k
+        for y in range(first, len(cols)):
+            j = joins.get(y)
+            if j is None:
+                j = joins[y] = join(inst.fam2[y][1])
+            witnesses = m & ~j
             if witnesses:
                 n = (witnesses & -witnesses).bit_length() - 1
                 if not matrix.rows[x] >> y & 1:
-                    detail = f"witness {n} for {d1} < {d2}, yet the pair is incompatible"
+                    detail = f"witness {n} for {d1} < {cols[y]}, yet the pair is incompatible"
                     raise InvariantViolation("compatible-pair", detail)
-                return d1, d2, n
+                return d1, cols[y], n
     return None
 
 
@@ -301,8 +322,8 @@ def max_order_rectangle(m: CompatMatrix) -> tuple[tuple[int, ...], tuple[int, ..
 
 MAX_FAMILY = 2048
 """Most conditions per generated family.  The matrix and the rectangle
-search grow with t1 * t2: `pcc` at 480 x 480 takes 0.13-0.19 s and 18 MB, at
-1024 x 1024 0.22-0.29 s and 26 MB, and at 2048 x 2048 0.46-0.56 s and 53 MB
+search grow with t1 * t2: `pcc` at 480 x 480 takes 0.12-0.16 s and 19 MB, at
+1024 x 1024 0.21-0.31 s and 28 MB, and at 2048 x 2048 0.41-0.60 s and 53 MB
 (3 runs each; wall and peak RSS with interpreter start, 2-vCPU Xeon, Python
 3.11).  The bitmask rows retain 0.6 MiB at 2048 x 2048, where the build
 takes 0.13-0.23 s (0.05-0.08 s of it in `ladder_blocked`, 0.04-0.07 s
@@ -347,18 +368,9 @@ def generate_pcc_instance(
     b_map: dict[Ordinal, int] = {}
     counts: list[int] = []
 
-    draw = rng.random
-
-    def random_set(space, prob) -> int:
-        got = 0
-        for v in space:
-            if draw() < prob:
-                got |= 1 << v
-        return got
-
     for o in core_w:
-        a_map[o] = random_set(range(universe), 0.4)
-        b_map[o] = random_set(range(universe), 0.6)
+        a_map[o] = bits(coins(rng, universe, 0.4))
+        b_map[o] = bits(coins(rng, universe, 0.6))
 
     # every part is a natural by construction, so each ordinal is built as Ordinal.from_json builds one
     new = tuple.__new__
@@ -377,15 +389,15 @@ def generate_pcc_instance(
         lean = kind == 1 and rng.random() < 0.3
         for o in sorted(w_extra):
             if kind == 1:
-                got = random_set(low, 0.4)
+                got = bits(coins(rng, universe - 8, 0.4))
                 if not lean:
                     dropped = sum(1 << v for v in rng.sample(pool, rng.randint(0, 1)))
                     got |= pool_mask & ~dropped
                 a_map[o] = got
-                b_map[o] = got | random_set(range(universe), 0.3)
+                b_map[o] = got | bits(coins(rng, universe, 0.3))
             else:
-                a_map[o] = random_set(range(universe), 0.3)
-                b_map[o] = random_set(low, 0.5) | 1 << rng.choice(low)
+                a_map[o] = bits(coins(rng, universe, 0.3))
+                b_map[o] = bits(coins(rng, universe - 8, 0.5)) | 1 << rng.choice(low)
         cond = QCondition(frozenset(core_w | w_extra), frozenset(core_s | s_extra))
         (fam1 if kind == 1 else fam2).append((delta, cond))
 

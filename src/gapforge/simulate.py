@@ -17,7 +17,7 @@ import random
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, RequirementFailure
-from .gaps import GapFragment, Witnesses, bits, c_hausdorff_check, excess_matrix_csv
+from .gaps import GapFragment, Witnesses, bits, c_hausdorff_check, coins, excess_matrix_csv
 from .ordinals import Ladder, Ordinal, SPartition, Value
 from .poset_p import p_leq  # unused here, but perfbench/tests reads simulate.p_leq
 from .poset_q import QCondition, QContext
@@ -109,8 +109,7 @@ def check_tower_coherence(masks: Mapping[Ordinal, tuple[int, int]], entry: Mappi
 
 
 BLOCK_WIDTH = 8  # indices per w-block of the default index list
-_COIN = b"1" * 128 + b"0" * 128  # translation table: a top byte below 128 draws 1
-COIN_BLOCK = 1 << 17  # most coins drawn by one getrandbits call, a 1 MiB int
+COIN_BLOCK = 1 << 17  # most coins drawn by one `gaps.coins` call, a 1 MiB int of words
 
 
 def default_index_blocks(count: int) -> tuple[Ordinal, ...]:
@@ -149,12 +148,9 @@ def forge(ordinals: Sequence[Ordinal], height: int, seed: int) -> GapFragment:
     n = len(todo)
     if n > height:
         raise ValueError(f"{n} indices exceed the target height {height}, one level per index")
-    # random() < 0.5 just when bit 31 of the first of its two 32-bit words is 0, and
-    # getrandbits(64 m) gives those 2m words, least significant first: take byte 3 of 8.
-    # Blocks of at most COIN_BLOCK draws continue one word stream, so they split anywhere.
+    # blocks of at most COIN_BLOCK draws continue one word stream, so they split anywhere
     rng, total = random.Random(seed), height * n
-    sizes = [min(COIN_BLOCK, total - start) for start in range(0, total, COIN_BLOCK)]
-    draws = b"".join([rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8] for m in sizes]).translate(_COIN)
+    draws = b"".join([coins(rng, min(COIN_BLOCK, total - start), 0.5) for start in range(0, total, COIN_BLOCK)])
     grants = [bits(draws[k::n]) >> k << k for k in range(n)]
     every = 0
     for grant in grants:

@@ -21,10 +21,14 @@ replaced: it ORs one shifted bit per checked member into the mask, and
 parses every map key with `Ordinal.from_key`.  It reads ordinals through
 `ref_ordinal_from_json` and has no cap on sets times universe.  Both must
 return equal fragments or raise the same `ValueError`.
+
+`ref_coins` is the per-call coin loop that `gaps.coins` replaced: one
+`rng.random()` per coin.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import compress, count
 from typing import AbstractSet, Mapping
@@ -32,6 +36,11 @@ from typing import AbstractSet, Mapping
 from gapforge import GapFragment, IndexMismatch, Ladder, Ordinal, PccInstance, SPartition
 from gapforge.gaps import MAX_UNIVERSE, Failures, Witnesses
 from ordinals_reference import ref_first_index_above, ref_ordinal_from_json, ref_value
+
+
+def ref_coins(rng: random.Random, n: int, prob: float) -> str:
+    """The 01 word of n draws, character k "1" exactly when the k-th `rng.random()` is below prob."""
+    return "".join(["01"[rng.random() < prob] for _ in range(n)])
 
 
 @lru_cache(maxsize=1 << 16)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -18,8 +19,10 @@ from gapforge import (
     special_gap_check,
     uniform_interpolation,
 )
-from gapforge.gaps import MAX_UNIVERSE, table_csv, word
-from helpers import fin, mask, random_fragment
+from gapforge import gaps
+from gapforge.gaps import MAX_UNIVERSE, coins, table_csv, word
+from gaps_reference import ref_coins
+from helpers import fin, mask, random_fragment, traced_peak
 
 
 def _ref_word(m: int, n: int) -> str:
@@ -47,6 +50,62 @@ def test_bits_and_word_invert_each_other_on_random_long_masks():
         assert w == _ref_word(m, n) and bits(w) == m
         # a word may be longer than its set: the tail is zeros
         assert word(m, n + 3) == w + "000" and bits(w + "000") == m
+
+
+def _assert_coins_draw_the_reference(seed: int, n: int, prob: float) -> str:
+    """coins gives the reference loop's word and leaves the generator where the loop leaves it."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = coins(rng, n, prob)
+    want = ref_coins(ref, n, prob)
+    assert got == want.encode() and rng.random() == ref.random()
+    return want
+
+
+def _ties(seed: int, n: int, prob: float) -> int:
+    """The draws whose top byte alone cannot settle their coin at prob."""
+    cut, rng = math.ceil(prob * 2**53), random.Random(seed)
+    return sum(int(rng.random() * 2**53) >> 45 == cut >> 45 for _ in range(n)) if cut % 2**45 else 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 24, 32, 100])
+def test_coins_are_the_draws_of_the_per_call_reference(n):
+    """Over many seeds, at fixed and random probabilities; the draws whose
+    top byte ties with the probability's are settled by the full draw."""
+    ties = 0
+    for seed in range(300):
+        for prob in (0, 1, 0.3, 0.4, 0.5, 0.6, 0.8, random.Random(-seed).random()):
+            _assert_coins_draw_the_reference(seed, n, prob)
+            ties += _ties(seed, n, prob)
+    assert ties >= n  # about 7 n / 256 per seed
+
+
+def test_coins_at_a_draws_own_value_and_either_side_of_it():
+    """At prob equal to a draw's value the draw is a 0, one step above it a
+    1, and one step below it a 0: its top byte ties in all three."""
+    for seed in range(200):
+        n = 1 + seed % 40
+        k = seed % n
+        value = list(itertools.islice(iter(random.Random(seed).random, None), k + 1))[-1]
+        for prob, coin in ((value, "0"), (math.nextafter(value, 0), "0"), (math.nextafter(value, 1), "1")):
+            assert _assert_coins_draw_the_reference(seed, n, prob)[k] == coin
+            assert _ties(seed, n, prob) >= 1
+
+
+@pytest.mark.parametrize("prob", [-0.1, -5e-324, 1.0000000000000002, 2, math.inf, -math.inf, math.nan])
+def test_coins_refuse_a_probability_outside_the_unit_interval(prob):
+    rng, ref = random.Random(3), random.Random(3)
+    with pytest.raises(ValueError, match="probability"):
+        coins(rng, 5, prob)
+    assert rng.random() == ref.random()
+
+
+def test_coins_keep_few_tables():
+    """Tables are kept for the first few probabilities only, so drawing at
+    many probabilities holds no table per probability."""
+    rng = random.Random(4)
+    for k in range(1000):
+        coins(rng, 3, k / 1000)
+    assert len(gaps._COIN_TABLES) <= 64
 
 
 def test_members_lists_the_set_bits_ascending():
@@ -280,3 +339,12 @@ def test_excess_matrix_csv():
     g = _pair_fragment({0}, {0}, {1}, {1})
     text = excess_matrix_csv(g)
     assert text == ",0.0,0.1\n0.0,0,1\n0.1,2,0\n"
+
+
+def test_excess_matrix_csv_writes_as_many_texts_as_its_a_sets_need():
+    """No excess exceeds the a-sets' union, so a 1x1 diagram of one-member
+    sets at the largest universe writes a few texts, not one per universe
+    bit: 65,537 texts had a 4.0 MB traced peak."""
+    g = GapFragment(MAX_UNIVERSE, {fin(0): 1 << 5}, {fin(1): 1 << 9})
+    text, peak = traced_peak(excess_matrix_csv, g)
+    assert text == ",0.1\n0.0,6\n" and peak < 64 * 1024

@@ -29,7 +29,7 @@ from gapforge import (
     verify_rectangle,
 )
 from gapforge import pcc, poset_q
-from gaps_reference import ref_first_witness
+from gaps_reference import ref_coins, ref_first_witness
 from helpers import fin, mask, matrix_from_grid
 from pcc_reference import (
     exact_rectangle,
@@ -119,6 +119,24 @@ def test_generate_rejects_families_above_the_limit():
     for sizes in ((pcc.MAX_FAMILY + 1, 1), (1, 10**9)):
         with pytest.raises(ValueError, match=str(pcc.MAX_FAMILY)):
             generate_pcc_instance(0, *sizes)
+
+
+_UNIVERSES = (16, 17, 31, 33, 64, 200)
+
+
+@pytest.mark.parametrize(
+    "t1, t2, seeds", [(120, 120, range(0, 300, 5)), (30, 30, range(300)), (2048, 1, range(0, 300, 50)), (3, 9, range(300))]
+)
+def test_the_generator_draws_what_the_per_call_reference_draws(t1, t2, seeds, monkeypatch):
+    """With its coins drawn one `rng.random()` at a time, the generator gives
+    equal instances; the universe cycles through sizes that are no multiple
+    of 8 and sizes below and above the 32 the GOLDEN digests pin."""
+    for seed in seeds:
+        universe = _UNIVERSES[seed % len(_UNIVERSES)]
+        fast = generate_pcc_instance(seed, t1, t2, universe)
+        with monkeypatch.context() as patched:
+            patched.setattr(pcc, "coins", ref_coins)
+            assert generate_pcc_instance(seed, t1, t2, universe) == fast
 
 
 def test_generated_instance_pair_validates():
